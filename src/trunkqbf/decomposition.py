@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .formulas import QbfInstance, primal_graph
@@ -80,16 +81,23 @@ class TrunkTreeDecomposition:
             if node != root and node not in self._parent:
                 raise DecompositionError(f"node {node} is disconnected (no parent)")
         # Parent walks must reach the root; a failure indicates a cycle.
+        # Each walk stops at a node an earlier walk reached the root from,
+        # so every node is walked over once.
+        reaches_root = {root}
         for node in self._bags:
-            seen = set()
+            walk: List[int] = []
+            on_walk: Set[int] = set()
             cur = node
-            while cur != root:
-                if cur in seen:
+            while cur not in reaches_root:
+                if cur in on_walk:
                     raise DecompositionError(f"cycle through node {cur}")
-                seen.add(cur)
+                on_walk.add(cur)
+                walk.append(cur)
                 cur = self._parent[cur]
+            reaches_root.update(walk)
         for node in self._children:
             self._children[node].sort()
+        self._nodes: Tuple[int, ...] = tuple(sorted(self._bags))
         self._trunk: Tuple[int, ...] = tuple(trunk)
         self._check_trunk()
 
@@ -112,7 +120,7 @@ class TrunkTreeDecomposition:
 
     @property
     def nodes(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._bags))
+        return self._nodes
 
     @property
     def root(self) -> int:
@@ -133,6 +141,20 @@ class TrunkTreeDecomposition:
 
     def is_leaf(self, node: int) -> bool:
         return not self._children[node]
+
+    @cached_property
+    def _tops(self) -> Dict[int, Tuple[int, ...]]:
+        """Variable -> the nodes holding it whose parent does not, ascending.
+
+        A variable whose occurrences form one subtree has exactly one
+        such node, its forget node.
+        """
+        tops: Dict[int, List[int]] = {}
+        for node in self._nodes:
+            above = self._bags.get(self._parent.get(node), frozenset())
+            for v in self._bags[node] - above:
+                tops.setdefault(v, []).append(node)
+        return {v: tuple(nodes) for v, nodes in tops.items()}
 
     def bag_variables(self) -> FrozenSet[int]:
         out: Set[int] = set()
@@ -176,20 +198,6 @@ def width(td: TrunkTreeDecomposition) -> int:
     return max(len(td.bag(t)) for t in td.nodes) - 1
 
 
-def _nodes_with_variable(td: TrunkTreeDecomposition) -> Dict[int, List[int]]:
-    occ: Dict[int, List[int]] = {}
-    for node in td.nodes:
-        for v in td.bag(node):
-            occ.setdefault(v, []).append(node)
-    return occ
-
-
-def _variable_subtree_tops(td: TrunkTreeDecomposition, nodes: List[int]) -> List[int]:
-    """Nodes of the occurrence set whose parent is outside the set."""
-    node_set = set(nodes)
-    return [t for t in nodes if td.parent_of(t) not in node_set]
-
-
 def forget_map(td: TrunkTreeDecomposition) -> Dict[int, int]:
     """Map every bag variable to its forget node (highest bag containing it).
 
@@ -199,13 +207,8 @@ def forget_map(td: TrunkTreeDecomposition) -> Dict[int, int]:
     """
     result: Dict[int, int] = {}
     used_nodes: Dict[int, int] = {}
-    for v, nodes in _nodes_with_variable(td).items():
-        tops = _variable_subtree_tops(td, nodes)
-        if len(tops) != 1:
-            raise DecompositionError(
-                f"variable {v} has {len(tops)} topmost occurrences {sorted(tops)}"
-            )
-        node = tops[0]
+    for v in td._tops:
+        node = forget_node(td, v)
         if node in used_nodes:
             raise DecompositionError(
                 f"variables {used_nodes[node]} and {v} share forget node {node}"
@@ -217,13 +220,12 @@ def forget_map(td: TrunkTreeDecomposition) -> Dict[int, int]:
 
 def forget_node(td: TrunkTreeDecomposition, v: int) -> int:
     """The unique highest node whose bag contains v."""
-    nodes = [t for t in td.nodes if v in td.bag(t)]
-    if not nodes:
+    tops = td._tops.get(v)
+    if not tops:
         raise DecompositionError(f"variable {v} is never introduced")
-    tops = _variable_subtree_tops(td, nodes)
     if len(tops) != 1:
         raise DecompositionError(
-            f"variable {v} has {len(tops)} topmost occurrences {sorted(tops)}"
+            f"variable {v} has {len(tops)} topmost occurrences {list(tops)}"
         )
     return tops[0]
 
@@ -280,19 +282,17 @@ def validate_nice(td: TrunkTreeDecomposition, instance: QbfInstance) -> Validati
                 )
 
     # T2: occurrences of each variable form a nonempty connected subtree.
-    occurrences = _nodes_with_variable(td)
     for v in sorted(variables):
-        nodes = occurrences.get(v)
-        if not nodes:
+        tops = td._tops.get(v)
+        if not tops:
             violations.append(Violation("T2", str(v), "variable occurs in no bag"))
             continue
-        tops = _variable_subtree_tops(td, nodes)
         if len(tops) != 1:
             violations.append(
                 Violation(
                     "T2",
                     str(v),
-                    f"occurrences split into {len(tops)} components (tops {sorted(tops)})",
+                    f"occurrences split into {len(tops)} components (tops {list(tops)})",
                 )
             )
 
@@ -357,7 +357,7 @@ def validate_trunk_aligned(
             violations.append(Violation("P1P2", str(u), "variable occurs in no bag"))
             continue
         bag = td.bag(node)
-        p1 = all(v not in bag for v in poset.dependents_strict(u))
+        p1 = not (poset.dependents_strict(u) & bag)
         p2 = node in trunk_set and poset.dep(u) <= below[node]
         if p1 and p2:
             held[u] = "P1P2"
@@ -366,7 +366,7 @@ def validate_trunk_aligned(
         elif p2:
             held[u] = "P2"
         else:
-            offenders = sorted(v for v in poset.dependents_strict(u) if v in bag)
+            offenders = sorted(poset.dependents_strict(u) & bag)
             violations.append(
                 Violation(
                     "P1P2",
@@ -407,8 +407,7 @@ def elimination_ordering(td: TrunkTreeDecomposition) -> Tuple[int, ...]:
 
 
 def _check_t2_rough(td: TrunkTreeDecomposition) -> None:
-    for v, nodes in _nodes_with_variable(td).items():
-        tops = _variable_subtree_tops(td, nodes)
+    for v, tops in td._tops.items():
         if len(tops) != 1:
             raise DecompositionError(
                 f"input violates T2: variable {v} occurs in {len(tops)} components"

@@ -17,14 +17,34 @@ in its own forget bag) and the rules could never fire.
 
 Families are sets of sets of matrices; both levels deduplicate eagerly
 on canonical encodings after every rule application.
+
+A matrix is stored in two parts.  Its *untouched* part is every input
+clause whose variables are all still quantified: no rule has acted on
+such a clause yet, so it is the same in every matrix of the family and
+is kept once per run, in the state's ``UntouchedStore``.  A clause
+leaves the untouched part when one of its variables leaves the prefix,
+so the store itself never changes.  The family holds only the *touched*
+parts: clauses that an earlier step pulled in or derived.  Before a rule
+runs, the untouched clauses over its affected variables ({v} for R2 and
+R3, the still-quantified part of dep(v) for R4) are pulled into every
+touched part; the rule then acts on touched parts only, since no other
+clause mentions a variable it assigns or removes.  After the rule, any
+clause that is still untouched is dropped from the results again.  The
+two parts of a matrix are therefore disjoint, and the untouched part is
+shared, so two matrices are equal exactly when their touched parts are:
+deduplicating touched parts gives the same families, the same sizes
+and the same strategy counts as deduplicating whole matrices, while the
+work per step is set by the forget bag and not by the formula.  When
+the prefix is empty no clause is untouched and the family holds the
+whole matrices.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .decomposition import (
     TrunkTreeDecomposition,
@@ -85,10 +105,59 @@ class EngineLimits:
 
 
 @dataclass(frozen=True)
+class UntouchedStore:
+    """The input clauses with at least one variable, stored once per run.
+
+    Such a clause is untouched while all its variables are still in the
+    prefix; the index maps every variable to the clauses it occurs in.
+    Stores compare by their clauses.
+    """
+
+    clauses: FrozenSet[Clause] = frozenset()
+    _index: Dict[int, List[Clause]] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        index: Dict[int, List[Clause]] = {}
+        for clause in self.clauses:
+            if clause.is_empty:
+                raise ValueError("a variable-free clause cannot be untouched")
+            for x in clause.variables():
+                index.setdefault(x, []).append(clause)
+        object.__setattr__(self, "_index", index)
+
+    def untouched(self, clause: Clause, prefix: Prefix) -> bool:
+        return clause in self.clauses and clause.variables() <= prefix.variables
+
+    def untouched_over(self, variables: Iterable[int], prefix: Prefix) -> Tuple[Clause, ...]:
+        """The untouched clauses that mention one of the variables."""
+        found = {
+            c
+            for x in variables
+            for c in self._index.get(x, ())
+            if c.variables() <= prefix.variables
+        }
+        return tuple(found)
+
+
+@dataclass(frozen=True)
 class DerivationState:
+    """A prefix and a family of matrices.
+
+    Every matrix of the family is the touched part only; its untouched
+    part is the clauses of ``untouched`` that are untouched under
+    ``prefix`` (none with the default, empty store).
+    """
+
     prefix: Prefix
     family: Family
     step_index: int
+    untouched: UntouchedStore = UntouchedStore()
+
+    def whole_family(self) -> Family:
+        """The family with the untouched part put back into every matrix."""
+        return _with_clauses(
+            self.family, self.untouched.untouched_over(self.prefix.variables, self.prefix)
+        )
 
 
 @dataclass(frozen=True)
@@ -243,10 +312,10 @@ def strategy_extension(
 def check_neighborhood_invariant(
     state: DerivationState, v: int, td: TrunkTreeDecomposition
 ) -> bool:
-    """True iff, in every matrix of the family, every variable sharing a
-    clause with v lies in v's forget bag."""
+    """True iff, in every whole matrix of the family, every variable
+    sharing a clause with v lies in v's forget bag."""
     bag = td.bag(forget_node(td, v))
-    for pi in state.family:
+    for pi in state.whole_family():
         for matrix in pi:
             for clause in matrix.clauses:
                 variables = clause.variables()
@@ -276,6 +345,25 @@ def _enforce_limits(family: Family, limits: EngineLimits) -> None:
             )
 
 
+def _with_clauses(family: Family, clauses: Tuple[Clause, ...]) -> Family:
+    """Add the clauses to every matrix of the family."""
+    if not clauses:
+        return family
+    return frozenset(
+        frozenset(Matrix(m.clauses + clauses) for m in pi) for pi in family
+    )
+
+
+def _without_untouched(family: Family, store: UntouchedStore, prefix: Prefix) -> Family:
+    """Drop the clauses that are untouched under the prefix from every matrix."""
+
+    def touched(m: Matrix) -> Matrix:
+        kept = tuple(c for c in m.clauses if not store.untouched(c, prefix))
+        return m if len(kept) == len(m.clauses) else Matrix(kept)
+
+    return frozenset(frozenset(touched(m) for m in pi) for pi in family)
+
+
 def step(
     state: DerivationState,
     v: int,
@@ -288,26 +376,27 @@ def step(
     started = time.perf_counter()
     prefix = state.prefix
     family = state.family
+    store = state.untouched
     if v not in prefix.variables:
         rule = "R1"
         new_prefix, new_family = prefix, family
     else:
         bag = td.bag(forget_node(td, v))
-        blocked = any(
-            w in bag for w in poset.dependents_strict(v) if w in prefix.variables
-        )
+        dependents = poset.dependents_strict(v)
+        blocked = any(w in dependents and w in prefix.variables for w in bag)
+        affected = prefix.variables & poset.dep(v) if blocked else frozenset({v})
+        pulled = _with_clauses(family, store.untouched_over(affected, prefix))
         if not blocked:
             if prefix.quantifier(v) == EXISTS:
                 rule = "R2"
                 new_family = frozenset(
-                    frozenset(resolve(m, v) for m in pi) for pi in family
+                    frozenset(resolve(m, v) for m in pi) for pi in pulled
                 )
             else:
                 rule = "R3"
                 new_family = frozenset(
-                    frozenset(reduce(m, v) for m in pi) for pi in family
+                    frozenset(reduce(m, v) for m in pi) for pi in pulled
                 )
-            new_prefix = prefix.remove((v,))
         else:
             rule = "R4"
             if checks and not check_r4_assertion(prefix, v, poset, td):
@@ -316,10 +405,11 @@ def step(
                     f"is outside the forget bag"
                 )
             merged = set()
-            for pi in sorted(family, key=lambda s: sorted(m.encoding() for m in s)):
+            for pi in pulled:
                 merged |= strategy_extension(pi, v, prefix, poset, limits)
             new_family = frozenset(merged)
-            new_prefix = prefix.remove(prefix.variables & poset.dep(v))
+        new_prefix = prefix.remove(affected)
+        new_family = _without_untouched(new_family, store, new_prefix)
     _enforce_limits(new_family, limits)
     micros = int((time.perf_counter() - started) * 1_000_000)
     event = TraceEvent(
@@ -331,17 +421,27 @@ def step(
         max_set_size=max((len(pi) for pi in new_family), default=0),
         micros=micros,
     )
-    return DerivationState(new_prefix, new_family, state.step_index + 1), event
+    return DerivationState(new_prefix, new_family, state.step_index + 1, store), event
 
 
 def initial_state(instance: QbfInstance) -> DerivationState:
+    """The one-matrix family of the instance, with an empty untouched store."""
     return DerivationState(
         instance.prefix, frozenset({frozenset({instance.matrix})}), 0
     )
 
 
+def _stored_initial_state(instance: QbfInstance) -> DerivationState:
+    """The same start as ``initial_state`` with every input clause that has a
+    variable in the untouched store; variable-free ones start touched."""
+    clauses = instance.matrix.clauses
+    stored = UntouchedStore(frozenset(c for c in clauses if not c.is_empty))
+    touched = Matrix(tuple(c for c in clauses if c.is_empty))
+    return DerivationState(instance.prefix, frozenset({frozenset({touched})}), 0, stored)
+
+
 def _check_clean(state: DerivationState, eliminated: FrozenSet[int]) -> None:
-    for pi in state.family:
+    for pi in state.whole_family():
         for matrix in pi:
             for clause in matrix.clauses:
                 if is_tautological(clause):
@@ -386,7 +486,7 @@ def run_derivation(
             "elimination ordering does not cover the quantified variables"
         )
 
-    state = initial_state(cleaned)
+    state = _stored_initial_state(cleaned)
     trace: List[TraceEvent] = []
     for i, v in enumerate(ordering, start=1):
         if checks and not check_neighborhood_invariant(state, v, td):

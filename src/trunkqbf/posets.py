@@ -10,7 +10,8 @@ variables ``v`` depends on (always including ``v`` itself).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
 
 from .formulas import Prefix
 
@@ -61,7 +62,17 @@ class DependencyPoset:
         """All v != u with u in dep(v)."""
         if u not in self._universe:
             raise KeyError(f"variable {u} is not in the poset universe")
-        return frozenset(v for v in self._universe if v != u and u in self._dep[v])
+        return self._dependents.get(u, frozenset())
+
+    @cached_property
+    def _dependents(self) -> Dict[int, FrozenSet[int]]:
+        """u -> all v != u with u in dep(v), built in one pass over the relation."""
+        out: Dict[int, Set[int]] = {}
+        for v, predecessors in self._dep.items():
+            for u in predecessors:
+                if u != v:
+                    out.setdefault(u, set()).add(v)
+        return {u: frozenset(vs) for u, vs in out.items()}
 
     def leq(self, u: int, v: int) -> bool:
         return u in self.dep(v)

@@ -54,6 +54,14 @@ class TestConstruction:
     def test_cycle_detected(self):
         with pytest.raises(DecompositionError):
             TrunkTreeDecomposition({1: (), 2: (), 3: ()}, {1: 2, 2: 1}, 3, (3,))
+        # A cycle behind a path into it, next to a node that reaches the root.
+        with pytest.raises(DecompositionError, match="cycle"):
+            TrunkTreeDecomposition(
+                {6: (), 1: (), 2: (), 3: (), 4: (), 5: ()},
+                {6: 4, 5: 1, 1: 2, 2: 3, 3: 2},
+                4,
+                (6, 4),
+            )
 
     def test_disconnected_node(self):
         with pytest.raises(DecompositionError):

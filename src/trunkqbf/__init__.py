@@ -43,7 +43,6 @@ from .formats import (
     write_trace,
 )
 from .formulas import (
-    BOTTOM,
     EXISTS,
     FORALL,
     Assignment,
@@ -72,7 +71,6 @@ from .posets import (
     DependencyPoset,
     PosetReport,
     PosetViolation,
-    dep,
     poset_from_pairs,
     trivial_poset,
     validate_poset,

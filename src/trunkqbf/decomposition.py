@@ -27,7 +27,7 @@ class DecompositionError(ValueError):
 
 @dataclass(frozen=True)
 class Violation:
-    rule: str  # T1 | T2 | T3 | T4 | TRUNK | P1P2
+    rule: str  # T1 | T2 | T3 | T4 | P1P2
     subject: str  # node id or variable id as text
     message: str
 
@@ -245,18 +245,8 @@ def subtree_vars(td: TrunkTreeDecomposition, node: int) -> FrozenSet[int]:
     return frozenset(out)
 
 
-def _subtree_vars_map(td: TrunkTreeDecomposition) -> Dict[int, FrozenSet[int]]:
-    out: Dict[int, Set[int]] = {}
-    for node in td.postorder():
-        acc: Set[int] = set(td.bag(node))
-        for child in td.children(node):
-            acc |= out[child]
-        out[node] = acc
-    return {node: frozenset(acc) for node, acc in out.items()}
-
-
 def validate_nice(td: TrunkTreeDecomposition, instance: QbfInstance) -> ValidationReport:
-    """Check T1-T4 and trunk path shape, listing every violation."""
+    """Check T1-T4, listing every violation."""
     violations: List[Violation] = []
     variables = instance.prefix.variables
 
@@ -328,11 +318,6 @@ def validate_nice(td: TrunkTreeDecomposition, instance: QbfInstance) -> Validati
                 Violation("T4", str(node), f"node has {len(kids)} children")
             )
 
-    # Trunk shape is construction-enforced; re-checked for completeness.
-    trunk = td.trunk
-    if trunk[-1] != td.root or td.children(trunk[0]):
-        violations.append(Violation("TRUNK", str(trunk[0]), "trunk is not a leaf-to-root path"))
-
     return ValidationReport(tuple(violations))
 
 
@@ -349,16 +334,27 @@ def validate_trunk_aligned(
     violations: List[Violation] = []
     held: Dict[int, str] = {}
     fmap = forget_map(td)
-    below = _subtree_vars_map(td)
-    trunk_set = set(td.trunk)
+    forgotten = {node: u for u, node in fmap.items() if u in instance.prefix.variables}
+    # P2 in one walk up the trunk: ``below`` grows to the variables of
+    # the subtree at each trunk node.
+    p2_holds: Set[int] = set()
+    below: Set[int] = set()
+    for lower, node in zip((None,) + td.trunk, td.trunk):
+        below |= td.bag(node)
+        for child in td.children(node):
+            if child != lower:
+                below |= subtree_vars(td, child)
+        u = forgotten.get(node)
+        if u is not None and poset.dep(u) <= below:
+            p2_holds.add(u)
     for u in sorted(instance.prefix.variables):
         node = fmap.get(u)
         if node is None:
             violations.append(Violation("P1P2", str(u), "variable occurs in no bag"))
             continue
-        bag = td.bag(node)
-        p1 = not (poset.dependents_strict(u) & bag)
-        p2 = node in trunk_set and poset.dep(u) <= below[node]
+        offenders = poset.dependents_strict(u) & td.bag(node)
+        p1 = not offenders
+        p2 = u in p2_holds
         if p1 and p2:
             held[u] = "P1P2"
         elif p1:
@@ -366,12 +362,11 @@ def validate_trunk_aligned(
         elif p2:
             held[u] = "P2"
         else:
-            offenders = sorted(poset.dependents_strict(u) & bag)
             violations.append(
                 Violation(
                     "P1P2",
                     str(u),
-                    f"P1 fails (dependents {offenders} in forget bag {node}) and P2 fails",
+                    f"P1 fails (dependents {sorted(offenders)} in forget bag {node}) and P2 fails",
                 )
             )
     return ValidationReport(tuple(violations), held)
@@ -406,14 +401,6 @@ def elimination_ordering(td: TrunkTreeDecomposition) -> Tuple[int, ...]:
     return tuple(sorted(fmap, key=lambda v: position[fmap[v]]))
 
 
-def _check_t2_rough(td: TrunkTreeDecomposition) -> None:
-    for v, tops in td._tops.items():
-        if len(tops) != 1:
-            raise DecompositionError(
-                f"input violates T2: variable {v} occurs in {len(tops)} components"
-            )
-
-
 def normalize(rough: TrunkTreeDecomposition) -> TrunkTreeDecomposition:
     """Turn a rough decomposition into a nice one with the same bags.
 
@@ -424,7 +411,8 @@ def normalize(rough: TrunkTreeDecomposition) -> TrunkTreeDecomposition:
     occurrences (T2); T1 and P1/P2 are the caller's concern, so the
     output must be re-validated.
     """
-    _check_t2_rough(rough)
+    for v in rough.bag_variables():
+        forget_node(rough, v)  # raises on split occurrences (T2)
     bags: Dict[int, FrozenSet[int]] = {}
     parent: Dict[int, int] = {}
     counter = itertools.count(1)

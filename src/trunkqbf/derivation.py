@@ -42,9 +42,10 @@ whole matrices.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .decomposition import (
     TrunkTreeDecomposition,
@@ -214,18 +215,6 @@ def reduce(matrix: Matrix, u: int) -> Matrix:
     )
 
 
-def _assignments(variables: Sequence[int]) -> List[Dict[int, int]]:
-    variables = sorted(variables)
-    return [
-        dict(zip(variables, bits))
-        for bits in itertools.product((0, 1), repeat=len(variables))
-    ]
-
-
-def _freeze(assignment: Dict[int, int]) -> Tuple[Tuple[int, int], ...]:
-    return tuple(sorted(assignment.items()))
-
-
 def strategy_extension(
     pi: MatrixSet,
     v: int,
@@ -236,77 +225,67 @@ def strategy_extension(
     """Branch over all partial existential strategies up to v.
 
     With B the universal plays on the still-quantified part of dep(v)
-    and A the partial existential strategies on its existential part
-    (one response table per variable, keyed by the play restricted to
-    that variable's own dependencies), the output contains, for every
-    tuple of per-matrix strategies, the set of all matrices the tuple
-    can produce against plays from B.  Every output matrix is free of
-    tautologies and of all variables in dep(v).
+    and A the partial existential strategies on its existential part,
+    the output contains, for every tuple of per-matrix strategies, the
+    set of all matrices the tuple can produce against plays from B.
+    Every output matrix is free of tautologies and of all variables in
+    dep(v).
+
+    Plays and strategies are bit tables.  Play b sets the i-th universal
+    dependency (ascending ids) to bit i of b.  A strategy holds one table
+    per existential dependency x: bit k of x's table answers every play
+    whose bits on x's own universal dependencies form the number k.
     """
     if v not in prefix.variables:
         raise ValueError(f"variable {v} is not quantified in the prefix")
-    matrices = sorted(pi, key=Matrix.encoding)
-    for m in matrices:
+    for m in pi:
         _require_no_tautologies(m)
     dep_v = poset.dep(v)
-    universal_dep = sorted(prefix.universal & dep_v)
-    existential_dep = [
-        x for x in prefix.variables_in_order() if x in dep_v and x in prefix.existential
-    ]
+    live = prefix.variables & dep_v
+    universal_dep = sorted(live & prefix.universal)
+    existential_dep = sorted(live & prefix.existential)
     for x in existential_dep:
         if not poset.dep(x) <= dep_v:
             raise InvariantError(
                 f"poset is not transitive at {x}: dep({x}) exceeds dep({v})"
             )
 
-    plays = _assignments(universal_dep)
-    domains = {x: _assignments(set(universal_dep) & poset.dep(x)) for x in existential_dep}
-
-    n_strategies = 1
+    plays = range(2 ** len(universal_dep))
+    # entries[j][b]: the bit of x_j's table that answers play b, the number
+    # formed by b's bits on x_j's own universal dependencies.
+    entries, n_tables = [], []
     for x in existential_dep:
-        n_strategies *= 2 ** len(domains[x])
-    cost = (n_strategies ** len(matrices)) * len(plays)
+        own = [i for i, u in enumerate(universal_dep) if u in poset.dep(x)]
+        entries.append([sum((b >> i & 1) << k for k, i in enumerate(own)) for b in plays])
+        n_tables.append(2 ** 2 ** len(own))
+    cost = (math.prod(n_tables) ** len(pi)) * len(plays)
     if cost > limits.max_strategies:
         raise ResourceLimitError(
             f"strategy extension up to {v} needs {cost} branches, "
             f"limit is {limits.max_strategies}"
         )
 
-    # One full assignment per (strategy, play); strategies enumerate the
-    # per-variable response tables in binary-counter order.
-    table_space = [
-        list(itertools.product((0, 1), repeat=len(domains[x]))) for x in existential_dep
+    # A full assignment is an integer whose bit i sets variables[i].
+    # answers[s][b]: play b answered by strategy s, x_j on bit shift + j.
+    variables = universal_dep + existential_dep
+    shift = len(universal_dep)
+    answers = [
+        [
+            b | sum((table >> entries[j][b] & 1) << (shift + j) for j, table in enumerate(tables))
+            for b in plays
+        ]
+        for tables in itertools.product(*map(range, n_tables))
     ]
-    strategy_assignments: List[List[Dict[int, int]]] = []
-    for tables in itertools.product(*table_space):
-        lookup = {
-            x: dict(zip(map(_freeze, domains[x]), tables[i]))
-            for i, x in enumerate(existential_dep)
-        }
-        per_play = []
-        for beta in plays:
-            full = dict(beta)
-            for x in existential_dep:
-                restricted_play = {u: val for u, val in beta.items() if u in poset.dep(x)}
-                full[x] = lookup[x][_freeze(restricted_play)]
-            per_play.append(full)
-        strategy_assignments.append(per_play)
-
-    # Restriction table: matrix index x strategy index -> set of results.
-    restricted: List[List[FrozenSet[Matrix]]] = []
-    for m in matrices:
-        row = []
-        for per_play in strategy_assignments:
-            row.append(frozenset(restrict(m, a) for a in per_play))
-        restricted.append(row)
-
-    out = set()
-    for choice in itertools.product(range(len(strategy_assignments)), repeat=len(matrices)):
-        merged: set = set()
-        for j, k in enumerate(choice):
-            merged |= restricted[j][k]
-        out.add(frozenset(merged))
-    return frozenset(out)
+    # Per matrix, the distinct sets its strategies produce; each full
+    # assignment is restricted once, however many strategies reach it.
+    per_matrix = []
+    for m in pi:
+        outcome = [
+            restrict(m, {x: bits >> i & 1 for i, x in enumerate(variables)})
+            for bits in range(2 ** len(variables))
+        ]
+        per_matrix.append({frozenset(outcome[a] for a in row) for row in answers})
+    return frozenset(frozenset().union(*sets) for sets in itertools.product(*per_matrix))
 
 
 def check_neighborhood_invariant(

@@ -72,10 +72,6 @@ class Clause:
         return f"Clause({list(self.lits)!r})"
 
 
-#: The empty clause.
-BOTTOM = Clause()
-
-
 @dataclass(frozen=True)
 class Matrix:
     """A CNF formula: a duplicate-free set of clauses in canonical order."""

@@ -97,10 +97,9 @@ def single_bag_td(instance: QbfInstance) -> TrunkTreeDecomposition:
 
     Width is |var| - 1; with the trivial poset every variable satisfies
     P1, so the derivation engine only ever resolves and reduces on it.
+    An instance without variables gets one node with an empty bag.
     """
     intro = list(instance.prefix.variables_in_order())
-    if not intro:
-        raise ValueError("instance has no variables")
     forget = [
         v
         for _, block in reversed(instance.prefix.blocks)

@@ -55,9 +55,6 @@ class DependencyPoset:
         except KeyError:
             raise KeyError(f"variable {v} is not in the poset universe") from None
 
-    def dep_strict(self, v: int) -> FrozenSet[int]:
-        return self.dep(v) - {v}
-
     def dependents_strict(self, u: int) -> FrozenSet[int]:
         """All v != u with u in dep(v)."""
         if u not in self._universe:
@@ -73,9 +70,6 @@ class DependencyPoset:
                 if u != v:
                     out.setdefault(u, set()).add(v)
         return {u: frozenset(vs) for u, vs in out.items()}
-
-    def leq(self, u: int, v: int) -> bool:
-        return u in self.dep(v)
 
     def strict_pairs(self) -> Tuple[Tuple[int, int], ...]:
         """All pairs (u, v) with u != v and u preceding v, sorted."""
@@ -125,10 +119,6 @@ def poset_from_pairs(
                 dep[v] |= extra
                 changed = True
     return DependencyPoset(universe, dep)
-
-
-def dep(poset: DependencyPoset, v: int) -> FrozenSet[int]:
-    return poset.dep(v)
 
 
 def validate_poset(poset: DependencyPoset, prefix: Prefix) -> PosetReport:

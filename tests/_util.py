@@ -9,6 +9,8 @@ from typing import Dict, List, Sequence, Set, Tuple
 from trunkqbf import (
     DependencyPoset,
     QbfInstance,
+    TrunkTreeDecomposition,
+    normalize,
     primal_graph,
     random_instance,
 )
@@ -69,3 +71,28 @@ def min_width_by_enumeration(instance: QbfInstance, poset: DependencyPoset) -> i
 
 def edge_set(adjacency: Dict[int, Set[int]]) -> Set[Tuple[int, int]]:
     return {(u, v) for u, ns in adjacency.items() for v in ns if u < v}
+
+
+def min_degree_td(instance):
+    """``normalize`` of the tree decomposition of a min-degree elimination
+    ordering: variable v's node holds v and its neighbours when it is
+    eliminated, under the node of the first of them eliminated next."""
+    adjacency = {v: set(ns) for v, ns in primal_graph(instance).items()}
+    bags, order = {}, []
+    while adjacency:
+        v = min(adjacency, key=lambda x: (len(adjacency[x]), x))
+        neighbours = adjacency.pop(v)
+        for a in neighbours:
+            adjacency[a] |= neighbours - {a}
+            adjacency[a].discard(v)
+        bags[v] = frozenset(neighbours | {v})
+        order.append(v)
+    position = {v: i for i, v in enumerate(order)}
+    root = max(order) + 1
+    bags[root] = frozenset()
+    parent = {v: min(bags[v] - {v}, key=position.__getitem__, default=root) for v in order}
+    leaf = min(v for v in order if v not in parent.values())
+    trunk = [leaf]
+    while trunk[-1] != root:
+        trunk.append(parent[trunk[-1]])
+    return normalize(TrunkTreeDecomposition(bags, parent, root, trunk))

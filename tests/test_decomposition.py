@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from trunkqbf import (
@@ -23,7 +25,7 @@ from trunkqbf import (
     width,
 )
 
-from _util import min_width_by_enumeration
+from _util import min_degree_td, min_width_by_enumeration
 
 
 def path_td(bags):
@@ -151,6 +153,37 @@ class TestTrunkAlignment:
         report = validate_trunk_aligned(td, q, trivial_poset(q.prefix))
         assert not report.ok
         assert any(v.subject == "2" for v in report.violations)
+
+    def test_p2_through_join_nodes_matches_brute_force(self):
+        # across_joins counts variables whose P2 needs an off-trunk subtree.
+        across_joins = 0
+        for seed in range(150):
+            rng = random.Random(seed)
+            q = random_instance(seed, rng.randint(3, 8), rng.randint(1, 9), rng.randint(1, 3), 3)
+            td = min_degree_td(q)
+            if not any(len(td.children(t)) == 2 for t in td.nodes):
+                continue
+            trunk_bags = {}
+            seen = set()
+            for t in td.trunk:
+                seen |= td.bag(t)
+                trunk_bags[t] = frozenset(seen)
+            for d in (trivial_poset(q.prefix), poset_from_pairs(q.prefix.variables, [])):
+                report = validate_trunk_aligned(td, q, d)
+                held, failed = {}, []
+                for u in sorted(q.prefix.variables):
+                    node = forget_node(td, u)
+                    p1 = not (d.dependents_strict(u) & td.bag(node))
+                    p2 = node in td.trunk and d.dep(u) <= subtree_vars(td, node)
+                    if p2 and not d.dep(u) <= trunk_bags[node]:
+                        across_joins += 1
+                    if p1 or p2:
+                        held[u] = "P1P2" if p1 and p2 else ("P1" if p1 else "P2")
+                    else:
+                        failed.append(str(u))
+                assert dict(report.property_held) == held, seed
+                assert [v.subject for v in report.violations] == failed, seed
+        assert across_joins >= 20
 
 
 class TestWidth:

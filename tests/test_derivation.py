@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from trunkqbf import (
@@ -15,16 +18,19 @@ from trunkqbf import (
     evaluate,
     initial_state,
     matrix_of,
+    poset_from_pairs,
     qparity,
     qparity_td,
     random_instance,
     reduce,
     resolve,
+    restrict,
     run_derivation,
     single_bag_td,
     step,
     strategy_extension,
     trivial_poset,
+    validate_poset,
 )
 
 
@@ -130,6 +136,42 @@ class TestStrategyExtension:
         m = matrix_of((1, 4), (2, 5), (3, 6), (7,))
         with pytest.raises(ResourceLimitError):
             strategy_extension(frozenset({m}), 7, prefix, d, EngineLimits(max_strategies=64))
+
+    def test_tables_read_each_existentials_own_universals(self):
+        # forall 1 2 exists 3 4 forall 5 where 3 sees only 1 and 4 only 2:
+        # a table entry read from the wrong universal changes the output.
+        prefix = Prefix((("a", (1, 2)), ("e", (3, 4)), ("a", (5,))))
+        d = poset_from_pairs(prefix.variables, [(1, 3), (2, 4), (3, 5), (4, 5)])
+        assert validate_poset(d, prefix).ok
+        functions = list(itertools.product((0, 1), repeat=2))  # (f(0), f(1))
+
+        def reference(pi):
+            per_matrix = [
+                [
+                    frozenset(
+                        restrict(m, {1: a, 2: b, 5: c, 3: f3[a], 4: f4[b]})
+                        for a, b, c in itertools.product((0, 1), repeat=3)
+                    )
+                    for f3 in functions
+                    for f4 in functions
+                ]
+                for m in pi
+            ]
+            return {frozenset().union(*sets) for sets in itertools.product(*per_matrix)}
+
+        # Every output matrix is variable-free; clauses of two or three
+        # literals tie existentials to universals often enough that reading
+        # a table with the wrong universal changes some outputs.
+        rng = random.Random(0)
+        for _ in range(200):
+            pi = set()
+            for _ in range(rng.randint(1, 2)):
+                clauses = [
+                    [rng.choice((1, -1)) * x for x in rng.sample(range(1, 6), rng.randint(2, 3))]
+                    for _ in range(rng.randint(2, 6))
+                ]
+                pi.add(matrix_of(*clauses))
+            assert strategy_extension(frozenset(pi), 5, prefix, d) == reference(pi)
 
     def test_unquantified_variable_rejected(self, qp2_setup):
         q, _, d = qp2_setup

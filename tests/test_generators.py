@@ -100,7 +100,6 @@ class TestSingleBagTd:
             result = run_derivation(q, single_bag_td(q), trivial_poset(q.prefix))
             assert all(e.rule != "R4" for e in result.trace)
 
-    def test_requires_variables(self):
-        q = QbfInstance(Prefix(()), Matrix(()))
-        with pytest.raises(ValueError):
-            single_bag_td(q)
+    def test_zero_variable_instance_gets_one_empty_node(self):
+        td = single_bag_td(QbfInstance(Prefix(()), Matrix(())))
+        assert td.nodes == (1,) and td.trunk == (1,) and td.bag(1) == frozenset()

@@ -3,7 +3,6 @@ import pytest
 from trunkqbf import (
     DependencyPoset,
     Prefix,
-    dep,
     poset_from_pairs,
     qparity,
     random_instance,
@@ -38,7 +37,7 @@ class TestDepQueries:
     def test_dep_always_contains_the_variable(self, qp2_prefix):
         d = trivial_poset(qp2_prefix)
         for v in qp2_prefix.variables:
-            assert v in dep(d, v)
+            assert v in d.dep(v)
 
     def test_unknown_variable(self, qp2_prefix):
         with pytest.raises(KeyError):

@@ -23,10 +23,7 @@ from trunkqbf import (
     ground_truth,
     initial_state,
     matrix_of,
-    normalize,
-    parse_btd,
     parse_qdimacs,
-    primal_graph,
     qparity,
     qparity_td,
     random_instance,
@@ -38,6 +35,8 @@ from trunkqbf import (
     write_btd,
 )
 from trunkqbf.cli import main
+
+from _util import min_degree_td
 
 R4_LIMITS = EngineLimits(max_strategies=4096, max_family_size=64)
 LIMIT_KINDS = (
@@ -89,31 +88,6 @@ def shuffled_path_td(instance, rng):
     return TrunkTreeDecomposition(
         dict(zip(nodes, bags)), {t: t + 1 for t in nodes[:-1]}, nodes[-1], tuple(nodes)
     )
-
-
-def min_degree_td(instance):
-    """``normalize`` of the tree decomposition of a min-degree elimination
-    ordering: variable v's node holds v and its neighbours when it is
-    eliminated, under the node of the first of them eliminated next."""
-    adjacency = {v: set(ns) for v, ns in primal_graph(instance).items()}
-    bags, order = {}, []
-    while adjacency:
-        v = min(adjacency, key=lambda x: (len(adjacency[x]), x))
-        neighbours = adjacency.pop(v)
-        for a in neighbours:
-            adjacency[a] |= neighbours - {a}
-            adjacency[a].discard(v)
-        bags[v] = frozenset(neighbours | {v})
-        order.append(v)
-    position = {v: i for i, v in enumerate(order)}
-    root = max(order) + 1
-    bags[root] = frozenset()
-    parent = {v: min(bags[v] - {v}, key=position.__getitem__, default=root) for v in order}
-    leaf = min(v for v in order if v not in parent.values())
-    trunk = [leaf]
-    while trunk[-1] != root:
-        trunk.append(parent[trunk[-1]])
-    return normalize(TrunkTreeDecomposition(bags, parent, root, trunk))
 
 
 def test_store_run_matches_stepwise_run_on_qparity():
@@ -206,14 +180,13 @@ DEGENERATE = (
     ("p cnf 0 0\n", True),
     ("p cnf 0 1\n0\n", False),
 )
-ONE_NODE_BTD = "s btd 1 0 0\nb 1\nr 1\nt 1\n"
 
 
 @pytest.mark.parametrize("text, expected", DEGENERATE)
 def test_degenerate_inputs(tmp_path, capsys, text, expected):
     q = parse_qdimacs(text)
     assert evaluate(q) is expected
-    td = single_bag_td(q) if q.prefix.variables else parse_btd(ONE_NODE_BTD)
+    td = single_bag_td(q)
     assert run_derivation(q, td, trivial_poset(q.prefix), checks=True).verdict is expected
 
     (tmp_path / "q.qdimacs").write_text(text, encoding="utf-8")

@@ -23,6 +23,7 @@ from .decomposition import (
 from .derivation import (
     DerivationError,
     EngineLimits,
+    ResourceLimitError,
     run_derivation,
 )
 from .formats import (
@@ -49,6 +50,16 @@ def _fail(message: str) -> int:
     return EXIT_ERROR
 
 
+def _write_trace(events, path: str) -> bool:
+    """Write the trace file; on failure report it and return False."""
+    try:
+        write_trace(events, path)
+    except OSError as exc:
+        _fail(f"error: cannot write trace: {exc}")
+        return False
+    return True
+
+
 def _load_instance(path: str) -> QbfInstance:
     return parse_qdimacs(Path(path).read_text(encoding="utf-8"))
 
@@ -71,13 +82,15 @@ def cmd_solve(args) -> int:
             max_strategies=args.max_strategies,
         )
         result = run_derivation(instance, td, poset, limits, checks=args.checks)
+    except ResourceLimitError as exc:
+        # The steps before the limit tripped still go to the trace file.
+        if args.trace:
+            _write_trace(exc.trace, args.trace)
+        return _fail(f"error: {exc}")
     except (OSError, ParseError, DecompositionError, DerivationError, ValueError) as exc:
         return _fail(f"error: {exc}")
-    if args.trace:
-        try:
-            write_trace(result.trace, args.trace)
-        except OSError as exc:
-            return _fail(f"error: cannot write trace: {exc}")
+    if args.trace and not _write_trace(result.trace, args.trace):
+        return EXIT_ERROR
     if args.stats:
         peak_family = max((e.family_after for e in result.trace), default=1)
         peak_set = max((e.max_set_size for e in result.trace), default=1)

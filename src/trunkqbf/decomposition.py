@@ -352,7 +352,7 @@ def validate_trunk_aligned(
         if node is None:
             violations.append(Violation("P1P2", str(u), "variable occurs in no bag"))
             continue
-        offenders = poset.dependents_strict(u) & td.bag(node)
+        offenders = poset.dependents_strict(u, td.bag(node))
         p1 = not offenders
         p2 = u in p2_holds
         if p1 and p2:
@@ -480,7 +480,7 @@ def min_dependency_elimination_width(
     if not variables:
         return 0
     adjacency = {v: set(nbrs) for v, nbrs in primal_graph(instance).items()}
-    blockers = {v: set(poset.dependents_strict(v)) for v in variables}
+    blockers = {v: poset.dependents_strict(v, variables) for v in variables}
     best = len(variables)  # any ordering has width <= n - 1
 
     def search(adj: Dict[int, Set[int]], remaining: Set[int], width_so_far: int) -> None:

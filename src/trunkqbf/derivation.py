@@ -42,7 +42,6 @@ whole matrices.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
@@ -87,7 +86,16 @@ class ValidationError(DerivationError):
 
 
 class ResourceLimitError(DerivationError):
-    pass
+    """An engine limit was exceeded.
+
+    Raised out of ``run_derivation``, its message names the step and the
+    variable, and ``trace`` holds the events of the steps completed
+    before it.
+    """
+
+    def __init__(self, message: str, trace: Tuple["TraceEvent", ...] = ()):
+        super().__init__(message)
+        self.trace = trace
 
 
 class InvariantError(DerivationError):
@@ -250,20 +258,27 @@ def strategy_extension(
                 f"poset is not transitive at {x}: dep({x}) exceeds dep({v})"
             )
 
+    owns = [
+        [i for i, u in enumerate(universal_dep) if u in poset.dep(x)]
+        for x in existential_dep
+    ]
+    # The branch count is 2^exponent: the plays times, per matrix, the
+    # 2^(2^|own|) tables of every existential dependency.  It is compared
+    # by exponent, since it can have thousands of decimal digits.
+    exponent = len(pi) * sum(2 ** len(own) for own in owns) + len(universal_dep)
+    if exponent >= limits.max_strategies.bit_length():
+        raise ResourceLimitError(
+            f"strategy extension up to {v} needs 2^{exponent} branches, "
+            f"limit is {limits.max_strategies}"
+        )
+
     plays = range(2 ** len(universal_dep))
     # entries[j][b]: the bit of x_j's table that answers play b, the number
     # formed by b's bits on x_j's own universal dependencies.
-    entries, n_tables = [], []
-    for x in existential_dep:
-        own = [i for i, u in enumerate(universal_dep) if u in poset.dep(x)]
-        entries.append([sum((b >> i & 1) << k for k, i in enumerate(own)) for b in plays])
-        n_tables.append(2 ** 2 ** len(own))
-    cost = (math.prod(n_tables) ** len(pi)) * len(plays)
-    if cost > limits.max_strategies:
-        raise ResourceLimitError(
-            f"strategy extension up to {v} needs {cost} branches, "
-            f"limit is {limits.max_strategies}"
-        )
+    entries = [
+        [sum((b >> i & 1) << k for k, i in enumerate(own)) for b in plays] for own in owns
+    ]
+    n_tables = [2 ** 2 ** len(own) for own in owns]
 
     # A full assignment is an integer whose bit i sets variables[i].
     # answers[s][b]: play b answered by strategy s, x_j on bit shift + j.
@@ -361,8 +376,7 @@ def step(
         new_prefix, new_family = prefix, family
     else:
         bag = td.bag(forget_node(td, v))
-        dependents = poset.dependents_strict(v)
-        blocked = any(w in dependents and w in prefix.variables for w in bag)
+        blocked = not prefix.variables.isdisjoint(poset.dependents_strict(v, bag))
         affected = prefix.variables & poset.dep(v) if blocked else frozenset({v})
         pulled = _with_clauses(family, store.untouched_over(affected, prefix))
         if not blocked:
@@ -472,7 +486,10 @@ def run_derivation(
             raise InvariantError(
                 f"step {i}: a matrix neighbor of {v} lies outside its forget bag"
             )
-        state, event = step(state, v, td, poset, limits, checks)
+        try:
+            state, event = step(state, v, td, poset, limits, checks)
+        except ResourceLimitError as exc:
+            raise ResourceLimitError(f"step {i}, variable {v}: {exc}", tuple(trace)) from exc
         trace.append(event)
         if checks:
             _check_clean(state, frozenset(ordering[:i]))

@@ -9,6 +9,7 @@ structure in the package deduplicates on those encodings.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Mapping, Set, Tuple
@@ -176,18 +177,46 @@ class Prefix:
             raise KeyError(f"variable {v} is not quantified") from None
 
     def quantifier(self, v: int) -> str:
-        return self.blocks[self.block_index(v)][0]
+        if v in self.existential:
+            return EXISTS
+        if v in self.universal:
+            return FORALL
+        raise KeyError(f"variable {v} is not quantified")
 
     def variables_in_order(self) -> Tuple[int, ...]:
         """All variables, block by block, ascending id inside each block."""
         return tuple(v for _, vs in self.blocks for v in vs)
 
     def remove(self, variables: Iterable[int]) -> "Prefix":
-        """Prefix with the given variables dropped (blocks re-merged)."""
-        drop = set(variables)
-        return Prefix(
-            tuple((q, tuple(v for v in vs if v not in drop)) for q, vs in self.blocks)
+        """Prefix with the given variables dropped (blocks re-merged).
+
+        Variables outside the prefix are ignored; if none is inside,
+        the prefix itself is returned.  Only the blocks that lose a
+        variable are rebuilt, and the result skips re-validation, since
+        dropping variables keeps a valid prefix valid.  Its variable
+        sets are carried over by set difference.
+        """
+        drop = self.variables.intersection(variables)
+        if not drop:
+            return self
+        merged: list[tuple[str, Tuple[int, ...]]] = []
+        for quant, vs in self.blocks:
+            if not drop.isdisjoint(vs):
+                vs = tuple(itertools.filterfalse(drop.__contains__, vs))
+                if not vs:
+                    continue
+            if merged and merged[-1][0] == quant:
+                vs = tuple(sorted(merged.pop()[1] + vs))
+            merged.append((quant, vs))
+        out = object.__new__(Prefix)
+        object.__setattr__(out, "blocks", tuple(merged))
+        # Pre-fill the cached properties of the same names.
+        out.__dict__.update(
+            variables=self.variables - drop,
+            existential=self.existential - drop,
+            universal=self.universal - drop,
         )
+        return out
 
     def __repr__(self) -> str:
         inner = " ".join(f"{q}{list(vs)}" for q, vs in self.blocks)

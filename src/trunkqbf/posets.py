@@ -10,8 +10,7 @@ variables ``v`` depends on (always including ``v`` itself).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
 from .formulas import Prefix
 
@@ -55,21 +54,16 @@ class DependencyPoset:
         except KeyError:
             raise KeyError(f"variable {v} is not in the poset universe") from None
 
-    def dependents_strict(self, u: int) -> FrozenSet[int]:
-        """All v != u with u in dep(v)."""
+    def dependents_strict(self, u: int, within: Iterable[int]) -> FrozenSet[int]:
+        """The w in ``within`` with w != u and u in dep(w).
+
+        Costs O(|within|); members of ``within`` outside the universe are
+        skipped.  Raises KeyError if u is outside the universe.
+        """
         if u not in self._universe:
             raise KeyError(f"variable {u} is not in the poset universe")
-        return self._dependents.get(u, frozenset())
-
-    @cached_property
-    def _dependents(self) -> Dict[int, FrozenSet[int]]:
-        """u -> all v != u with u in dep(v), built in one pass over the relation."""
-        out: Dict[int, Set[int]] = {}
-        for v, predecessors in self._dep.items():
-            for u in predecessors:
-                if u != v:
-                    out.setdefault(u, set()).add(v)
-        return {u: frozenset(vs) for u, vs in out.items()}
+        dep = self._dep
+        return frozenset(w for w in within if w != u and u in dep.get(w, ()))
 
     def strict_pairs(self) -> Tuple[Tuple[int, int], ...]:
         """All pairs (u, v) with u != v and u preceding v, sorted."""

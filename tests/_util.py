@@ -96,3 +96,19 @@ def min_degree_td(instance):
     while trunk[-1] != root:
         trunk.append(parent[trunk[-1]])
     return normalize(TrunkTreeDecomposition(bags, parent, root, trunk))
+
+
+def forget_path_td(instance, forget: Sequence[int]):
+    """A path that introduces every variable in prefix order, then forgets
+    them in the given order; the whole path is the trunk."""
+    bags, current = [frozenset()], set()
+    for v in instance.prefix.variables_in_order():
+        current.add(v)
+        bags.append(frozenset(current))
+    for v in forget:
+        current.discard(v)
+        bags.append(frozenset(current))
+    nodes = range(1, len(bags) + 1)
+    return TrunkTreeDecomposition(
+        dict(zip(nodes, bags)), {t: t + 1 for t in nodes[:-1]}, nodes[-1], tuple(nodes)
+    )

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -15,6 +16,8 @@ from trunkqbf import (
 )
 from trunkqbf.cli import main
 
+from _util import forget_path_td
+
 
 @pytest.fixture
 def qparity2_files(tmp_path):
@@ -29,6 +32,15 @@ def write_unit_sat(tmp_path):
     qd.write_text(write_qdimacs(q))
     td.write_text(write_btd(single_bag_td(q)))
     return str(qd), str(td)
+
+
+def write_forget_path(tmp_path, qdimacs, forget):
+    """Write the instance and its ``forget_path_td`` for the forget order."""
+    q = parse_qdimacs(qdimacs)
+    qd, btd = tmp_path / "path.qdimacs", tmp_path / "path.btd"
+    qd.write_text(write_qdimacs(q))
+    btd.write_text(write_btd(forget_path_td(q, forget)))
+    return str(qd), str(btd)
 
 
 class TestGen:
@@ -109,6 +121,44 @@ class TestSolve:
         ])
         assert code == 1
         assert "limit" in capsys.readouterr().err
+
+    def test_huge_branch_count_is_a_branch_limit(self, tmp_path, capsys):
+        # forall 1..14 exists 15 forall 16, forgetting 15 first: 15 has 14
+        # universal dependencies, so 2^(2^14 + 14) branches, a number too
+        # long to print in decimal.
+        qd, td = write_forget_path(
+            tmp_path,
+            "p cnf 16 1\na " + " ".join(map(str, range(1, 15))) + " 0\ne 15 0\na 16 0\n1 15 16 0\n",
+            [15, 16, *range(14, 0, -1)],
+        )
+        started = time.perf_counter()
+        code = main(["solve", qd, "--td", td, "--trivial-poset"])
+        elapsed = time.perf_counter() - started
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "needs 2^16398 branches, limit is" in err
+        assert "integer string conversion" not in err
+        assert elapsed < 1.0
+
+    def test_limit_abort_keeps_the_partial_trace(self, tmp_path, capsys):
+        # Step 1 forgets 1 by strategy extension over 2 branches; step 2
+        # forgets 5, whose three universal dependencies make 2^11 branches.
+        qd, td = write_forget_path(
+            tmp_path,
+            "p cnf 6 2\ne 1 0\na 2 3 4 0\ne 5 0\na 6 0\n1 2 5 6 0\n-1 3 -5 0\n",
+            [1, 5, 6, 4, 3, 2],
+        )
+        trace = tmp_path / "partial.jsonl"
+        code = main([
+            "solve", qd, "--td", td, "--trivial-poset",
+            "--max-strategies", "1024", "--trace", str(trace),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "step 2, variable 5:" in err
+        assert "branches, limit is 1024" in err
+        records = [json.loads(l) for l in trace.read_text().splitlines()]
+        assert [(r["step"], r["variable"], r["rule"]) for r in records] == [(1, 1, "R4")]
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["solve", str(tmp_path / "nope.qdimacs"), "--td", "x", "--trivial-poset"])

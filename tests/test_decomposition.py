@@ -173,7 +173,7 @@ class TestTrunkAlignment:
                 held, failed = {}, []
                 for u in sorted(q.prefix.variables):
                     node = forget_node(td, u)
-                    p1 = not (d.dependents_strict(u) & td.bag(node))
+                    p1 = not d.dependents_strict(u, td.bag(node))
                     p2 = node in td.trunk and d.dep(u) <= subtree_vars(td, node)
                     if p2 and not d.dep(u) <= trunk_bags[node]:
                         across_joins += 1

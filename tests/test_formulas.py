@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -176,6 +178,49 @@ class TestPrefix:
     def test_remove_collapses_blocks(self):
         p = Prefix((("e", (1,)), ("a", (2,)), ("e", (3,))))
         assert p.remove((2,)).blocks == (("e", (1, 3)),)
+
+    def test_remove_matches_rebuilding_the_prefix(self):
+        def rebuilt(p, drop):
+            return Prefix(tuple((q, tuple(v for v in vs if v not in drop)) for q, vs in p.blocks))
+
+        def assert_same(got, want):
+            assert got.blocks == want.blocks
+            assert got == want and hash(got) == hash(want)
+            assert repr(got) == repr(want)
+            assert got.variables == want.variables
+            assert got.existential == want.existential
+            assert got.universal == want.universal
+            assert got.variables_in_order() == want.variables_in_order()
+            for v in want.variables:
+                assert got.quantifier(v) == want.quantifier(v)
+                assert got.block_index(v) == want.block_index(v)
+            for v in (0, 99, *(set(range(1, 13)) - want.variables)):
+                with pytest.raises(KeyError, match=f"variable {v} is not quantified"):
+                    got.quantifier(v)
+                with pytest.raises(KeyError, match=f"variable {v} is not quantified"):
+                    got.block_index(v)
+
+        rng = random.Random(7)
+        for _ in range(300):
+            ids = rng.sample(range(1, 13), rng.randint(0, 12))
+            blocks, quant = [], rng.choice("ea")
+            while ids:
+                size = rng.randint(1, len(ids))
+                blocks.append((quant, tuple(ids[:size])))
+                ids = ids[size:]
+                quant = "a" if quant == "e" else "e"
+            p = Prefix(tuple(blocks))
+            inside = sorted(p.variables)
+            drops = [set(), set(inside), {0, 99}, set(range(1, 13))]
+            drops += [set(vs) for _, vs in p.blocks[1:-1]]  # neighbours merge
+            for _ in range(4):
+                drops.append(set(rng.sample(inside, rng.randint(0, len(inside)))) | {99})
+            for drop in drops:
+                once = p.remove(drop)
+                assert_same(once, rebuilt(p, drop))
+                again = set(rng.sample(inside, rng.randint(0, len(inside))))
+                assert_same(once.remove(again), rebuilt(p, drop | again))
+            assert p.remove({99}) is p
 
     def test_duplicate_variable_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from trunkqbf import (
@@ -102,3 +104,29 @@ class TestValidatePoset:
                     if q.prefix.block_index(w) < q.prefix.block_index(v)
                 }
                 assert d.dep(v) == earlier | {v}
+
+
+class TestDependentsStrict:
+    def test_matches_brute_force_within(self):
+        q = qparity(3)
+        # forall 1 2 exists 3 4 forall 5, where 3 sees only 1 and 4 only 2.
+        five = Prefix((("a", (1, 2)), ("e", (3, 4)), ("a", (5,))))
+        posets = [
+            trivial_poset(q.prefix),
+            poset_from_pairs(q.prefix.variables, []),
+            poset_from_pairs(five.variables, [(1, 3), (2, 4), (3, 5), (4, 5)]),
+        ]
+        rng = random.Random(3)
+        for d in posets:
+            universe = sorted(d.universe)
+            for u in universe:
+                for _ in range(20):
+                    within = set(rng.sample(universe, rng.randint(0, len(universe))))
+                    within |= set(rng.sample(range(20, 30), rng.randint(0, 3)))  # foreign
+                    want = {w for w in within if w in d.universe and w != u and u in d.dep(w)}
+                    assert d.dependents_strict(u, within) == want
+                assert d.dependents_strict(u, universe) == {
+                    w for w in universe if w != u and u in d.dep(w)
+                }
+            with pytest.raises(KeyError, match="not in the poset universe"):
+                d.dependents_strict(99, universe)

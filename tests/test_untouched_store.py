@@ -36,7 +36,7 @@ from trunkqbf import (
 )
 from trunkqbf.cli import main
 
-from _util import min_degree_td
+from _util import forget_path_td, min_degree_td
 
 R4_LIMITS = EngineLimits(max_strategies=4096, max_family_size=64)
 LIMIT_KINDS = (
@@ -74,20 +74,9 @@ def outcome(solve):
 
 def shuffled_path_td(instance, rng):
     """Introduce every variable in prefix order, forget in a shuffled order."""
-    introduce = list(instance.prefix.variables_in_order())
-    forget = list(introduce)
+    forget = list(instance.prefix.variables_in_order())
     rng.shuffle(forget)
-    bags, current = [frozenset()], set()
-    for v in introduce:
-        current.add(v)
-        bags.append(frozenset(current))
-    for v in forget:
-        current.discard(v)
-        bags.append(frozenset(current))
-    nodes = range(1, len(bags) + 1)
-    return TrunkTreeDecomposition(
-        dict(zip(nodes, bags)), {t: t + 1 for t in nodes[:-1]}, nodes[-1], tuple(nodes)
-    )
+    return forget_path_td(instance, forget)
 
 
 def test_store_run_matches_stepwise_run_on_qparity():
@@ -218,3 +207,26 @@ def test_clauses_built_per_step_do_not_grow_with_n(monkeypatch):
             patch.setattr(Clause, "__post_init__", counting)
             run_derivation(q, td, d)
         assert built / (2 * n + 1) <= 16, n
+
+
+def test_prefix_validations_do_not_grow_with_n(monkeypatch):
+    # Removing variables from a valid prefix keeps it valid, so the steps
+    # build their prefixes without re-validating every kept variable.
+    validated = 0
+    original = Prefix.__post_init__
+
+    def counting(self):
+        nonlocal validated
+        validated += 1
+        original(self)
+
+    counts = []
+    for n in (16, 32, 64):
+        q = qparity(n)
+        td, d = qparity_td(n), trivial_poset(q.prefix)
+        validated = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(Prefix, "__post_init__", counting)
+            run_derivation(q, td, d)
+        counts.append(validated)
+    assert counts[0] == counts[1] == counts[2], counts

@@ -216,3 +216,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -60,6 +60,7 @@ from .formulas import (
     Matrix,
     Prefix,
     QbfInstance,
+    _canonical,
     ground_truth,
     is_tautological,
     remove_tautologies,
@@ -201,25 +202,38 @@ def resolve(matrix: Matrix, x: int) -> Matrix:
     contains neither a literal of x nor a tautology.
     """
     _require_no_tautologies(matrix)
-    positive = [c for c in matrix.clauses if x in c]
-    negative = [c for c in matrix.clauses if -x in c]
-    kept = [c for c in matrix.clauses if x not in c and -x not in c]
-    resolvents = []
+    positive = []
+    negative = []
+    out = set()
+    for c in matrix.clauses:
+        if x in c.lits:
+            positive.append(c)
+        elif -x in c.lits:
+            negative.append(c)
+        else:
+            out.add(c)
     for c1 in positive:
+        rest = set(c1.lits)
+        rest.discard(x)
         for c2 in negative:
-            merged = Clause(
-                tuple(l for l in c1.lits if l != x) + tuple(l for l in c2.lits if l != -x)
-            )
-            if not is_tautological(merged):
-                resolvents.append(merged)
-    return Matrix(tuple(kept + resolvents))
+            merged = rest.union(c2.lits)
+            merged.discard(-x)
+            clause = Clause._of(_canonical(merged))
+            if not is_tautological(clause):
+                out.add(clause)
+    return Matrix._of(out)
 
 
 def reduce(matrix: Matrix, u: int) -> Matrix:
     """Delete every occurrence of the universal variable from every clause."""
     _require_no_tautologies(matrix)
-    return Matrix(
-        tuple(Clause(tuple(l for l in c.lits if abs(l) != u)) for c in matrix.clauses)
+    return Matrix._of(
+        {
+            Clause._of(tuple(l for l in c.lits if abs(l) != u))
+            if u in c.variables()
+            else c
+            for c in matrix.clauses
+        }
     )
 
 
@@ -352,8 +366,8 @@ def _without_untouched(family: Family, store: UntouchedStore, prefix: Prefix) ->
     """Drop the clauses that are untouched under the prefix from every matrix."""
 
     def touched(m: Matrix) -> Matrix:
-        kept = tuple(c for c in m.clauses if not store.untouched(c, prefix))
-        return m if len(kept) == len(m.clauses) else Matrix(kept)
+        kept = [c for c in m.clauses if not store.untouched(c, prefix)]
+        return m if len(kept) == len(m.clauses) else Matrix._of(kept)
 
     return frozenset(frozenset(touched(m) for m in pi) for pi in family)
 

@@ -10,9 +10,10 @@ structure in the package deduplicates on those encodings.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Mapping, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, Mapping, Set, Tuple
 
 Variable = int
 Literal = int
@@ -29,9 +30,13 @@ def _check_literal(lit: int) -> None:
         raise ValueError(f"literal must be a non-zero integer, got {lit!r}")
 
 
-def _lit_key(lit: int) -> Tuple[int, bool]:
-    """Canonical literal order: by variable id, negative polarity first."""
-    return (abs(lit), lit > 0)
+def _canonical(lits: Iterable[int]) -> Tuple[int, ...]:
+    """Canonical literal order: by variable id, negative polarity first.
+
+    Sorting by value and then, stably, by variable id puts ``-v`` ahead
+    of ``v``; both sorts run in C.
+    """
+    return tuple(sorted(sorted(set(lits)), key=abs))
 
 
 @dataclass(frozen=True)
@@ -39,16 +44,24 @@ class Clause:
     """A duplicate-free set of literals in canonical order.
 
     Two clauses are equal iff their canonical literal tuples are equal.
+    The variables and the matrix order key are computed once, on
+    construction.
     """
 
     lits: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         for lit in self.lits:
-            _check_literal(lit)
-        canonical = tuple(sorted(set(self.lits), key=_lit_key))
-        object.__setattr__(self, "lits", canonical)
-        object.__setattr__(self, "_hash", hash(canonical))
+            if lit.__class__ is not int or not lit:
+                _check_literal(lit)
+        _set_clause(self, _canonical(self.lits))
+
+    @classmethod
+    def _of(cls, lits: Tuple[int, ...]) -> "Clause":
+        """Trusted constructor: ``lits`` is already canonical."""
+        clause = object.__new__(cls)
+        _set_clause(clause, lits)
+        return clause
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
@@ -64,13 +77,24 @@ class Clause:
         return not self.lits
 
     def variables(self) -> FrozenSet[int]:
-        return frozenset(abs(lit) for lit in self.lits)
-
-    def sort_key(self) -> Tuple[Tuple[int, bool], ...]:
-        return tuple(_lit_key(lit) for lit in self.lits)
+        return self._variables  # type: ignore[attr-defined]
 
     def __repr__(self) -> str:
         return f"Clause({list(self.lits)!r})"
+
+
+def _set_clause(clause: Clause, lits: Tuple[int, ...]) -> None:
+    # The order key maps -v to 2v and v to 2v + 1, so comparing keys
+    # compares the (variable, polarity) pairs of the literals.
+    clause.__dict__.update(
+        lits=lits,
+        _hash=hash(lits),
+        _variables=frozenset(map(abs, lits)),
+        _key=tuple([lit + lit + 1 if lit > 0 else -lit - lit for lit in lits]),
+    )
+
+
+_clause_key = operator.attrgetter("_key")
 
 
 @dataclass(frozen=True)
@@ -80,9 +104,14 @@ class Matrix:
     clauses: Tuple[Clause, ...] = ()
 
     def __post_init__(self) -> None:
-        canonical = tuple(sorted(set(self.clauses), key=Clause.sort_key))
-        object.__setattr__(self, "clauses", canonical)
-        object.__setattr__(self, "_hash", hash(canonical))
+        _set_matrix(self, set(self.clauses))
+
+    @classmethod
+    def _of(cls, clauses: Collection[Clause]) -> "Matrix":
+        """Trusted constructor: ``clauses`` are distinct, in any order."""
+        matrix = object.__new__(cls)
+        _set_matrix(matrix, clauses)
+        return matrix
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
@@ -102,10 +131,7 @@ class Matrix:
         return any(c.is_empty for c in self.clauses)
 
     def variables(self) -> FrozenSet[int]:
-        out: Set[int] = set()
-        for clause in self.clauses:
-            out.update(clause.variables())
-        return frozenset(out)
+        return frozenset().union(*[c.variables() for c in self.clauses])
 
     def encoding(self) -> Tuple[Tuple[int, ...], ...]:
         """Canonical encoding: tuple of canonical literal tuples."""
@@ -113,6 +139,11 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({[list(c.lits) for c in self.clauses]!r})"
+
+
+def _set_matrix(matrix: Matrix, clauses: Collection[Clause]) -> None:
+    canonical = tuple(sorted(clauses, key=_clause_key))
+    matrix.__dict__.update(clauses=canonical, _hash=hash(canonical))
 
 
 def matrix_of(*clauses: Iterable[int]) -> Matrix:
@@ -241,13 +272,15 @@ class QbfInstance:
 
 def is_tautological(clause: Clause) -> bool:
     """True iff some variable occurs in both polarities in the clause."""
-    lits = set(clause.lits)
-    return any(-lit in lits for lit in lits)
+    # Canonical literals are distinct, so only a variable that occurs
+    # twice can make the clause shorter in variables than in literals.
+    return len(clause.variables()) < len(clause.lits)
 
 
 def remove_tautologies(matrix: Matrix) -> Matrix:
     """Drop every tautological clause."""
-    return Matrix(tuple(c for c in matrix.clauses if not is_tautological(c)))
+    kept = [c for c in matrix.clauses if not is_tautological(c)]
+    return matrix if len(kept) == len(matrix.clauses) else Matrix._of(kept)
 
 
 def restrict(matrix: Matrix, assignment: Assignment) -> Matrix:
@@ -256,22 +289,23 @@ def restrict(matrix: Matrix, assignment: Assignment) -> Matrix:
     Clauses containing a satisfied literal are removed, falsified
     literals are deleted from the remaining clauses.  Variables outside
     the assignment's domain are untouched; the result may contain the
-    empty clause.
+    empty clause.  Unchanged clauses are reused, and clauses that become
+    equal merge.
     """
-    out = []
+    get = assignment.get
+    out = set()
     for clause in matrix.clauses:
+        lits = clause.lits
         kept = []
-        satisfied = False
-        for lit in clause.lits:
-            value = assignment.get(abs(lit))
+        for lit in lits:
+            value = get(abs(lit))
             if value is None:
                 kept.append(lit)
             elif (lit > 0) == bool(value):
-                satisfied = True
                 break
-        if not satisfied:
-            out.append(Clause(tuple(kept)))
-    return Matrix(tuple(out))
+        else:
+            out.add(clause if len(kept) == len(lits) else Clause._of(tuple(kept)))
+    return Matrix._of(out)
 
 
 def ground_truth(matrix: Matrix) -> bool:

@@ -37,6 +37,7 @@ class DependencyPoset:
     def __init__(self, universe: Iterable[int], dep_map: Mapping[int, Iterable[int]]):
         # The relation is stored exactly as given; factories produce valid
         # posets and validate_poset reports axiom violations of raw input.
+        # frozenset() returns a frozenset argument itself, without a copy.
         self._universe = frozenset(universe)
         dep: Dict[int, FrozenSet[int]] = {}
         for v in self._universe:
@@ -82,12 +83,13 @@ class DependencyPoset:
 
 def trivial_poset(prefix: Prefix) -> DependencyPoset:
     """The full prefix order: u precedes v iff u's block is strictly earlier."""
-    dep: Dict[int, set] = {}
-    earlier: set = set()
+    # One frozen copy per variable: the poset keeps these sets as given.
+    dep: Dict[int, FrozenSet[int]] = {}
+    earlier: FrozenSet[int] = frozenset()
     for _, block_vars in prefix.blocks:
         for v in block_vars:
-            dep[v] = set(earlier) | {v}
-        earlier.update(block_vars)
+            dep[v] = earlier | {v}
+        earlier = earlier.union(block_vars)
     return DependencyPoset(prefix.variables, dep)
 
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -234,3 +238,25 @@ class TestAgreement:
             solve_code = main(["solve", str(qd), "--td", str(td), "--trivial-poset"])
             oracle_code = main(["oracle", str(qd)])
             assert solve_code == oracle_code
+
+
+class TestModuleEntryPoint:
+    def test_python_m_runs_gen_and_solve(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def run(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "trunkqbf.cli", *args],
+                cwd=tmp_path,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+
+        assert run("gen", "qparity", "3", "q").returncode == 0
+        assert (tmp_path / "q.qdimacs").is_file() and (tmp_path / "q.btd").is_file()
+        solved = run("solve", "q.qdimacs", "--td", "q.btd", "--trivial-poset")
+        assert solved.returncode == 20
+        assert solved.stdout == "s cnf 0\n"

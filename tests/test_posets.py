@@ -35,6 +35,28 @@ class TestTrivialPoset:
         assert trivial_poset(qp2_prefix).dep(3) == {1, 2, 3}
 
 
+    def test_matches_the_per_variable_definition(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            ids = list(range(1, rng.randint(0, 12) + 1))
+            rng.shuffle(ids)
+            blocks, quant = [], rng.choice("ea")
+            while ids:
+                size = rng.randint(0, min(4, len(ids)))
+                blocks.append((quant, tuple(ids[:size])))
+                ids, quant = ids[size:], "a" if quant == "e" else "e"
+            prefix = Prefix(tuple(blocks))
+            dep, earlier = {}, set()
+            for _, block_vars in prefix.blocks:
+                for v in block_vars:
+                    dep[v] = set(earlier) | {v}
+                earlier.update(block_vars)
+            got = trivial_poset(prefix)
+            assert got == DependencyPoset(prefix.variables, dep)
+            assert got.universe == prefix.variables
+            assert all(type(got.dep(v)) is frozenset for v in prefix.variables)
+
+
 class TestDepQueries:
     def test_dep_always_contains_the_variable(self, qp2_prefix):
         d = trivial_poset(qp2_prefix)

@@ -12,7 +12,6 @@ import random
 import pytest
 
 from trunkqbf import (
-    Clause,
     EngineLimits,
     QbfInstance,
     Prefix,
@@ -34,6 +33,7 @@ from trunkqbf import (
     trivial_poset,
     write_btd,
 )
+from trunkqbf import formulas
 from trunkqbf.cli import main
 
 from _util import forget_path_td, min_degree_td
@@ -190,21 +190,22 @@ def test_degenerate_inputs(tmp_path, capsys, text, expected):
 
 def test_clauses_built_per_step_do_not_grow_with_n(monkeypatch):
     # qparity has width 2 at every n, so an elimination step should build
-    # a bounded number of clauses however long the formula is.
+    # a bounded number of clauses however long the formula is.  Both the
+    # validating and the trusted clause constructor go through _set_clause.
     built = 0
-    original = Clause.__post_init__
+    original = formulas._set_clause
 
-    def counting(self):
+    def counting(clause, lits):
         nonlocal built
         built += 1
-        original(self)
+        original(clause, lits)
 
     for n in (16, 32, 64):
         q = qparity(n)
         td, d = qparity_td(n), trivial_poset(q.prefix)
         built = 0
         with monkeypatch.context() as patch:
-            patch.setattr(Clause, "__post_init__", counting)
+            patch.setattr(formulas, "_set_clause", counting)
             run_derivation(q, td, d)
         assert built / (2 * n + 1) <= 16, n
 

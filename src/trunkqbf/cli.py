@@ -14,17 +14,13 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .decomposition import (
-    DecompositionError,
-    validate_nice,
-    validate_trunk_aligned,
-    width,
-)
+from .decomposition import DecompositionError, width
 from .derivation import (
     DerivationError,
     EngineLimits,
     ResourceLimitError,
     run_derivation,
+    validate_input,
 )
 from .formats import (
     ParseError,
@@ -108,14 +104,9 @@ def cmd_validate(args) -> int:
         instance = _load_instance(args.instance)
         td = parse_btd(Path(args.td).read_text(encoding="utf-8"))
         poset = _load_poset(args, instance)
-    except (OSError, ParseError, DecompositionError, ValueError) as exc:
+        validate_input(instance, td, poset)
+    except (OSError, ParseError, DecompositionError, DerivationError, ValueError) as exc:
         return _fail(f"error: {exc}")
-    nice = validate_nice(td, instance)
-    if not nice.ok:
-        return _fail(f"invalid decomposition: {nice.summary()}")
-    aligned = validate_trunk_aligned(td, instance, poset)
-    if not aligned.ok:
-        return _fail(f"decomposition not trunk-aligned: {aligned.summary()}")
     if args.stats:
         print(f"c width {width(td)}")
         print(f"c nodes {len(td.nodes)}")
@@ -128,6 +119,8 @@ def cmd_oracle(args) -> int:
         verdict = evaluate(instance, OracleBudget(max_variables=args.budget))
     except (OSError, ParseError, BudgetExceededError, ValueError) as exc:
         return _fail(f"error: {exc}")
+    except RecursionError:
+        return _fail("error: the prefix is too deep for the oracle's recursion")
     print(f"s cnf {1 if verdict else 0}")
     return EXIT_TRUE if verdict else EXIT_FALSE
 

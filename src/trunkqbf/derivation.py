@@ -21,22 +21,23 @@ on canonical encodings after every rule application.
 A matrix is stored in two parts.  Its *untouched* part is every input
 clause whose variables are all still quantified: no rule has acted on
 such a clause yet, so it is the same in every matrix of the family and
-is kept once per run, in the state's ``UntouchedStore``.  A clause
-leaves the untouched part when one of its variables leaves the prefix,
-so the store itself never changes.  The family holds only the *touched*
-parts: clauses that an earlier step pulled in or derived.  Before a rule
-runs, the untouched clauses over its affected variables ({v} for R2 and
-R3, the still-quantified part of dep(v) for R4) are pulled into every
-touched part; the rule then acts on touched parts only, since no other
-clause mentions a variable it assigns or removes.  After the rule, any
-clause that is still untouched is dropped from the results again.  The
-two parts of a matrix are therefore disjoint, and the untouched part is
-shared, so two matrices are equal exactly when their touched parts are:
-deduplicating touched parts gives the same families, the same sizes
-and the same strategy counts as deduplicating whole matrices, while the
-work per step is set by the forget bag and not by the formula.  When
-the prefix is empty no clause is untouched and the family holds the
-whole matrices.
+is kept once per run, in the state's ``UntouchedStore``; a clause leaves
+it when one of its variables leaves the prefix.  ``state.family`` holds
+only the *touched* parts, the clauses an earlier step pulled in or
+derived, and ``state.whole_family()`` gives the whole matrices.  Before
+a rule runs, the untouched clauses over its affected variables ({v} for
+R2 and R3, the still-quantified part of dep(v) for R4) are pulled into
+every touched part; the rule acts on touched parts only, since no other
+clause mentions a variable it assigns or removes, and any clause still
+untouched afterwards is dropped again.  The untouched part is shared
+and disjoint from the touched one, so deduplicating touched parts gives
+the same families, sizes and strategy counts as deduplicating whole
+matrices, while the work per step is set by the forget bag and not by
+the formula.
+
+``validate_input`` is the one path from an instance to the engine's
+input, for ``run_derivation`` and the ``validate`` command alike.  With
+``checks`` on, ``run_derivation`` asserts every invariant after each step.
 """
 
 from __future__ import annotations
@@ -155,13 +156,13 @@ class DerivationState:
 
     Every matrix of the family is the touched part only; its untouched
     part is the clauses of ``untouched`` that are untouched under
-    ``prefix`` (none with the default, empty store).
+    ``prefix``.
     """
 
     prefix: Prefix
     family: Family
     step_index: int
-    untouched: UntouchedStore = UntouchedStore()
+    untouched: UntouchedStore
 
     def whole_family(self) -> Family:
         """The family with the untouched part put back into every matrix."""
@@ -378,7 +379,6 @@ def step(
     td: TrunkTreeDecomposition,
     poset: DependencyPoset,
     limits: EngineLimits = EngineLimits(),
-    checks: bool = False,
 ) -> Tuple[DerivationState, TraceEvent]:
     """Apply the unique applicable rule for the next elimination variable."""
     started = time.perf_counter()
@@ -406,11 +406,6 @@ def step(
                 )
         else:
             rule = "R4"
-            if checks and not check_r4_assertion(prefix, v, poset, td):
-                raise InvariantError(
-                    f"strategy extension at {v}: a still-quantified dependency "
-                    f"is outside the forget bag"
-                )
             merged = set()
             for pi in pulled:
                 merged |= strategy_extension(pi, v, prefix, poset, limits)
@@ -432,50 +427,20 @@ def step(
 
 
 def initial_state(instance: QbfInstance) -> DerivationState:
-    """The one-matrix family of the instance, with an empty untouched store."""
-    return DerivationState(
-        instance.prefix, frozenset({frozenset({instance.matrix})}), 0
-    )
-
-
-def _stored_initial_state(instance: QbfInstance) -> DerivationState:
-    """The same start as ``initial_state`` with every input clause that has a
-    variable in the untouched store; variable-free ones start touched."""
+    """The start of a run: every input clause with a variable goes into the
+    untouched store, and the variable-free ones start touched."""
     clauses = instance.matrix.clauses
     stored = UntouchedStore(frozenset(c for c in clauses if not c.is_empty))
     touched = Matrix(tuple(c for c in clauses if c.is_empty))
     return DerivationState(instance.prefix, frozenset({frozenset({touched})}), 0, stored)
 
 
-def _check_clean(state: DerivationState, eliminated: FrozenSet[int]) -> None:
-    for pi in state.whole_family():
-        for matrix in pi:
-            for clause in matrix.clauses:
-                if is_tautological(clause):
-                    raise InvariantError(f"tautological clause {clause!r} after a step")
-            leftover = matrix.variables() & eliminated
-            if leftover:
-                raise InvariantError(
-                    f"eliminated variables {sorted(leftover)} still occur in a matrix"
-                )
-
-
-def run_derivation(
-    instance: QbfInstance,
-    td: TrunkTreeDecomposition,
-    poset: DependencyPoset,
-    limits: EngineLimits = EngineLimits(),
-    checks: bool = False,
-) -> DerivationResult:
-    """Decide the instance along the decomposition's elimination ordering.
-
-    Tautological clauses are removed up front, the decomposition is
-    validated (niceness, then trunk alignment), and the rules are
-    applied once per variable.  The verdict is true iff some final set
-    consists of empty matrices only.  With ``checks`` enabled the
-    neighborhood, tautology-freeness and exhaustive-elimination
-    invariants are asserted at every step.
-    """
+def validate_input(
+    instance: QbfInstance, td: TrunkTreeDecomposition, poset: DependencyPoset
+) -> Tuple[QbfInstance, Tuple[int, ...]]:
+    """The instance with its tautologies removed and the decomposition's
+    elimination ordering, once the decomposition is nice and trunk-aligned
+    for that instance; a failure raises ``ValidationError``."""
     cleaned = QbfInstance(instance.prefix, remove_tautologies(instance.matrix))
     nice_report = validate_nice(td, cleaned)
     if not nice_report.ok:
@@ -487,26 +452,61 @@ def run_derivation(
         raise ValidationError(
             f"decomposition is not trunk-aligned: {trunk_report.summary()}", trunk_report
         )
-    ordering = elimination_ordering(td)
-    if set(ordering) != set(cleaned.prefix.variables):
-        raise ValidationError(
-            "elimination ordering does not cover the quantified variables"
-        )
+    return cleaned, elimination_ordering(td)
 
-    state = _stored_initial_state(cleaned)
+
+def _check_step(
+    before: DerivationState,
+    after: DerivationState,
+    event: TraceEvent,
+    td: TrunkTreeDecomposition,
+    poset: DependencyPoset,
+) -> None:
+    """Assert the engine invariants of one step: v's matrix neighbors and,
+    under R4, its still-quantified dependencies lie in its forget bag, and
+    the result is tautology-free and over the remaining prefix only."""
+    v, where = event.variable, f"step {event.step}, variable {event.variable}"
+    if not check_neighborhood_invariant(before, v, td):
+        raise InvariantError(f"{where}: a matrix neighbor lies outside the forget bag")
+    if event.rule == "R4" and not check_r4_assertion(before.prefix, v, poset, td):
+        raise InvariantError(f"{where}: a dependency of R4 lies outside the forget bag")
+    for matrix in itertools.chain.from_iterable(after.whole_family()):
+        tautologies = [c for c in matrix.clauses if is_tautological(c)]
+        leftover = matrix.variables() - after.prefix.variables
+        if tautologies or leftover:
+            raise InvariantError(
+                f"{where}: tautologies {tautologies} or eliminated variables "
+                f"{sorted(leftover)} remain in a matrix"
+            )
+
+
+def run_derivation(
+    instance: QbfInstance,
+    td: TrunkTreeDecomposition,
+    poset: DependencyPoset,
+    limits: EngineLimits = EngineLimits(),
+    checks: bool = False,
+) -> DerivationResult:
+    """Decide the instance along the decomposition's elimination ordering.
+
+    ``validate_input`` removes the tautologies and validates the
+    decomposition, then the rules are applied once per variable from
+    ``initial_state``.  The verdict is true iff some final set consists
+    of empty matrices only.  With ``checks`` enabled every step is
+    checked by ``_check_step``.
+    """
+    cleaned, ordering = validate_input(instance, td, poset)
+    state = initial_state(cleaned)
     trace: List[TraceEvent] = []
     for i, v in enumerate(ordering, start=1):
-        if checks and not check_neighborhood_invariant(state, v, td):
-            raise InvariantError(
-                f"step {i}: a matrix neighbor of {v} lies outside its forget bag"
-            )
         try:
-            state, event = step(state, v, td, poset, limits, checks)
+            after, event = step(state, v, td, poset, limits)
         except ResourceLimitError as exc:
             raise ResourceLimitError(f"step {i}, variable {v}: {exc}", tuple(trace)) from exc
-        trace.append(event)
         if checks:
-            _check_clean(state, frozenset(ordering[:i]))
+            _check_step(state, after, event, td, poset)
+        state = after
+        trace.append(event)
 
     verdict = False
     for pi in state.family:

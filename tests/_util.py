@@ -4,15 +4,31 @@ reference implementations used as oracles."""
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Dict, List, Sequence, Set, Tuple
 
 from trunkqbf import (
     DependencyPoset,
+    DerivationState,
+    EngineLimits,
     QbfInstance,
+    ResourceLimitError,
     TrunkTreeDecomposition,
+    elimination_ordering,
+    ground_truth,
     normalize,
     primal_graph,
     random_instance,
+    remove_tautologies,
+    step,
+)
+from trunkqbf.derivation import UntouchedStore
+
+R4_LIMITS = EngineLimits(max_strategies=4096, max_family_size=64)
+LIMIT_KINDS = (
+    ("branches, limit is", "branches"),
+    ("sets, limit is", "family"),
+    ("matrices, limit is", "set"),
 )
 
 
@@ -108,7 +124,59 @@ def forget_path_td(instance, forget: Sequence[int]):
     for v in forget:
         current.discard(v)
         bags.append(frozenset(current))
+    return path_td(*bags)
+
+
+def path_td(*bags):
+    """The path through the bags from the first, a leaf, to the last, the
+    root; the whole path is the trunk."""
     nodes = range(1, len(bags) + 1)
     return TrunkTreeDecomposition(
         dict(zip(nodes, bags)), {t: t + 1 for t in nodes[:-1]}, nodes[-1], tuple(nodes)
     )
+
+
+def stepwise(instance, td, poset, limits=EngineLimits()):
+    """Reference derivation on whole matrices: ``step`` from a state with
+    an empty untouched store, so every clause is touched from the start.
+    Returns (verdict, trace, the state after every step)."""
+    cleaned = QbfInstance(instance.prefix, remove_tautologies(instance.matrix))
+    whole = frozenset({frozenset({cleaned.matrix})})
+    state = DerivationState(cleaned.prefix, whole, 0, UntouchedStore())
+    trace, states = [], []
+    for v in elimination_ordering(td):
+        state, event = step(state, v, td, poset, limits)
+        trace.append(event)
+        states.append(state)
+    verdict = any(all(ground_truth(m) for m in pi) for pi in state.family)
+    return verdict, trace, states
+
+
+def limit_kind(exc: ResourceLimitError) -> str:
+    """Which engine limit a ``ResourceLimitError`` reports."""
+    return next(kind for fragment, kind in LIMIT_KINDS if fragment in str(exc))
+
+
+def shuffled_path_cases():
+    """The R4-heavy corpus: seeded 3-7 variable instances of 2-4 blocks on
+    paths that forget in a shuffled order.  Yields (seed, instance, td)."""
+    for seed in range(240):
+        rng = random.Random(seed)
+        q = random_instance(
+            seed, rng.randint(3, 7), rng.randint(1, 10), rng.randint(1, 3), rng.randint(2, 4)
+        )
+        forget = list(q.prefix.variables_in_order())
+        rng.shuffle(forget)
+        yield seed, q, forget_path_td(q, forget)
+
+
+def join_node_cases():
+    """Seeded 2-7 variable instances of 1-4 blocks on their min-degree
+    decompositions, many with join nodes and many not trunk-aligned.
+    Yields (seed, instance, td)."""
+    for seed in range(600):
+        rng = random.Random(seed)
+        q = random_instance(
+            seed, rng.randint(2, 7), rng.randint(1, 9), rng.randint(1, 3), rng.randint(1, 4)
+        )
+        yield seed, q, min_degree_td(q)

@@ -69,11 +69,13 @@ def test_criterion_1_qparity2_golden_trace():
     u_pos = matrix_of((3,))
     bottom = matrix_of(())
 
+    # The engine's own start and steps; whole_family() puts the untouched
+    # input clauses back into the stored touched parts.
     state = initial_state(q)
     families = []
     for v in elimination_ordering(td):
         state, event = step(state, v, td, d)
-        families.append((event.rule, state.family))
+        families.append((event.rule, state.whole_family()))
 
     # Step 1, x1: both constant strategies, one singleton set each.
     assert families[0] == ("R4", family({psi_0}, {psi_1}))

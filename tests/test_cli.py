@@ -197,6 +197,20 @@ class TestValidate:
         assert main(["validate", str(qd), "--td", str(bad), "--trivial-poset"]) == 1
         assert "missing trunk" in capsys.readouterr().err
 
+    def test_judges_the_instance_without_tautologies(self, tmp_path, capsys):
+        # The path {} {1} {} {2} {} covers no edge between 1 and 2, but
+        # the only clause joining them is a tautology, so the instance
+        # solve runs on has no such edge.
+        qd, btd = tmp_path / "q.qdimacs", tmp_path / "q.btd"
+        qd.write_text("p cnf 2 1\ne 1 2 0\n1 -1 2 0\n")
+        btd.write_text(
+            "s btd 5 1 2\nb 1\nb 2 1\nb 3\nb 4 2\nb 5\n"
+            "e 2 1\ne 3 2\ne 4 3\ne 5 4\nr 5\nt 1 2 3 4 5\n"
+        )
+        assert main(["validate", str(qd), "--td", str(btd), "--trivial-poset"]) == 0
+        assert main(["solve", str(qd), "--td", str(btd), "--trivial-poset"]) == 10
+        assert capsys.readouterr().err == ""
+
 
 class TestOracle:
     def test_qparity3_false(self, tmp_path, capsys):
@@ -223,6 +237,14 @@ class TestOracle:
         qd = tmp_path / "mid.qdimacs"
         qd.write_text(f"p cnf 25 1\ne {variables} 0\n1 0\n")
         assert main(["oracle", str(qd), "--budget", "25"]) == 10
+
+    def test_deep_prefix_fails_with_one_line(self, tmp_path, capsys):
+        variables = " ".join(str(i) for i in range(1, 1501))
+        qd = tmp_path / "deep.qdimacs"
+        qd.write_text(f"p cnf 1500 1\ne {variables} 0\n1500 0\n")
+        assert main(["oracle", str(qd), "--budget", "2000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestAgreement:

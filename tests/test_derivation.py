@@ -32,6 +32,11 @@ from trunkqbf import (
     trivial_poset,
     validate_poset,
 )
+from trunkqbf import InvariantError, derivation
+from trunkqbf.decomposition import ValidationReport
+from trunkqbf.derivation import UntouchedStore
+
+from _util import path_td
 
 
 def family(*sets):
@@ -58,6 +63,19 @@ PSI_Z2_POS = matrix_of((3, -5), (-3, 5), (5,))
 UNIT_U_NEG = matrix_of((-3,))
 UNIT_U_POS = matrix_of((3,))
 EMPTY_CLAUSE_MATRIX = matrix_of(())
+
+# exists x forall u exists z . (z=x) and (z=u), and a path that forgets u
+# while x, which u depends on, is already gone: not trunk-aligned.
+XUZ = QbfInstance(
+    Prefix((("e", (1,)), ("a", (2,)), ("e", (3,)))),
+    matrix_of((1, -3), (-1, 3), (2, -3), (-2, 3)),
+)
+UNALIGNED_TD = TrunkTreeDecomposition(
+    {1: (), 2: (3,), 3: (3, 2), 4: (3,), 5: (3, 1), 6: (1,), 7: ()},
+    {1: 2, 2: 3, 3: 4, 4: 5, 5: 6, 6: 7},
+    7,
+    (1, 2, 3, 4, 5, 6, 7),
+)
 
 
 class TestResolve:
@@ -197,7 +215,9 @@ class TestStepDispatch:
 
     def test_r2_resolves_in_every_set(self, qp2_setup):
         q, td, d = qp2_setup
-        state = DerivationState(q.prefix.remove((1,)), family({PSI_X1_0}, {PSI_X1_1}), 1)
+        state = DerivationState(
+            q.prefix.remove((1,)), family({PSI_X1_0}, {PSI_X1_1}), 1, UntouchedStore()
+        )
         state, event = step(state, 4, td, d)
         assert event.rule == "R2"
         assert state.family == family({RES_X1_0}, {RES_X1_1})
@@ -205,7 +225,7 @@ class TestStepDispatch:
     def test_r3_reduces_to_empty_clauses(self, qp2_setup):
         q, td, d = qp2_setup
         state = DerivationState(
-            Prefix((("a", (3,)),)), family({UNIT_U_NEG}, {UNIT_U_POS}), 4
+            Prefix((("a", (3,)),)), family({UNIT_U_NEG}, {UNIT_U_POS}), 4, UntouchedStore()
         )
         state, event = step(state, 3, td, d)
         assert event.rule == "R3"
@@ -219,7 +239,7 @@ class TestGoldenQParity2:
         seen = []
         for v in elimination_ordering(td):
             state, _ = step(state, v, td, d)
-            seen.append(state.family)
+            seen.append(state.whole_family())
         assert seen[0] == family({PSI_X1_0}, {PSI_X1_1})
         assert seen[1] == family({RES_X1_0}, {RES_X1_1})
         assert seen[2] == family({PSI_Z2_NEG}, {PSI_Z2_POS})
@@ -267,18 +287,8 @@ class TestRunDerivation:
         assert run_derivation(q, single_bag_td(q), trivial_poset(q.prefix)).verdict
 
     def test_validation_failure_raises(self):
-        q = QbfInstance(
-            Prefix((("e", (1,)), ("a", (2,)), ("e", (3,)))),
-            matrix_of((1, -3), (-1, 3), (2, -3), (-2, 3)),
-        )
-        bad = TrunkTreeDecomposition(
-            {1: (), 2: (3,), 3: (3, 2), 4: (3,), 5: (3, 1), 6: (1,), 7: ()},
-            {1: 2, 2: 3, 3: 4, 4: 5, 5: 6, 6: 7},
-            7,
-            (1, 2, 3, 4, 5, 6, 7),
-        )
         with pytest.raises(ValidationError) as info:
-            run_derivation(q, bad, trivial_poset(q.prefix))
+            run_derivation(XUZ, UNALIGNED_TD, trivial_poset(XUZ.prefix))
         assert "trunk-aligned" in str(info.value)
 
     def test_family_limit_aborts(self, qp2_setup):
@@ -326,7 +336,7 @@ class TestInvariantChecks:
         bound = width(td)
         state = initial_state(q)
         for v in elimination_ordering(td):
-            for pi in state.family:
+            for pi in state.whole_family():
                 for m in pi:
                     neighbors = set()
                     for c in m.clauses:
@@ -339,13 +349,13 @@ class TestInvariantChecks:
         q, td, d = qp2_setup
         # x1's forget bag is {x1, z1}; a clause pairing x1 with u breaks it.
         poisoned = DerivationState(
-            q.prefix, frozenset({frozenset({matrix_of((1, 3))})}), 0
+            q.prefix, frozenset({frozenset({matrix_of((1, 3))})}), 0, UntouchedStore()
         )
         assert not check_neighborhood_invariant(poisoned, 1, td)
 
     def test_empty_family_is_vacuously_fine(self, qp2_setup):
         q, td, _ = qp2_setup
-        state = DerivationState(q.prefix, frozenset(), 0)
+        state = DerivationState(q.prefix, frozenset(), 0, UntouchedStore())
         assert check_neighborhood_invariant(state, 1, td)
 
     def test_r4_assertion_on_qparity2(self, qp2_setup):
@@ -356,14 +366,52 @@ class TestInvariantChecks:
 
     def test_r4_assertion_violation(self):
         # dep(u) contains x but x is not in u's forget bag.
-        prefix = Prefix((("e", (1,)), ("a", (2,)), ("e", (3,))))
-        td = TrunkTreeDecomposition(
-            {1: (), 2: (3,), 3: (3, 2), 4: (3,), 5: (3, 1), 6: (1,), 7: ()},
-            {1: 2, 2: 3, 3: 4, 4: 5, 5: 6, 6: 7},
-            7,
-            (1, 2, 3, 4, 5, 6, 7),
-        )
-        assert not check_r4_assertion(prefix, 2, trivial_poset(prefix), td)
+        prefix = XUZ.prefix
+        assert not check_r4_assertion(prefix, 2, trivial_poset(prefix), UNALIGNED_TD)
+
+
+class TestChecksInRunDerivation:
+    """Each invariant behind ``checks`` fires through ``run_derivation``
+    on an input that breaks it, and only when checks are on."""
+
+    EDGE = QbfInstance(Prefix((("e", (1, 2)),)), matrix_of((1, 2)))
+
+    @staticmethod
+    def run(q, td, checks):
+        return run_derivation(q, td, trivial_poset(q.prefix), checks=checks)
+
+    @pytest.mark.parametrize("checks", [True, False])
+    def test_r4_dependency_outside_the_forget_bag(self, monkeypatch, checks):
+        monkeypatch.setattr(derivation, "validate_trunk_aligned", lambda *_: ValidationReport())
+        if checks:
+            with pytest.raises(InvariantError, match="step 1, variable 2: a dependency of R4"):
+                self.run(XUZ, UNALIGNED_TD, checks)
+        else:
+            assert self.run(XUZ, UNALIGNED_TD, checks).trace[0].rule == "R4"
+
+    @pytest.mark.parametrize("checks", [True, False])
+    def test_neighbor_outside_the_forget_bag(self, monkeypatch, checks):
+        # No bag holds both 1 and 2, yet the clause (1 2) joins them.
+        monkeypatch.setattr(derivation, "validate_nice", lambda *_: ValidationReport())
+        td = path_td((), (1,), (), (2,), ())
+        if checks:
+            with pytest.raises(InvariantError, match="variable 1: a matrix neighbor"):
+                self.run(self.EDGE, td, checks)
+        else:
+            assert self.run(self.EDGE, td, checks).verdict is True
+
+    @pytest.mark.parametrize("checks", [True, False])
+    def test_resolve_that_leaves_the_pivot_behind(self, monkeypatch, checks):
+        # Resolving 2 later drops the pure clause (1 2), pivot 1 and all,
+        # so only the check after step 1 can see the leftover.
+        real = derivation.resolve
+        monkeypatch.setattr(derivation, "resolve", lambda m, x: m if x == 1 else real(m, x))
+        td = path_td((), (1,), (1, 2), (2,), ())
+        if checks:
+            with pytest.raises(InvariantError, match=r"eliminated variables \[1\]"):
+                self.run(self.EDGE, td, checks)
+        else:
+            assert self.run(self.EDGE, td, checks).verdict is True
 
 
 class TestRuleBehaviour:
@@ -384,7 +432,7 @@ class TestRuleBehaviour:
         for i, v in enumerate(order, start=1):
             state, _ = step(state, v, td, d)
             gone = set(order[:i])
-            for pi in state.family:
+            for pi in state.whole_family():
                 for m in pi:
                     assert not (m.variables() & gone)
 
@@ -396,7 +444,7 @@ class TestRuleBehaviour:
             state = initial_state(q)
             for v in elimination_ordering(td):
                 state, _ = step(state, v, td, d)
-                for pi in state.family:
+                for pi in state.whole_family():
                     for m in pi:
                         for c in m.clauses:
                             assert not any(-l in c.lits for l in c.lits)

@@ -1,48 +1,42 @@
 """The untouched store of the derivation engine.
 
-``run_derivation`` keeps the input clauses no step has touched yet once
-per run, outside the family; ``step`` from ``initial_state`` has an
-empty store and rewrites whole matrices.  Both must give the same
-traces and verdicts, and the oracle must agree on every rule path and
-on decompositions with join nodes.
+Every run keeps the input clauses no step has touched yet once per run,
+outside the family.  The reference ``stepwise`` runs ``step`` on whole
+matrices from an empty store; the two must give the same whole matrices,
+traces and verdicts, and the oracle must agree on every rule path and on
+decompositions with join nodes.
 """
-
-import random
 
 import pytest
 
 from trunkqbf import (
-    EngineLimits,
-    QbfInstance,
     Prefix,
+    QbfInstance,
     ResourceLimitError,
     TrunkTreeDecomposition,
     elimination_ordering,
     evaluate,
-    ground_truth,
     initial_state,
     matrix_of,
     parse_qdimacs,
     qparity,
     qparity_td,
-    random_instance,
-    remove_tautologies,
     run_derivation,
     single_bag_td,
     step,
     trivial_poset,
+    validate_trunk_aligned,
     write_btd,
 )
 from trunkqbf import formulas
 from trunkqbf.cli import main
 
-from _util import forget_path_td, min_degree_td
-
-R4_LIMITS = EngineLimits(max_strategies=4096, max_family_size=64)
-LIMIT_KINDS = (
-    ("branches, limit is", "branches"),
-    ("sets, limit is", "family"),
-    ("matrices, limit is", "set"),
+from _util import (
+    R4_LIMITS,
+    join_node_cases,
+    limit_kind,
+    shuffled_path_cases,
+    stepwise,
 )
 
 
@@ -50,45 +44,37 @@ def counts(trace):
     return [(e.rule, e.family_before, e.family_after, e.max_set_size) for e in trace]
 
 
-def stepwise(instance, td, poset, limits=EngineLimits()):
-    """The derivation by ``step`` from ``initial_state``: whole matrices,
-    no untouched store.  Returns (verdict, trace, final state)."""
-    cleaned = QbfInstance(instance.prefix, remove_tautologies(instance.matrix))
-    state = initial_state(cleaned)
-    trace = []
-    for v in elimination_ordering(td):
-        state, event = step(state, v, td, poset, limits, checks=True)
-        trace.append(event)
-    verdict = any(all(ground_truth(m) for m in pi) for pi in state.family)
-    return verdict, trace, state
+def stored(q, td, d):
+    result = run_derivation(q, td, d, R4_LIMITS, checks=True)
+    return result.verdict, result.trace
 
 
-def outcome(solve):
+def whole(q, td, d):
+    verdict, trace, _ = stepwise(q, td, d, R4_LIMITS)
+    return verdict, trace
+
+
+def outcome(solve, q, td, d):
     """(verdict, step counts) of a solve, or the kind of limit it hit."""
     try:
-        verdict, trace = solve()
+        verdict, trace = solve(q, td, d)
     except ResourceLimitError as exc:
-        return next(kind for fragment, kind in LIMIT_KINDS if fragment in str(exc))
+        return limit_kind(exc)
     return verdict, counts(trace)
-
-
-def shuffled_path_td(instance, rng):
-    """Introduce every variable in prefix order, forget in a shuffled order."""
-    forget = list(instance.prefix.variables_in_order())
-    rng.shuffle(forget)
-    return forget_path_td(instance, forget)
 
 
 def test_store_run_matches_stepwise_run_on_qparity():
     for n in range(2, 13):
         q = qparity(n)
         td, d = qparity_td(n), trivial_poset(q.prefix)
+        verdict, trace, reference = stepwise(q, td, d)
+        state = initial_state(q)
+        for v, expected in zip(elimination_ordering(td), reference):
+            state, _ = step(state, v, td, d)
+            assert state.whole_family() == expected.family, (n, v)
         result = run_derivation(q, td, d)
-        verdict, trace, final = stepwise(q, td, d)
         assert result.verdict is verdict is False, n
         assert counts(result.trace) == counts(trace), n
-        # With the prefix empty no clause is untouched: whole matrices remain.
-        assert result.final.family == final.family, n
 
 
 def test_a_derived_copy_of_an_untouched_clause_is_dropped():
@@ -116,24 +102,10 @@ def test_a_derived_copy_of_an_untouched_clause_is_dropped():
 def test_shuffled_paths_fire_r4_and_agree_with_the_oracle():
     rules = set()
     aborts = 0
-    for seed in range(240):
-        rng = random.Random(seed)
-        q = random_instance(
-            seed, rng.randint(3, 7), rng.randint(1, 10), rng.randint(1, 3), rng.randint(2, 4)
-        )
-        td = shuffled_path_td(q, rng)
+    for seed, q, td in shuffled_path_cases():
         d = trivial_poset(q.prefix)
-
-        def stored():
-            result = run_derivation(q, td, d, R4_LIMITS, checks=True)
-            return result.verdict, result.trace
-
-        def whole():
-            verdict, trace, _ = stepwise(q, td, d, R4_LIMITS)
-            return verdict, trace
-
-        got = outcome(stored)
-        assert got == outcome(whole), seed
+        got = outcome(stored, q, td, d)
+        assert got == outcome(whole, q, td, d), seed
         if isinstance(got, str):
             aborts += 1
             continue
@@ -144,21 +116,22 @@ def test_shuffled_paths_fire_r4_and_agree_with_the_oracle():
 
 
 def test_join_node_decompositions_agree_with_the_oracle():
-    joins = 0
-    for seed in range(300):
-        rng = random.Random(seed)
-        # One quantifier block: under the trivial poset nothing depends on
-        # anything else, so every variable meets P1 and any nice
-        # decomposition is trunk-aligned.
-        q = random_instance(seed, rng.randint(1, 7), rng.randint(0, 9), rng.randint(1, 3), 1)
-        td = min_degree_td(q)
-        joins += any(len(td.children(t)) == 2 for t in td.nodes)
+    # Several quantifier blocks make some min-degree decompositions
+    # unaligned (skipped) and make strategy extension fire on others.
+    joins = joins_with_r4 = 0
+    for seed, q, td in join_node_cases():
         d = trivial_poset(q.prefix)
-        result = run_derivation(q, td, d, checks=True)
-        assert result.verdict == evaluate(q), seed
-        verdict, trace, _ = stepwise(q, td, d)
-        assert (result.verdict, counts(result.trace)) == (verdict, counts(trace)), seed
-    assert joins >= 100
+        if not validate_trunk_aligned(td, q, d).ok:
+            continue
+        got = outcome(stored, q, td, d)
+        assert got == outcome(whole, q, td, d), seed
+        if isinstance(got, str):
+            continue
+        assert got[0] == evaluate(q), seed
+        if any(len(td.children(t)) == 2 for t in td.nodes):
+            joins += 1
+            joins_with_r4 += any(rule == "R4" for rule, *_ in got[1])
+    assert joins >= 250 and joins_with_r4 >= 40, (joins, joins_with_r4)
 
 
 DEGENERATE = (

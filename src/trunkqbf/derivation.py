@@ -16,7 +16,11 @@ relation the tested set would always contain the variable itself (it is
 in its own forget bag) and the rules could never fire.
 
 Families are sets of sets of matrices; both levels deduplicate eagerly
-on canonical encodings after every rule application.
+after every rule application.  Inside the engine a clause is the
+frozenset of its literals (``Matrix.sets``): a resolvent is a union minus
+the pivot's two literals, reduction and restriction are set differences,
+and a clause is tautological when it meets its own negation.  No
+``Clause`` object is built and no literal is sorted during a run.
 
 A matrix is stored in two parts.  Its *untouched* part is every input
 clause whose variables are all still quantified: no rule has acted on
@@ -61,9 +65,8 @@ from .formulas import (
     Matrix,
     Prefix,
     QbfInstance,
-    _canonical,
+    _neg,
     ground_truth,
-    is_tautological,
     remove_tautologies,
     restrict,
 )
@@ -71,6 +74,8 @@ from .posets import DependencyPoset
 
 MatrixSet = FrozenSet[Matrix]
 Family = FrozenSet[MatrixSet]
+# A clause inside the engine: the frozenset of its literals.
+Lits = FrozenSet[int]
 
 RULES = ("R1", "R2", "R3", "R4")
 
@@ -119,35 +124,41 @@ class EngineLimits:
 class UntouchedStore:
     """The input clauses with at least one variable, stored once per run.
 
-    Such a clause is untouched while all its variables are still in the
-    prefix; the index maps every variable to the clauses it occurs in.
-    Stores compare by their clauses.
+    Clauses are literal sets.  Such a clause is untouched while all its
+    variables are still in the prefix; the index maps every variable to
+    the clauses it occurs in, each with its variable set.  Stores compare
+    by their clauses.
     """
 
-    clauses: FrozenSet[Clause] = frozenset()
-    _index: Dict[int, List[Clause]] = field(init=False, compare=False, repr=False)
+    clauses: FrozenSet[Lits] = frozenset()
+    _index: Dict[int, List[Tuple[Lits, FrozenSet[int]]]] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
-        index: Dict[int, List[Clause]] = {}
-        for clause in self.clauses:
-            if clause.is_empty:
+        index: Dict[int, List[Tuple[Lits, FrozenSet[int]]]] = {}
+        for lits in self.clauses:
+            if not lits:
                 raise ValueError("a variable-free clause cannot be untouched")
-            for x in clause.variables():
-                index.setdefault(x, []).append(clause)
+            if not lits.isdisjoint(map(_neg, lits)):
+                clause = Clause(tuple(lits))
+                raise ValueError(f"a tautological clause {clause!r} cannot be untouched")
+            over = frozenset(map(abs, lits))
+            for x in over:
+                index.setdefault(x, []).append((lits, over))
         object.__setattr__(self, "_index", index)
 
-    def untouched(self, clause: Clause, prefix: Prefix) -> bool:
-        return clause in self.clauses and clause.variables() <= prefix.variables
-
-    def untouched_over(self, variables: Iterable[int], prefix: Prefix) -> Tuple[Clause, ...]:
+    def untouched_over(self, variables: Iterable[int], prefix: Prefix) -> FrozenSet[Lits]:
         """The untouched clauses that mention one of the variables."""
-        found = {
-            c
-            for x in variables
-            for c in self._index.get(x, ())
-            if c.variables() <= prefix.variables
-        }
-        return tuple(found)
+        live = prefix.variables
+        return frozenset(
+            [
+                lits
+                for x in variables
+                for lits, over in self._index.get(x, ())
+                if over <= live
+            ]
+        )
 
 
 @dataclass(frozen=True)
@@ -190,9 +201,9 @@ class DerivationResult:
 
 
 def _require_no_tautologies(matrix: Matrix) -> None:
-    for clause in matrix.clauses:
-        if is_tautological(clause):
-            raise ValueError(f"matrix contains a tautological clause {clause!r}")
+    for lits in matrix.sets:
+        if not lits.isdisjoint(map(_neg, lits)):
+            raise ValueError(f"matrix contains a tautological clause {Clause(tuple(lits))!r}")
 
 
 def resolve(matrix: Matrix, x: int) -> Matrix:
@@ -205,36 +216,29 @@ def resolve(matrix: Matrix, x: int) -> Matrix:
     _require_no_tautologies(matrix)
     positive = []
     negative = []
-    out = set()
-    for c in matrix.clauses:
-        if x in c.lits:
+    out = []
+    for c in matrix.sets:
+        if x in c:
             positive.append(c)
-        elif -x in c.lits:
+        elif -x in c:
             negative.append(c)
         else:
-            out.add(c)
+            out.append(c)
+    pivot = (x, -x)
     for c1 in positive:
-        rest = set(c1.lits)
-        rest.discard(x)
         for c2 in negative:
-            merged = rest.union(c2.lits)
-            merged.discard(-x)
-            clause = Clause._of(_canonical(merged))
-            if not is_tautological(clause):
-                out.add(clause)
-    return Matrix._of(out)
+            resolvent = c1.union(c2).difference(pivot)
+            if resolvent.isdisjoint(map(_neg, resolvent)):
+                out.append(resolvent)
+    return Matrix._of(frozenset(out))
 
 
 def reduce(matrix: Matrix, u: int) -> Matrix:
     """Delete every occurrence of the universal variable from every clause."""
     _require_no_tautologies(matrix)
+    drop = (u, -u)
     return Matrix._of(
-        {
-            Clause._of(tuple(l for l in c.lits if abs(l) != u))
-            if u in c.variables()
-            else c
-            for c in matrix.clauses
-        }
+        frozenset([c if c.isdisjoint(drop) else c.difference(drop) for c in matrix.sets])
     )
 
 
@@ -322,14 +326,17 @@ def check_neighborhood_invariant(
     state: DerivationState, v: int, td: TrunkTreeDecomposition
 ) -> bool:
     """True iff, in every whole matrix of the family, every variable
-    sharing a clause with v lies in v's forget bag."""
-    bag = td.bag(forget_node(td, v))
-    for pi in state.whole_family():
-        for matrix in pi:
-            for clause in matrix.clauses:
-                variables = clause.variables()
-                if v in variables and not (variables - {v}) <= bag:
-                    return False
+    sharing a clause with v lies in v's forget bag.
+
+    The untouched clauses are the same in every matrix, so the touched
+    parts are read one by one and the untouched clauses over v once.
+    """
+    bag = td.bag(forget_node(td, v)) | {v}
+    shared = state.untouched.untouched_over((v,), state.prefix)
+    touched = (m.sets for pi in state.family for m in pi)
+    for lits in itertools.chain(shared, itertools.chain.from_iterable(touched)):
+        if (v in lits or -v in lits) and not bag.issuperset(map(abs, lits)):
+            return False
     return True
 
 
@@ -342,35 +349,40 @@ def check_r4_assertion(
     return (prefix.variables & poset.dep(v)) <= bag
 
 
-def _enforce_limits(family: Family, limits: EngineLimits) -> None:
+def _enforce_limits(family: Family, limits: EngineLimits) -> int:
+    """Raise if the family exceeds a limit; return its largest set size."""
     if len(family) > limits.max_family_size:
         raise ResourceLimitError(
             f"family has {len(family)} sets, limit is {limits.max_family_size}"
         )
-    for pi in family:
-        if len(pi) > limits.max_set_size:
-            raise ResourceLimitError(
-                f"a matrix set has {len(pi)} matrices, limit is {limits.max_set_size}"
-            )
+    largest = max(map(len, family), default=0)
+    if largest > limits.max_set_size:
+        raise ResourceLimitError(
+            f"a matrix set has {largest} matrices, limit is {limits.max_set_size}"
+        )
+    return largest
 
 
-def _with_clauses(family: Family, clauses: Tuple[Clause, ...]) -> Family:
+def _with_clauses(family: Family, clauses: FrozenSet[Lits]) -> Family:
     """Add the clauses to every matrix of the family."""
     if not clauses:
         return family
     return frozenset(
-        frozenset(Matrix(m.clauses + clauses) for m in pi) for pi in family
+        frozenset([Matrix._of(m.sets.union(clauses)) for m in pi]) for pi in family
     )
 
 
 def _without_untouched(family: Family, store: UntouchedStore, prefix: Prefix) -> Family:
-    """Drop the clauses that are untouched under the prefix from every matrix."""
+    """Drop the clauses that are untouched under the prefix from every matrix:
+    the stored ones whose variables are all still quantified."""
+    live = prefix.variables
 
     def touched(m: Matrix) -> Matrix:
-        kept = [c for c in m.clauses if not store.untouched(c, prefix)]
-        return m if len(kept) == len(m.clauses) else Matrix._of(kept)
+        stored = m.sets.intersection(store.clauses)
+        drop = [c for c in stored if live.issuperset(map(abs, c))]
+        return Matrix._of(m.sets.difference(drop)) if drop else m
 
-    return frozenset(frozenset(touched(m) for m in pi) for pi in family)
+    return frozenset(frozenset([touched(m) for m in pi]) for pi in family)
 
 
 def step(
@@ -407,12 +419,14 @@ def step(
         else:
             rule = "R4"
             merged = set()
-            for pi in pulled:
+            # Largest first: a set that trips the branch limit trips it
+            # with the largest count, whatever the sets' hash order.
+            for pi in sorted(pulled, key=len, reverse=True):
                 merged |= strategy_extension(pi, v, prefix, poset, limits)
             new_family = frozenset(merged)
         new_prefix = prefix.remove(affected)
         new_family = _without_untouched(new_family, store, new_prefix)
-    _enforce_limits(new_family, limits)
+    largest = _enforce_limits(new_family, limits)
     micros = int((time.perf_counter() - started) * 1_000_000)
     event = TraceEvent(
         step=state.step_index + 1,
@@ -420,7 +434,7 @@ def step(
         rule=rule,
         family_before=len(family),
         family_after=len(new_family),
-        max_set_size=max((len(pi) for pi in new_family), default=0),
+        max_set_size=largest,
         micros=micros,
     )
     return DerivationState(new_prefix, new_family, state.step_index + 1, store), event
@@ -429,9 +443,9 @@ def step(
 def initial_state(instance: QbfInstance) -> DerivationState:
     """The start of a run: every input clause with a variable goes into the
     untouched store, and the variable-free ones start touched."""
-    clauses = instance.matrix.clauses
-    stored = UntouchedStore(frozenset(c for c in clauses if not c.is_empty))
-    touched = Matrix(tuple(c for c in clauses if c.is_empty))
+    sets = instance.matrix.sets
+    stored = UntouchedStore(frozenset([lits for lits in sets if lits]))
+    touched = Matrix._of(sets - stored.clauses)
     return DerivationState(instance.prefix, frozenset({frozenset({touched})}), 0, stored)
 
 
@@ -464,14 +478,21 @@ def _check_step(
 ) -> None:
     """Assert the engine invariants of one step: v's matrix neighbors and,
     under R4, its still-quantified dependencies lie in its forget bag, and
-    the result is tautology-free and over the remaining prefix only."""
+    the result is tautology-free and over the remaining prefix only.
+
+    The last holds for the untouched part by construction (the store
+    rejects tautologies, and an untouched clause is over the prefix), so
+    only the touched parts are read.
+    """
     v, where = event.variable, f"step {event.step}, variable {event.variable}"
     if not check_neighborhood_invariant(before, v, td):
         raise InvariantError(f"{where}: a matrix neighbor lies outside the forget bag")
     if event.rule == "R4" and not check_r4_assertion(before.prefix, v, poset, td):
         raise InvariantError(f"{where}: a dependency of R4 lies outside the forget bag")
-    for matrix in itertools.chain.from_iterable(after.whole_family()):
-        tautologies = [c for c in matrix.clauses if is_tautological(c)]
+    for matrix in itertools.chain.from_iterable(after.family):
+        tautologies = [
+            Clause(tuple(lits)) for lits in matrix.sets if not lits.isdisjoint(map(_neg, lits))
+        ]
         leftover = matrix.variables() - after.prefix.variables
         if tautologies or leftover:
             raise InvariantError(

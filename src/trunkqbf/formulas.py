@@ -3,8 +3,14 @@
 Variables are 1-based integers (QDIMACS numbering) and a literal is a
 signed integer: ``v`` for the positive literal of variable ``v`` and
 ``-v`` for its negation.  Clauses, matrices, prefixes and instances are
-immutable values with deterministic canonical encodings; every set-like
-structure in the package deduplicates on those encodings.
+immutable values with deterministic canonical encodings.
+
+A matrix stores its clauses as frozensets of literals, and its equality
+and hash come from that set of sets, so matrices that are equal as sets
+of clauses are one value.  ``restrict`` and ``remove_tautologies`` work
+on those sets with C-level set operations and build no ``Clause``;
+``Matrix.clauses`` gives ``Clause`` objects in canonical order, built
+once per matrix when first read.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Dict, FrozenSet, Iterable, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Set, Tuple
 
 Variable = int
 Literal = int
@@ -95,43 +101,75 @@ def _set_clause(clause: Clause, lits: Tuple[int, ...]) -> None:
 
 
 _clause_key = operator.attrgetter("_key")
+_neg = operator.neg
 
 
-@dataclass(frozen=True)
 class Matrix:
-    """A CNF formula: a duplicate-free set of clauses in canonical order."""
+    """A CNF formula: a set of clauses, each a set of literals.
 
-    clauses: Tuple[Clause, ...] = ()
+    ``sets`` holds every clause as a frozenset of its literals, and
+    equality and hash come from it.  ``clauses`` is the canonical view:
+    the clauses as ``Clause`` objects in canonical order.  The public
+    constructor validates and fills both; the engine builds matrices from
+    literal sets with ``_of`` and the view is built on first use.
+    Matrices are immutable.
+    """
+
+    sets: FrozenSet[FrozenSet[int]]
+
+    def __init__(self, clauses: Tuple[Clause, ...] = ()) -> None:
+        self.__dict__["clauses"] = clauses
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        _set_matrix(self, set(self.clauses))
+        unique = set(self.clauses)
+        sets = frozenset([frozenset(c.lits) for c in unique])
+        self.__dict__.update(
+            clauses=tuple(sorted(unique, key=_clause_key)), sets=sets, _hash=hash(sets)
+        )
 
     @classmethod
-    def _of(cls, clauses: Collection[Clause]) -> "Matrix":
-        """Trusted constructor: ``clauses`` are distinct, in any order."""
+    def _of(cls, sets: FrozenSet[FrozenSet[int]]) -> "Matrix":
+        """Trusted constructor: ``sets`` holds non-zero int literals."""
         matrix = object.__new__(cls)
-        _set_matrix(matrix, clauses)
+        matrix.__dict__.update(sets=sets, _hash=hash(sets))
         return matrix
+
+    @cached_property
+    def clauses(self) -> Tuple[Clause, ...]:
+        built = [Clause._of(_canonical(lits)) for lits in self.sets]
+        return tuple(sorted(built, key=_clause_key))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Matrix:
+            return NotImplemented
+        return self.sets == other.sets  # type: ignore[attr-defined]
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
 
     def __len__(self) -> int:
-        return len(self.clauses)
+        return len(self.sets)
 
     def __contains__(self, clause: Clause) -> bool:
-        return clause in self.clauses
+        return frozenset(clause.lits) in self.sets
 
     @property
     def is_empty(self) -> bool:
-        return not self.clauses
+        return not self.sets
 
     @property
     def has_empty_clause(self) -> bool:
-        return any(c.is_empty for c in self.clauses)
+        return frozenset() in self.sets
 
     def variables(self) -> FrozenSet[int]:
-        return frozenset().union(*[c.variables() for c in self.clauses])
+        return frozenset(map(abs, itertools.chain.from_iterable(self.sets)))
 
     def encoding(self) -> Tuple[Tuple[int, ...], ...]:
         """Canonical encoding: tuple of canonical literal tuples."""
@@ -139,11 +177,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({[list(c.lits) for c in self.clauses]!r})"
-
-
-def _set_matrix(matrix: Matrix, clauses: Collection[Clause]) -> None:
-    canonical = tuple(sorted(clauses, key=_clause_key))
-    matrix.__dict__.update(clauses=canonical, _hash=hash(canonical))
 
 
 def matrix_of(*clauses: Iterable[int]) -> Matrix:
@@ -279,8 +312,8 @@ def is_tautological(clause: Clause) -> bool:
 
 def remove_tautologies(matrix: Matrix) -> Matrix:
     """Drop every tautological clause."""
-    kept = [c for c in matrix.clauses if not is_tautological(c)]
-    return matrix if len(kept) == len(matrix.clauses) else Matrix._of(kept)
+    kept = frozenset([c for c in matrix.sets if c.isdisjoint(map(_neg, c))])
+    return matrix if len(kept) == len(matrix.sets) else Matrix._of(kept)
 
 
 def restrict(matrix: Matrix, assignment: Assignment) -> Matrix:
@@ -289,23 +322,13 @@ def restrict(matrix: Matrix, assignment: Assignment) -> Matrix:
     Clauses containing a satisfied literal are removed, falsified
     literals are deleted from the remaining clauses.  Variables outside
     the assignment's domain are untouched; the result may contain the
-    empty clause.  Unchanged clauses are reused, and clauses that become
-    equal merge.
+    empty clause.  Clauses that become equal merge.
     """
-    get = assignment.get
-    out = set()
-    for clause in matrix.clauses:
-        lits = clause.lits
-        kept = []
-        for lit in lits:
-            value = get(abs(lit))
-            if value is None:
-                kept.append(lit)
-            elif (lit > 0) == bool(value):
-                break
-        else:
-            out.add(clause if len(kept) == len(lits) else Clause._of(tuple(kept)))
-    return Matrix._of(out)
+    true = [v if value else -v for v, value in assignment.items()]
+    false = frozenset(map(_neg, true))
+    return Matrix._of(
+        frozenset([c.difference(false) for c in matrix.sets if c.isdisjoint(true)])
+    )
 
 
 def ground_truth(matrix: Matrix) -> bool:
@@ -313,9 +336,11 @@ def ground_truth(matrix: Matrix) -> bool:
 
     Raises ValueError if the matrix still contains a variable.
     """
-    for clause in matrix.clauses:
-        if clause.lits:
-            raise ValueError(f"matrix is not variable-free: contains {clause!r}")
+    for lits in matrix.sets:
+        if lits:
+            raise ValueError(
+                f"matrix is not variable-free: contains {Clause(tuple(lits))!r}"
+            )
     return matrix.is_empty
 
 

@@ -114,10 +114,18 @@ def random_assignment(rng, matrix):
     return assignment
 
 
+def assert_same_matrix(got, want):
+    """Equal as values and in every canonical view."""
+    assert got == want and want == got
+    assert hash(got) == hash(want)
+    assert got.sets == want.sets
+    assert got.clauses == want.clauses
+    assert got.encoding() == want.encoding()
+    assert repr(got) == repr(want)
+
+
 def assert_canonical(matrix):
-    assert matrix == Matrix(matrix.clauses)
-    assert matrix.clauses == Matrix(matrix.clauses).clauses
-    assert hash(matrix) == hash(Matrix(matrix.clauses))
+    assert_same_matrix(matrix, Matrix(matrix.clauses))
     for c in matrix.clauses:
         assert c.lits == Clause(c.lits).lits
         assert hash(c) == hash(Clause(c.lits))
@@ -239,11 +247,26 @@ class TestKernels:
                 assert Clause._of(c.lits) == c
                 assert hash(Clause._of(c.lits)) == hash(c)
             m = Matrix(tuple(clauses))
-            shuffled = list(m.clauses)
-            rng.shuffle(shuffled)
-            assert Matrix._of(shuffled) == m
-            assert Matrix._of(shuffled).clauses == m.clauses
-            assert hash(Matrix._of(shuffled)) == hash(m)
+            sets = [frozenset(rng.sample(c.lits, len(c.lits))) for c in clauses]
+            rng.shuffle(sets)
+            assert_same_matrix(Matrix._of(frozenset(sets)), m)
+
+    def test_engine_built_matrices_equal_the_public_ones(self):
+        # Each kernel result is built from literal sets; rebuilding it
+        # through the public constructors must give the same value.
+        rng = random.Random(8)
+        for _ in range(500):
+            m = random_matrix(rng)
+            x = rng.randint(1, N_VARS)
+            for got in (
+                restrict(m, random_assignment(rng, m)),
+                resolve(m, x),
+                reduce(m, x),
+                remove_tautologies(Matrix(tuple(random_clauses(rng, 6)))),
+            ):
+                public = Matrix(tuple(Clause(tuple(sorted(s))) for s in got.sets))
+                assert_same_matrix(got, public)
+                assert len({got, public}) == 1
 
     @pytest.mark.parametrize("kernel", [resolve, reduce])
     def test_tautological_input_raises(self, kernel):

@@ -312,6 +312,36 @@ class TestRunDerivation:
         with pytest.raises(ResourceLimitError):
             run_derivation(q, td, trivial_poset(q.prefix), EngineLimits(max_set_size=1))
 
+    def test_set_limit_names_the_largest_set(self, qp2_setup):
+        # An R1 step keeps the family, so the limit check sees both sets.
+        q, td, d = qp2_setup
+        prefix = q.prefix.remove((1,))
+        seen_first = set()
+        for k in range(2, 8):
+            small = {matrix_of((2, 4)), matrix_of((k + 1,))}
+            large = small | {matrix_of((-2,)), matrix_of((3, 5))}
+            fam = family(small, large)
+            seen_first.add(len(next(iter(fam))))
+            state = DerivationState(prefix, fam, 0, UntouchedStore())
+            with pytest.raises(ResourceLimitError, match="set has 4 matrices, limit is 1"):
+                step(state, 1, td, d, EngineLimits(max_set_size=1))
+        assert seen_first == {2, 4}  # both hash orders were tried
+
+    def test_branch_limit_names_the_largest_set(self, qp2_setup):
+        # R4 at x1 branches 2^|set| ways; both sets exceed the limit,
+        # and the message names the larger count whatever the hash order.
+        q, td, d = qp2_setup
+        seen_first = set()
+        for k in range(1, 6):
+            small = {matrix_of((k,))}
+            large = small | {matrix_of((1, 4))}
+            fam = family(small, large)
+            seen_first.add(len(next(iter(fam))))
+            state = DerivationState(q.prefix, fam, 0, UntouchedStore())
+            with pytest.raises(ResourceLimitError, match=r"needs 2\^2 branches, limit is 1$"):
+                step(state, 1, td, d, EngineLimits(max_strategies=1))
+        assert seen_first == {1, 2}
+
     def test_deterministic_traces_and_verdicts(self, qp2_setup):
         q, td, d = qp2_setup
         a = run_derivation(q, td, d)

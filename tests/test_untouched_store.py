@@ -10,6 +10,7 @@ decompositions with join nodes.
 import pytest
 
 from trunkqbf import (
+    DerivationState,
     Prefix,
     QbfInstance,
     ResourceLimitError,
@@ -30,6 +31,7 @@ from trunkqbf import (
 )
 from trunkqbf import formulas
 from trunkqbf.cli import main
+from trunkqbf.derivation import UntouchedStore
 
 from _util import (
     R4_LIMITS,
@@ -161,10 +163,49 @@ def test_degenerate_inputs(tmp_path, capsys, text, expected):
     assert capsys.readouterr().out == f"s cnf {int(expected)}\n"
 
 
+def clauses_built_per_step(monkeypatch, n, pull_everything=False):
+    """Clauses in the matrices the engine builds, per step of a qparity(n)
+    run.  With ``pull_everything`` every step pulls in every untouched
+    clause, not just those over its affected variables."""
+    built = 0
+    original = formulas.Matrix._of.__func__
+
+    def counting(cls, sets):
+        nonlocal built
+        built += len(sets)
+        return original(cls, sets)
+
+    q = qparity(n)
+    td, d = qparity_td(n), trivial_poset(q.prefix)
+    with monkeypatch.context() as patch:
+        patch.setattr(formulas.Matrix, "_of", classmethod(counting))
+        if pull_everything:
+            over = UntouchedStore.untouched_over
+            patch.setattr(
+                UntouchedStore,
+                "untouched_over",
+                lambda self, variables, prefix: over(self, prefix.variables, prefix),
+            )
+        run_derivation(q, td, d)
+    return built / (2 * n + 1)
+
+
 def test_clauses_built_per_step_do_not_grow_with_n(monkeypatch):
     # qparity has width 2 at every n, so an elimination step should build
-    # a bounded number of clauses however long the formula is.  Both the
-    # validating and the trusted clause constructor go through _set_clause.
+    # matrices of a bounded number of clauses however long the formula is.
+    for n in (16, 32, 64):
+        assert clauses_built_per_step(monkeypatch, n) <= 16, n
+
+
+def test_the_clause_count_catches_a_step_that_pulls_in_every_clause(monkeypatch):
+    assert clauses_built_per_step(monkeypatch, 16, pull_everything=True) > 16
+
+
+def test_the_engine_builds_no_clause_object(monkeypatch):
+    # Inside the engine a clause is a frozenset of literals; Clause objects
+    # are built only when a caller reads a matrix's canonical view.
+    q = qparity(64)
+    td, d = qparity_td(64), trivial_poset(q.prefix)
     built = 0
     original = formulas._set_clause
 
@@ -173,14 +214,28 @@ def test_clauses_built_per_step_do_not_grow_with_n(monkeypatch):
         built += 1
         original(clause, lits)
 
-    for n in (16, 32, 64):
+    monkeypatch.setattr(formulas, "_set_clause", counting)
+    run_derivation(q, td, d, checks=True)
+    assert built == 0
+
+
+def test_checked_runs_never_rebuild_whole_matrices(monkeypatch):
+    # The checks read the touched parts and the untouched clauses over the
+    # step's variable, so a checked run costs about what an unchecked one does.
+    def whole_family(self):
+        raise AssertionError("a checked run called whole_family")
+
+    monkeypatch.setattr(DerivationState, "whole_family", whole_family)
+    for n in (2, 16):
         q = qparity(n)
-        td, d = qparity_td(n), trivial_poset(q.prefix)
-        built = 0
-        with monkeypatch.context() as patch:
-            patch.setattr(formulas, "_set_clause", counting)
-            run_derivation(q, td, d)
-        assert built / (2 * n + 1) <= 16, n
+        result = run_derivation(q, qparity_td(n), trivial_poset(q.prefix), checks=True)
+        assert result.verdict is False
+
+
+@pytest.mark.parametrize("lits", [frozenset(), frozenset({1, -1, 2})], ids=["empty", "tautology"])
+def test_the_store_rejects_clauses_that_cannot_be_untouched(lits):
+    with pytest.raises(ValueError, match="cannot be untouched"):
+        UntouchedStore(frozenset({frozenset({3}), lits}))
 
 
 def test_prefix_validations_do_not_grow_with_n(monkeypatch):

@@ -4,7 +4,6 @@ from .decomposition import (
     DecompositionError,
     TrunkTreeDecomposition,
     ValidationReport,
-    Violation,
     elimination_ordering,
     forget_node,
     min_dependency_elimination_width,
@@ -16,7 +15,6 @@ from .decomposition import (
 )
 from .derivation import (
     DerivationError,
-    DerivationResult,
     DerivationState,
     EngineLimits,
     InvariantError,
@@ -43,9 +41,6 @@ from .formats import (
     write_trace,
 )
 from .formulas import (
-    EXISTS,
-    FORALL,
-    Assignment,
     Clause,
     Matrix,
     Prefix,
@@ -69,8 +64,6 @@ from .oracle import (
 )
 from .posets import (
     DependencyPoset,
-    PosetReport,
-    PosetViolation,
     poset_from_pairs,
     trivial_poset,
     validate_poset,

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .decomposition import DecompositionError, width
+from .decomposition import width
 from .derivation import (
     DerivationError,
     EngineLimits,
@@ -23,7 +23,6 @@ from .derivation import (
     validate_input,
 )
 from .formats import (
-    ParseError,
     parse_btd,
     parse_poset,
     parse_qdimacs,
@@ -60,18 +59,20 @@ def _load_instance(path: str) -> QbfInstance:
     return parse_qdimacs(Path(path).read_text(encoding="utf-8"))
 
 
-def _load_poset(args, instance: QbfInstance):
+def _load_inputs(args):
+    """The instance, decomposition and poset that ``args`` names."""
+    instance = _load_instance(args.instance)
+    td = parse_btd(Path(args.td).read_text(encoding="utf-8"))
     if args.trivial_poset:
-        return trivial_poset(instance.prefix)
-    text = Path(args.poset).read_text(encoding="utf-8")
-    return parse_poset(text, instance.prefix)
+        poset = trivial_poset(instance.prefix)
+    else:
+        poset = parse_poset(Path(args.poset).read_text(encoding="utf-8"), instance.prefix)
+    return instance, td, poset
 
 
 def cmd_solve(args) -> int:
     try:
-        instance = _load_instance(args.instance)
-        td = parse_btd(Path(args.td).read_text(encoding="utf-8"))
-        poset = _load_poset(args, instance)
+        instance, td, poset = _load_inputs(args)
         limits = EngineLimits(
             max_family_size=args.max_family_size,
             max_set_size=args.max_set_size,
@@ -83,7 +84,7 @@ def cmd_solve(args) -> int:
         if args.trace:
             _write_trace(exc.trace, args.trace)
         return _fail(f"error: {exc}")
-    except (OSError, ParseError, DecompositionError, DerivationError, ValueError) as exc:
+    except (OSError, DerivationError, ValueError) as exc:
         return _fail(f"error: {exc}")
     if args.trace and not _write_trace(result.trace, args.trace):
         return EXIT_ERROR
@@ -101,11 +102,9 @@ def cmd_solve(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        instance = _load_instance(args.instance)
-        td = parse_btd(Path(args.td).read_text(encoding="utf-8"))
-        poset = _load_poset(args, instance)
+        instance, td, poset = _load_inputs(args)
         validate_input(instance, td, poset)
-    except (OSError, ParseError, DecompositionError, DerivationError, ValueError) as exc:
+    except (OSError, DerivationError, ValueError) as exc:
         return _fail(f"error: {exc}")
     if args.stats:
         print(f"c width {width(td)}")
@@ -117,7 +116,7 @@ def cmd_oracle(args) -> int:
     try:
         instance = _load_instance(args.instance)
         verdict = evaluate(instance, OracleBudget(max_variables=args.budget))
-    except (OSError, ParseError, BudgetExceededError, ValueError) as exc:
+    except (OSError, BudgetExceededError, ValueError) as exc:
         return _fail(f"error: {exc}")
     except RecursionError:
         return _fail("error: the prefix is too deep for the oracle's recursion")

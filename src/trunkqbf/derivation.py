@@ -16,11 +16,13 @@ relation the tested set would always contain the variable itself (it is
 in its own forget bag) and the rules could never fire.
 
 Families are sets of sets of matrices; both levels deduplicate eagerly
-after every rule application.  Inside the engine a clause is the
-frozenset of its literals (``Matrix.sets``): a resolvent is a union minus
-the pivot's two literals, reduction and restriction are set differences,
-and a clause is tautological when it meets its own negation.  No
-``Clause`` object is built and no literal is sorted during a run.
+after every rule application.  A clause is the frozenset of its
+literals, a ``Clause`` from the input or a plain frozenset the engine
+derived, and the two are equal when their literals are: a resolvent is
+a union minus the pivot's two literals, reduction and restriction are
+set differences, and a clause is tautological when it meets its own
+negation.  No ``Clause`` is constructed and no literal is sorted during
+a run.
 
 A matrix is stored in two parts.  Its *untouched* part is every input
 clause whose variables are all still quantified: no rule has acted on
@@ -65,7 +67,7 @@ from .formulas import (
     Matrix,
     Prefix,
     QbfInstance,
-    _neg,
+    _tautological,
     ground_truth,
     remove_tautologies,
     restrict,
@@ -140,9 +142,8 @@ class UntouchedStore:
         for lits in self.clauses:
             if not lits:
                 raise ValueError("a variable-free clause cannot be untouched")
-            if not lits.isdisjoint(map(_neg, lits)):
-                clause = Clause(tuple(lits))
-                raise ValueError(f"a tautological clause {clause!r} cannot be untouched")
+            if _tautological(lits):
+                raise ValueError(f"a tautological clause {Clause(lits)!r} cannot be untouched")
             over = frozenset(map(abs, lits))
             for x in over:
                 index.setdefault(x, []).append((lits, over))
@@ -202,8 +203,8 @@ class DerivationResult:
 
 def _require_no_tautologies(matrix: Matrix) -> None:
     for lits in matrix.sets:
-        if not lits.isdisjoint(map(_neg, lits)):
-            raise ValueError(f"matrix contains a tautological clause {Clause(tuple(lits))!r}")
+        if _tautological(lits):
+            raise ValueError(f"matrix contains a tautological clause {Clause(lits)!r}")
 
 
 def resolve(matrix: Matrix, x: int) -> Matrix:
@@ -228,7 +229,7 @@ def resolve(matrix: Matrix, x: int) -> Matrix:
     for c1 in positive:
         for c2 in negative:
             resolvent = c1.union(c2).difference(pivot)
-            if resolvent.isdisjoint(map(_neg, resolvent)):
+            if not _tautological(resolvent):
                 out.append(resolvent)
     return Matrix._of(frozenset(out))
 
@@ -406,16 +407,10 @@ def step(
         affected = prefix.variables & poset.dep(v) if blocked else frozenset({v})
         pulled = _with_clauses(family, store.untouched_over(affected, prefix))
         if not blocked:
-            if prefix.quantifier(v) == EXISTS:
-                rule = "R2"
-                new_family = frozenset(
-                    frozenset(resolve(m, v) for m in pi) for pi in pulled
-                )
-            else:
-                rule = "R3"
-                new_family = frozenset(
-                    frozenset(reduce(m, v) for m in pi) for pi in pulled
-                )
+            # Looked up per call, not bound once, so wrappers of the
+            # module's ``resolve`` and ``reduce`` see every call.
+            rule, kernel = ("R2", resolve) if prefix.quantifier(v) == EXISTS else ("R3", reduce)
+            new_family = frozenset(frozenset(kernel(m, v) for m in pi) for pi in pulled)
         else:
             rule = "R4"
             merged = set()
@@ -490,9 +485,7 @@ def _check_step(
     if event.rule == "R4" and not check_r4_assertion(before.prefix, v, poset, td):
         raise InvariantError(f"{where}: a dependency of R4 lies outside the forget bag")
     for matrix in itertools.chain.from_iterable(after.family):
-        tautologies = [
-            Clause(tuple(lits)) for lits in matrix.sets if not lits.isdisjoint(map(_neg, lits))
-        ]
+        tautologies = [Clause(lits) for lits in matrix.sets if _tautological(lits)]
         leftover = matrix.variables() - after.prefix.variables
         if tautologies or leftover:
             raise InvariantError(

@@ -105,7 +105,7 @@ def parse_qdimacs(text: str) -> QbfInstance:
         for l in lits:
             if abs(l) > n_vars:
                 raise ParseError(line_no, f"variable {abs(l)} out of range 1..{n_vars}")
-        clauses.append(Clause(tuple(lits)))
+        clauses.append(Clause(lits))
 
     if n_vars is None:
         raise ParseError(1, "missing 'p cnf' header")
@@ -114,7 +114,7 @@ def parse_qdimacs(text: str) -> QbfInstance:
             header_line,
             f"header declares {n_clauses} clauses, file has {len(clauses)}",
         )
-    matrix = Matrix(tuple(clauses))
+    matrix = Matrix(clauses)
     free = sorted(matrix.variables() - set(quantified))
     prefix_blocks: List[Tuple[str, Tuple[int, ...]]] = []
     if free:

@@ -5,12 +5,14 @@ signed integer: ``v`` for the positive literal of variable ``v`` and
 ``-v`` for its negation.  Clauses, matrices, prefixes and instances are
 immutable values with deterministic canonical encodings.
 
-A matrix stores its clauses as frozensets of literals, and its equality
-and hash come from that set of sets, so matrices that are equal as sets
-of clauses are one value.  ``restrict`` and ``remove_tautologies`` work
-on those sets with C-level set operations and build no ``Clause``;
-``Matrix.clauses`` gives ``Clause`` objects in canonical order, built
-once per matrix when first read.
+A clause is a set of literals and a matrix a set of clauses, as in the
+rules: ``Clause`` is a ``frozenset`` of literals, and ``Matrix.sets`` is
+the frozenset of a matrix's clauses, which gives the matrix its
+equality and hash.  The engine's kernels (``restrict``,
+``remove_tautologies``, resolution and reduction) work on those sets
+with C-level set operations, and the plain frozensets they build are
+equal to the ``Clause`` of the same literals.  ``Clause.lits`` and
+``Matrix.clauses`` give the canonical order, computed when read.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Mapping, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, Mapping, Set, Tuple
 
 Variable = int
 Literal = int
@@ -30,115 +32,107 @@ Assignment = Mapping[int, int]
 EXISTS = "e"
 FORALL = "a"
 
+_neg = operator.neg
+
 
 def _check_literal(lit: int) -> None:
     if not isinstance(lit, int) or isinstance(lit, bool) or lit == 0:
         raise ValueError(f"literal must be a non-zero integer, got {lit!r}")
 
 
-def _canonical(lits: Iterable[int]) -> Tuple[int, ...]:
-    """Canonical literal order: by variable id, negative polarity first.
+def _order_key(lits: AbstractSet[int]) -> Tuple[int, ...]:
+    """Canonical clause order: by canonical literal tuple.
 
-    Sorting by value and then, stably, by variable id puts ``-v`` ahead
-    of ``v``; both sorts run in C.
+    Mapping ``-v`` to 2v and ``v`` to 2v + 1 keeps the canonical order of
+    literals, so the sorted mapped literals are the key.
     """
-    return tuple(sorted(sorted(set(lits)), key=abs))
+    return tuple(sorted([lit + lit + 1 if lit > 0 else -lit - lit for lit in lits]))
 
 
-@dataclass(frozen=True)
-class Clause:
-    """A duplicate-free set of literals in canonical order.
+def _tautological(lits: AbstractSet[int]) -> bool:
+    """True iff some variable occurs in both polarities among the literals."""
+    return not lits.isdisjoint(map(_neg, lits))
 
-    Two clauses are equal iff their canonical literal tuples are equal.
-    The variables and the matrix order key are computed once, on
-    construction.
+
+class Clause(frozenset):
+    """A clause: the frozenset of its literals.
+
+    A clause equals, and hashes like, the plain frozenset of the same
+    literals.  The literals are validated before the set is built, so a
+    ``True`` or ``1.0`` cannot hide behind an equal ``1``.  ``lits`` is
+    the canonical literal tuple.  Like any frozenset, ``<`` on clauses is
+    the proper-subset test: ``sorted()`` without a key orders clauses by
+    inclusion only and never raises; ``Matrix.clauses`` gives the
+    canonical order.
     """
 
-    lits: Tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for lit in self.lits:
+    def __new__(cls, lits: Iterable[int] = ()) -> "Clause":
+        lits = tuple(lits)
+        for lit in lits:
             if lit.__class__ is not int or not lit:
                 _check_literal(lit)
-        _set_clause(self, _canonical(self.lits))
-
-    @classmethod
-    def _of(cls, lits: Tuple[int, ...]) -> "Clause":
-        """Trusted constructor: ``lits`` is already canonical."""
-        clause = object.__new__(cls)
-        _set_clause(clause, lits)
+        clause = super().__new__(cls, lits)
+        clause.__post_init__()
         return clause
 
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+    def __post_init__(self) -> None:
+        """Runs once per validated construction, after the checks."""
 
-    def __len__(self) -> int:
-        return len(self.lits)
+    @property
+    def lits(self) -> Tuple[int, ...]:
+        """The literals in canonical order: by variable id, ``-v`` first.
 
-    def __contains__(self, lit: int) -> bool:
-        return lit in self.lits
+        Sorting by value and then, stably, by variable id puts ``-v``
+        ahead of ``v``; both sorts run in C.
+        """
+        return tuple(sorted(sorted(self), key=abs))
 
     @property
     def is_empty(self) -> bool:
-        return not self.lits
+        return not self
 
     def variables(self) -> FrozenSet[int]:
-        return self._variables  # type: ignore[attr-defined]
+        return frozenset(map(abs, self))
 
     def __repr__(self) -> str:
         return f"Clause({list(self.lits)!r})"
 
 
-def _set_clause(clause: Clause, lits: Tuple[int, ...]) -> None:
-    # The order key maps -v to 2v and v to 2v + 1, so comparing keys
-    # compares the (variable, polarity) pairs of the literals.
-    clause.__dict__.update(
-        lits=lits,
-        _hash=hash(lits),
-        _variables=frozenset(map(abs, lits)),
-        _key=tuple([lit + lit + 1 if lit > 0 else -lit - lit for lit in lits]),
-    )
-
-
-_clause_key = operator.attrgetter("_key")
-_neg = operator.neg
-
-
 class Matrix:
     """A CNF formula: a set of clauses, each a set of literals.
 
-    ``sets`` holds every clause as a frozenset of its literals, and
-    equality and hash come from it.  ``clauses`` is the canonical view:
-    the clauses as ``Clause`` objects in canonical order.  The public
-    constructor validates and fills both; the engine builds matrices from
-    literal sets with ``_of`` and the view is built on first use.
-    Matrices are immutable.
+    ``sets`` holds the clauses, and equality and hash come from it.  The
+    public constructor takes ``Clause`` objects; the engine builds
+    matrices from plain literal frozensets with ``_of``.  ``clauses`` is
+    the canonical view: the clauses as ``Clause`` objects in canonical
+    order, built on first read.  Matrices are immutable.
     """
 
     sets: FrozenSet[FrozenSet[int]]
 
-    def __init__(self, clauses: Tuple[Clause, ...] = ()) -> None:
-        self.__dict__["clauses"] = clauses
+    def __init__(self, clauses: Iterable[Clause] = ()) -> None:
+        self.__dict__["sets"] = frozenset(clauses)
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        unique = set(self.clauses)
-        sets = frozenset([frozenset(c.lits) for c in unique])
-        self.__dict__.update(
-            clauses=tuple(sorted(unique, key=_clause_key)), sets=sets, _hash=hash(sets)
-        )
+        for clause in self.sets:
+            if not isinstance(clause, Clause):
+                raise TypeError(f"a matrix holds Clause objects, got {clause!r}")
 
     @classmethod
     def _of(cls, sets: FrozenSet[FrozenSet[int]]) -> "Matrix":
         """Trusted constructor: ``sets`` holds non-zero int literals."""
         matrix = object.__new__(cls)
-        matrix.__dict__.update(sets=sets, _hash=hash(sets))
+        matrix.__dict__["sets"] = sets
         return matrix
 
     @cached_property
     def clauses(self) -> Tuple[Clause, ...]:
-        built = [Clause._of(_canonical(lits)) for lits in self.sets]
-        return tuple(sorted(built, key=_clause_key))
+        # The members are valid already: wrap them without re-validating.
+        wrapped = [frozenset.__new__(Clause, lits) for lits in self.sets]
+        return tuple(sorted(wrapped, key=_order_key))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -152,13 +146,13 @@ class Matrix:
         return self.sets == other.sets  # type: ignore[attr-defined]
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        return hash(self.sets)
 
     def __len__(self) -> int:
         return len(self.sets)
 
-    def __contains__(self, clause: Clause) -> bool:
-        return frozenset(clause.lits) in self.sets
+    def __contains__(self, clause: FrozenSet[int]) -> bool:
+        return clause in self.sets
 
     @property
     def is_empty(self) -> bool:
@@ -181,7 +175,7 @@ class Matrix:
 
 def matrix_of(*clauses: Iterable[int]) -> Matrix:
     """Build a matrix from raw literal collections."""
-    return Matrix(tuple(Clause(tuple(c)) for c in clauses))
+    return Matrix(map(Clause, clauses))
 
 
 @dataclass(frozen=True)
@@ -305,14 +299,12 @@ class QbfInstance:
 
 def is_tautological(clause: Clause) -> bool:
     """True iff some variable occurs in both polarities in the clause."""
-    # Canonical literals are distinct, so only a variable that occurs
-    # twice can make the clause shorter in variables than in literals.
-    return len(clause.variables()) < len(clause.lits)
+    return _tautological(clause)
 
 
 def remove_tautologies(matrix: Matrix) -> Matrix:
     """Drop every tautological clause."""
-    kept = frozenset([c for c in matrix.sets if c.isdisjoint(map(_neg, c))])
+    kept = frozenset([c for c in matrix.sets if not _tautological(c)])
     return matrix if len(kept) == len(matrix.sets) else Matrix._of(kept)
 
 
@@ -339,7 +331,7 @@ def ground_truth(matrix: Matrix) -> bool:
     for lits in matrix.sets:
         if lits:
             raise ValueError(
-                f"matrix is not variable-free: contains {Clause(tuple(lits))!r}"
+                f"matrix is not variable-free: contains {Clause(lits)!r}"
             )
     return matrix.is_empty
 
@@ -350,8 +342,8 @@ def primal_graph(instance: QbfInstance) -> Dict[int, Set[int]]:
     Two variables are adjacent iff some clause contains both.
     """
     adjacency: Dict[int, Set[int]] = {v: set() for v in instance.prefix.variables}
-    for clause in instance.matrix.clauses:
-        variables = sorted(clause.variables())
+    for lits in instance.matrix.sets:
+        variables = sorted(set(map(abs, lits)))
         for i, u in enumerate(variables):
             for w in variables[i + 1 :]:
                 adjacency[u].add(w)

@@ -48,7 +48,7 @@ def qparity(n: int) -> QbfInstance:
             (EXISTS, tuple(z[i] for i in range(n, 0, -1))),
         )
     )
-    return QbfInstance(prefix, Matrix(tuple(clauses)))
+    return QbfInstance(prefix, Matrix(clauses))
 
 
 def qparity_td(n: int) -> TrunkTreeDecomposition:

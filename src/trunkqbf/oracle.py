@@ -206,5 +206,5 @@ def random_instance(
     clauses = []
     for _ in range(n_clauses):
         chosen = rng.sample(range(1, n_vars + 1), width)
-        clauses.append(Clause(tuple(v if rng.random() < 0.5 else -v for v in chosen)))
-    return QbfInstance(Prefix(tuple(blocks)), Matrix(tuple(clauses)))
+        clauses.append(Clause([v if rng.random() < 0.5 else -v for v in chosen]))
+    return QbfInstance(Prefix(tuple(blocks)), Matrix(clauses))

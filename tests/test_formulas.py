@@ -46,13 +46,21 @@ class TestClause:
         assert Clause((1, 2)) == Clause((2, 1))
         assert hash(Clause((1, 2))) == hash(Clause((2, 1)))
 
-    def test_rejects_zero_literal(self):
-        with pytest.raises(ValueError):
-            Clause((1, 0))
+    @pytest.mark.parametrize("lits", [(1, 0), (1, True), (1, 1.0)], ids=["zero", "bool", "float"])
+    def test_rejects_zero_literal(self, lits):
+        # A True or 1.0 would hide behind the equal 1 once in a set.
+        with pytest.raises(ValueError, match="non-zero integer"):
+            Clause(lits)
 
-    def test_double_negation_is_identity(self):
-        lit = -4
-        assert -(-lit) == lit
+    def test_clause_is_the_set_of_its_literals(self):
+        assert Clause((2, -1, 1)) == frozenset({-1, 1, 2})
+        assert hash(Clause((2, -1, 1))) == hash(frozenset({-1, 1, 2}))
+
+
+class TestMatrix:
+    def test_public_constructor_rejects_plain_sets(self):
+        with pytest.raises(TypeError):
+            Matrix((frozenset({1}),))
 
 
 class TestTautologies:

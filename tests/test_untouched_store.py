@@ -202,19 +202,19 @@ def test_the_clause_count_catches_a_step_that_pulls_in_every_clause(monkeypatch)
 
 
 def test_the_engine_builds_no_clause_object(monkeypatch):
-    # Inside the engine a clause is a frozenset of literals; Clause objects
-    # are built only when a caller reads a matrix's canonical view.
+    # Inside the engine a clause is a plain frozenset of literals; a Clause
+    # is constructed (and validated) only by parsers and other callers.
     q = qparity(64)
     td, d = qparity_td(64), trivial_poset(q.prefix)
     built = 0
-    original = formulas._set_clause
+    original = formulas.Clause.__post_init__
 
-    def counting(clause, lits):
+    def counting(clause):
         nonlocal built
         built += 1
-        original(clause, lits)
+        original(clause)
 
-    monkeypatch.setattr(formulas, "_set_clause", counting)
+    monkeypatch.setattr(formulas.Clause, "__post_init__", counting)
     run_derivation(q, td, d, checks=True)
     assert built == 0
 

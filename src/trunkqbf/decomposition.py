@@ -163,7 +163,9 @@ class TrunkTreeDecomposition:
         return frozenset(out)
 
     def postorder(self) -> Tuple[int, ...]:
-        """Deterministic post-order: children ascending by id."""
+        """Deterministic post-order: the trunk child of a trunk node last
+        among its siblings, the other children ascending by id."""
+        trunk_child = dict(zip(self._trunk[1:], self._trunk))
         order: List[int] = []
         stack: List[Tuple[int, bool]] = [(self._root, False)]
         while stack:
@@ -172,8 +174,12 @@ class TrunkTreeDecomposition:
                 order.append(node)
                 continue
             stack.append((node, True))
+            tc = trunk_child.get(node)
+            if tc is not None:
+                stack.append((tc, False))
             for child in reversed(self._children[node]):
-                stack.append((child, False))
+                if child != tc:
+                    stack.append((child, False))
         return tuple(order)
 
     def __eq__(self, other: object) -> bool:
@@ -373,30 +379,9 @@ def validate_trunk_aligned(
 
 
 def elimination_ordering(td: TrunkTreeDecomposition) -> Tuple[int, ...]:
-    """Variables ordered by a fixed total extension of the node order.
-
-    The extension is the deterministic post-order DFS that visits the
-    trunk child of every trunk node last among its siblings, remaining
-    siblings ascending by node id.  Variables are then sorted by the
-    position of their forget nodes.
-    """
-    trunk_child: Dict[int, int] = {}
-    for lower, upper in zip(td.trunk, td.trunk[1:]):
-        trunk_child[upper] = lower
-    position: Dict[int, int] = {}
-    stack: List[Tuple[int, bool]] = [(td.root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            position[node] = len(position)
-            continue
-        stack.append((node, True))
-        kids = list(td.children(node))
-        tc = trunk_child.get(node)
-        if tc is not None:
-            kids = [c for c in kids if c != tc] + [tc]
-        for child in reversed(kids):
-            stack.append((child, False))
+    """Variables sorted by the position of their forget nodes in
+    ``td.postorder()``, a fixed total extension of the node order."""
+    position = {node: i for i, node in enumerate(td.postorder())}
     fmap = forget_map(td)
     return tuple(sorted(fmap, key=lambda v: position[fmap[v]]))
 

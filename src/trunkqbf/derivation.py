@@ -21,8 +21,10 @@ literals, a ``Clause`` from the input or a plain frozenset the engine
 derived, and the two are equal when their literals are: a resolvent is
 a union minus the pivot's two literals, reduction and restriction are
 set differences, and a clause is tautological when it meets its own
-negation.  No ``Clause`` is constructed and no literal is sorted during
-a run.
+negation.  A matrix is the frozenset of its clauses, built by the
+kernels with ``Matrix._of``, so both levels of a family deduplicate by
+C-level set hashing.  No ``Clause`` is constructed and no literal is
+sorted during a run.
 
 A matrix is stored in two parts.  Its *untouched* part is every input
 clause whose variables are all still quantified: no rule has acted on
@@ -202,7 +204,7 @@ class DerivationResult:
 
 
 def _require_no_tautologies(matrix: Matrix) -> None:
-    for lits in matrix.sets:
+    for lits in matrix:
         if _tautological(lits):
             raise ValueError(f"matrix contains a tautological clause {Clause(lits)!r}")
 
@@ -218,7 +220,7 @@ def resolve(matrix: Matrix, x: int) -> Matrix:
     positive = []
     negative = []
     out = []
-    for c in matrix.sets:
+    for c in matrix:
         if x in c:
             positive.append(c)
         elif -x in c:
@@ -231,16 +233,14 @@ def resolve(matrix: Matrix, x: int) -> Matrix:
             resolvent = c1.union(c2).difference(pivot)
             if not _tautological(resolvent):
                 out.append(resolvent)
-    return Matrix._of(frozenset(out))
+    return Matrix._of(out)
 
 
 def reduce(matrix: Matrix, u: int) -> Matrix:
     """Delete every occurrence of the universal variable from every clause."""
     _require_no_tautologies(matrix)
     drop = (u, -u)
-    return Matrix._of(
-        frozenset([c if c.isdisjoint(drop) else c.difference(drop) for c in matrix.sets])
-    )
+    return Matrix._of([c if c.isdisjoint(drop) else c.difference(drop) for c in matrix])
 
 
 def strategy_extension(
@@ -334,7 +334,7 @@ def check_neighborhood_invariant(
     """
     bag = td.bag(forget_node(td, v)) | {v}
     shared = state.untouched.untouched_over((v,), state.prefix)
-    touched = (m.sets for pi in state.family for m in pi)
+    touched = (m for pi in state.family for m in pi)
     for lits in itertools.chain(shared, itertools.chain.from_iterable(touched)):
         if (v in lits or -v in lits) and not bag.issuperset(map(abs, lits)):
             return False
@@ -369,7 +369,7 @@ def _with_clauses(family: Family, clauses: FrozenSet[Lits]) -> Family:
     if not clauses:
         return family
     return frozenset(
-        frozenset([Matrix._of(m.sets.union(clauses)) for m in pi]) for pi in family
+        frozenset([Matrix._of(m.union(clauses)) for m in pi]) for pi in family
     )
 
 
@@ -379,9 +379,9 @@ def _without_untouched(family: Family, store: UntouchedStore, prefix: Prefix) ->
     live = prefix.variables
 
     def touched(m: Matrix) -> Matrix:
-        stored = m.sets.intersection(store.clauses)
+        stored = m.intersection(store.clauses)
         drop = [c for c in stored if live.issuperset(map(abs, c))]
-        return Matrix._of(m.sets.difference(drop)) if drop else m
+        return Matrix._of(m.difference(drop)) if drop else m
 
     return frozenset(frozenset([touched(m) for m in pi]) for pi in family)
 
@@ -438,9 +438,9 @@ def step(
 def initial_state(instance: QbfInstance) -> DerivationState:
     """The start of a run: every input clause with a variable goes into the
     untouched store, and the variable-free ones start touched."""
-    sets = instance.matrix.sets
-    stored = UntouchedStore(frozenset([lits for lits in sets if lits]))
-    touched = Matrix._of(sets - stored.clauses)
+    matrix = instance.matrix
+    stored = UntouchedStore(frozenset([lits for lits in matrix if lits]))
+    touched = Matrix._of(matrix - stored.clauses)
     return DerivationState(instance.prefix, frozenset({frozenset({touched})}), 0, stored)
 
 
@@ -485,7 +485,7 @@ def _check_step(
     if event.rule == "R4" and not check_r4_assertion(before.prefix, v, poset, td):
         raise InvariantError(f"{where}: a dependency of R4 lies outside the forget bag")
     for matrix in itertools.chain.from_iterable(after.family):
-        tautologies = [Clause(lits) for lits in matrix.sets if _tautological(lits)]
+        tautologies = [Clause(lits) for lits in matrix if _tautological(lits)]
         leftover = matrix.variables() - after.prefix.variables
         if tautologies or leftover:
             raise InvariantError(

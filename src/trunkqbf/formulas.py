@@ -6,9 +6,9 @@ signed integer: ``v`` for the positive literal of variable ``v`` and
 immutable values with deterministic canonical encodings.
 
 A clause is a set of literals and a matrix a set of clauses, as in the
-rules: ``Clause`` is a ``frozenset`` of literals, and ``Matrix.sets`` is
-the frozenset of a matrix's clauses, which gives the matrix its
-equality and hash.  The engine's kernels (``restrict``,
+rules: ``Clause`` is a ``frozenset`` of literals and ``Matrix`` a
+``frozenset`` of clauses, each equal to and hashing like the plain
+frozenset of its members.  The engine's kernels (``restrict``,
 ``remove_tautologies``, resolution and reduction) work on those sets
 with C-level set operations, and the plain frozensets they build are
 equal to the ``Clause`` of the same literals.  ``Clause.lits`` and
@@ -89,10 +89,6 @@ class Clause(frozenset):
         """
         return tuple(sorted(sorted(self), key=abs))
 
-    @property
-    def is_empty(self) -> bool:
-        return not self
-
     def variables(self) -> FrozenSet[int]:
         return frozenset(map(abs, self))
 
@@ -100,38 +96,37 @@ class Clause(frozenset):
         return f"Clause({list(self.lits)!r})"
 
 
-class Matrix:
-    """A CNF formula: a set of clauses, each a set of literals.
+class Matrix(frozenset):
+    """A CNF formula: the frozenset of its clauses.
 
-    ``sets`` holds the clauses, and equality and hash come from it.  The
-    public constructor takes ``Clause`` objects; the engine builds
-    matrices from plain literal frozensets with ``_of``.  ``clauses`` is
-    the canonical view: the clauses as ``Clause`` objects in canonical
-    order, built on first read.  Matrices are immutable.
+    A matrix equals, and hashes like, the plain frozenset of its clauses,
+    so ``Matrix(()) == frozenset()`` and, as for clauses, ``sorted()``
+    without a key orders matrices by inclusion only.  The public
+    constructor takes ``Clause`` objects; the engine builds matrices from
+    plain literal frozensets with ``_of``.  ``clauses`` is the canonical
+    view: the clauses as ``Clause`` objects in canonical order, built on
+    first read.  Matrices are immutable.
     """
 
-    sets: FrozenSet[FrozenSet[int]]
-
-    def __init__(self, clauses: Iterable[Clause] = ()) -> None:
-        self.__dict__["sets"] = frozenset(clauses)
-        self.__post_init__()
+    def __new__(cls, clauses: Iterable[Clause] = ()) -> "Matrix":
+        matrix = super().__new__(cls, clauses)
+        matrix.__post_init__()
+        return matrix
 
     def __post_init__(self) -> None:
-        for clause in self.sets:
+        for clause in self:
             if not isinstance(clause, Clause):
                 raise TypeError(f"a matrix holds Clause objects, got {clause!r}")
 
     @classmethod
-    def _of(cls, sets: FrozenSet[FrozenSet[int]]) -> "Matrix":
-        """Trusted constructor: ``sets`` holds non-zero int literals."""
-        matrix = object.__new__(cls)
-        matrix.__dict__["sets"] = sets
-        return matrix
+    def _of(cls, clauses: Iterable[FrozenSet[int]]) -> "Matrix":
+        """Trusted constructor: the clauses hold non-zero int literals."""
+        return frozenset.__new__(cls, clauses)
 
     @cached_property
     def clauses(self) -> Tuple[Clause, ...]:
         # The members are valid already: wrap them without re-validating.
-        wrapped = [frozenset.__new__(Clause, lits) for lits in self.sets]
+        wrapped = [frozenset.__new__(Clause, lits) for lits in self]
         return tuple(sorted(wrapped, key=_order_key))
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -140,30 +135,12 @@ class Matrix:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Matrix:
-            return NotImplemented
-        return self.sets == other.sets  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash(self.sets)
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-    def __contains__(self, clause: FrozenSet[int]) -> bool:
-        return clause in self.sets
-
     @property
     def is_empty(self) -> bool:
-        return not self.sets
-
-    @property
-    def has_empty_clause(self) -> bool:
-        return frozenset() in self.sets
+        return not self
 
     def variables(self) -> FrozenSet[int]:
-        return frozenset(map(abs, itertools.chain.from_iterable(self.sets)))
+        return frozenset(map(abs, itertools.chain.from_iterable(self)))
 
     def encoding(self) -> Tuple[Tuple[int, ...], ...]:
         """Canonical encoding: tuple of canonical literal tuples."""
@@ -304,8 +281,8 @@ def is_tautological(clause: Clause) -> bool:
 
 def remove_tautologies(matrix: Matrix) -> Matrix:
     """Drop every tautological clause."""
-    kept = frozenset([c for c in matrix.sets if not _tautological(c)])
-    return matrix if len(kept) == len(matrix.sets) else Matrix._of(kept)
+    kept = [c for c in matrix if not _tautological(c)]
+    return matrix if len(kept) == len(matrix) else Matrix._of(kept)
 
 
 def restrict(matrix: Matrix, assignment: Assignment) -> Matrix:
@@ -318,9 +295,7 @@ def restrict(matrix: Matrix, assignment: Assignment) -> Matrix:
     """
     true = [v if value else -v for v, value in assignment.items()]
     false = frozenset(map(_neg, true))
-    return Matrix._of(
-        frozenset([c.difference(false) for c in matrix.sets if c.isdisjoint(true)])
-    )
+    return Matrix._of([c.difference(false) for c in matrix if c.isdisjoint(true)])
 
 
 def ground_truth(matrix: Matrix) -> bool:
@@ -328,7 +303,7 @@ def ground_truth(matrix: Matrix) -> bool:
 
     Raises ValueError if the matrix still contains a variable.
     """
-    for lits in matrix.sets:
+    for lits in matrix:
         if lits:
             raise ValueError(
                 f"matrix is not variable-free: contains {Clause(lits)!r}"
@@ -342,7 +317,7 @@ def primal_graph(instance: QbfInstance) -> Dict[int, Set[int]]:
     Two variables are adjacent iff some clause contains both.
     """
     adjacency: Dict[int, Set[int]] = {v: set() for v in instance.prefix.variables}
-    for lits in instance.matrix.sets:
+    for lits in instance.matrix:
         variables = sorted(set(map(abs, lits)))
         for i, u in enumerate(variables):
             for w in variables[i + 1 :]:

@@ -52,7 +52,7 @@ def evaluate(instance: QbfInstance, budget: OracleBudget = OracleBudget()) -> bo
     def rec(i: int, matrix: Matrix) -> bool:
         if matrix.is_empty:
             return True
-        if matrix.has_empty_clause:
+        if frozenset() in matrix:
             return False
         v = order[i]
         low = rec(i + 1, restrict(matrix, {v: 0}))

@@ -78,7 +78,8 @@ class DependencyPoset:
         return self._universe == other._universe and self._dep == other._dep
 
     def __repr__(self) -> str:
-        return f"DependencyPoset(|universe|={len(self._universe)}, pairs={len(self.strict_pairs())})"
+        pairs = sum(len(d) - (v in d) for v, d in self._dep.items())
+        return f"DependencyPoset(|universe|={len(self._universe)}, pairs={pairs})"
 
 
 def trivial_poset(prefix: Prefix) -> DependencyPoset:

@@ -62,6 +62,24 @@ class TestMatrix:
         with pytest.raises(TypeError):
             Matrix((frozenset({1}),))
 
+    def test_matrix_is_the_set_of_its_clauses(self):
+        m = matrix_of((1, -2), (2,), ())
+        plain = frozenset({frozenset({1, -2}), frozenset({2}), frozenset()})
+        assert m == plain and plain == m
+        assert hash(m) == hash(plain)
+        assert Matrix(()) == frozenset()
+        assert frozenset() in m
+
+    @pytest.mark.parametrize("name", ["clauses", "extra"])
+    def test_attributes_cannot_be_assigned_or_deleted(self, name):
+        m = matrix_of((1,))
+        with pytest.raises(AttributeError):
+            setattr(m, name, ())
+        m.clauses  # fill the cache, then try to drop it
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+        assert m.clauses == (Clause((1,)),)
+
 
 class TestTautologies:
     def test_both_polarities(self):

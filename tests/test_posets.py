@@ -81,6 +81,15 @@ class TestDepQueries:
         again = poset_from_pairs(d.universe, d.strict_pairs())
         assert again == d
 
+    def test_repr_counts_the_strict_pairs(self, qp2_prefix):
+        for d in (
+            trivial_poset(qp2_prefix),
+            poset_from_pairs(qp2_prefix.variables, [(1, 3), (3, 5)]),
+            DependencyPoset({1, 2}, {2: {1}}),  # 1 is missing its reflexive pair
+        ):
+            assert repr(d).endswith(f"pairs={len(d.strict_pairs())})")
+        assert repr(trivial_poset(qp2_prefix)) == "DependencyPoset(|universe|=5, pairs=8)"
+
 
 class TestValidatePoset:
     def test_trivial_poset_is_valid_for_generated_prefixes(self):

@@ -7,6 +7,8 @@ traces and verdicts, and the oracle must agree on every rule path and on
 decompositions with join nodes.
 """
 
+import random
+
 import pytest
 
 from trunkqbf import (
@@ -20,6 +22,7 @@ from trunkqbf import (
     initial_state,
     matrix_of,
     parse_qdimacs,
+    poset_from_pairs,
     qparity,
     qparity_td,
     run_derivation,
@@ -27,6 +30,7 @@ from trunkqbf import (
     step,
     trivial_poset,
     validate_trunk_aligned,
+    verify_poset_property2,
     write_btd,
 )
 from trunkqbf import formulas
@@ -117,6 +121,31 @@ def test_shuffled_paths_fire_r4_and_agree_with_the_oracle():
     assert aborts < 24
 
 
+def test_shuffled_paths_under_sparser_posets_agree_with_the_oracle():
+    # Each shuffled path again, under a random sound sub-poset of the
+    # trivial one: its strict pairs each kept with probability 1/2, closed,
+    # and used only if it preserves truth and the path is trunk-aligned.
+    runs = runs_with_r4 = aborts = 0
+    for seed, q, td in shuffled_path_cases():
+        full = trivial_poset(q.prefix)
+        rng = random.Random(seed)
+        kept = [pair for pair in full.strict_pairs() if rng.random() < 0.5]
+        d = poset_from_pairs(q.prefix.variables, kept)
+        if d == full or not verify_poset_property2(q, d):
+            continue
+        if not validate_trunk_aligned(td, q, d).ok:
+            continue
+        runs += 1
+        got = outcome(stored, q, td, d)
+        assert got == outcome(whole, q, td, d), seed
+        if isinstance(got, str):
+            aborts += 1
+            continue
+        assert got[0] == evaluate(q), seed
+        runs_with_r4 += any(rule == "R4" for rule, *_ in got[1])
+    assert runs_with_r4 >= 150 and aborts <= 10, (runs, runs_with_r4, aborts)
+
+
 def test_join_node_decompositions_agree_with_the_oracle():
     # Several quantifier blocks make some min-degree decompositions
     # unaligned (skipped) and make strategy extension fire on others.
@@ -170,10 +199,11 @@ def clauses_built_per_step(monkeypatch, n, pull_everything=False):
     built = 0
     original = formulas.Matrix._of.__func__
 
-    def counting(cls, sets):
+    def counting(cls, clauses):
         nonlocal built
-        built += len(sets)
-        return original(cls, sets)
+        matrix = original(cls, clauses)
+        built += len(matrix)
+        return matrix
 
     q = qparity(n)
     td, d = qparity_td(n), trivial_poset(q.prefix)

@@ -2,13 +2,14 @@
 
     PYTHONPATH=src python3 tools/trace_digest.py --seed N
 
-Builds every corpus of ``bench/workloads.py`` for the seed and runs the
-engine on each instance with the limits its command line asks for.  The
-digest of a corpus covers, per instance in order: the verdict or the
-abort message, the (rule, family_before, family_after, max_set_size)
-of every completed step, the encodings of the final family and the
-final prefix.  A change to the engine that keeps its semantics prints
-the same digests; run the script on both commits and compare.
+Builds every corpus of ``bench/workloads.py`` for the seed, loads each
+instance's inputs as ``trunkqbf solve`` does and runs the engine with
+the limits its command line asks for.  The digest of a corpus covers,
+per instance in order: the verdict or the abort message, the (rule,
+family_before, family_after, max_set_size) of every completed step, the
+encodings of the final family and the final prefix.  A change to the
+engine that keeps its semantics prints the same digests; run the script
+on both commits and compare.
 """
 
 from __future__ import annotations
@@ -27,23 +28,19 @@ from trunkqbf import (  # noqa: E402
     EngineLimits,
     ResourceLimitError,
     ValidationError,
-    parse_btd,
-    parse_qdimacs,
     run_derivation,
-    trivial_poset,
 )
-from trunkqbf.cli import build_parser  # noqa: E402
+from trunkqbf.cli import _load_inputs, build_parser  # noqa: E402
 
 
 def record(argv) -> str:
     """The canonical text of one solve: outcome, steps, final state."""
     args = build_parser().parse_args(list(argv))
-    instance = parse_qdimacs(Path(args.instance).read_text(encoding="utf-8"))
-    td = parse_btd(Path(args.td).read_text(encoding="utf-8"))
+    instance, td, poset = _load_inputs(args)
     limits = EngineLimits(args.max_family_size, args.max_set_size, args.max_strategies)
     final = None
     try:
-        result = run_derivation(instance, td, trivial_poset(instance.prefix), limits)
+        result = run_derivation(instance, td, poset, limits)
     except ResourceLimitError as exc:
         outcome, trace = f"abort: {exc}", exc.trace
     except ValidationError as exc:

@@ -351,7 +351,7 @@ def validate_trunk_aligned(
             if child != lower:
                 below |= subtree_vars(td, child)
         u = forgotten.get(node)
-        if u is not None and poset.dep(u) <= below:
+        if u is not None and u in below and poset.strict(u) <= below:
             p2_holds.add(u)
     for u in sorted(instance.prefix.variables):
         node = fmap.get(u)

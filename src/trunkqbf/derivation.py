@@ -65,6 +65,7 @@ from .decomposition import (
 )
 from .formulas import (
     EXISTS,
+    FORALL,
     Clause,
     Matrix,
     Prefix,
@@ -268,18 +269,21 @@ def strategy_extension(
         raise ValueError(f"variable {v} is not quantified in the prefix")
     for m in pi:
         _require_no_tautologies(m)
-    dep_v = poset.dep(v)
-    live = prefix.variables & dep_v
-    universal_dep = sorted(live & prefix.universal)
-    existential_dep = sorted(live & prefix.existential)
+    before_v = poset.strict(v)
+    universal_dep: List[int] = []
+    existential_dep: List[int] = []
+    for w in sorted([v, *(prefix.variables & before_v)]):
+        (universal_dep if prefix.quantifier(w) == FORALL else existential_dep).append(w)
+    # For x preceding v in an antisymmetric relation, dep(x) <= dep(v)
+    # exactly when strict(x) <= strict(v).
     for x in existential_dep:
-        if not poset.dep(x) <= dep_v:
+        if not poset.strict(x) <= before_v:
             raise InvariantError(
                 f"poset is not transitive at {x}: dep({x}) exceeds dep({v})"
             )
 
     owns = [
-        [i for i, u in enumerate(universal_dep) if u in poset.dep(x)]
+        [i for i, u in enumerate(universal_dep) if u in poset.strict(x)]
         for x in existential_dep
     ]
     # The branch count is 2^exponent: the plays times, per matrix, the
@@ -346,8 +350,8 @@ def check_r4_assertion(
 ) -> bool:
     """True iff every still-quantified variable v depends on sits in v's
     forget bag (must hold whenever R4 fires on a trunk-aligned input)."""
-    bag = td.bag(forget_node(td, v))
-    return (prefix.variables & poset.dep(v)) <= bag
+    bag = td.bag(forget_node(td, v))  # holds v itself
+    return (prefix.variables & poset.strict(v)) <= bag
 
 
 def _enforce_limits(family: Family, limits: EngineLimits) -> int:
@@ -404,7 +408,7 @@ def step(
     else:
         bag = td.bag(forget_node(td, v))
         blocked = not prefix.variables.isdisjoint(poset.dependents_strict(v, bag))
-        affected = prefix.variables & poset.dep(v) if blocked else frozenset({v})
+        affected = (prefix.variables & poset.strict(v)) | {v} if blocked else frozenset({v})
         pulled = _with_clauses(family, store.untouched_over(affected, prefix))
         if not blocked:
             # Looked up per call, not bound once, so wrappers of the

@@ -155,20 +155,46 @@ def matrix_of(*clauses: Iterable[int]) -> Matrix:
     return Matrix(map(Clause, clauses))
 
 
-@dataclass(frozen=True)
+def _canonical_blocks(
+    blocks: Iterable[Tuple[str, list[int]]]
+) -> Tuple[Tuple[str, Tuple[int, ...]], ...]:
+    """The blocks with empty ones dropped, neighbours of the same
+    quantifier merged and every block sorted by variable id.  Each list
+    of variables is the caller's own copy and may be extended."""
+    merged: list[tuple[str, list[int]]] = []
+    for quant, variables in blocks:
+        if not variables:
+            continue
+        if merged and merged[-1][0] == quant:
+            merged[-1][1].extend(variables)
+        else:
+            merged.append((quant, variables))
+    return tuple((q, tuple(sorted(vs))) for q, vs in merged)
+
+
 class Prefix:
     """A quantifier prefix of strictly alternating blocks.
 
     Adjacent same-quantifier blocks are merged and empty blocks dropped
     on construction, so the alternation invariant always holds.  Block
     variable order is canonical (ascending id); block membership, not
-    written order, carries the semantics.
+    written order, carries the semantics.  Prefixes are immutable and
+    compare and hash by their blocks.
+
+    A prefix made by ``remove`` holds its variable set and shares the
+    quantifier table and the blocks of the constructed prefix it was cut
+    from; its own ``blocks``, ``existential``, ``universal`` and block
+    index are built when first read.  Shrinking a prefix therefore costs
+    one set difference, and ``quantifier(v)`` is a lookup.
     """
 
-    blocks: Tuple[Tuple[str, Tuple[int, ...]], ...] = ()
+    def __init__(self, blocks: Iterable[Tuple[str, Iterable[int]]] = ()) -> None:
+        self.__dict__["blocks"] = blocks
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        merged: list[tuple[str, list[int]]] = []
+        """Validates and canonicalises the blocks given to the constructor."""
+        checked: list[tuple[str, list[int]]] = []
         seen: Set[int] = set()
         for quant, variables in self.blocks:
             if quant not in (EXISTS, FORALL):
@@ -180,14 +206,19 @@ class Prefix:
                 if v in seen:
                     raise ValueError(f"variable {v} occurs in more than one block")
                 seen.add(v)
-            if not block_vars:
-                continue
-            if merged and merged[-1][0] == quant:
-                merged[-1][1].extend(block_vars)
-            else:
-                merged.append((quant, block_vars))
-        canonical = tuple((q, tuple(sorted(vs))) for q, vs in merged)
-        object.__setattr__(self, "blocks", canonical)
+            checked.append((quant, block_vars))
+        canonical = _canonical_blocks(checked)
+        # Fills the cached property ``blocks``; ``_source`` is what a
+        # prefix cut from this one rebuilds its blocks from.
+        self.__dict__.update(blocks=canonical, _source=canonical)
+
+    @cached_property
+    def blocks(self) -> Tuple[Tuple[str, Tuple[int, ...]], ...]:
+        # Only a prefix made by ``remove`` gets here: the constructor sets it.
+        live = self.variables
+        return _canonical_blocks(
+            (q, [v for v in vs if v in live]) for q, vs in self._source
+        )
 
     @cached_property
     def variables(self) -> FrozenSet[int]:
@@ -205,6 +236,12 @@ class Prefix:
     def _block_index(self) -> Dict[int, int]:
         return {v: i for i, (_, vs) in enumerate(self.blocks) for v in vs}
 
+    @cached_property
+    def _quantifiers(self) -> Dict[int, str]:
+        # Shared with every prefix cut from this one; it may list
+        # variables that are gone, so ``variables`` is checked first.
+        return {v: q for q, vs in self.blocks for v in vs}
+
     def block_index(self, v: int) -> int:
         try:
             return self._block_index[v]
@@ -212,10 +249,8 @@ class Prefix:
             raise KeyError(f"variable {v} is not quantified") from None
 
     def quantifier(self, v: int) -> str:
-        if v in self.existential:
-            return EXISTS
-        if v in self.universal:
-            return FORALL
+        if v in self.variables:
+            return self._quantifiers[v]
         raise KeyError(f"variable {v} is not quantified")
 
     def variables_in_order(self) -> Tuple[int, ...]:
@@ -226,32 +261,35 @@ class Prefix:
         """Prefix with the given variables dropped (blocks re-merged).
 
         Variables outside the prefix are ignored; if none is inside,
-        the prefix itself is returned.  Only the blocks that lose a
-        variable are rebuilt, and the result skips re-validation, since
-        dropping variables keeps a valid prefix valid.  Its variable
-        sets are carried over by set difference.
+        the prefix itself is returned.  The result is one set
+        difference: it skips re-validation, since dropping variables
+        keeps a valid prefix valid, and builds its blocks when first read.
         """
         drop = self.variables.intersection(variables)
         if not drop:
             return self
-        merged: list[tuple[str, Tuple[int, ...]]] = []
-        for quant, vs in self.blocks:
-            if not drop.isdisjoint(vs):
-                vs = tuple(itertools.filterfalse(drop.__contains__, vs))
-                if not vs:
-                    continue
-            if merged and merged[-1][0] == quant:
-                vs = tuple(sorted(merged.pop()[1] + vs))
-            merged.append((quant, vs))
         out = object.__new__(Prefix)
-        object.__setattr__(out, "blocks", tuple(merged))
         # Pre-fill the cached properties of the same names.
         out.__dict__.update(
             variables=self.variables - drop,
-            existential=self.existential - drop,
-            universal=self.universal - drop,
+            _quantifiers=self._quantifiers,
+            _source=self._source,
         )
         return out
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.blocks == other.blocks
+
+    def __hash__(self) -> int:
+        return hash((self.blocks,))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
         inner = " ".join(f"{q}{list(vs)}" for q, vs in self.blocks)

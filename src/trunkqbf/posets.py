@@ -3,8 +3,13 @@
 A dependency poset is a reflexive, antisymmetric, transitive relation
 that is consistent with the quantifier prefix: ``u`` may precede ``v``
 only if ``u == v`` or ``u`` is quantified in a strictly earlier block.
-The poset stores, for each variable ``v``, the set ``dep(v)`` of
-variables ``v`` depends on (always including ``v`` itself).
+The poset stores, for each variable ``v``, the set ``strict(v)`` of the
+variables other than ``v`` that precede it; ``dep(v)`` adds ``v``
+itself.  Leaving ``v`` out of its own set lets variables share one set:
+the trivial poset stores one predecessor set per quantifier block, so it
+costs O(n) memory on a prefix with a fixed number of blocks, not one
+O(n) set per variable.  The engine reads only the stored sets, through
+membership tests and C-level set operations.
 """
 
 from __future__ import annotations
@@ -35,25 +40,50 @@ class DependencyPoset:
     """Immutable dependence relation, queried through predecessor sets."""
 
     def __init__(self, universe: Iterable[int], dep_map: Mapping[int, Iterable[int]]):
-        # The relation is stored exactly as given; factories produce valid
+        # The relation is stored as given, split into the strict sets and
+        # the variables whose set lacks them; factories produce valid
         # posets and validate_poset reports axiom violations of raw input.
-        # frozenset() returns a frozenset argument itself, without a copy.
         self._universe = frozenset(universe)
-        dep: Dict[int, FrozenSet[int]] = {}
+        strict: Dict[int, FrozenSet[int]] = {}
+        irreflexive = set()
         for v in self._universe:
-            dep[v] = frozenset(dep_map.get(v, ()))
-        self._dep = dep
+            preceding = frozenset(dep_map.get(v, ()))
+            if v in preceding:
+                preceding = preceding - {v}
+            else:
+                irreflexive.add(v)
+            strict[v] = preceding
+        self._strict = strict
+        self._irreflexive = frozenset(irreflexive)
+
+    @classmethod
+    def _of(
+        cls, universe: FrozenSet[int], strict: Dict[int, FrozenSet[int]]
+    ) -> "DependencyPoset":
+        """Trusted constructor for a reflexive relation: the strict sets,
+        which lack their own variable, are kept as given and may be shared."""
+        poset = cls.__new__(cls)
+        poset._universe = universe
+        poset._strict = strict
+        poset._irreflexive = frozenset()
+        return poset
 
     @property
     def universe(self) -> FrozenSet[int]:
         return self._universe
 
-    def dep(self, v: int) -> FrozenSet[int]:
-        """The set {v' | v' precedes v}, always containing v."""
+    def strict(self, v: int) -> FrozenSet[int]:
+        """The stored set {v' | v' != v and v' precedes v}, not a copy."""
         try:
-            return self._dep[v]
+            return self._strict[v]
         except KeyError:
             raise KeyError(f"variable {v} is not in the poset universe") from None
+
+    def dep(self, v: int) -> FrozenSet[int]:
+        """The set {v' | v' precedes v}, containing v unless the relation
+        given to the constructor lacked the pair (v, v).  Built per call."""
+        strict = self.strict(v)
+        return strict if v in self._irreflexive else strict | {v}
 
     def dependents_strict(self, u: int, within: Iterable[int]) -> FrozenSet[int]:
         """The w in ``within`` with w != u and u in dep(w).
@@ -63,35 +93,39 @@ class DependencyPoset:
         """
         if u not in self._universe:
             raise KeyError(f"variable {u} is not in the poset universe")
-        dep = self._dep
-        return frozenset(w for w in within if w != u and u in dep.get(w, ()))
+        strict = self._strict
+        return frozenset(w for w in within if u in strict.get(w, ()))
 
     def strict_pairs(self) -> Tuple[Tuple[int, int], ...]:
         """All pairs (u, v) with u != v and u preceding v, sorted."""
-        return tuple(
-            sorted((u, v) for v in self._universe for u in self._dep[v] if u != v)
-        )
+        return tuple(sorted((u, v) for v, preceding in self._strict.items() for u in preceding))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DependencyPoset):
             return NotImplemented
-        return self._universe == other._universe and self._dep == other._dep
+        return (
+            self._universe == other._universe
+            and self._irreflexive == other._irreflexive
+            and self._strict == other._strict
+        )
 
     def __repr__(self) -> str:
-        pairs = sum(len(d) - (v in d) for v, d in self._dep.items())
+        pairs = sum(map(len, self._strict.values()))
         return f"DependencyPoset(|universe|={len(self._universe)}, pairs={pairs})"
 
 
 def trivial_poset(prefix: Prefix) -> DependencyPoset:
-    """The full prefix order: u precedes v iff u's block is strictly earlier."""
-    # One frozen copy per variable: the poset keeps these sets as given.
-    dep: Dict[int, FrozenSet[int]] = {}
+    """The full prefix order: u precedes v iff u's block is strictly earlier.
+
+    Every variable of a block shares one stored set, the variables of
+    the blocks before it.
+    """
+    strict: Dict[int, FrozenSet[int]] = {}
     earlier: FrozenSet[int] = frozenset()
     for _, block_vars in prefix.blocks:
-        for v in block_vars:
-            dep[v] = earlier | {v}
+        strict.update(dict.fromkeys(block_vars, earlier))
         earlier = earlier.union(block_vars)
-    return DependencyPoset(prefix.variables, dep)
+    return DependencyPoset._of(prefix.variables, strict)
 
 
 def poset_from_pairs(
@@ -135,16 +169,15 @@ def validate_poset(poset: DependencyPoset, prefix: Prefix) -> PosetReport:
                 f"universe mismatch with prefix (missing {missing}, extra {extra})",
             )
         )
+    for v in sorted(poset._irreflexive):
+        violations.append(
+            PosetViolation("reflexivity", str(v), f"{v} does not precede itself")
+        )
     for v in sorted(universe):
-        if v not in poset.dep(v):
-            violations.append(
-                PosetViolation("reflexivity", str(v), f"{v} does not precede itself")
-            )
-    for v in sorted(universe):
-        for u in sorted(poset.dep(v)):
-            if u == v:
-                continue
-            if v in poset.dep(u):
+        before_v = poset.strict(v)
+        for u in sorted(before_v):
+            before_u = poset.strict(u)
+            if v in before_u:
                 if u < v:  # report each offending pair once
                     violations.append(
                         PosetViolation(
@@ -161,8 +194,10 @@ def validate_poset(poset: DependencyPoset, prefix: Prefix) -> PosetReport:
                             f"{u} precedes {v} but is not quantified strictly left of it",
                         )
                     )
-            if not poset.dep(u) <= poset.dep(v):
-                witnesses = sorted(poset.dep(u) - poset.dep(v))
+            # u precedes v and v does not precede u, so dep(u) <= dep(v)
+            # exactly when strict(u) <= strict(v).
+            if not before_u <= before_v:
+                witnesses = sorted(before_u - before_v)
                 violations.append(
                     PosetViolation(
                         "transitivity",

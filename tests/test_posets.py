@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -55,6 +56,40 @@ class TestTrivialPoset:
             assert got == DependencyPoset(prefix.variables, dep)
             assert got.universe == prefix.variables
             assert all(type(got.dep(v)) is frozenset for v in prefix.variables)
+            # The same order given as the pairs of the prefix order.
+            order = prefix.variables_in_order()
+            pairs = [
+                (u, v)
+                for i, u in enumerate(order)
+                for v in order[i + 1 :]
+                if prefix.block_index(u) < prefix.block_index(v)
+            ]
+            want = poset_from_pairs(prefix.variables, pairs)
+            assert got == want
+            assert got.strict_pairs() == want.strict_pairs() == tuple(sorted(pairs))
+            assert repr(got) == repr(want)
+            assert validate_poset(got, prefix) == validate_poset(want, prefix)
+            assert validate_poset(got, prefix).ok
+            within = range(14)  # 0 and 13 are in no prefix
+            for v in prefix.variables:
+                assert got.dep(v) == want.dep(v)
+                assert got.strict(v) == want.strict(v) == got.dep(v) - {v}
+                assert got.dependents_strict(v, within) == want.dependents_strict(v, within)
+            # One stored set per block, shared by its variables.
+            assert len({id(got.strict(v)) for v in prefix.variables}) <= len(prefix.blocks)
+            for _, block_vars in prefix.blocks:
+                assert len({id(got.strict(v)) for v in block_vars}) == 1
+
+    def test_memory_is_linear_in_the_prefix(self):
+        prefix = qparity(1024).prefix
+        prefix.variables  # built before tracing starts
+        tracemalloc.start()
+        try:
+            trivial_poset(prefix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
 
 
 class TestDepQueries:

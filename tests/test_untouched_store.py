@@ -289,3 +289,43 @@ def test_prefix_validations_do_not_grow_with_n(monkeypatch):
             run_derivation(q, td, d)
         counts.append(validated)
     assert counts[0] == counts[1] == counts[2], counts
+
+
+def test_a_run_builds_no_prefix_blocks(monkeypatch):
+    # A step shrinks the prefix by one set difference; the blocks of the
+    # shrunk prefix are built only when something reads them.
+    built = 0
+    original = formulas._canonical_blocks
+
+    def counting(blocks):
+        nonlocal built
+        built += 1
+        return original(blocks)
+
+    n = 64
+    q = qparity(n)
+    td, d = qparity_td(n), trivial_poset(q.prefix)
+    ordering = elimination_ordering(td)
+    with monkeypatch.context() as patch:
+        patch.setattr(formulas, "_canonical_blocks", counting)
+        result = run_derivation(q, td, d)
+        state = initial_state(q)
+        for v in ordering[: len(ordering) // 2]:
+            state, _ = step(state, v, td, d)
+        assert built == 0
+        half = state.prefix.blocks
+        assert built == 1
+        final = result.final.prefix.blocks
+        assert built == 2
+
+    def rebuilt(live):
+        return Prefix(tuple((quant, [v for v in vs if v in live]) for quant, vs in q.prefix.blocks))
+
+    # The first half of the steps removes x_1..x_32 and z_1..z_32.
+    assert half == rebuilt(state.prefix.variables).blocks
+    assert half == (
+        ("e", tuple(range(n // 2 + 1, n + 1))),
+        ("a", (n + 1,)),
+        ("e", tuple(range(n + 2 + n // 2, 2 * n + 2))),
+    )
+    assert final == rebuilt(frozenset()).blocks == Prefix((("e", ()),)).blocks == ()

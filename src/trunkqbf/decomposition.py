@@ -252,7 +252,11 @@ def subtree_vars(td: TrunkTreeDecomposition, node: int) -> FrozenSet[int]:
 
 
 def validate_nice(td: TrunkTreeDecomposition, instance: QbfInstance) -> ValidationReport:
-    """Check T1-T4, listing every violation."""
+    """Check T1-T4, listing every violation.
+
+    T1 is checked clause by clause, so on a valid decomposition its cost
+    is linear in the matrix and never enumerates the pairs of a bag.
+    """
     violations: List[Violation] = []
     variables = instance.prefix.variables
 
@@ -262,20 +266,42 @@ def validate_nice(td: TrunkTreeDecomposition, instance: QbfInstance) -> Validati
             Violation("T2", str(v), "appears in bags but is not a variable of the instance")
         )
 
-    # T1: every primal edge inside some bag.
-    covered: Set[Tuple[int, int]] = set()
-    for node in td.nodes:
-        bag = sorted(td.bag(node))
-        for i, u in enumerate(bag):
-            for w in bag[i + 1 :]:
-                covered.add((u, w))
-    adjacency = primal_graph(instance)
-    for u in sorted(adjacency):
-        for w in sorted(adjacency[u]):
-            if u < w and (u, w) not in covered:
-                violations.append(
-                    Violation("T1", f"{u},{w}", "primal edge not contained in any bag")
-                )
+    # T1: every primal edge inside some bag, read per clause.  A clause
+    # is covered when the top node of one of its variables has a bag
+    # holding the whole clause.  On a valid decomposition every clause
+    # is: its variables' subtrees meet pairwise, so they share a node
+    # (Helly), and the top of that common part is the top of one of
+    # them.  Only the pairs of the other clauses are tested against the
+    # bags.
+    bags = td._bags
+    tops = td._tops
+    uncovered = []
+    for lits in instance.matrix:
+        over = frozenset(map(abs, lits))
+        if len(over) < 2:
+            continue
+        for x in over:
+            top = tops.get(x)
+            if top and over <= bags[top[0]]:
+                break
+        else:
+            uncovered.append(sorted(over))
+    if uncovered:
+        nodes_of: Dict[int, Set[int]] = {}
+        for node, bag in bags.items():
+            for x in bag:
+                nodes_of.setdefault(x, set()).add(node)
+        missing = {
+            (u, w)
+            for over in uncovered
+            for i, u in enumerate(over)
+            for w in over[i + 1 :]
+            if nodes_of.get(u, frozenset()).isdisjoint(nodes_of.get(w, ()))
+        }
+        for u, w in sorted(missing):
+            violations.append(
+                Violation("T1", f"{u},{w}", "primal edge not contained in any bag")
+            )
 
     # T2: occurrences of each variable form a nonempty connected subtree.
     for v in sorted(variables):
@@ -342,17 +368,29 @@ def validate_trunk_aligned(
     fmap = forget_map(td)
     forgotten = {node: u for u, node in fmap.items() if u in instance.prefix.variables}
     # P2 in one walk up the trunk: ``below`` grows to the variables of
-    # the subtree at each trunk node.
+    # the subtree at each trunk node.  Each distinct stored predecessor
+    # set keeps the list of its members not yet seen below; a test pops
+    # the members that are below by now and fails at the first that is
+    # not.  Every member is popped once, so the walk is linear in the
+    # bags and the distinct sets, not O(|set|) per trunk forget node.
     p2_holds: Set[int] = set()
     below: Set[int] = set()
+    outside: Dict[FrozenSet[int], List[int]] = {}
     for lower, node in zip((None,) + td.trunk, td.trunk):
         below |= td.bag(node)
         for child in td.children(node):
             if child != lower:
                 below |= subtree_vars(td, child)
         u = forgotten.get(node)
-        if u is not None and u in below and poset.strict(u) <= below:
-            p2_holds.add(u)
+        if u is not None and u in below:
+            preceding = poset.strict(u)
+            rest = outside.get(preceding)
+            if rest is None:
+                rest = outside[preceding] = list(preceding)
+            while rest and rest[-1] in below:
+                rest.pop()
+            if not rest:
+                p2_holds.add(u)
     for u in sorted(instance.prefix.variables):
         node = fmap.get(u)
         if node is None:

@@ -24,7 +24,9 @@ set differences, and a clause is tautological when it meets its own
 negation.  A matrix is the frozenset of its clauses, built by the
 kernels with ``Matrix._of``, so both levels of a family deduplicate by
 C-level set hashing.  No ``Clause`` is constructed and no literal is
-sorted during a run.
+sorted during a run.  R4's table of strategy answers depends only on
+the step's shape, and a small one is built once per shape; R2
+tests resolvents for tautologies with one clash set per negative clause.
 
 A matrix is stored in two parts.  Its *untouched* part is every input
 clause whose variables are all still quantified: no rule has acted on
@@ -50,6 +52,7 @@ input, for ``run_derivation`` and the ``validate`` command alike.  With
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -70,6 +73,7 @@ from .formulas import (
     Matrix,
     Prefix,
     QbfInstance,
+    _neg,
     _tautological,
     ground_truth,
     remove_tautologies,
@@ -229,11 +233,15 @@ def resolve(matrix: Matrix, x: int) -> Matrix:
         else:
             out.append(c)
     pivot = (x, -x)
+    # Both parents are tautology-free, so a clashing pair in a resolvent
+    # has one literal from each: the resolvent of c1 and c2 is
+    # tautological exactly when c1 meets the negation of c2 without the
+    # pivot's literals.  That clash set is built once per negative clause.
+    clashes = [(c2, frozenset(map(_neg, c2)).difference(pivot)) for c2 in negative]
     for c1 in positive:
-        for c2 in negative:
-            resolvent = c1.union(c2).difference(pivot)
-            if not _tautological(resolvent):
-                out.append(resolvent)
+        for c2, clash in clashes:
+            if c1.isdisjoint(clash):
+                out.append(c1.union(c2).difference(pivot))
     return Matrix._of(out)
 
 
@@ -264,6 +272,11 @@ def strategy_extension(
     dependency (ascending ids) to bit i of b.  A strategy holds one table
     per existential dependency x: bit k of x's table answers every play
     whose bits on x's own universal dependencies form the number k.
+    Which full assignment each strategy gives each play depends only on
+    the shape: the number of universal dependencies and, per existential
+    one, the positions of its own universals.  ``_strategy_table`` builds
+    that table; a table of at most 2^12 entries is built once per shape
+    and the 32 most recent ones are kept.
     """
     if v not in prefix.variables:
         raise ValueError(f"variable {v} is not quantified in the prefix")
@@ -282,49 +295,76 @@ def strategy_extension(
                 f"poset is not transitive at {x}: dep({x}) exceeds dep({v})"
             )
 
-    owns = [
-        [i for i, u in enumerate(universal_dep) if u in poset.strict(x)]
+    owns = tuple(
+        tuple(i for i, u in enumerate(universal_dep) if u in poset.strict(x))
         for x in existential_dep
-    ]
+    )
     # The branch count is 2^exponent: the plays times, per matrix, the
     # 2^(2^|own|) tables of every existential dependency.  It is compared
     # by exponent, since it can have thousands of decimal digits.
-    exponent = len(pi) * sum(2 ** len(own) for own in owns) + len(universal_dep)
+    own_bits = sum(2 ** len(own) for own in owns)
+    exponent = len(pi) * own_bits + len(universal_dep)
     if exponent >= limits.max_strategies.bit_length():
         raise ResourceLimitError(
             f"strategy extension up to {v} needs 2^{exponent} branches, "
             f"limit is {limits.max_strategies}"
         )
+    # Built after the limit check and only for a non-empty pi.  A table
+    # has 2^table_bits entries; only small ones are cached, so the cache
+    # holds a few MB at most, whatever max_strategies allows.
+    table_bits = len(universal_dep) + own_bits
+    build = _cached_strategy_table if table_bits <= _CACHED_TABLE_BITS else _strategy_table
+    answers = build(len(universal_dep), owns) if pi else ()
 
-    plays = range(2 ** len(universal_dep))
-    # entries[j][b]: the bit of x_j's table that answers play b, the number
-    # formed by b's bits on x_j's own universal dependencies.
-    entries = [
-        [sum((b >> i & 1) << k for k, i in enumerate(own)) for b in plays] for own in owns
-    ]
-    n_tables = [2 ** 2 ** len(own) for own in owns]
-
-    # A full assignment is an integer whose bit i sets variables[i].
-    # answers[s][b]: play b answered by strategy s, x_j on bit shift + j.
-    variables = universal_dep + existential_dep
-    shift = len(universal_dep)
-    answers = [
-        [
-            b | sum((table >> entries[j][b] & 1) << (shift + j) for j, table in enumerate(tables))
-            for b in plays
-        ]
-        for tables in itertools.product(*map(range, n_tables))
-    ]
-    # Per matrix, the distinct sets its strategies produce; each full
+    # A full assignment is an integer whose bit i sets variables[i].  Per
+    # matrix, the distinct sets its strategies produce; each full
     # assignment is restricted once, however many strategies reach it.
+    variables = universal_dep + existential_dep
     per_matrix = []
     for m in pi:
         outcome = [
             restrict(m, {x: bits >> i & 1 for i, x in enumerate(variables)})
             for bits in range(2 ** len(variables))
         ]
-        per_matrix.append({frozenset(outcome[a] for a in row) for row in answers})
+        per_matrix.append({frozenset(map(outcome.__getitem__, row)) for row in answers})
     return frozenset(frozenset().union(*sets) for sets in itertools.product(*per_matrix))
+
+
+def _strategy_table(
+    n_universal: int, owns: Tuple[Tuple[int, ...], ...]
+) -> Tuple[Tuple[int, ...], ...]:
+    """The full assignment every strategy gives every play, for one shape.
+
+    ``answers[s][b]`` is play b answered by strategy s: bits 0 to
+    n_universal - 1 are b, and bit n_universal + j is x_j's answer, the
+    bit of x_j's table numbered by b's bits on x_j's own universal
+    dependencies ``owns[j]``.  It depends on nothing but the shape, so
+    one table serves every call with that shape.
+    """
+    plays = range(2**n_universal)
+    # entries[j][b]: the bit of x_j's table that answers play b.
+    entries = [
+        [sum((b >> i & 1) << k for k, i in enumerate(own)) for b in plays] for own in owns
+    ]
+    n_tables = [2 ** 2 ** len(own) for own in owns]
+    return tuple(
+        tuple(
+            b
+            | sum(
+                (table >> entries[j][b] & 1) << (n_universal + j)
+                for j, table in enumerate(tables)
+            )
+            for b in plays
+        )
+        for tables in itertools.product(*map(range, n_tables))
+    )
+
+
+# Tables of at most 2^12 entries, about 150 KB each, are cached: 32 of
+# them hold about 5 MB.  Every shape of the benchmark corpora is that
+# small; a larger table is built per call and freed after it.
+_CACHED_TABLE_BITS = 12
+_cached_strategy_table = functools.lru_cache(maxsize=32)(_strategy_table)
 
 
 def check_neighborhood_invariant(

@@ -168,6 +168,8 @@ def parse_btd(text: str) -> TrunkTreeDecomposition:
                 _int_token(tokens[3], line_no, "max bag size"),
                 _int_token(tokens[4], line_no, "variable count"),
             )
+            if min(header) < 0:
+                raise ParseError(line_no, "header counts must be non-negative")
             header_line = line_no
             continue
         if header is None:
@@ -289,6 +291,8 @@ def parse_poset(text: str, prefix: Prefix) -> DependencyPoset:
             if len(tokens) != 3 or tokens[1] != "dep":
                 raise ParseError(line_no, f"malformed header {line!r}")
             header_vars = _int_token(tokens[2], line_no, "variable count")
+            if header_vars < 0:
+                raise ParseError(line_no, "header counts must be non-negative")
             header_line = line_no
             continue
         if header_vars is None:

@@ -24,8 +24,10 @@ from trunkqbf import (
     validate_trunk_aligned,
     width,
 )
+from trunkqbf import primal_graph
+from trunkqbf.decomposition import ValidationReport, Violation, forget_map
 
-from _util import min_degree_td, min_width_by_enumeration
+from _util import join_node_cases, min_degree_td, min_width_by_enumeration, shuffled_path_cases
 
 
 def path_td(bags):
@@ -358,3 +360,155 @@ class TestMinDependencyEliminationWidth:
         q = QbfInstance(Prefix((("e", tuple(range(1, 14))),)), Matrix(()))
         with pytest.raises(ValueError):
             min_dependency_elimination_width(q, trivial_poset(q.prefix))
+
+
+def reference_t1(td, instance):
+    """T1 violations by the direct definition: every pair of every bag is
+    covered, and every primal edge must be among them."""
+    covered = set()
+    for node in td.nodes:
+        bag = sorted(td.bag(node))
+        for i, u in enumerate(bag):
+            for w in bag[i + 1 :]:
+                covered.add((u, w))
+    adjacency = primal_graph(instance)
+    return [
+        Violation("T1", f"{u},{w}", "primal edge not contained in any bag")
+        for u in sorted(adjacency)
+        for w in sorted(adjacency[u])
+        if u < w and (u, w) not in covered
+    ]
+
+
+def mutated_tds(td, instance, rng):
+    """Broken copies of a decomposition: a variable dropped from one bag,
+    a clause's variable dropped from every bag holding the whole clause,
+    a variable's occurrences split by adding it to a far bag, and a
+    variable foreign to the instance put into a bag."""
+    bags = {node: set(td.bag(node)) for node in td.nodes}
+    parent = {node: td.parent_of(node) for node in td.nodes if node != td.root}
+    filled = [node for node in td.nodes if bags[node]]
+    if not filled:
+        return
+    drop = {node: set(bag) for node, bag in bags.items()}
+    node = rng.choice(filled)
+    drop[node].discard(rng.choice(sorted(drop[node])))
+    wide = [sorted(set(map(abs, c))) for c in instance.matrix if len(set(map(abs, c))) > 1]
+    if wide:
+        over = rng.choice(sorted(wide))
+        x = rng.choice(over)
+        uncover = {node: bag - {x} if bag >= set(over) else set(bag) for node, bag in bags.items()}
+        yield TrunkTreeDecomposition(uncover, parent, td.root, td.trunk)
+    split = {node: set(bag) for node, bag in bags.items()}
+    split[td.trunk[0]].add(rng.choice(sorted(instance.prefix.variables)))
+    foreign = {node: set(bag) for node, bag in bags.items()}
+    foreign[rng.choice(filled)].add(max(instance.prefix.variables) + 1)
+    for changed in (drop, split, foreign):
+        yield TrunkTreeDecomposition(changed, parent, td.root, td.trunk)
+
+
+class TestT1PerClause:
+    """T1 read per clause reports exactly what enumerating every bag pair
+    and every primal edge reports, in the same order."""
+
+    def check(self, td, q):
+        got = validate_nice(td, q).violations
+        t1 = [v for v in got if v.rule == "T1"]
+        assert t1 == reference_t1(td, q)
+        if t1:
+            first = got.index(t1[0])
+            assert got[first : first + len(t1)] == tuple(t1)
+            assert all(v.rule == "T2" for v in got[:first])
+
+    def test_valid_and_mutated_decompositions(self):
+        rng = random.Random(11)
+        broken = 0
+        for seed in range(300):
+            q = random_instance(
+                seed, rng.randint(2, 9), rng.randint(1, 14), rng.randint(1, 4), rng.randint(1, 3)
+            )
+            td = min_degree_td(q)
+            assert reference_t1(td, q) == []
+            self.check(td, q)
+            for bad in mutated_tds(td, q, rng):
+                broken += bool(reference_t1(bad, q))
+                self.check(bad, q)
+        assert broken >= 150
+
+    def test_shuffled_paths_and_qparity(self):
+        for _, q, td in shuffled_path_cases():
+            self.check(td, q)
+        for n in (2, 5, 16):
+            self.check(qparity_td(n), qparity(n))
+
+
+def reference_trunk_aligned(td, instance, poset):
+    """``validate_trunk_aligned`` with P2 tested by ``strict(u) <= below``
+    at every trunk forget node, the direct definition."""
+    violations, held = [], {}
+    fmap = forget_map(td)
+    forgotten = {node: u for u, node in fmap.items() if u in instance.prefix.variables}
+    p2_holds, below = set(), set()
+    for lower, node in zip((None,) + td.trunk, td.trunk):
+        below |= td.bag(node)
+        for child in td.children(node):
+            if child != lower:
+                below |= subtree_vars(td, child)
+        u = forgotten.get(node)
+        if u is not None and u in below and poset.strict(u) <= below:
+            p2_holds.add(u)
+    for u in sorted(instance.prefix.variables):
+        node = fmap.get(u)
+        if node is None:
+            violations.append(Violation("P1P2", str(u), "variable occurs in no bag"))
+            continue
+        offenders = poset.dependents_strict(u, td.bag(node))
+        p1, p2 = not offenders, u in p2_holds
+        if p1 or p2:
+            held[u] = "P1P2" if p1 and p2 else "P1" if p1 else "P2"
+        else:
+            violations.append(
+                Violation(
+                    "P1P2",
+                    str(u),
+                    f"P1 fails (dependents {sorted(offenders)} in forget bag {node}) and P2 fails",
+                )
+            )
+    return ValidationReport(tuple(violations), held)
+
+
+class TestLinearP2:
+    """P2 by popping each stored set's members once gives the report of
+    the direct subset test."""
+
+    def check(self, td, q, d):
+        got = validate_trunk_aligned(td, q, d)
+        want = reference_trunk_aligned(td, q, d)
+        assert got.violations == want.violations
+        assert got.property_held == want.property_held
+        return got
+
+    def test_qparity(self):
+        for n in (2, 3, 8, 33):
+            q = qparity(n)
+            assert self.check(qparity_td(n), q, trivial_poset(q.prefix)).ok
+
+    def test_shuffled_paths_under_the_trivial_poset_and_sub_posets(self):
+        p2_only = 0
+        for seed, q, td in shuffled_path_cases():
+            full = trivial_poset(q.prefix)
+            report = self.check(td, q, full)
+            p2_only += list(report.property_held.values()).count("P2")
+            rng = random.Random(seed)
+            kept = [pair for pair in full.strict_pairs() if rng.random() < 0.5]
+            self.check(td, q, poset_from_pairs(q.prefix.variables, kept))
+        assert p2_only >= 100
+
+    def test_join_nodes(self):
+        held = failing = 0
+        for _, q, td in join_node_cases():
+            report = self.check(td, q, trivial_poset(q.prefix))
+            held += "P2" in report.property_held.values()
+            failing += not report.ok
+            self.check(td, q, poset_from_pairs(q.prefix.variables, ()))
+        assert held >= 200 and failing >= 50

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -100,6 +101,27 @@ class TestResolve:
         with pytest.raises(ValueError):
             resolve(matrix_of((1, -1, 2)), 2)
 
+    def test_matches_the_definition_on_random_matrices(self):
+        # Every resolvent built, the tautological ones dropped afterwards.
+        rng = random.Random(3)
+        dropped = 0
+        for _ in range(500):
+            clauses = {
+                frozenset(
+                    rng.choice((1, -1)) * x for x in rng.sample(range(1, 6), rng.randint(1, 4))
+                )
+                for _ in range(rng.randint(1, 8))
+            }
+            m = matrix_of(*(c for c in clauses if not c & {-l for l in c}))
+            positive = [c for c in m if 1 in c]
+            negative = [c for c in m if -1 in c]
+            resolvents = [(c1 | c2) - {1, -1} for c1 in positive for c2 in negative]
+            kept = [r for r in resolvents if not r & {-l for l in r}]
+            dropped += len(resolvents) - len(kept)
+            want = [c for c in m if 1 not in c and -1 not in c] + kept
+            assert resolve(m, 1) == matrix_of(*want)
+        assert dropped >= 100
+
 
 class TestReduce:
     def test_unit_universal_clause_becomes_empty(self):
@@ -195,6 +217,121 @@ class TestStrategyExtension:
         q, _, d = qp2_setup
         with pytest.raises(ValueError):
             strategy_extension(frozenset({q.matrix}), 1, q.prefix.remove((1,)), d)
+
+
+def reference_table(n_universal, owns):
+    """The answers of strategy_extension's docstring, entry by entry: play
+    b sets universal i to bit i of b; x_j's table answers b with its bit
+    numbered by b's bits on x_j's own universals, and that answer is bit
+    n_universal + j of the full assignment."""
+    rows = []
+    for tables in itertools.product(*(range(2 ** 2 ** len(own)) for own in owns)):
+        row = []
+        for b in range(2**n_universal):
+            full = b
+            for j, (own, table) in enumerate(zip(owns, tables)):
+                k = sum(((b >> i) & 1) << pos for pos, i in enumerate(own))
+                full |= ((table >> k) & 1) << (n_universal + j)
+            row.append(full)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def small_shapes():
+    """Every (universal count, own sets) with at most 3 universal and 3
+    existential dependencies and at most 2^12 table entries."""
+    for n_universal in range(4):
+        subsets = [
+            own
+            for size in range(n_universal + 1)
+            for own in itertools.combinations(range(n_universal), size)
+        ]
+        for n_existential in range(4):
+            for owns in itertools.product(subsets, repeat=n_existential):
+                if n_universal + sum(2 ** len(own) for own in owns) <= 12:
+                    yield n_universal, owns
+
+
+class TestStrategyTable:
+    def test_every_small_shape_matches_the_definition(self):
+        shapes = list(small_shapes())
+        assert len(shapes) == 398
+        for n_universal, owns in shapes:
+            assert derivation._cached_strategy_table(n_universal, owns) == reference_table(
+                n_universal, owns
+            )
+
+    def test_output_is_the_same_with_the_cache_cleared_and_warm(self):
+        # Every shape with at most two universals before v and three
+        # existentials; the ones of more than 2^12 entries are not cached.
+        rng = random.Random(5)
+        cache = derivation._cached_strategy_table
+        for n_universal in range(3):
+            subsets = [
+                own
+                for size in range(n_universal + 1)
+                for own in itertools.combinations(range(n_universal), size)
+            ]
+            for n_existential in range(4):
+                for owns in itertools.product(subsets, repeat=n_existential):
+                    pi, v, prefix, d = shape_instance(n_universal, owns, rng)
+                    # universal_dep holds v as well as the n_universal others.
+                    cached = n_universal + 1 + sum(2 ** len(own) for own in owns) <= 12
+                    cache.cache_clear()
+                    cold = strategy_extension(pi, v, prefix, d)
+                    assert cache.cache_info().currsize == int(cached)
+                    hits = cache.cache_info().hits
+                    warm = strategy_extension(pi, v, prefix, d)
+                    assert cache.cache_info().hits == hits + int(cached)
+                    assert cold == warm
+
+    def test_large_tables_are_not_kept(self):
+        # Ten distinct shapes of 2^13 entries (11 universals with v, one
+        # existential seeing one of them), about 3 MB of tables together;
+        # none may outlive its call.
+        rng = random.Random(6)
+        shapes = [(10, ((i,),)) for i in range(10)]
+        instances = [shape_instance(n, owns, rng, n_matrices=1) for n, owns in shapes]
+        tracemalloc.start()
+        try:
+            for pi, v, prefix, d in instances:
+                strategy_extension(pi, v, prefix, d)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 1_000_000, kept
+
+
+def shape_instance(n_universal, owns, rng, n_matrices=None):
+    """(pi, v, prefix, poset) of forall U exists X forall v whose R4 step
+    at v has the given shape: each x_j precedes v and sees the universals
+    of its own set ``owns[j]``.  pi holds random 2-literal clauses."""
+    universals = tuple(range(1, n_universal + 1))
+    existentials = tuple(range(n_universal + 1, n_universal + len(owns) + 1))
+    v = n_universal + len(owns) + 1
+    prefix = Prefix(
+        tuple(
+            (q, block)
+            for q, block in (("a", universals), ("e", existentials), ("a", (v,)))
+            if block
+        )
+    )
+    pairs = [(u, v) for u in universals + existentials]
+    pairs += [(universals[i], x) for x, own in zip(existentials, owns) for i in own]
+    d = poset_from_pairs(prefix.variables, pairs)
+    if n_matrices is None:
+        n_matrices = 2 if sum(2 ** len(own) for own in owns) <= 6 else 1
+    variables = range(1, v + 1)
+    pi = frozenset(
+        matrix_of(
+            *(
+                [rng.choice((1, -1)) * x for x in rng.sample(variables, min(2, v))]
+                for _ in range(3)
+            )
+        )
+        for _ in range(n_matrices)
+    )
+    return pi, v, prefix, d
 
 
 class TestStepDispatch:

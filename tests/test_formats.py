@@ -64,6 +64,7 @@ class TestQdimacsParsing:
             ("e 1 0\n", 1),                               # content before header
             ("p cnf 1 2\ne 1 0\n1 0\n", 1),               # clause count mismatch
             ("p cnf 2 0\ne 3 0\n", 2),                    # quantified var out of range
+            ("p cnf -1 0\n", 1),                          # negative header count
         ],
     )
     def test_rejections_name_the_line(self, text, line):
@@ -136,6 +137,9 @@ class TestBtd:
             ("s btd 3 0 0\nb 1\nb 2\nb 3\ne 3 1\ne 2 1\nr 3\nt 2 3\n", "two parents"),
             ("b 1\n", "before 's btd' header"),
             ("s btd 2 0 0\nb 1\nb 2\nr 2\nt 1 2\n", "no parent"),
+            ("s btd 1 -1 2\nb 1\nr 1\nt 1\n", "header counts must be non-negative"),
+            ("s btd -1 0 0\n", "header counts must be non-negative"),
+            ("s btd 1 0 -2\nb 1\nr 1\nt 1\n", "header counts must be non-negative"),
         ],
     )
     def test_rejections(self, text, fragment):
@@ -185,6 +189,19 @@ class TestPosetFiles:
         d = poset_from_pairs(prefix.variables, [(1, 4), (4, 5), (2, 4)])
         text = write_poset(d)
         assert write_poset(parse_poset(text, prefix)) == text
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("p dep -3\n", 1),
+            ("c negative count\np dep -1\nd 1 2\n", 2),
+        ],
+    )
+    def test_negative_header_count_rejected(self, text, line):
+        with pytest.raises(ParseError) as info:
+            parse_poset(text, qparity(2).prefix)
+        assert info.value.line == line
+        assert "header counts must be non-negative" in str(info.value)
 
     def test_unquantified_variable_rejected(self):
         prefix = Prefix((("e", (1, 2)),))

@@ -6,8 +6,6 @@ from .decomposition import (
     ValidationReport,
     elimination_ordering,
     forget_node,
-    min_dependency_elimination_width,
-    normalize,
     subtree_vars,
     validate_nice,
     validate_trunk_aligned,

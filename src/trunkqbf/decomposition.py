@@ -12,12 +12,11 @@ satisfy P1 since every variable sits in its own forget bag.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .formulas import QbfInstance, primal_graph
+from .formulas import QbfInstance
 from .posets import DependencyPoset
 
 
@@ -422,126 +421,3 @@ def elimination_ordering(td: TrunkTreeDecomposition) -> Tuple[int, ...]:
     position = {node: i for i, node in enumerate(td.postorder())}
     fmap = forget_map(td)
     return tuple(sorted(fmap, key=lambda v: position[fmap[v]]))
-
-
-def normalize(rough: TrunkTreeDecomposition) -> TrunkTreeDecomposition:
-    """Turn a rough decomposition into a nice one with the same bags.
-
-    Inserts introduce/forget chains below leaves, between bag changes
-    and above the root, and splits multi-way branches into binary join
-    spines.  The rough trunk maps onto a leaf-to-root trunk path of the
-    output.  The input must be a tree with connected variable
-    occurrences (T2); T1 and P1/P2 are the caller's concern, so the
-    output must be re-validated.
-    """
-    for v in rough.bag_variables():
-        forget_node(rough, v)  # raises on split occurrences (T2)
-    bags: Dict[int, FrozenSet[int]] = {}
-    parent: Dict[int, int] = {}
-    counter = itertools.count(1)
-
-    def new_node(bag: Set[int], child: Optional[int] = None) -> int:
-        nid = next(counter)
-        bags[nid] = frozenset(bag)
-        if child is not None:
-            parent[child] = nid
-        return nid
-
-    def chain(top: int, from_bag: FrozenSet[int], to_bag: FrozenSet[int]) -> int:
-        cur = top
-        cur_bag = set(from_bag)
-        for v in sorted(from_bag - to_bag):
-            cur_bag.discard(v)
-            cur = new_node(cur_bag, cur)
-        for v in sorted(to_bag - from_bag):
-            cur_bag.add(v)
-            cur = new_node(cur_bag, cur)
-        return cur
-
-    image: Dict[int, int] = {}
-    leaf_image: Dict[int, int] = {}
-    for node in rough.postorder():
-        kids = rough.children(node)
-        if not kids:
-            leaf = new_node(set())
-            leaf_image[node] = leaf
-            image[node] = chain(leaf, frozenset(), rough.bag(node))
-        elif len(kids) == 1:
-            image[node] = chain(image[kids[0]], rough.bag(kids[0]), rough.bag(node))
-        else:
-            tops = [chain(image[c], rough.bag(c), rough.bag(node)) for c in kids]
-            cur = tops[0]
-            for other in tops[1:]:
-                join = new_node(set(rough.bag(node)))
-                parent[cur] = join
-                parent[other] = join
-                cur = join
-            image[node] = cur
-    new_root = chain(image[rough.root], rough.bag(rough.root), frozenset())
-
-    trunk: List[int] = [leaf_image[rough.trunk[0]]]
-    while trunk[-1] != new_root:
-        trunk.append(parent[trunk[-1]])
-    return TrunkTreeDecomposition(bags, parent, new_root, trunk)
-
-
-def min_dependency_elimination_width(
-    instance: QbfInstance, poset: DependencyPoset, limit: int = 12
-) -> int:
-    """Exact minimum width over all elimination orderings respecting the poset.
-
-    Enumerates linear extensions of the reverse of the poset (a variable
-    may be eliminated only once everything depending on it is gone),
-    building the fill-in clique at each elimination, with
-    branch-and-bound pruning on the width achieved so far.
-    """
-    variables = sorted(instance.prefix.variables)
-    if len(variables) > limit:
-        raise ValueError(
-            f"instance has {len(variables)} variables, brute-force limit is {limit}"
-        )
-    if not variables:
-        return 0
-    adjacency = {v: set(nbrs) for v, nbrs in primal_graph(instance).items()}
-    blockers = {v: poset.dependents_strict(v, variables) for v in variables}
-    best = len(variables)  # any ordering has width <= n - 1
-
-    def search(adj: Dict[int, Set[int]], remaining: Set[int], width_so_far: int) -> None:
-        nonlocal best
-        if width_so_far >= best:
-            return
-        if not remaining:
-            best = width_so_far
-            return
-        for v in sorted(remaining):
-            if blockers[v] & remaining:
-                continue
-            degree = len(adj[v])
-            new_width = max(width_so_far, degree)
-            if new_width >= best:
-                continue
-            neighbors = sorted(adj[v])
-            added: List[Tuple[int, int]] = []
-            for i, a in enumerate(neighbors):
-                for b in neighbors[i + 1 :]:
-                    if b not in adj[a]:
-                        adj[a].add(b)
-                        adj[b].add(a)
-                        added.append((a, b))
-            for a in neighbors:
-                adj[a].discard(v)
-            saved = adj.pop(v)
-            remaining.discard(v)
-
-            search(adj, remaining, new_width)
-
-            remaining.add(v)
-            adj[v] = saved
-            for a in neighbors:
-                adj[a].add(v)
-            for a, b in added:
-                adj[a].discard(b)
-                adj[b].discard(a)
-
-    search(adjacency, set(variables), 0)
-    return best

@@ -15,6 +15,11 @@ The R2/R3 side condition uses strict dependence; under the reflexive
 relation the tested set would always contain the variable itself (it is
 in its own forget bag) and the rules could never fire.
 
+The run never rebuilds its prefix.  A state keeps the input prefix, read
+only for quantifiers, and ``live``, the set of its variables still
+quantified; a step removes the affected variables from ``live`` by one
+set difference.
+
 Families are sets of sets of matrices; both levels deduplicate eagerly
 after every rule application.  A clause is the frozenset of its
 literals, a ``Clause`` from the input or a plain frozenset the engine
@@ -32,12 +37,12 @@ A matrix is stored in two parts.  Its *untouched* part is every input
 clause whose variables are all still quantified: no rule has acted on
 such a clause yet, so it is the same in every matrix of the family and
 is kept once per run, in the state's ``UntouchedStore``; a clause leaves
-it when one of its variables leaves the prefix.  ``state.family`` holds
+it when one of its variables leaves ``live``.  ``state.family`` holds
 only the *touched* parts, the clauses an earlier step pulled in or
 derived, and ``state.whole_family()`` gives the whole matrices.  Before
 a rule runs, the untouched clauses over its affected variables ({v} for
-R2 and R3, the still-quantified part of dep(v) for R4) are pulled into
-every touched part; the rule acts on touched parts only, since no other
+R2 and R3, the live part of dep(v) for R4) are pulled into every
+touched part; the rule acts on touched parts only, since no other
 clause mentions a variable it assigns or removes, and any clause still
 untouched afterwards is dropped again.  The untouched part is shared
 and disjoint from the touched one, so deduplicating touched parts gives
@@ -74,8 +79,8 @@ from .formulas import (
     Prefix,
     QbfInstance,
     _neg,
-    _tautological,
     ground_truth,
+    is_tautological,
     remove_tautologies,
     restrict,
 )
@@ -134,7 +139,7 @@ class UntouchedStore:
     """The input clauses with at least one variable, stored once per run.
 
     Clauses are literal sets.  Such a clause is untouched while all its
-    variables are still in the prefix; the index maps every variable to
+    variables are still quantified; the index maps every variable to
     the clauses it occurs in, each with its variable set.  Stores compare
     by their clauses.
     """
@@ -149,16 +154,16 @@ class UntouchedStore:
         for lits in self.clauses:
             if not lits:
                 raise ValueError("a variable-free clause cannot be untouched")
-            if _tautological(lits):
+            if is_tautological(lits):
                 raise ValueError(f"a tautological clause {Clause(lits)!r} cannot be untouched")
             over = frozenset(map(abs, lits))
             for x in over:
                 index.setdefault(x, []).append((lits, over))
         object.__setattr__(self, "_index", index)
 
-    def untouched_over(self, variables: Iterable[int], prefix: Prefix) -> FrozenSet[Lits]:
-        """The untouched clauses that mention one of the variables."""
-        live = prefix.variables
+    def untouched_over(self, variables: Iterable[int], live: FrozenSet[int]) -> FrozenSet[Lits]:
+        """The untouched clauses, those over live variables only, that
+        mention one of the variables."""
         return frozenset(
             [
                 lits
@@ -171,23 +176,23 @@ class UntouchedStore:
 
 @dataclass(frozen=True)
 class DerivationState:
-    """A prefix and a family of matrices.
+    """The still-quantified variables and a family of matrices.
 
-    Every matrix of the family is the touched part only; its untouched
-    part is the clauses of ``untouched`` that are untouched under
-    ``prefix``.
+    ``prefix`` is the input prefix, read only for quantifiers; ``live``
+    is the part of it not yet eliminated.  Every matrix of the family is
+    the touched part only; its untouched part is the clauses of
+    ``untouched`` that are over ``live`` only.
     """
 
     prefix: Prefix
+    live: FrozenSet[int]
     family: Family
     step_index: int
     untouched: UntouchedStore
 
     def whole_family(self) -> Family:
         """The family with the untouched part put back into every matrix."""
-        return _with_clauses(
-            self.family, self.untouched.untouched_over(self.prefix.variables, self.prefix)
-        )
+        return _with_clauses(self.family, self.untouched.untouched_over(self.live, self.live))
 
 
 @dataclass(frozen=True)
@@ -210,7 +215,7 @@ class DerivationResult:
 
 def _require_no_tautologies(matrix: Matrix) -> None:
     for lits in matrix:
-        if _tautological(lits):
+        if is_tautological(lits):
             raise ValueError(f"matrix contains a tautological clause {Clause(lits)!r}")
 
 
@@ -256,17 +261,18 @@ def strategy_extension(
     pi: MatrixSet,
     v: int,
     prefix: Prefix,
+    live: FrozenSet[int],
     poset: DependencyPoset,
     limits: EngineLimits = EngineLimits(),
 ) -> Family:
     """Branch over all partial existential strategies up to v.
 
-    With B the universal plays on the still-quantified part of dep(v)
-    and A the partial existential strategies on its existential part,
-    the output contains, for every tuple of per-matrix strategies, the
-    set of all matrices the tuple can produce against plays from B.
-    Every output matrix is free of tautologies and of all variables in
-    dep(v).
+    With B the universal plays on the live part of dep(v) and A the
+    partial existential strategies on its existential part (the prefix
+    gives the quantifiers), the output contains, for every tuple of
+    per-matrix strategies, the set of all matrices the tuple can produce
+    against plays from B.  Every output matrix is free of tautologies
+    and of all variables in dep(v).
 
     Plays and strategies are bit tables.  Play b sets the i-th universal
     dependency (ascending ids) to bit i of b.  A strategy holds one table
@@ -278,14 +284,14 @@ def strategy_extension(
     that table; a table of at most 2^12 entries is built once per shape
     and the 32 most recent ones are kept.
     """
-    if v not in prefix.variables:
-        raise ValueError(f"variable {v} is not quantified in the prefix")
+    if v not in live:
+        raise ValueError(f"variable {v} is not live")
     for m in pi:
         _require_no_tautologies(m)
     before_v = poset.strict(v)
     universal_dep: List[int] = []
     existential_dep: List[int] = []
-    for w in sorted([v, *(prefix.variables & before_v)]):
+    for w in sorted([v, *(live & before_v)]):
         (universal_dep if prefix.quantifier(w) == FORALL else existential_dep).append(w)
     # For x preceding v in an antisymmetric relation, dep(x) <= dep(v)
     # exactly when strict(x) <= strict(v).
@@ -377,7 +383,7 @@ def check_neighborhood_invariant(
     parts are read one by one and the untouched clauses over v once.
     """
     bag = td.bag(forget_node(td, v)) | {v}
-    shared = state.untouched.untouched_over((v,), state.prefix)
+    shared = state.untouched.untouched_over((v,), state.live)
     touched = (m for pi in state.family for m in pi)
     for lits in itertools.chain(shared, itertools.chain.from_iterable(touched)):
         if (v in lits or -v in lits) and not bag.issuperset(map(abs, lits)):
@@ -386,12 +392,12 @@ def check_neighborhood_invariant(
 
 
 def check_r4_assertion(
-    prefix: Prefix, v: int, poset: DependencyPoset, td: TrunkTreeDecomposition
+    live: FrozenSet[int], v: int, poset: DependencyPoset, td: TrunkTreeDecomposition
 ) -> bool:
-    """True iff every still-quantified variable v depends on sits in v's
-    forget bag (must hold whenever R4 fires on a trunk-aligned input)."""
+    """True iff every live variable v depends on sits in v's forget bag
+    (must hold whenever R4 fires on a trunk-aligned input)."""
     bag = td.bag(forget_node(td, v))  # holds v itself
-    return (prefix.variables & poset.strict(v)) <= bag
+    return (live & poset.strict(v)) <= bag
 
 
 def _enforce_limits(family: Family, limits: EngineLimits) -> int:
@@ -417,10 +423,9 @@ def _with_clauses(family: Family, clauses: FrozenSet[Lits]) -> Family:
     )
 
 
-def _without_untouched(family: Family, store: UntouchedStore, prefix: Prefix) -> Family:
-    """Drop the clauses that are untouched under the prefix from every matrix:
-    the stored ones whose variables are all still quantified."""
-    live = prefix.variables
+def _without_untouched(family: Family, store: UntouchedStore, live: FrozenSet[int]) -> Family:
+    """Drop the untouched clauses from every matrix: the stored ones whose
+    variables are all live."""
 
     def touched(m: Matrix) -> Matrix:
         stored = m.intersection(store.clauses)
@@ -439,17 +444,17 @@ def step(
 ) -> Tuple[DerivationState, TraceEvent]:
     """Apply the unique applicable rule for the next elimination variable."""
     started = time.perf_counter()
-    prefix = state.prefix
+    prefix, live = state.prefix, state.live
     family = state.family
     store = state.untouched
-    if v not in prefix.variables:
+    if v not in live:
         rule = "R1"
-        new_prefix, new_family = prefix, family
+        new_live, new_family = live, family
     else:
         bag = td.bag(forget_node(td, v))
-        blocked = not prefix.variables.isdisjoint(poset.dependents_strict(v, bag))
-        affected = (prefix.variables & poset.strict(v)) | {v} if blocked else frozenset({v})
-        pulled = _with_clauses(family, store.untouched_over(affected, prefix))
+        blocked = not live.isdisjoint(poset.dependents_strict(v, bag))
+        affected = (live & poset.strict(v)) | {v} if blocked else frozenset({v})
+        pulled = _with_clauses(family, store.untouched_over(affected, live))
         if not blocked:
             # Looked up per call, not bound once, so wrappers of the
             # module's ``resolve`` and ``reduce`` see every call.
@@ -461,10 +466,10 @@ def step(
             # Largest first: a set that trips the branch limit trips it
             # with the largest count, whatever the sets' hash order.
             for pi in sorted(pulled, key=len, reverse=True):
-                merged |= strategy_extension(pi, v, prefix, poset, limits)
+                merged |= strategy_extension(pi, v, prefix, live, poset, limits)
             new_family = frozenset(merged)
-        new_prefix = prefix.remove(affected)
-        new_family = _without_untouched(new_family, store, new_prefix)
+        new_live = live - affected
+        new_family = _without_untouched(new_family, store, new_live)
     largest = _enforce_limits(new_family, limits)
     micros = int((time.perf_counter() - started) * 1_000_000)
     event = TraceEvent(
@@ -476,7 +481,7 @@ def step(
         max_set_size=largest,
         micros=micros,
     )
-    return DerivationState(new_prefix, new_family, state.step_index + 1, store), event
+    return DerivationState(prefix, new_live, new_family, state.step_index + 1, store), event
 
 
 def initial_state(instance: QbfInstance) -> DerivationState:
@@ -485,7 +490,8 @@ def initial_state(instance: QbfInstance) -> DerivationState:
     matrix = instance.matrix
     stored = UntouchedStore(frozenset([lits for lits in matrix if lits]))
     touched = Matrix._of(matrix - stored.clauses)
-    return DerivationState(instance.prefix, frozenset({frozenset({touched})}), 0, stored)
+    prefix = instance.prefix
+    return DerivationState(prefix, prefix.variables, frozenset({frozenset({touched})}), 0, stored)
 
 
 def validate_input(
@@ -517,20 +523,21 @@ def _check_step(
 ) -> None:
     """Assert the engine invariants of one step: v's matrix neighbors and,
     under R4, its still-quantified dependencies lie in its forget bag, and
-    the result is tautology-free and over the remaining prefix only.
+    the result is tautology-free and over the live variables only.
 
     The last holds for the untouched part by construction (the store
-    rejects tautologies, and an untouched clause is over the prefix), so
+    rejects tautologies, and an untouched clause is over the live
+    variables), so
     only the touched parts are read.
     """
     v, where = event.variable, f"step {event.step}, variable {event.variable}"
     if not check_neighborhood_invariant(before, v, td):
         raise InvariantError(f"{where}: a matrix neighbor lies outside the forget bag")
-    if event.rule == "R4" and not check_r4_assertion(before.prefix, v, poset, td):
+    if event.rule == "R4" and not check_r4_assertion(before.live, v, poset, td):
         raise InvariantError(f"{where}: a dependency of R4 lies outside the forget bag")
     for matrix in itertools.chain.from_iterable(after.family):
-        tautologies = [Clause(lits) for lits in matrix if _tautological(lits)]
-        leftover = matrix.variables() - after.prefix.variables
+        tautologies = [Clause(lits) for lits in matrix if is_tautological(lits)]
+        leftover = matrix.variables() - after.live
         if tautologies or leftover:
             raise InvariantError(
                 f"{where}: tautologies {tautologies} or eliminated variables "

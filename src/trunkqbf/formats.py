@@ -293,6 +293,11 @@ def parse_poset(text: str, prefix: Prefix) -> DependencyPoset:
             header_vars = _int_token(tokens[2], line_no, "variable count")
             if header_vars < 0:
                 raise ParseError(line_no, "header counts must be non-negative")
+            largest = max(prefix.variables, default=0)
+            if header_vars < largest:
+                raise ParseError(
+                    line_no, f"header count {header_vars} is below variable {largest}"
+                )
             header_line = line_no
             continue
         if header_vars is None:
@@ -302,8 +307,6 @@ def parse_poset(text: str, prefix: Prefix) -> DependencyPoset:
         u = _int_token(tokens[1], line_no, "variable")
         v = _int_token(tokens[2], line_no, "variable")
         for w in (u, v):
-            if w < 1 or w > header_vars:
-                raise ParseError(line_no, f"variable {w} out of range 1..{header_vars}")
             if w not in prefix.variables:
                 raise ParseError(line_no, f"variable {w} is not quantified")
         if u != v and prefix.block_index(u) >= prefix.block_index(v):

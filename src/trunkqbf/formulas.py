@@ -49,11 +49,6 @@ def _order_key(lits: AbstractSet[int]) -> Tuple[int, ...]:
     return tuple(sorted([lit + lit + 1 if lit > 0 else -lit - lit for lit in lits]))
 
 
-def _tautological(lits: AbstractSet[int]) -> bool:
-    """True iff some variable occurs in both polarities among the literals."""
-    return not lits.isdisjoint(map(_neg, lits))
-
-
 class Clause(frozenset):
     """A clause: the frozenset of its literals.
 
@@ -155,23 +150,6 @@ def matrix_of(*clauses: Iterable[int]) -> Matrix:
     return Matrix(map(Clause, clauses))
 
 
-def _canonical_blocks(
-    blocks: Iterable[Tuple[str, list[int]]]
-) -> Tuple[Tuple[str, Tuple[int, ...]], ...]:
-    """The blocks with empty ones dropped, neighbours of the same
-    quantifier merged and every block sorted by variable id.  Each list
-    of variables is the caller's own copy and may be extended."""
-    merged: list[tuple[str, list[int]]] = []
-    for quant, variables in blocks:
-        if not variables:
-            continue
-        if merged and merged[-1][0] == quant:
-            merged[-1][1].extend(variables)
-        else:
-            merged.append((quant, variables))
-    return tuple((q, tuple(sorted(vs))) for q, vs in merged)
-
-
 class Prefix:
     """A quantifier prefix of strictly alternating blocks.
 
@@ -179,24 +157,16 @@ class Prefix:
     on construction, so the alternation invariant always holds.  Block
     variable order is canonical (ascending id); block membership, not
     written order, carries the semantics.  Prefixes are immutable and
-    compare and hash by their blocks.
-
-    A prefix made by ``remove`` holds its variable set and shares the
-    quantifier table and the blocks of the constructed prefix it was cut
-    from; its own ``blocks``, ``existential``, ``universal`` and block
-    index are built when first read.  Shrinking a prefix therefore costs
-    one set difference, and ``quantifier(v)`` is a lookup.
+    compare and hash by their blocks.  A run never shrinks its prefix:
+    it keeps the still-quantified variables as a set beside it.
     """
 
-    def __init__(self, blocks: Iterable[Tuple[str, Iterable[int]]] = ()) -> None:
-        self.__dict__["blocks"] = blocks
-        self.__post_init__()
+    blocks: Tuple[Tuple[str, Tuple[int, ...]], ...]
 
-    def __post_init__(self) -> None:
-        """Validates and canonicalises the blocks given to the constructor."""
-        checked: list[tuple[str, list[int]]] = []
+    def __init__(self, blocks: Iterable[Tuple[str, Iterable[int]]] = ()) -> None:
+        merged: list[tuple[str, list[int]]] = []
         seen: Set[int] = set()
-        for quant, variables in self.blocks:
+        for quant, variables in blocks:
             if quant not in (EXISTS, FORALL):
                 raise ValueError(f"unknown quantifier {quant!r}")
             block_vars = list(variables)
@@ -206,19 +176,13 @@ class Prefix:
                 if v in seen:
                     raise ValueError(f"variable {v} occurs in more than one block")
                 seen.add(v)
-            checked.append((quant, block_vars))
-        canonical = _canonical_blocks(checked)
-        # Fills the cached property ``blocks``; ``_source`` is what a
-        # prefix cut from this one rebuilds its blocks from.
-        self.__dict__.update(blocks=canonical, _source=canonical)
-
-    @cached_property
-    def blocks(self) -> Tuple[Tuple[str, Tuple[int, ...]], ...]:
-        # Only a prefix made by ``remove`` gets here: the constructor sets it.
-        live = self.variables
-        return _canonical_blocks(
-            (q, [v for v in vs if v in live]) for q, vs in self._source
-        )
+            if not block_vars:
+                continue
+            if merged and merged[-1][0] == quant:
+                merged[-1][1].extend(block_vars)
+            else:
+                merged.append((quant, block_vars))
+        self.__dict__["blocks"] = tuple((q, tuple(sorted(vs))) for q, vs in merged)
 
     @cached_property
     def variables(self) -> FrozenSet[int]:
@@ -236,12 +200,6 @@ class Prefix:
     def _block_index(self) -> Dict[int, int]:
         return {v: i for i, (_, vs) in enumerate(self.blocks) for v in vs}
 
-    @cached_property
-    def _quantifiers(self) -> Dict[int, str]:
-        # Shared with every prefix cut from this one; it may list
-        # variables that are gone, so ``variables`` is checked first.
-        return {v: q for q, vs in self.blocks for v in vs}
-
     def block_index(self, v: int) -> int:
         try:
             return self._block_index[v]
@@ -249,33 +207,17 @@ class Prefix:
             raise KeyError(f"variable {v} is not quantified") from None
 
     def quantifier(self, v: int) -> str:
-        if v in self.variables:
-            return self._quantifiers[v]
-        raise KeyError(f"variable {v} is not quantified")
+        return self.blocks[self.block_index(v)][0]
 
     def variables_in_order(self) -> Tuple[int, ...]:
         """All variables, block by block, ascending id inside each block."""
         return tuple(v for _, vs in self.blocks for v in vs)
 
     def remove(self, variables: Iterable[int]) -> "Prefix":
-        """Prefix with the given variables dropped (blocks re-merged).
-
-        Variables outside the prefix are ignored; if none is inside,
-        the prefix itself is returned.  The result is one set
-        difference: it skips re-validation, since dropping variables
-        keeps a valid prefix valid, and builds its blocks when first read.
-        """
-        drop = self.variables.intersection(variables)
-        if not drop:
-            return self
-        out = object.__new__(Prefix)
-        # Pre-fill the cached properties of the same names.
-        out.__dict__.update(
-            variables=self.variables - drop,
-            _quantifiers=self._quantifiers,
-            _source=self._source,
-        )
-        return out
+        """Prefix with the given variables dropped (blocks re-merged);
+        variables outside the prefix are ignored."""
+        drop = set(variables)
+        return Prefix((q, [v for v in vs if v not in drop]) for q, vs in self.blocks)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -312,14 +254,15 @@ class QbfInstance:
         return self.prefix.variables
 
 
-def is_tautological(clause: Clause) -> bool:
-    """True iff some variable occurs in both polarities in the clause."""
-    return _tautological(clause)
+def is_tautological(lits: AbstractSet[int]) -> bool:
+    """True iff some variable occurs in both polarities among the literals
+    of a clause or any other literal set."""
+    return not lits.isdisjoint(map(_neg, lits))
 
 
 def remove_tautologies(matrix: Matrix) -> Matrix:
     """Drop every tautological clause."""
-    kept = [c for c in matrix if not _tautological(c)]
+    kept = [c for c in matrix if not is_tautological(c)]
     return matrix if len(kept) == len(matrix) else Matrix._of(kept)
 
 

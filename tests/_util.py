@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from trunkqbf import (
     DependencyPoset,
@@ -15,8 +15,8 @@ from trunkqbf import (
     ResourceLimitError,
     TrunkTreeDecomposition,
     elimination_ordering,
+    forget_node,
     ground_truth,
-    normalize,
     primal_graph,
     random_instance,
     remove_tautologies,
@@ -89,6 +89,67 @@ def edge_set(adjacency: Dict[int, Set[int]]) -> Set[Tuple[int, int]]:
     return {(u, v) for u, ns in adjacency.items() for v in ns if u < v}
 
 
+def normalize(rough: TrunkTreeDecomposition) -> TrunkTreeDecomposition:
+    """Turn a rough decomposition into a nice one with the same bags.
+
+    Inserts introduce/forget chains below leaves, between bag changes
+    and above the root, and splits multi-way branches into binary join
+    spines.  The rough trunk maps onto a leaf-to-root trunk path of the
+    output.  The input must be a tree with connected variable
+    occurrences (T2); T1 and P1/P2 are the caller's concern, so the
+    output must be re-validated.
+    """
+    for v in rough.bag_variables():
+        forget_node(rough, v)  # raises on split occurrences (T2)
+    bags: Dict[int, FrozenSet[int]] = {}
+    parent: Dict[int, int] = {}
+    counter = itertools.count(1)
+
+    def new_node(bag: Set[int], child: Optional[int] = None) -> int:
+        nid = next(counter)
+        bags[nid] = frozenset(bag)
+        if child is not None:
+            parent[child] = nid
+        return nid
+
+    def chain(top: int, from_bag: FrozenSet[int], to_bag: FrozenSet[int]) -> int:
+        cur = top
+        cur_bag = set(from_bag)
+        for v in sorted(from_bag - to_bag):
+            cur_bag.discard(v)
+            cur = new_node(cur_bag, cur)
+        for v in sorted(to_bag - from_bag):
+            cur_bag.add(v)
+            cur = new_node(cur_bag, cur)
+        return cur
+
+    image: Dict[int, int] = {}
+    leaf_image: Dict[int, int] = {}
+    for node in rough.postorder():
+        kids = rough.children(node)
+        if not kids:
+            leaf = new_node(set())
+            leaf_image[node] = leaf
+            image[node] = chain(leaf, frozenset(), rough.bag(node))
+        elif len(kids) == 1:
+            image[node] = chain(image[kids[0]], rough.bag(kids[0]), rough.bag(node))
+        else:
+            tops = [chain(image[c], rough.bag(c), rough.bag(node)) for c in kids]
+            cur = tops[0]
+            for other in tops[1:]:
+                join = new_node(set(rough.bag(node)))
+                parent[cur] = join
+                parent[other] = join
+                cur = join
+            image[node] = cur
+    new_root = chain(image[rough.root], rough.bag(rough.root), frozenset())
+
+    trunk: List[int] = [leaf_image[rough.trunk[0]]]
+    while trunk[-1] != new_root:
+        trunk.append(parent[trunk[-1]])
+    return TrunkTreeDecomposition(bags, parent, new_root, trunk)
+
+
 def min_degree_td(instance):
     """``normalize`` of the tree decomposition of a min-degree elimination
     ordering: variable v's node holds v and its neighbours when it is
@@ -142,7 +203,8 @@ def stepwise(instance, td, poset, limits=EngineLimits()):
     Returns (verdict, trace, the state after every step)."""
     cleaned = QbfInstance(instance.prefix, remove_tautologies(instance.matrix))
     whole = frozenset({frozenset({cleaned.matrix})})
-    state = DerivationState(cleaned.prefix, whole, 0, UntouchedStore())
+    prefix = cleaned.prefix
+    state = DerivationState(prefix, prefix.variables, whole, 0, UntouchedStore())
     trace, states = [], []
     for v in elimination_ordering(td):
         state, event = step(state, v, td, poset, limits)

@@ -22,7 +22,6 @@ from trunkqbf import (
     evaluate,
     initial_state,
     matrix_of,
-    min_dependency_elimination_width,
     parse_btd,
     parse_poset,
     parse_qdimacs,
@@ -42,6 +41,8 @@ from trunkqbf import (
     write_poset,
     write_qdimacs,
 )
+
+from _util import min_width_by_enumeration
 
 
 def report(number, description, started):
@@ -122,7 +123,7 @@ def test_criterion_3_width_claims():
         assert validate_trunk_aligned(td, q, trivial_poset(q.prefix)).ok, n
     for n, expected in ((2, 3), (3, 4)):
         q = qparity(n)
-        got = min_dependency_elimination_width(q, trivial_poset(q.prefix))
+        got = min_width_by_enumeration(q, trivial_poset(q.prefix))
         assert got == expected
         assert got >= n + 1
     elapsed = time.perf_counter() - started
@@ -189,7 +190,9 @@ def test_criterion_4_rule_soundness_suite():
             matrices.add(extra.matrix)
         pi = frozenset(matrices)
         try:
-            out = strategy_extension(pi, v, q.prefix, d, EngineLimits(max_strategies=2**14))
+            out = strategy_extension(
+                pi, v, q.prefix, q.prefix.variables, d, EngineLimits(max_strategies=2**14)
+            )
         except ResourceLimitError:
             continue
         q_after = q.prefix.remove(dep_v)
@@ -307,6 +310,7 @@ def test_criterion_8_resource_limits_instead_of_worst_case_bound():
             frozenset({matrix_of((1, 4), (2, 5), (3, 6), (7,))}),
             7,
             prefix,
+            prefix.variables,
             trivial_poset(prefix),
             EngineLimits(max_strategies=64),
         )

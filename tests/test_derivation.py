@@ -143,21 +143,21 @@ class TestReduce:
 class TestStrategyExtension:
     def test_constant_strategies_for_independent_existential(self, qp2_setup):
         q, _, d = qp2_setup
-        out = strategy_extension(frozenset({q.matrix}), 1, q.prefix, d)
+        out = strategy_extension(frozenset({q.matrix}), 1, q.prefix, q.prefix.variables, d)
         assert out == family({PSI_X1_0}, {PSI_X1_1})
 
     def test_qparity2_x2_outputs_deduplicate(self, qp2_setup):
         q, _, d = qp2_setup
-        prefix = q.prefix.remove((1, 4))
-        out1 = strategy_extension(frozenset({RES_X1_0}), 2, prefix, d)
-        out2 = strategy_extension(frozenset({RES_X1_1}), 2, prefix, d)
+        live = q.prefix.variables - {1, 4}
+        out1 = strategy_extension(frozenset({RES_X1_0}), 2, q.prefix, live, d)
+        out2 = strategy_extension(frozenset({RES_X1_1}), 2, q.prefix, live, d)
         merged = out1 | out2
         assert merged == family({PSI_Z2_NEG}, {PSI_Z2_POS})
         assert {m for pi in merged for m in pi} == {PSI_Z2_NEG, PSI_Z2_POS}
 
     def test_empty_matrix_passes_through(self, qp2_setup):
         q, _, d = qp2_setup
-        out = strategy_extension(frozenset({Matrix(())}), 1, q.prefix, d)
+        out = strategy_extension(frozenset({Matrix(())}), 1, q.prefix, q.prefix.variables, d)
         assert out == family({Matrix(())})
 
     def test_universal_plays_enter_the_sets(self):
@@ -167,7 +167,7 @@ class TestStrategyExtension:
         prefix = Prefix((("e", (1,)), ("a", (2,))))
         d = trivial_poset(prefix)
         m = matrix_of((1, 2), (-1, -2))
-        out = strategy_extension(frozenset({m}), 2, prefix, d)
+        out = strategy_extension(frozenset({m}), 2, prefix, prefix.variables, d)
         assert out == family({matrix_of(()), Matrix(())})
 
     def test_strategy_budget_is_enforced(self):
@@ -175,7 +175,9 @@ class TestStrategyExtension:
         d = trivial_poset(prefix)
         m = matrix_of((1, 4), (2, 5), (3, 6), (7,))
         with pytest.raises(ResourceLimitError):
-            strategy_extension(frozenset({m}), 7, prefix, d, EngineLimits(max_strategies=64))
+            strategy_extension(
+                frozenset({m}), 7, prefix, prefix.variables, d, EngineLimits(max_strategies=64)
+            )
 
     def test_tables_read_each_existentials_own_universals(self):
         # forall 1 2 exists 3 4 forall 5 where 3 sees only 1 and 4 only 2:
@@ -211,12 +213,12 @@ class TestStrategyExtension:
                     for _ in range(rng.randint(2, 6))
                 ]
                 pi.add(matrix_of(*clauses))
-            assert strategy_extension(frozenset(pi), 5, prefix, d) == reference(pi)
+            assert strategy_extension(frozenset(pi), 5, prefix, prefix.variables, d) == reference(pi)
 
     def test_unquantified_variable_rejected(self, qp2_setup):
         q, _, d = qp2_setup
         with pytest.raises(ValueError):
-            strategy_extension(frozenset({q.matrix}), 1, q.prefix.remove((1,)), d)
+            strategy_extension(frozenset({q.matrix}), 1, q.prefix, q.prefix.variables - {1}, d)
 
 
 def reference_table(n_universal, owns):
@@ -278,10 +280,10 @@ class TestStrategyTable:
                     # universal_dep holds v as well as the n_universal others.
                     cached = n_universal + 1 + sum(2 ** len(own) for own in owns) <= 12
                     cache.cache_clear()
-                    cold = strategy_extension(pi, v, prefix, d)
+                    cold = strategy_extension(pi, v, prefix, prefix.variables, d)
                     assert cache.cache_info().currsize == int(cached)
                     hits = cache.cache_info().hits
-                    warm = strategy_extension(pi, v, prefix, d)
+                    warm = strategy_extension(pi, v, prefix, prefix.variables, d)
                     assert cache.cache_info().hits == hits + int(cached)
                     assert cold == warm
 
@@ -295,7 +297,7 @@ class TestStrategyTable:
         tracemalloc.start()
         try:
             for pi, v, prefix, d in instances:
-                strategy_extension(pi, v, prefix, d)
+                strategy_extension(pi, v, prefix, prefix.variables, d)
             kept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -348,12 +350,12 @@ class TestStepDispatch:
         q, td, d = qp2_setup
         state, event = step(initial_state(q), 1, td, d)
         assert event.rule == "R4"
-        assert state.prefix.variables == {2, 3, 4, 5}
+        assert state.live == {2, 3, 4, 5}
 
     def test_r2_resolves_in_every_set(self, qp2_setup):
         q, td, d = qp2_setup
         state = DerivationState(
-            q.prefix.remove((1,)), family({PSI_X1_0}, {PSI_X1_1}), 1, UntouchedStore()
+            q.prefix, q.prefix.variables - {1}, family({PSI_X1_0}, {PSI_X1_1}), 1, UntouchedStore()
         )
         state, event = step(state, 4, td, d)
         assert event.rule == "R2"
@@ -362,7 +364,7 @@ class TestStepDispatch:
     def test_r3_reduces_to_empty_clauses(self, qp2_setup):
         q, td, d = qp2_setup
         state = DerivationState(
-            Prefix((("a", (3,)),)), family({UNIT_U_NEG}, {UNIT_U_POS}), 4, UntouchedStore()
+            q.prefix, frozenset({3}), family({UNIT_U_NEG}, {UNIT_U_POS}), 4, UntouchedStore()
         )
         state, event = step(state, 3, td, d)
         assert event.rule == "R3"
@@ -452,14 +454,14 @@ class TestRunDerivation:
     def test_set_limit_names_the_largest_set(self, qp2_setup):
         # An R1 step keeps the family, so the limit check sees both sets.
         q, td, d = qp2_setup
-        prefix = q.prefix.remove((1,))
+        live = q.prefix.variables - {1}
         seen_first = set()
         for k in range(2, 8):
             small = {matrix_of((2, 4)), matrix_of((k + 1,))}
             large = small | {matrix_of((-2,)), matrix_of((3, 5))}
             fam = family(small, large)
             seen_first.add(len(next(iter(fam))))
-            state = DerivationState(prefix, fam, 0, UntouchedStore())
+            state = DerivationState(q.prefix, live, fam, 0, UntouchedStore())
             with pytest.raises(ResourceLimitError, match="set has 4 matrices, limit is 1"):
                 step(state, 1, td, d, EngineLimits(max_set_size=1))
         assert seen_first == {2, 4}  # both hash orders were tried
@@ -474,7 +476,7 @@ class TestRunDerivation:
             large = small | {matrix_of((1, 4))}
             fam = family(small, large)
             seen_first.add(len(next(iter(fam))))
-            state = DerivationState(q.prefix, fam, 0, UntouchedStore())
+            state = DerivationState(q.prefix, q.prefix.variables, fam, 0, UntouchedStore())
             with pytest.raises(ResourceLimitError, match=r"needs 2\^2 branches, limit is 1$"):
                 step(state, 1, td, d, EngineLimits(max_strategies=1))
         assert seen_first == {1, 2}
@@ -516,25 +518,29 @@ class TestInvariantChecks:
         q, td, d = qp2_setup
         # x1's forget bag is {x1, z1}; a clause pairing x1 with u breaks it.
         poisoned = DerivationState(
-            q.prefix, frozenset({frozenset({matrix_of((1, 3))})}), 0, UntouchedStore()
+            q.prefix,
+            q.prefix.variables,
+            frozenset({frozenset({matrix_of((1, 3))})}),
+            0,
+            UntouchedStore(),
         )
         assert not check_neighborhood_invariant(poisoned, 1, td)
 
     def test_empty_family_is_vacuously_fine(self, qp2_setup):
         q, td, _ = qp2_setup
-        state = DerivationState(q.prefix, frozenset(), 0, UntouchedStore())
+        state = DerivationState(q.prefix, q.prefix.variables, frozenset(), 0, UntouchedStore())
         assert check_neighborhood_invariant(state, 1, td)
 
     def test_r4_assertion_on_qparity2(self, qp2_setup):
         q, td, d = qp2_setup
-        assert check_r4_assertion(q.prefix, 1, d, td)
+        assert check_r4_assertion(q.prefix.variables, 1, d, td)
         # step 3 fires R4 on x2 with x1 and z1 already gone
-        assert check_r4_assertion(q.prefix.remove((1, 4)), 2, d, td)
+        assert check_r4_assertion(q.prefix.variables - {1, 4}, 2, d, td)
 
     def test_r4_assertion_violation(self):
         # dep(u) contains x but x is not in u's forget bag.
         prefix = XUZ.prefix
-        assert not check_r4_assertion(prefix, 2, trivial_poset(prefix), UNALIGNED_TD)
+        assert not check_r4_assertion(prefix.variables, 2, trivial_poset(prefix), UNALIGNED_TD)
 
 
 class TestChecksInRunDerivation:

@@ -208,6 +208,31 @@ class TestPosetFiles:
         with pytest.raises(ParseError):
             parse_poset("p dep 9\nd 1 9\n", prefix)
 
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("p dep 1\nd 1 5\n", 1),
+            ("c short count\np dep 4\n", 2),
+            ("p dep 0\n", 1),
+        ],
+    )
+    def test_header_count_below_the_largest_variable_rejected(self, text, line):
+        with pytest.raises(ParseError) as info:
+            parse_poset(text, qparity(2).prefix)
+        assert info.value.line == line
+        assert "header count" in str(info.value) and "below variable 5" in str(info.value)
+
+    @pytest.mark.parametrize("pair", ["0 3", "-1 3", "1 6", "1 99"])
+    def test_pair_outside_the_prefix_names_the_variable(self, pair):
+        with pytest.raises(ParseError) as info:
+            parse_poset(f"p dep 99\nd {pair}\n", qparity(2).prefix)
+        assert info.value.line == 2
+        assert "is not quantified" in str(info.value)
+
+    def test_header_count_above_the_largest_variable_is_accepted(self):
+        prefix = qparity(2).prefix
+        assert parse_poset("p dep 9\nd 1 3\n", prefix) == parse_poset("p dep 5\nd 1 3\n", prefix)
+
 
 def mutate_token(text, index, replacement):
     tokens_seen = 0

@@ -246,7 +246,6 @@ class TestPrefix:
                 assert_same(once, rebuilt(p, drop))
                 again = set(rng.sample(inside, rng.randint(0, len(inside))))
                 assert_same(once.remove(again), rebuilt(p, drop | again))
-            assert p.remove({99}) is p
 
     def test_duplicate_variable_rejected(self):
         with pytest.raises(ValueError):

@@ -214,7 +214,7 @@ def clauses_built_per_step(monkeypatch, n, pull_everything=False):
             patch.setattr(
                 UntouchedStore,
                 "untouched_over",
-                lambda self, variables, prefix: over(self, prefix.variables, prefix),
+                lambda self, variables, live: over(self, live, live),
             )
         run_derivation(q, td, d)
     return built / (2 * n + 1)
@@ -268,64 +268,44 @@ def test_the_store_rejects_clauses_that_cannot_be_untouched(lits):
         UntouchedStore(frozenset({frozenset({3}), lits}))
 
 
-def test_prefix_validations_do_not_grow_with_n(monkeypatch):
-    # Removing variables from a valid prefix keeps it valid, so the steps
-    # build their prefixes without re-validating every kept variable.
-    validated = 0
-    original = Prefix.__post_init__
+def test_a_run_builds_no_prefix(monkeypatch):
+    # A step removes the eliminated variables from the state's live set;
+    # the input prefix is kept as it is, and no prefix is cut or built.
+    built = 0
+    original = Prefix.__init__
 
-    def counting(self):
-        nonlocal validated
-        validated += 1
-        original(self)
+    def counting(self, blocks=()):
+        nonlocal built
+        built += 1
+        original(self, blocks)
 
-    counts = []
+    def remove(self, variables):
+        raise AssertionError("a run called Prefix.remove")
+
     for n in (16, 32, 64):
         q = qparity(n)
         td, d = qparity_td(n), trivial_poset(q.prefix)
-        validated = 0
+        built = 0
         with monkeypatch.context() as patch:
-            patch.setattr(Prefix, "__post_init__", counting)
-            run_derivation(q, td, d)
-        counts.append(validated)
-    assert counts[0] == counts[1] == counts[2], counts
+            patch.setattr(Prefix, "__init__", counting)
+            patch.setattr(Prefix, "remove", remove)
+            result = run_derivation(q, td, d, checks=True)
+        assert built == 0, n
+        assert result.final.prefix is q.prefix
+        assert result.final.live == frozenset()
 
 
-def test_a_run_builds_no_prefix_blocks(monkeypatch):
-    # A step shrinks the prefix by one set difference; the blocks of the
-    # shrunk prefix are built only when something reads them.
-    built = 0
-    original = formulas._canonical_blocks
-
-    def counting(blocks):
-        nonlocal built
-        built += 1
-        return original(blocks)
-
+def test_half_a_run_leaves_the_expected_live_set():
     n = 64
     q = qparity(n)
     td, d = qparity_td(n), trivial_poset(q.prefix)
     ordering = elimination_ordering(td)
-    with monkeypatch.context() as patch:
-        patch.setattr(formulas, "_canonical_blocks", counting)
-        result = run_derivation(q, td, d)
-        state = initial_state(q)
-        for v in ordering[: len(ordering) // 2]:
-            state, _ = step(state, v, td, d)
-        assert built == 0
-        half = state.prefix.blocks
-        assert built == 1
-        final = result.final.prefix.blocks
-        assert built == 2
-
-    def rebuilt(live):
-        return Prefix(tuple((quant, [v for v in vs if v in live]) for quant, vs in q.prefix.blocks))
-
+    state = initial_state(q)
+    for v in ordering[: len(ordering) // 2]:
+        state, _ = step(state, v, td, d)
     # The first half of the steps removes x_1..x_32 and z_1..z_32.
-    assert half == rebuilt(state.prefix.variables).blocks
-    assert half == (
-        ("e", tuple(range(n // 2 + 1, n + 1))),
-        ("a", (n + 1,)),
-        ("e", tuple(range(n + 2 + n // 2, 2 * n + 2))),
-    )
-    assert final == rebuilt(frozenset()).blocks == Prefix((("e", ()),)).blocks == ()
+    assert state.live == {
+        *range(n // 2 + 1, n + 1),
+        n + 1,
+        *range(n + 2 + n // 2, 2 * n + 2),
+    }

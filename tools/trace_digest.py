@@ -7,9 +7,9 @@ instance's inputs as ``trunkqbf solve`` does and runs the engine with
 the limits its command line asks for.  The digest of a corpus covers,
 per instance in order: the verdict or the abort message, the (rule,
 family_before, family_after, max_set_size) of every completed step, the
-encodings of the final family and the final prefix.  A change to the
-engine that keeps its semantics prints the same digests; run the script
-on both commits and compare.
+encodings of the final family and the sorted final live variables.  A
+change to the engine that keeps its semantics prints the same digests;
+run the script on both commits and compare.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def record(argv) -> str:
     if final is None:
         return repr((outcome, steps))
     family = sorted(sorted(m.encoding() for m in pi) for pi in final.whole_family())
-    return repr((outcome, steps, family, final.prefix.blocks))
+    return repr((outcome, steps, family, tuple(sorted(final.live))))
 
 
 def main(argv=None) -> int:

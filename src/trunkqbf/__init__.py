@@ -64,7 +64,6 @@ from .posets import (
     DependencyPoset,
     poset_from_pairs,
     trivial_poset,
-    validate_poset,
 )
 
 __version__ = "0.1.0"

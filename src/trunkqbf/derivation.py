@@ -288,19 +288,10 @@ def strategy_extension(
         raise ValueError(f"variable {v} is not live")
     for m in pi:
         _require_no_tautologies(m)
-    before_v = poset.strict(v)
     universal_dep: List[int] = []
     existential_dep: List[int] = []
-    for w in sorted([v, *(live & before_v)]):
+    for w in sorted([v, *(live & poset.strict(v))]):
         (universal_dep if prefix.quantifier(w) == FORALL else existential_dep).append(w)
-    # For x preceding v in an antisymmetric relation, dep(x) <= dep(v)
-    # exactly when strict(x) <= strict(v).
-    for x in existential_dep:
-        if not poset.strict(x) <= before_v:
-            raise InvariantError(
-                f"poset is not transitive at {x}: dep({x}) exceeds dep({v})"
-            )
-
     owns = tuple(
         tuple(i for i, u in enumerate(universal_dep) if u in poset.strict(x))
         for x in existential_dep
@@ -498,8 +489,15 @@ def validate_input(
     instance: QbfInstance, td: TrunkTreeDecomposition, poset: DependencyPoset
 ) -> Tuple[QbfInstance, Tuple[int, ...]]:
     """The instance with its tautologies removed and the decomposition's
-    elimination ordering, once the decomposition is nice and trunk-aligned
-    for that instance; a failure raises ``ValidationError``."""
+    elimination ordering, once the poset is over the instance's variables
+    and the decomposition is nice and trunk-aligned for that instance; a
+    failure raises ``ValidationError``."""
+    variables = instance.prefix.variables
+    if poset.universe != variables:
+        raise ValidationError(
+            f"poset is over variables {sorted(poset.universe)}, "
+            f"the instance over {sorted(variables)}"
+        )
     cleaned = QbfInstance(instance.prefix, remove_tautologies(instance.matrix))
     nice_report = validate_nice(td, cleaned)
     if not nice_report.ok:
@@ -527,8 +525,7 @@ def _check_step(
 
     The last holds for the untouched part by construction (the store
     rejects tautologies, and an untouched clause is over the live
-    variables), so
-    only the touched parts are read.
+    variables), so only the touched parts are read.
     """
     v, where = event.variable, f"step {event.step}, variable {event.variable}"
     if not check_neighborhood_invariant(before, v, td):

@@ -6,7 +6,8 @@ Four text formats:
 * BTD decomposition files (``s btd`` header, ``b`` bag lines, ``e``
   parent-child edges, ``r`` root, ``t`` trunk path, all ids 1-based).
 * Poset files (``p dep`` header, ``d u v`` generator pairs meaning u
-  precedes v; the loader takes the reflexive-transitive closure).
+  precedes v; the loader checks each pair against the prefix and takes
+  the reflexive-transitive closure, which is a poset by construction).
 * Trace output (one JSON object per line).
 
 Writers emit canonical, byte-deterministic output with LF endings.
@@ -20,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, TextIO, Tuple, Union
 
 from .decomposition import DecompositionError, TrunkTreeDecomposition
 from .formulas import EXISTS, FORALL, Clause, Matrix, Prefix, QbfInstance
-from .posets import DependencyPoset, poset_from_pairs, validate_poset
+from .posets import DependencyPoset, check_pair, poset_from_pairs
 
 
 class ParseError(ValueError):
@@ -271,14 +272,13 @@ def write_btd(td: TrunkTreeDecomposition) -> str:
 
 
 def parse_poset(text: str, prefix: Prefix) -> DependencyPoset:
-    """Parse generator pairs, close them reflexively-transitively and
-    validate against the prefix.
+    """Parse generator pairs, check each against the prefix
+    (``posets.check_pair``) and close them reflexively-transitively.
 
     A file with zero ``d`` lines yields the identity relation, which is
     not the trivial (full prefix order) poset.
     """
     header_vars: Optional[int] = None
-    header_line = 0
     pairs: List[Tuple[int, int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -298,7 +298,6 @@ def parse_poset(text: str, prefix: Prefix) -> DependencyPoset:
                 raise ParseError(
                     line_no, f"header count {header_vars} is below variable {largest}"
                 )
-            header_line = line_no
             continue
         if header_vars is None:
             raise ParseError(line_no, "content before 'p dep' header")
@@ -306,24 +305,14 @@ def parse_poset(text: str, prefix: Prefix) -> DependencyPoset:
             raise ParseError(line_no, f"expected 'd <u> <v>', got {line!r}")
         u = _int_token(tokens[1], line_no, "variable")
         v = _int_token(tokens[2], line_no, "variable")
-        for w in (u, v):
-            if w not in prefix.variables:
-                raise ParseError(line_no, f"variable {w} is not quantified")
-        if u != v and prefix.block_index(u) >= prefix.block_index(v):
-            raise ParseError(
-                line_no,
-                f"pair ({u}, {v}) is not prefix-consistent: "
-                f"{u} is not quantified strictly left of {v}",
-            )
+        try:
+            check_pair(prefix, u, v)
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from exc
         pairs.append((u, v))
     if header_vars is None:
         raise ParseError(1, "missing 'p dep' header")
-    poset = poset_from_pairs(prefix.variables, pairs)
-    report = validate_poset(poset, prefix)
-    if not report.ok:
-        first = report.violations[0]
-        raise ParseError(header_line, f"invalid poset: [{first.rule}] {first.message}")
-    return poset
+    return poset_from_pairs(prefix, pairs)
 
 
 def write_poset(poset: DependencyPoset) -> str:

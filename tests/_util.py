@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from trunkqbf import (
     DependencyPoset,
     DerivationState,
     EngineLimits,
+    Prefix,
     QbfInstance,
     ResourceLimitError,
     TrunkTreeDecomposition,
@@ -83,6 +84,56 @@ def min_width_by_enumeration(instance: QbfInstance, poset: DependencyPoset) -> i
             best = w
     assert best is not None
     return best
+
+
+def fixpoint_closure(
+    universe: Iterable[int], pairs: Iterable[Tuple[int, int]]
+) -> Dict[int, FrozenSet[int]]:
+    """Reference for ``poset_from_pairs``: the strict predecessor sets of
+    the reflexive-transitive closure of the pairs, by iterating to a
+    fixpoint in no particular order.  Cubic; small universes only."""
+    dep: Dict[int, Set[int]] = {v: {v} for v in universe}
+    for u, v in pairs:
+        dep[v].add(u)
+    changed = True
+    while changed:
+        changed = False
+        for v in dep:
+            extra = set()
+            for u in dep[v]:
+                extra |= dep[u]
+            if not extra <= dep[v]:
+                dep[v] |= extra
+                changed = True
+    return {v: frozenset(preceding - {v}) for v, preceding in dep.items()}
+
+
+def is_poset_for(poset: DependencyPoset, prefix: Prefix) -> bool:
+    """The poset axioms, checked pair by pair through ``dep``: the
+    relation is over the prefix's variables, reflexive, transitive and
+    consistent with the prefix, which makes it antisymmetric."""
+    if poset.universe != prefix.variables:
+        return False
+    for v in prefix.variables:
+        dep_v = poset.dep(v)
+        if v not in dep_v:
+            return False
+        for u in dep_v - {v}:
+            if prefix.block_index(u) >= prefix.block_index(v) or not poset.dep(u) <= dep_v:
+                return False
+    return True
+
+
+def random_prefix(rng: random.Random, max_vars: int) -> Prefix:
+    """A prefix of 0 to ``max_vars`` shuffled ids in random blocks."""
+    ids = list(range(1, rng.randint(0, max_vars) + 1))
+    rng.shuffle(ids)
+    blocks, quant = [], rng.choice("ea")
+    while ids:
+        size = rng.randint(0, min(4, len(ids)))
+        blocks.append((quant, tuple(ids[:size])))
+        ids, quant = ids[size:], "a" if quant == "e" else "e"
+    return Prefix(tuple(blocks))
 
 
 def edge_set(adjacency: Dict[int, Set[int]]) -> Set[Tuple[int, int]]:

@@ -174,7 +174,7 @@ class TestTrunkAlignment:
             for t in td.trunk:
                 seen |= td.bag(t)
                 trunk_bags[t] = frozenset(seen)
-            for d in (trivial_poset(q.prefix), poset_from_pairs(q.prefix.variables, [])):
+            for d in (trivial_poset(q.prefix), poset_from_pairs(q.prefix, [])):
                 report = validate_trunk_aligned(td, q, d)
                 held, failed = {}, []
                 for u in sorted(q.prefix.variables):
@@ -349,7 +349,7 @@ class TestMinDependencyEliminationWidth:
         # decomposition's width.
         for seed in range(12):
             q = random_instance(seed, 3 + seed % 4, 3 + seed % 5, 2, 1 + seed % 3)
-            free = min_width_by_enumeration(q, poset_from_pairs(q.prefix.variables, []))
+            free = min_width_by_enumeration(q, poset_from_pairs(q.prefix, []))
             assert free <= min_width_by_enumeration(q, trivial_poset(q.prefix))
             assert free <= width(min_degree_td(q))
 
@@ -497,7 +497,7 @@ class TestLinearP2:
             p2_only += list(report.property_held.values()).count("P2")
             rng = random.Random(seed)
             kept = [pair for pair in full.strict_pairs() if rng.random() < 0.5]
-            self.check(td, q, poset_from_pairs(q.prefix.variables, kept))
+            self.check(td, q, poset_from_pairs(q.prefix, kept))
         assert p2_only >= 100
 
     def test_join_nodes(self):
@@ -506,5 +506,5 @@ class TestLinearP2:
             report = self.check(td, q, trivial_poset(q.prefix))
             held += "P2" in report.property_held.values()
             failing += not report.ok
-            self.check(td, q, poset_from_pairs(q.prefix.variables, ()))
+            self.check(td, q, poset_from_pairs(q.prefix, ()))
         assert held >= 200 and failing >= 50

@@ -31,7 +31,6 @@ from trunkqbf import (
     step,
     strategy_extension,
     trivial_poset,
-    validate_poset,
 )
 from trunkqbf import InvariantError, derivation
 from trunkqbf.decomposition import ValidationReport
@@ -183,8 +182,7 @@ class TestStrategyExtension:
         # forall 1 2 exists 3 4 forall 5 where 3 sees only 1 and 4 only 2:
         # a table entry read from the wrong universal changes the output.
         prefix = Prefix((("a", (1, 2)), ("e", (3, 4)), ("a", (5,))))
-        d = poset_from_pairs(prefix.variables, [(1, 3), (2, 4), (3, 5), (4, 5)])
-        assert validate_poset(d, prefix).ok
+        d = poset_from_pairs(prefix, [(1, 3), (2, 4), (3, 5), (4, 5)])
         functions = list(itertools.product((0, 1), repeat=2))  # (f(0), f(1))
 
         def reference(pi):
@@ -307,20 +305,24 @@ class TestStrategyTable:
 def shape_instance(n_universal, owns, rng, n_matrices=None):
     """(pi, v, prefix, poset) of forall U exists X forall v whose R4 step
     at v has the given shape: each x_j precedes v and sees the universals
-    of its own set ``owns[j]``.  pi holds random 2-literal clauses."""
+    of its own set ``owns[j]``.  pi holds random 2-literal clauses.
+
+    Without any x_j the existential block holds w = v + 1 alone, so that
+    the universals are still quantified left of v; w precedes nothing and
+    occurs in no clause."""
     universals = tuple(range(1, n_universal + 1))
     existentials = tuple(range(n_universal + 1, n_universal + len(owns) + 1))
     v = n_universal + len(owns) + 1
     prefix = Prefix(
         tuple(
             (q, block)
-            for q, block in (("a", universals), ("e", existentials), ("a", (v,)))
+            for q, block in (("a", universals), ("e", existentials or (v + 1,)), ("a", (v,)))
             if block
         )
     )
     pairs = [(u, v) for u in universals + existentials]
     pairs += [(universals[i], x) for x, own in zip(existentials, owns) for i in own]
-    d = poset_from_pairs(prefix.variables, pairs)
+    d = poset_from_pairs(prefix, pairs)
     if n_matrices is None:
         n_matrices = 2 if sum(2 ** len(own) for own in owns) <= 6 else 1
     variables = range(1, v + 1)
@@ -429,6 +431,16 @@ class TestRunDerivation:
         with pytest.raises(ValidationError) as info:
             run_derivation(XUZ, UNALIGNED_TD, trivial_poset(XUZ.prefix))
         assert "trunk-aligned" in str(info.value)
+
+    def test_poset_over_other_variables_is_rejected(self):
+        # Unchecked, a smaller prefix's poset fails deep in the run with a
+        # KeyError and a larger one's reads as "not trunk-aligned".
+        q = qparity(2)
+        for other in (Prefix((("e", (1, 2)), ("a", (3,)))), qparity(3).prefix):
+            with pytest.raises(ValidationError, match="poset is over variables") as info:
+                run_derivation(q, qparity_td(2), trivial_poset(other))
+            assert f"the instance over {sorted(q.prefix.variables)}" in str(info.value)
+            assert str(sorted(other.variables)) in str(info.value)
 
     def test_family_limit_aborts(self, qp2_setup):
         q, td, d = qp2_setup

@@ -127,7 +127,7 @@ class TestPosetProperty2:
         q = QbfInstance(
             Prefix((("a", (1,)), ("e", (2,)))), matrix_of((1, -2), (-1, 2))
         )
-        identity = poset_from_pairs(q.prefix.variables, [])
+        identity = poset_from_pairs(q.prefix, [])
         assert verify_poset_property2(q, identity) is False
         assert verify_poset_property2(q, trivial_poset(q.prefix)) is True
 

@@ -10,8 +10,9 @@ from trunkqbf import (
     qparity,
     random_instance,
     trivial_poset,
-    validate_poset,
 )
+
+from _util import fixpoint_closure, is_poset_for, random_prefix
 
 
 @pytest.fixture
@@ -39,22 +40,15 @@ class TestTrivialPoset:
     def test_matches_the_per_variable_definition(self):
         rng = random.Random(11)
         for _ in range(200):
-            ids = list(range(1, rng.randint(0, 12) + 1))
-            rng.shuffle(ids)
-            blocks, quant = [], rng.choice("ea")
-            while ids:
-                size = rng.randint(0, min(4, len(ids)))
-                blocks.append((quant, tuple(ids[:size])))
-                ids, quant = ids[size:], "a" if quant == "e" else "e"
-            prefix = Prefix(tuple(blocks))
+            prefix = random_prefix(rng, 12)
             dep, earlier = {}, set()
             for _, block_vars in prefix.blocks:
                 for v in block_vars:
                     dep[v] = set(earlier) | {v}
                 earlier.update(block_vars)
             got = trivial_poset(prefix)
-            assert got == DependencyPoset(prefix.variables, dep)
             assert got.universe == prefix.variables
+            assert {v: got.dep(v) for v in prefix.variables} == dep
             assert all(type(got.dep(v)) is frozenset for v in prefix.variables)
             # The same order given as the pairs of the prefix order.
             order = prefix.variables_in_order()
@@ -64,12 +58,10 @@ class TestTrivialPoset:
                 for v in order[i + 1 :]
                 if prefix.block_index(u) < prefix.block_index(v)
             ]
-            want = poset_from_pairs(prefix.variables, pairs)
+            want = poset_from_pairs(prefix, pairs)
             assert got == want
             assert got.strict_pairs() == want.strict_pairs() == tuple(sorted(pairs))
             assert repr(got) == repr(want)
-            assert validate_poset(got, prefix) == validate_poset(want, prefix)
-            assert validate_poset(got, prefix).ok
             within = range(14)  # 0 and 13 are in no prefix
             for v in prefix.variables:
                 assert got.dep(v) == want.dep(v)
@@ -103,61 +95,68 @@ class TestDepQueries:
             trivial_poset(qp2_prefix).dep(99)
 
     def test_single_pair_closure(self, qp2_prefix):
-        d = poset_from_pairs(qp2_prefix.variables, [(1, 3)])
+        d = poset_from_pairs(qp2_prefix, [(1, 3)])
         assert d.dep(3) == {1, 3}
         assert d.dep(4) == {4}
 
     def test_transitive_closure_chains(self, qp2_prefix):
-        d = poset_from_pairs(qp2_prefix.variables, [(1, 3), (3, 4)])
+        d = poset_from_pairs(qp2_prefix, [(1, 3), (3, 4)])
         assert d.dep(4) == {1, 3, 4}
 
     def test_closure_is_idempotent(self, qp2_prefix):
-        d = poset_from_pairs(qp2_prefix.variables, [(1, 3), (3, 5), (2, 3)])
-        again = poset_from_pairs(d.universe, d.strict_pairs())
+        d = poset_from_pairs(qp2_prefix, [(1, 3), (3, 5), (2, 3)])
+        again = poset_from_pairs(qp2_prefix, d.strict_pairs())
         assert again == d
 
     def test_repr_counts_the_strict_pairs(self, qp2_prefix):
         for d in (
             trivial_poset(qp2_prefix),
-            poset_from_pairs(qp2_prefix.variables, [(1, 3), (3, 5)]),
-            DependencyPoset({1, 2}, {2: {1}}),  # 1 is missing its reflexive pair
+            poset_from_pairs(qp2_prefix, [(1, 3), (3, 5)]),
         ):
             assert repr(d).endswith(f"pairs={len(d.strict_pairs())})")
         assert repr(trivial_poset(qp2_prefix)) == "DependencyPoset(|universe|=5, pairs=8)"
 
 
 class TestValidatePoset:
+    """Both builders give a poset for their prefix; a pair that would
+    break one is rejected when the poset is built."""
+
     def test_trivial_poset_is_valid_for_generated_prefixes(self):
         for seed in range(25):
             q = random_instance(seed, 2 + seed % 6, 3, 2, 1 + seed % 3)
-            report = validate_poset(trivial_poset(q.prefix), q.prefix)
-            assert report.ok, report
+            assert is_poset_for(trivial_poset(q.prefix), q.prefix)
 
     def test_prefix_consistency_violation(self, qp2_prefix):
-        # u = 3 precedes x1 = 1 although x1 is quantified first.
-        d = poset_from_pairs(qp2_prefix.variables, [(3, 1)])
-        report = validate_poset(d, qp2_prefix)
-        assert not report.ok
-        assert any(v.rule == "prefix" for v in report.violations)
+        # u = 3 may not precede x1 = 1, which is quantified first.
+        with pytest.raises(ValueError, match="pair \\(3, 1\\) is not prefix-consistent"):
+            poset_from_pairs(qp2_prefix, [(3, 1)])
 
-    def test_missing_reflexive_pair(self, qp2_prefix):
-        raw = DependencyPoset(qp2_prefix.variables, {v: {v} for v in (1, 2, 3, 4)})
-        report = validate_poset(raw, qp2_prefix)
-        assert any(v.rule == "reflexivity" and v.subject == "5" for v in report.violations)
+    def test_antisymmetry_violation(self, qp2_prefix):
+        with pytest.raises(ValueError, match="prefix-consistent"):
+            poset_from_pairs(Prefix((("e", (1, 2)),)), [(1, 2), (2, 1)])
+        with pytest.raises(ValueError, match="prefix-consistent"):
+            poset_from_pairs(qp2_prefix, [(1, 3), (3, 1)])
 
-    def test_antisymmetry_violation(self):
-        prefix = Prefix((("e", (1, 2)),))
-        d = poset_from_pairs({1, 2}, [(1, 2), (2, 1)])
-        report = validate_poset(d, prefix)
-        assert any(v.rule == "antisymmetry" for v in report.violations)
+    def test_unquantified_variable_is_rejected(self, qp2_prefix):
+        for pair in ((1, 9), (0, 4)):
+            with pytest.raises(ValueError, match="is not quantified"):
+                poset_from_pairs(qp2_prefix, [pair])
 
-    def test_broken_transitivity_detected(self, qp2_prefix):
-        raw = DependencyPoset(
-            qp2_prefix.variables,
-            {1: {1}, 2: {2}, 3: {1, 3}, 4: {3, 4}, 5: {5}},  # 1 <= 3 <= 4 but 1 !<= 4
-        )
-        report = validate_poset(raw, qp2_prefix)
-        assert any(v.rule == "transitivity" for v in report.violations)
+    def test_reflexive_pairs_are_ignored(self, qp2_prefix):
+        identity = poset_from_pairs(qp2_prefix, [])
+        assert poset_from_pairs(qp2_prefix, [(v, v) for v in qp2_prefix.variables]) == identity
+        assert all(identity.dep(v) == {v} for v in qp2_prefix.variables)
+
+    def test_a_pair_against_the_prefix_never_reaches_the_engine(self, qp2_prefix):
+        # Were it accepted, z1 = 4 preceding x1 = 1 would make the engine
+        # call the false qparity(2) true on qparity_td(2).
+        with pytest.raises(ValueError, match="prefix-consistent"):
+            poset_from_pairs(qp2_prefix, [(4, 1)])
+
+    def test_no_relation_is_built_without_a_builder(self):
+        for args in ((), ({1, 2}, {2: {1}})):
+            with pytest.raises(TypeError):
+                DependencyPoset(*args)
 
     def test_trivial_dep_matches_direct_enumeration(self):
         for seed in range(10):
@@ -172,6 +171,42 @@ class TestValidatePoset:
                 assert d.dep(v) == earlier | {v}
 
 
+class TestClosure:
+    def test_matches_the_fixpoint_closure_on_random_prefixes(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            prefix = random_prefix(rng, 12)
+            order = prefix.variables_in_order()
+            candidates = [
+                (u, v)
+                for i, u in enumerate(order)
+                for v in order[i:]
+                if u == v or prefix.block_index(u) < prefix.block_index(v)
+            ]
+            density = rng.random()
+            pairs = [pair for pair in candidates if rng.random() < density]
+            got = poset_from_pairs(prefix, pairs)
+            want = fixpoint_closure(prefix.variables, pairs)
+            assert {v: got.strict(v) for v in prefix.variables} == want
+            assert is_poset_for(got, prefix)
+            # Equal sets are stored once.
+            stored = [got.strict(v) for v in prefix.variables]
+            assert len({id(s) for s in stored}) == len(set(stored))
+
+    def test_long_chain_numbered_against_the_prefix(self):
+        # 400 one-variable blocks, 400 outermost, each preceding the next:
+        # the fixpoint needs a round per link, one pass over the prefix
+        # closes it.
+        n = 400
+        prefix = Prefix(tuple(("ea"[k % 2], (n - k,)) for k in range(n)))
+        pairs = [(v + 1, v) for v in range(1, n)]
+        got = poset_from_pairs(prefix, pairs)
+        assert {v: got.strict(v) for v in prefix.variables} == fixpoint_closure(
+            prefix.variables, pairs
+        )
+        assert all(got.strict(v) == set(range(v + 1, n + 1)) for v in prefix.variables)
+
+
 class TestDependentsStrict:
     def test_matches_brute_force_within(self):
         q = qparity(3)
@@ -179,8 +214,8 @@ class TestDependentsStrict:
         five = Prefix((("a", (1, 2)), ("e", (3, 4)), ("a", (5,))))
         posets = [
             trivial_poset(q.prefix),
-            poset_from_pairs(q.prefix.variables, []),
-            poset_from_pairs(five.variables, [(1, 3), (2, 4), (3, 5), (4, 5)]),
+            poset_from_pairs(q.prefix, []),
+            poset_from_pairs(five, [(1, 3), (2, 4), (3, 5), (4, 5)]),
         ]
         rng = random.Random(3)
         for d in posets:

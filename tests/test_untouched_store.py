@@ -130,7 +130,7 @@ def test_shuffled_paths_under_sparser_posets_agree_with_the_oracle():
         full = trivial_poset(q.prefix)
         rng = random.Random(seed)
         kept = [pair for pair in full.strict_pairs() if rng.random() < 0.5]
-        d = poset_from_pairs(q.prefix.variables, kept)
+        d = poset_from_pairs(q.prefix, kept)
         if d == full or not verify_poset_property2(q, d):
             continue
         if not validate_trunk_aligned(td, q, d).ok:

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 from .decomposition import width
 from .derivation import (
+    MAX_FAMILY_SIZE,
+    MAX_SET_SIZE,
+    MAX_STRATEGIES,
     DerivationError,
     EngineLimits,
     ResourceLimitError,
@@ -31,8 +33,6 @@ from .formats import (
     write_trace,
 )
 from .formulas import QbfInstance
-from .generators import qparity, qparity_td
-from .oracle import BudgetExceededError, OracleBudget, evaluate
 from .posets import trivial_poset
 
 EXIT_TRUE = 10
@@ -55,18 +55,28 @@ def _write_trace(events, path: str) -> bool:
     return True
 
 
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
 def _load_instance(path: str) -> QbfInstance:
-    return parse_qdimacs(Path(path).read_text(encoding="utf-8"))
+    return parse_qdimacs(_read(path))
 
 
 def _load_inputs(args):
     """The instance, decomposition and poset that ``args`` names."""
     instance = _load_instance(args.instance)
-    td = parse_btd(Path(args.td).read_text(encoding="utf-8"))
+    td = parse_btd(_read(args.td))
     if args.trivial_poset:
         poset = trivial_poset(instance.prefix)
     else:
-        poset = parse_poset(Path(args.poset).read_text(encoding="utf-8"), instance.prefix)
+        poset = parse_poset(_read(args.poset), instance.prefix)
     return instance, td, poset
 
 
@@ -113,9 +123,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    # Imported here, not at the top, so that ``import trunkqbf.cli`` and
+    # ``solve`` do not load the oracle; likewise the generators in ``gen``.
+    from .oracle import BudgetExceededError, OracleBudget, evaluate
+
     try:
         instance = _load_instance(args.instance)
-        verdict = evaluate(instance, OracleBudget(max_variables=args.budget))
+        budget = OracleBudget() if args.budget is None else OracleBudget(args.budget)
+        verdict = evaluate(instance, budget)
     except (OSError, BudgetExceededError, ValueError) as exc:
         return _fail(f"error: {exc}")
     except RecursionError:
@@ -125,6 +140,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .generators import qparity, qparity_td
+
     if args.family != "qparity":
         return _fail(f"error: unknown family {args.family!r}")
     try:
@@ -133,10 +150,8 @@ def cmd_gen(args) -> int:
     except ValueError as exc:
         return _fail(f"error: {exc}")
     try:
-        Path(f"{args.out_prefix}.qdimacs").write_text(
-            write_qdimacs(instance), encoding="utf-8"
-        )
-        Path(f"{args.out_prefix}.btd").write_text(write_btd(td), encoding="utf-8")
+        _write(f"{args.out_prefix}.qdimacs", write_qdimacs(instance))
+        _write(f"{args.out_prefix}.btd", write_btd(td))
     except OSError as exc:
         return _fail(f"error: {exc}")
     return 0
@@ -170,9 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="assert per-step engine invariants (slower)",
     )
     solve.add_argument("--stats", action="store_true", help="print statistics lines")
-    solve.add_argument("--max-family-size", type=int, default=EngineLimits().max_family_size)
-    solve.add_argument("--max-set-size", type=int, default=EngineLimits().max_set_size)
-    solve.add_argument("--max-strategies", type=int, default=EngineLimits().max_strategies)
+    solve.add_argument("--max-family-size", type=int, default=MAX_FAMILY_SIZE)
+    solve.add_argument("--max-set-size", type=int, default=MAX_SET_SIZE)
+    solve.add_argument("--max-strategies", type=int, default=MAX_STRATEGIES)
     solve.set_defaults(func=cmd_solve)
 
     validate = sub.add_parser("validate", help="validate a decomposition for an instance")
@@ -187,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument(
         "--budget",
         type=int,
-        default=OracleBudget().max_variables,
         help="maximum number of variables",
     )
     oracle.set_defaults(func=cmd_oracle)

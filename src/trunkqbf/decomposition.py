@@ -12,9 +12,20 @@ satisfy P1 since every variable sits in its own forget bag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from .formulas import QbfInstance
 from .posets import DependencyPoset
@@ -24,18 +35,18 @@ class DecompositionError(ValueError):
     """Structurally broken decomposition (not a tree, bad trunk, ...)."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     rule: str  # T1 | T2 | T3 | T4 | P1P2
     subject: str  # node id or variable id as text
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: Tuple[Violation, ...] = ()
     #: For trunk-alignment checks: variable -> "P1" | "P2" | "P1P2".
-    property_held: Mapping[int, str] = field(default_factory=dict)
+    #: The default is a read-only empty mapping, so no report shares a
+    #: mutable one.
+    property_held: Mapping[int, str] = MappingProxyType({})
 
     @property
     def ok(self) -> bool:

@@ -60,8 +60,7 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from .decomposition import (
     TrunkTreeDecomposition,
@@ -75,6 +74,7 @@ from .formulas import (
     EXISTS,
     FORALL,
     Clause,
+    Frozen,
     Matrix,
     Prefix,
     QbfInstance,
@@ -123,19 +123,38 @@ class InvariantError(DerivationError):
     """A runtime invariant of the engine was violated (internal error)."""
 
 
-@dataclass(frozen=True)
-class EngineLimits:
-    max_family_size: int = 2**16
-    max_set_size: int = 2**14
-    max_strategies: int = 2**20
+# The default limits, shared by ``EngineLimits`` and the command line.
+MAX_FAMILY_SIZE = 2**16
+MAX_SET_SIZE = 2**14
+MAX_STRATEGIES = 2**20
 
-    def __post_init__(self) -> None:
-        if min(self.max_family_size, self.max_set_size, self.max_strategies) < 1:
+
+class EngineLimits(Frozen):
+    """Bounds on a run: sets per family, matrices per set and branches
+    per strategy extension, each positive."""
+
+    __slots__ = ("max_family_size", "max_set_size", "max_strategies")
+    max_family_size: int
+    max_set_size: int
+    max_strategies: int
+
+    def __init__(
+        self,
+        max_family_size: int = MAX_FAMILY_SIZE,
+        max_set_size: int = MAX_SET_SIZE,
+        max_strategies: int = MAX_STRATEGIES,
+    ) -> None:
+        if min(max_family_size, max_set_size, max_strategies) < 1:
             raise ValueError("limits must be positive")
+        object.__setattr__(self, "max_family_size", max_family_size)
+        object.__setattr__(self, "max_set_size", max_set_size)
+        object.__setattr__(self, "max_strategies", max_strategies)
+
+    def _key(self) -> Tuple[object, ...]:
+        return (self.max_family_size, self.max_set_size, self.max_strategies)
 
 
-@dataclass(frozen=True)
-class UntouchedStore:
+class UntouchedStore(Frozen):
     """The input clauses with at least one variable, stored once per run.
 
     Clauses are literal sets.  Such a clause is untouched while all its
@@ -144,14 +163,13 @@ class UntouchedStore:
     by their clauses.
     """
 
-    clauses: FrozenSet[Lits] = frozenset()
-    _index: Dict[int, List[Tuple[Lits, FrozenSet[int]]]] = field(
-        init=False, compare=False, repr=False
-    )
+    __slots__ = ("clauses", "_index")
+    clauses: FrozenSet[Lits]
+    _index: Dict[int, List[Tuple[Lits, FrozenSet[int]]]]
 
-    def __post_init__(self) -> None:
+    def __init__(self, clauses: FrozenSet[Lits] = frozenset()) -> None:
         index: Dict[int, List[Tuple[Lits, FrozenSet[int]]]] = {}
-        for lits in self.clauses:
+        for lits in clauses:
             if not lits:
                 raise ValueError("a variable-free clause cannot be untouched")
             if is_tautological(lits):
@@ -159,7 +177,11 @@ class UntouchedStore:
             over = frozenset(map(abs, lits))
             for x in over:
                 index.setdefault(x, []).append((lits, over))
+        object.__setattr__(self, "clauses", clauses)
         object.__setattr__(self, "_index", index)
+
+    def _key(self) -> Tuple[object, ...]:
+        return (self.clauses,)
 
     def untouched_over(self, variables: Iterable[int], live: FrozenSet[int]) -> FrozenSet[Lits]:
         """The untouched clauses, those over live variables only, that
@@ -174,8 +196,7 @@ class UntouchedStore:
         )
 
 
-@dataclass(frozen=True)
-class DerivationState:
+class DerivationState(NamedTuple):
     """The still-quantified variables and a family of matrices.
 
     ``prefix`` is the input prefix, read only for quantifiers; ``live``
@@ -195,8 +216,7 @@ class DerivationState:
         return _with_clauses(self.family, self.untouched.untouched_over(self.live, self.live))
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     step: int
     variable: int
     rule: str
@@ -206,8 +226,7 @@ class TraceEvent:
     micros: int
 
 
-@dataclass(frozen=True)
-class DerivationResult:
+class DerivationResult(NamedTuple):
     verdict: bool
     trace: Tuple[TraceEvent, ...]
     final: DerivationState

@@ -16,7 +16,7 @@ Parsers reject malformed input with a diagnostic naming the line.
 
 from __future__ import annotations
 
-import json
+import re
 from typing import Dict, Iterable, List, Optional, TextIO, Tuple, Union
 
 from .decomposition import DecompositionError, TrunkTreeDecomposition
@@ -30,8 +30,47 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _int_token(token: str, line: int, what: str = "token") -> int:
+# An integer token as docs/formats.md spells it: ASCII digits without a
+# leading zero, after an optional minus sign.
+_INT_TOKEN = re.compile("-?[1-9][0-9]*|0")
+# A "0" that starts a number of two or more digits.
+_LEADING_ZERO = re.compile("0(?<![0-9]0)[0-9]")
+
+
+def _checked(text: str) -> bool:
+    """Whether the text's integer tokens must be matched to the grammar.
+
+    ``int()`` also reads "+3", "1_0", "007", "-0" and non-ASCII digits.
+    A text, comments included, without a non-ASCII character, "+", "_",
+    "-0" or a leading zero holds none of them, so ``int()`` alone reads
+    its tokens as the grammar does.  The test is a few C-level searches
+    over the whole text.
+    """
+    return not (
+        text.isascii()
+        and "+" not in text
+        and "_" not in text
+        and "-0" not in text
+        and _LEADING_ZERO.search(text) is None
+    )
+
+
+def _int_tokens(tokens: List[str], line: int, what: str, checked: bool) -> List[int]:
+    """The integer tokens of one line; ``checked`` is ``_checked(text)``."""
     try:
+        if checked and not all(map(_INT_TOKEN.fullmatch, tokens)):
+            raise ValueError
+        return list(map(int, tokens))
+    except ValueError:
+        bad = next(t for t in tokens if _INT_TOKEN.fullmatch(t) is None)
+        raise ParseError(line, f"expected an integer {what}, got {bad!r}") from None
+
+
+def _int_token(token: str, line: int, what: str, checked: bool) -> int:
+    """One integer token, as ``_int_tokens`` reads it."""
+    try:
+        if checked and _INT_TOKEN.fullmatch(token) is None:
+            raise ValueError
         return int(token)
     except ValueError:
         raise ParseError(line, f"expected an integer {what}, got {token!r}") from None
@@ -53,6 +92,7 @@ def parse_qdimacs(text: str) -> QbfInstance:
     quantified: Dict[int, int] = {}  # variable -> declaring line
     clauses: List[Clause] = []
     clause_section = False
+    checked = _checked(text)
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -64,8 +104,8 @@ def parse_qdimacs(text: str) -> QbfInstance:
                 raise ParseError(line_no, "duplicate header")
             if len(tokens) != 4 or tokens[1] != "cnf":
                 raise ParseError(line_no, f"malformed header {line!r}")
-            n_vars = _int_token(tokens[2], line_no, "variable count")
-            n_clauses = _int_token(tokens[3], line_no, "clause count")
+            n_vars = _int_token(tokens[2], line_no, "variable count", checked)
+            n_clauses = _int_token(tokens[3], line_no, "clause count", checked)
             if n_vars < 0 or n_clauses < 0:
                 raise ParseError(line_no, "header counts must be non-negative")
             header_line = line_no
@@ -75,7 +115,7 @@ def parse_qdimacs(text: str) -> QbfInstance:
         if tokens[0] in (EXISTS, FORALL):
             if clause_section:
                 raise ParseError(line_no, "quantifier line after the first clause")
-            values = [_int_token(t, line_no, "variable") for t in tokens[1:]]
+            values = _int_tokens(tokens[1:], line_no, "variable", checked)
             if not values or values[-1] != 0:
                 raise ParseError(line_no, "quantifier line must end with 0")
             variables = values[:-1]
@@ -97,7 +137,7 @@ def parse_qdimacs(text: str) -> QbfInstance:
             continue
         # Clause line.
         clause_section = True
-        values = [_int_token(t, line_no, "literal") for t in tokens]
+        values = _int_tokens(tokens, line_no, "literal", checked)
         if values[-1] != 0:
             raise ParseError(line_no, "clause line must end with 0")
         lits = values[:-1]
@@ -152,6 +192,7 @@ def parse_btd(text: str) -> TrunkTreeDecomposition:
     root: Optional[int] = None
     trunk: Optional[Tuple[int, ...]] = None
     trunk_line = root_line = 0
+    checked = _checked(text)
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -165,9 +206,9 @@ def parse_btd(text: str) -> TrunkTreeDecomposition:
             if len(tokens) != 5 or tokens[1] != "btd":
                 raise ParseError(line_no, f"malformed header {line!r}")
             header = (
-                _int_token(tokens[2], line_no, "node count"),
-                _int_token(tokens[3], line_no, "max bag size"),
-                _int_token(tokens[4], line_no, "variable count"),
+                _int_token(tokens[2], line_no, "node count", checked),
+                _int_token(tokens[3], line_no, "max bag size", checked),
+                _int_token(tokens[4], line_no, "variable count", checked),
             )
             if min(header) < 0:
                 raise ParseError(line_no, "header counts must be non-negative")
@@ -179,14 +220,14 @@ def parse_btd(text: str) -> TrunkTreeDecomposition:
         if kind == "b":
             if len(tokens) < 2:
                 raise ParseError(line_no, "bag line needs a node id")
-            node = _int_token(tokens[1], line_no, "node id")
+            node = _int_token(tokens[1], line_no, "node id", checked)
             if node < 1:
                 raise ParseError(line_no, f"node ids are 1-based, got {node}")
             if node in bags:
                 raise ParseError(
                     line_no, f"duplicate node {node} (bag already on line {bag_lines[node]})"
                 )
-            variables = tuple(_int_token(t, line_no, "variable") for t in tokens[2:])
+            variables = tuple(_int_tokens(tokens[2:], line_no, "variable", checked))
             for v in variables:
                 if v < 1 or v > num_vars:
                     raise ParseError(line_no, f"variable {v} out of range 1..{num_vars}")
@@ -201,20 +242,19 @@ def parse_btd(text: str) -> TrunkTreeDecomposition:
         elif kind == "e":
             if len(tokens) != 3:
                 raise ParseError(line_no, "edge line must be 'e <parent> <child>'")
-            parent = _int_token(tokens[1], line_no, "node id")
-            child = _int_token(tokens[2], line_no, "node id")
+            parent, child = _int_tokens(tokens[1:], line_no, "node id", checked)
             edges.append((line_no, parent, child))
         elif kind == "r":
             if root is not None:
                 raise ParseError(line_no, "duplicate root line")
             if len(tokens) != 2:
                 raise ParseError(line_no, "root line must be 'r <node>'")
-            root = _int_token(tokens[1], line_no, "node id")
+            root = _int_token(tokens[1], line_no, "node id", checked)
             root_line = line_no
         elif kind == "t":
             if trunk is not None:
                 raise ParseError(line_no, "duplicate trunk line")
-            trunk = tuple(_int_token(t, line_no, "node id") for t in tokens[1:])
+            trunk = tuple(_int_tokens(tokens[1:], line_no, "node id", checked))
             if not trunk:
                 raise ParseError(line_no, "empty trunk line")
             trunk_line = line_no
@@ -280,6 +320,7 @@ def parse_poset(text: str, prefix: Prefix) -> DependencyPoset:
     """
     header_vars: Optional[int] = None
     pairs: List[Tuple[int, int]] = []
+    checked = _checked(text)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -290,7 +331,7 @@ def parse_poset(text: str, prefix: Prefix) -> DependencyPoset:
                 raise ParseError(line_no, "duplicate header")
             if len(tokens) != 3 or tokens[1] != "dep":
                 raise ParseError(line_no, f"malformed header {line!r}")
-            header_vars = _int_token(tokens[2], line_no, "variable count")
+            header_vars = _int_token(tokens[2], line_no, "variable count", checked)
             if header_vars < 0:
                 raise ParseError(line_no, "header counts must be non-negative")
             largest = max(prefix.variables, default=0)
@@ -303,8 +344,7 @@ def parse_poset(text: str, prefix: Prefix) -> DependencyPoset:
             raise ParseError(line_no, "content before 'p dep' header")
         if tokens[0] != "d" or len(tokens) != 3:
             raise ParseError(line_no, f"expected 'd <u> <v>', got {line!r}")
-        u = _int_token(tokens[1], line_no, "variable")
-        v = _int_token(tokens[2], line_no, "variable")
+        u, v = _int_tokens(tokens[1:], line_no, "variable", checked)
         try:
             check_pair(prefix, u, v)
         except ValueError as exc:
@@ -326,6 +366,9 @@ def write_poset(poset: DependencyPoset) -> str:
 
 def write_trace(events: Iterable, sink: Union[str, TextIO]) -> None:
     """Write one JSON record per trace event, in step order."""
+    # Only traced runs write JSON, so only they import the encoder.
+    import json
+
     own = isinstance(sink, (str, bytes))
     handle: TextIO = open(sink, "w", encoding="utf-8") if own else sink  # type: ignore[arg-type]
     try:

@@ -13,13 +13,16 @@ frozenset of its members.  The engine's kernels (``restrict``,
 with C-level set operations, and the plain frozensets they build are
 equal to the ``Clause`` of the same literals.  ``Clause.lits`` and
 ``Matrix.clauses`` give the canonical order, computed when read.
+
+The package's other immutable values derive from ``Frozen`` or are
+``typing.NamedTuple`` records; none is a dataclass, so defining them
+generates no code when the package is imported.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from typing import AbstractSet, Dict, FrozenSet, Iterable, Mapping, Set, Tuple
 
@@ -33,6 +36,40 @@ EXISTS = "e"
 FORALL = "a"
 
 _neg = operator.neg
+
+
+class Frozen:
+    """Base of the immutable values that check their fields.
+
+    A subclass sets its fields in its constructor, after its checks,
+    with ``object.__setattr__``; a later assignment or deletion raises
+    ``AttributeError``.  Instances of one class compare and hash by
+    ``_key()``, and the repr names the public slots.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> Tuple[object, ...]:
+        raise NotImplementedError
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        public = [name for name in self.__slots__ if not name.startswith("_")]
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in public)
+        return f"{self.__class__.__name__}({fields})"
 
 
 def _check_literal(lit: int) -> None:
@@ -150,7 +187,7 @@ def matrix_of(*clauses: Iterable[int]) -> Matrix:
     return Matrix(map(Clause, clauses))
 
 
-class Prefix:
+class Prefix(Frozen):
     """A quantifier prefix of strictly alternating blocks.
 
     Adjacent same-quantifier blocks are merged and empty blocks dropped
@@ -219,36 +256,31 @@ class Prefix:
         drop = set(variables)
         return Prefix((q, [v for v in vs if v not in drop]) for q, vs in self.blocks)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.blocks == other.blocks
-
-    def __hash__(self) -> int:
-        return hash((self.blocks,))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+    def _key(self) -> Tuple[object, ...]:
+        return (self.blocks,)
 
     def __repr__(self) -> str:
         inner = " ".join(f"{q}{list(vs)}" for q, vs in self.blocks)
         return f"Prefix({inner})"
 
 
-@dataclass(frozen=True)
-class QbfInstance:
-    """A prenex QBF: quantifier prefix plus CNF matrix."""
+class QbfInstance(Frozen):
+    """A prenex QBF: quantifier prefix plus CNF matrix, every matrix
+    variable quantified."""
 
+    __slots__ = ("prefix", "matrix")
     prefix: Prefix
     matrix: Matrix
 
-    def __post_init__(self) -> None:
-        free = self.matrix.variables() - self.prefix.variables
+    def __init__(self, prefix: Prefix, matrix: Matrix) -> None:
+        free = matrix.variables() - prefix.variables
         if free:
             raise ValueError(f"matrix variables not quantified: {sorted(free)}")
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "matrix", matrix)
+
+    def _key(self) -> Tuple[object, ...]:
+        return (self.prefix, self.matrix)
 
     def variables(self) -> FrozenSet[int]:
         return self.prefix.variables

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .formulas import (
     EXISTS,
     FORALL,
     Clause,
+    Frozen,
     Matrix,
     Prefix,
     QbfInstance,
@@ -30,13 +30,19 @@ class BudgetExceededError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    max_variables: int = 24
+class OracleBudget(Frozen):
+    """The most variables an oracle call may enumerate; positive."""
 
-    def __post_init__(self) -> None:
-        if self.max_variables < 1:
+    __slots__ = ("max_variables",)
+    max_variables: int
+
+    def __init__(self, max_variables: int = 24) -> None:
+        if max_variables < 1:
             raise ValueError("budget must be positive")
+        object.__setattr__(self, "max_variables", max_variables)
+
+    def _key(self) -> Tuple[object, ...]:
+        return (self.max_variables,)
 
 
 def evaluate(instance: QbfInstance, budget: OracleBudget = OracleBudget()) -> bool:

@@ -282,3 +282,52 @@ class TestModuleEntryPoint:
         solved = run("solve", "q.qdimacs", "--td", "q.btd", "--trivial-poset")
         assert solved.returncode == 20
         assert solved.stdout == "s cnf 0\n"
+
+
+# Runs in a fresh interpreter: imports the CLI, writes qparity(3) with
+# ``gen``, solves it without and with a trace, and prints the exit codes
+# and three space-separated module lists.  ``gen`` runs first because the
+# first parser build imports ``locale`` (argparse's messages go through
+# gettext), whatever the command.
+IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import trunkqbf.cli as cli
+imported = set(sys.modules)
+gen_code = cli.main(["gen", "qparity", "3", "q"])
+generated = set(sys.modules)
+argv = ["solve", "q.qdimacs", "--td", "q.btd", "--trivial-poset"]
+code = cli.main(argv)
+solved = set(sys.modules)
+traced_code = cli.main(argv + ["--trace", "t.jsonl"])
+traced = set(sys.modules)
+print(gen_code, code, traced_code)
+unwanted = {"dataclasses", "inspect", "json", "pathlib", "trunkqbf.generators", "trunkqbf.oracle"}
+print(" ".join(sorted((imported - before) & unwanted)))
+print(" ".join(sorted(solved - generated)))
+print(" ".join(sorted(traced - solved)))
+"""
+
+
+class TestImportCost:
+    def test_solving_loads_nothing_beyond_the_import(self, tmp_path):
+        """``import trunkqbf.cli`` loads none of ``dataclasses``,
+        ``inspect``, ``json``, ``pathlib``, the generators and the oracle;
+        a solve loads no further module, and a traced one only ``json``."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        codes, heavy, by_solve, by_trace = done.stdout.splitlines()[-4:]
+        assert codes == "0 20 20"
+        assert heavy == ""
+        assert by_solve == ""
+        assert by_trace.split() and all(
+            name.lstrip("_").split(".")[0] == "json" for name in by_trace.split()
+        )

@@ -302,6 +302,48 @@ class TestSingleTokenCorruptions:
             parse_btd(bad_node)
 
 
+# Spellings that int() reads as 10 but the grammar's integers exclude.
+NOT_INTEGERS = {
+    "underscore": "1_0",
+    "fullwidth": "\uff11\uff10",
+    "plus": "+10",
+    "leading zero": "010",
+}
+
+
+def _with_token(token):
+    """(parse, text, line of the token) for each format, the token standing
+    for variable 10 at a place where 10 is valid."""
+    prefix = Prefix((("e", tuple(range(1, 10))), ("a", (10,))))
+    return [
+        (parse_qdimacs, f"c \uff11 +3 007\np cnf 10 1\ne 10 0\n{token} 0\n", 4),
+        (parse_btd, f"s btd 1 1 10\nb 1 {token}\nr 1\nt 1\n", 2),
+        (lambda text: parse_poset(text, prefix), f"p dep 10\nd 1 {token}\n", 2),
+    ]
+
+
+class TestIntegerTokens:
+    def test_canonical_spelling_parses(self):
+        for parse, text, _ in _with_token("10"):
+            parse(text)
+
+    @pytest.mark.parametrize("token", NOT_INTEGERS.values(), ids=NOT_INTEGERS.keys())
+    def test_other_spellings_are_rejected_at_their_line(self, token):
+        for parse, text, line in _with_token(token):
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert info.value.line == line
+            assert "expected an integer" in str(info.value)
+            assert str(info.value).endswith(f"got {token!r}")
+
+    @pytest.mark.parametrize(
+        "text", ["p cnf 007 0\n", "p cnf 1 1\n1 -0\n", "p cnf 2 1\ne 1 2 0\n1_0 0\n"]
+    )
+    def test_qdimacs_header_and_terminator_spellings(self, text):
+        with pytest.raises(ParseError, match="expected an integer"):
+            parse_qdimacs(text)
+
+
 class TestTrace:
     def test_json_lines(self):
         events = [

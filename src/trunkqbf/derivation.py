@@ -91,8 +91,6 @@ Family = FrozenSet[MatrixSet]
 # A clause inside the engine: the frozenset of its literals.
 Lits = FrozenSet[int]
 
-RULES = ("R1", "R2", "R3", "R4")
-
 
 class DerivationError(Exception):
     pass

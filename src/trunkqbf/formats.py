@@ -11,13 +11,15 @@ Four text formats:
 * Trace output (one JSON object per line).
 
 Writers emit canonical, byte-deterministic output with LF endings.
-Parsers reject malformed input with a diagnostic naming the line.
+Parsers share one line reader, ``_read``, and one integer reader, and
+reject malformed input with a diagnostic naming the line.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, List, Optional, TextIO, Tuple, Union
+from itertools import chain
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, TextIO, Tuple, Union
 
 from .decomposition import DecompositionError, TrunkTreeDecomposition
 from .formulas import EXISTS, FORALL, Clause, Matrix, Prefix, QbfInstance
@@ -35,45 +37,92 @@ class ParseError(ValueError):
 _INT_TOKEN = re.compile("-?[1-9][0-9]*|0")
 # A "0" that starts a number of two or more digits.
 _LEADING_ZERO = re.compile("0(?<![0-9]0)[0-9]")
+# Printable ASCII and "\n", but for "+" and "_".
+_PLAIN = bytes(b for b in range(32, 127) if b not in b"+_") + b"\n"
+# A content line: its number, the line stripped at both ends, its tokens.
+Row = Tuple[int, str, List[str]]
 
 
 def _checked(text: str) -> bool:
-    """Whether the text's integer tokens must be matched to the grammar.
+    """Whether the text's lines and tokens must be checked one by one.
 
-    ``int()`` also reads "+3", "1_0", "007", "-0" and non-ASCII digits.
-    A text, comments included, without a non-ASCII character, "+", "_",
-    "-0" or a leading zero holds none of them, so ``int()`` alone reads
-    its tokens as the grammar does.  The test is a few C-level searches
-    over the whole text.
+    ``str.split()`` also splits at tabs, "\\x1c" and all other whitespace,
+    and ``int()`` also reads "+3", "1_0", "007", "-0" and non-ASCII
+    digits.  A text, comments included, of printable ASCII and "\\n"
+    alone, without "+", "_", "-0" or a leading zero, holds none of them,
+    so ``str.split()`` and ``int()`` alone read it as the grammar does.
+    The test is a few C-level passes over the whole text.
     """
     return not (
         text.isascii()
-        and "+" not in text
-        and "_" not in text
+        and not text.encode().translate(None, _PLAIN)
         and "-0" not in text
         and _LEADING_ZERO.search(text) is None
     )
 
 
-def _int_tokens(tokens: List[str], line: int, what: str, checked: bool) -> List[int]:
-    """The integer tokens of one line; ``checked`` is ``_checked(text)``."""
+def _int_tokens(
+    tokens: List[str], line: int, what: Union[str, Tuple[str, ...]], checked: bool
+) -> List[int]:
+    """The integer tokens of one line; ``checked`` is ``_checked(text)``.
+
+    ``what`` names the tokens in the error message: one name for all, or
+    a tuple of one per token whose last name also stands for the rest.
+    """
     try:
         if checked and not all(map(_INT_TOKEN.fullmatch, tokens)):
             raise ValueError
         return list(map(int, tokens))
     except ValueError:
-        bad = next(t for t in tokens if _INT_TOKEN.fullmatch(t) is None)
-        raise ParseError(line, f"expected an integer {what}, got {bad!r}") from None
+        i = next(i for i, t in enumerate(tokens) if _INT_TOKEN.fullmatch(t) is None)
+        name = what if isinstance(what, str) else what[min(i, len(what) - 1)]
+        raise ParseError(line, f"expected an integer {name}, got {tokens[i]!r}") from None
 
 
-def _int_token(token: str, line: int, what: str, checked: bool) -> int:
-    """One integer token, as ``_int_tokens`` reads it."""
-    try:
-        if checked and _INT_TOKEN.fullmatch(token) is None:
-            raise ValueError
-        return int(token)
-    except ValueError:
-        raise ParseError(line, f"expected an integer {what}, got {token!r}") from None
+def _raise(error: ParseError) -> Iterator[Row]:
+    """An iterator that raises ``error`` when first advanced."""
+    raise error
+    yield
+
+
+def _read(text: str, header: str, counts: Tuple[str, ...]):
+    """Split a text into content lines and read the first, its header:
+    ``header`` and one count per name in ``counts``.
+
+    Lines end at "\\n" only and are stripped at both ends; blank lines and
+    lines that start with "c" are skipped.  Returns the counts, the header's
+    line, ``_checked(text)`` and the rows after the header.  A second header
+    or a row with any character but printable ones and spaces raises when
+    the parser reaches it, so an earlier row's error is reported first.
+    """
+    checked = _checked(text)
+    kind, word = header.split()
+    rows: List[Row] = []
+    error = None
+    for line_no, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line or line[0] == "c":
+            continue
+        if checked and not line.isprintable():
+            bad = next(ch for ch in line if not ch.isprintable())
+            error = ParseError(line_no, f"{bad!r} is neither a space nor printable")
+            break
+        tokens = line.split()
+        if tokens[0] == kind and rows:
+            error = ParseError(line_no, "duplicate header")
+            break
+        rows.append((line_no, line, tokens))
+    if not rows:
+        raise error or ParseError(1, f"missing '{header}' header")
+    line_no, line, tokens = rows.pop(0)
+    if tokens[0] != kind:
+        raise ParseError(line_no, f"content before '{header}' header")
+    if len(tokens) != 2 + len(counts) or tokens[1] != word:
+        raise ParseError(line_no, f"malformed header {line!r}")
+    values = _int_tokens(tokens[2:], line_no, counts, checked)
+    if min(values) < 0:
+        raise ParseError(line_no, "header counts must be non-negative")
+    return values, line_no, checked, chain(rows, _raise(error)) if error else rows
 
 
 def parse_qdimacs(text: str) -> QbfInstance:
@@ -85,95 +134,55 @@ def parse_qdimacs(text: str) -> QbfInstance:
     occur in clauses but in no quantifier line are bound existentially
     in a new outermost block.
     """
-    n_vars: Optional[int] = None
-    n_clauses: Optional[int] = None
-    header_line = 0
-    blocks: List[Tuple[str, List[int]]] = []
+    (n_vars, n_clauses), header_line, checked, rows = _read(
+        text, "p cnf", ("variable count", "clause count")
+    )
+    blocks: List[Tuple[str, List[int]]] = []  # one per quantifier line
     quantified: Dict[int, int] = {}  # variable -> declaring line
     clauses: List[Clause] = []
-    clause_section = False
-    checked = _checked(text)
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        tokens = line.split()
-        if tokens[0] == "p":
-            if n_vars is not None:
-                raise ParseError(line_no, "duplicate header")
-            if len(tokens) != 4 or tokens[1] != "cnf":
-                raise ParseError(line_no, f"malformed header {line!r}")
-            n_vars = _int_token(tokens[2], line_no, "variable count", checked)
-            n_clauses = _int_token(tokens[3], line_no, "clause count", checked)
-            if n_vars < 0 or n_clauses < 0:
-                raise ParseError(line_no, "header counts must be non-negative")
-            header_line = line_no
-            continue
-        if n_vars is None:
-            raise ParseError(line_no, "content before 'p cnf' header")
+    for line_no, _, tokens in rows:
         if tokens[0] in (EXISTS, FORALL):
-            if clause_section:
+            if clauses:
                 raise ParseError(line_no, "quantifier line after the first clause")
-            values = _int_tokens(tokens[1:], line_no, "variable", checked)
-            if not values or values[-1] != 0:
+            variables = _int_tokens(tokens[1:], line_no, "variable", checked)
+            if not variables or variables.pop() != 0:
                 raise ParseError(line_no, "quantifier line must end with 0")
-            variables = values[:-1]
             if not variables:
                 raise ParseError(line_no, "empty quantifier line")
             for v in variables:
                 if v < 1 or v > n_vars:
                     raise ParseError(line_no, f"variable {v} out of range 1..{n_vars}")
                 if v in quantified:
-                    raise ParseError(
-                        line_no,
-                        f"variable {v} already quantified on line {quantified[v]}",
-                    )
+                    first = quantified[v]
+                    raise ParseError(line_no, f"variable {v} already quantified on line {first}")
                 quantified[v] = line_no
-            if blocks and blocks[-1][0] == tokens[0]:
-                blocks[-1][1].extend(variables)
-            else:
-                blocks.append((tokens[0], list(variables)))
+            blocks.append((tokens[0], variables))
             continue
-        # Clause line.
-        clause_section = True
-        values = _int_tokens(tokens, line_no, "literal", checked)
-        if values[-1] != 0:
+        lits = _int_tokens(tokens, line_no, "literal", checked)
+        if lits.pop() != 0:
             raise ParseError(line_no, "clause line must end with 0")
-        lits = values[:-1]
-        if any(l == 0 for l in lits):
+        if 0 in lits:
             raise ParseError(line_no, "literal 0 inside a clause")
         for l in lits:
-            if abs(l) > n_vars:
+            if l > n_vars or -l > n_vars:
                 raise ParseError(line_no, f"variable {abs(l)} out of range 1..{n_vars}")
         clauses.append(Clause(lits))
-
-    if n_vars is None:
-        raise ParseError(1, "missing 'p cnf' header")
     if len(clauses) != n_clauses:
-        raise ParseError(
-            header_line,
-            f"header declares {n_clauses} clauses, file has {len(clauses)}",
-        )
+        found = len(clauses)
+        raise ParseError(header_line, f"header declares {n_clauses} clauses, file has {found}")
     matrix = Matrix(clauses)
-    free = sorted(matrix.variables() - set(quantified))
-    prefix_blocks: List[Tuple[str, Tuple[int, ...]]] = []
-    if free:
-        prefix_blocks.append((EXISTS, tuple(free)))
-    prefix_blocks.extend((q, tuple(vs)) for q, vs in blocks)
-    return QbfInstance(Prefix(tuple(prefix_blocks)), matrix)
+    # Prefix merges adjacent same-quantifier blocks and drops empty ones.
+    free = matrix.variables() - quantified.keys()
+    return QbfInstance(Prefix([(EXISTS, free), *blocks]), matrix)
 
 
 def write_qdimacs(instance: QbfInstance) -> str:
     """Canonical QDIMACS: header, quantifier lines in block order,
     clauses in canonical order, LF endings."""
-    variables = instance.prefix.variables
-    n_vars = max(variables) if variables else 0
-    lines = [f"p cnf {n_vars} {len(instance.matrix.clauses)}"]
-    for quant, block in instance.prefix.blocks:
-        lines.append(f"{quant} {' '.join(str(v) for v in block)} 0")
-    for clause in instance.matrix.clauses:
-        lines.append(f"{' '.join(str(l) for l in clause.lits)} 0".lstrip())
+    prefix, matrix = instance.prefix, instance.matrix
+    lines = [f"p cnf {max(prefix.variables, default=0)} {len(matrix)}"]
+    lines += (" ".join(map(str, [q, *block, 0])) for q, block in prefix.blocks)
+    lines += (" ".join(map(str, [*clause.lits, 0])) for clause in matrix.clauses)
     return "\n".join(lines) + "\n"
 
 
@@ -184,72 +193,48 @@ def parse_btd(text: str) -> TrunkTreeDecomposition:
     leaf-to-root path) happens here; the niceness and alignment
     properties are separate validators.
     """
-    header: Optional[Tuple[int, int, int]] = None
-    header_line = 0
-    bags: Dict[int, Tuple[int, ...]] = {}
+    (num_nodes, max_bag, num_vars), header_line, checked, rows = _read(
+        text, "s btd", ("node count", "max bag size", "variable count")
+    )
+    bags: Dict[int, FrozenSet[int]] = {}
     bag_lines: Dict[int, int] = {}
     edges: List[Tuple[int, int, int]] = []  # (line, parent, child)
     root: Optional[int] = None
     trunk: Optional[Tuple[int, ...]] = None
     trunk_line = root_line = 0
-    checked = _checked(text)
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        tokens = line.split()
+    for line_no, _, tokens in rows:
         kind = tokens[0]
-        if kind == "s":
-            if header is not None:
-                raise ParseError(line_no, "duplicate header")
-            if len(tokens) != 5 or tokens[1] != "btd":
-                raise ParseError(line_no, f"malformed header {line!r}")
-            header = (
-                _int_token(tokens[2], line_no, "node count", checked),
-                _int_token(tokens[3], line_no, "max bag size", checked),
-                _int_token(tokens[4], line_no, "variable count", checked),
-            )
-            if min(header) < 0:
-                raise ParseError(line_no, "header counts must be non-negative")
-            header_line = line_no
-            continue
-        if header is None:
-            raise ParseError(line_no, "content before 's btd' header")
-        _, max_bag, num_vars = header
         if kind == "b":
             if len(tokens) < 2:
                 raise ParseError(line_no, "bag line needs a node id")
-            node = _int_token(tokens[1], line_no, "node id", checked)
+            values = _int_tokens(tokens[1:], line_no, ("node id", "variable"), checked)
+            node, variables = values[0], values[1:]
             if node < 1:
                 raise ParseError(line_no, f"node ids are 1-based, got {node}")
             if node in bags:
-                raise ParseError(
-                    line_no, f"duplicate node {node} (bag already on line {bag_lines[node]})"
-                )
-            variables = tuple(_int_tokens(tokens[2:], line_no, "variable", checked))
+                first = bag_lines[node]
+                raise ParseError(line_no, f"duplicate node {node} (bag already on line {first})")
             for v in variables:
                 if v < 1 or v > num_vars:
                     raise ParseError(line_no, f"variable {v} out of range 1..{num_vars}")
-            if len(set(variables)) > max_bag:
-                raise ParseError(
-                    line_no,
-                    f"bag of node {node} has {len(set(variables))} variables, "
-                    f"header allows {max_bag}",
-                )
-            bags[node] = variables
+            bag = bags[node] = frozenset(variables)
+            if len(bag) > max_bag:
+                message = f"bag of node {node} has {len(bag)} variables, header allows {max_bag}"
+                raise ParseError(line_no, message)
             bag_lines[node] = line_no
         elif kind == "e":
             if len(tokens) != 3:
                 raise ParseError(line_no, "edge line must be 'e <parent> <child>'")
             parent, child = _int_tokens(tokens[1:], line_no, "node id", checked)
+            if parent == child:
+                raise ParseError(line_no, f"node {child} is its own parent")
             edges.append((line_no, parent, child))
         elif kind == "r":
             if root is not None:
                 raise ParseError(line_no, "duplicate root line")
             if len(tokens) != 2:
                 raise ParseError(line_no, "root line must be 'r <node>'")
-            root = _int_token(tokens[1], line_no, "node id", checked)
+            (root,) = _int_tokens(tokens[1:], line_no, "node id", checked)
             root_line = line_no
         elif kind == "t":
             if trunk is not None:
@@ -261,22 +246,18 @@ def parse_btd(text: str) -> TrunkTreeDecomposition:
         else:
             raise ParseError(line_no, f"unknown line kind {kind!r}")
 
-    if header is None:
-        raise ParseError(1, "missing 's btd' header")
-    num_nodes = header[0]
     if len(bags) != num_nodes:
-        raise ParseError(
-            header_line, f"header declares {num_nodes} nodes, file has {len(bags)} bag lines"
-        )
+        found = f"file has {len(bags)} bag lines"
+        raise ParseError(header_line, f"header declares {num_nodes} nodes, {found}")
     if root is None:
         raise ParseError(header_line, "missing root line")
     if trunk is None:
         raise ParseError(header_line, "missing trunk line")
     parent_map: Dict[int, int] = {}
     for line_no, parent, child in edges:
-        for node in (parent, child):
-            if node not in bags:
-                raise ParseError(line_no, f"edge mentions unknown node {node}")
+        if parent not in bags or child not in bags:
+            unknown = child if parent in bags else parent
+            raise ParseError(line_no, f"edge mentions unknown node {unknown}")
         if child in parent_map:
             raise ParseError(line_no, f"node {child} has two parents")
         parent_map[child] = parent
@@ -295,19 +276,11 @@ def parse_btd(text: str) -> TrunkTreeDecomposition:
 
 def write_btd(td: TrunkTreeDecomposition) -> str:
     nodes = td.nodes
-    bag_vars = td.bag_variables()
-    num_vars = max(bag_vars) if bag_vars else 0
     max_bag = max(len(td.bag(t)) for t in nodes)
-    lines = [f"s btd {len(nodes)} {max_bag} {num_vars}"]
-    for node in nodes:
-        bag = " ".join(str(v) for v in sorted(td.bag(node)))
-        lines.append(f"b {node} {bag}".rstrip())
-    for node in nodes:
-        parent = td.parent_of(node)
-        if parent is not None:
-            lines.append(f"e {parent} {node}")
-    lines.append(f"r {td.root}")
-    lines.append(f"t {' '.join(str(t) for t in td.trunk)}")
+    lines = [f"s btd {len(nodes)} {max_bag} {max(td.bag_variables(), default=0)}"]
+    lines += (" ".join(map(str, ["b", t, *sorted(td.bag(t))])) for t in nodes)
+    lines += (f"e {td.parent_of(t)} {t}" for t in nodes if td.parent_of(t) is not None)
+    lines += (f"r {td.root}", " ".join(map(str, ["t", *td.trunk])))
     return "\n".join(lines) + "\n"
 
 
@@ -318,30 +291,12 @@ def parse_poset(text: str, prefix: Prefix) -> DependencyPoset:
     A file with zero ``d`` lines yields the identity relation, which is
     not the trivial (full prefix order) poset.
     """
-    header_vars: Optional[int] = None
+    (header_vars,), header_line, checked, rows = _read(text, "p dep", ("variable count",))
+    largest = max(prefix.variables, default=0)
+    if header_vars < largest:
+        raise ParseError(header_line, f"header count {header_vars} is below variable {largest}")
     pairs: List[Tuple[int, int]] = []
-    checked = _checked(text)
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        tokens = line.split()
-        if tokens[0] == "p":
-            if header_vars is not None:
-                raise ParseError(line_no, "duplicate header")
-            if len(tokens) != 3 or tokens[1] != "dep":
-                raise ParseError(line_no, f"malformed header {line!r}")
-            header_vars = _int_token(tokens[2], line_no, "variable count", checked)
-            if header_vars < 0:
-                raise ParseError(line_no, "header counts must be non-negative")
-            largest = max(prefix.variables, default=0)
-            if header_vars < largest:
-                raise ParseError(
-                    line_no, f"header count {header_vars} is below variable {largest}"
-                )
-            continue
-        if header_vars is None:
-            raise ParseError(line_no, "content before 'p dep' header")
+    for line_no, line, tokens in rows:
         if tokens[0] != "d" or len(tokens) != 3:
             raise ParseError(line_no, f"expected 'd <u> <v>', got {line!r}")
         u, v = _int_tokens(tokens[1:], line_no, "variable", checked)
@@ -350,18 +305,17 @@ def parse_poset(text: str, prefix: Prefix) -> DependencyPoset:
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from exc
         pairs.append((u, v))
-    if header_vars is None:
-        raise ParseError(1, "missing 'p dep' header")
     return poset_from_pairs(prefix, pairs)
 
 
 def write_poset(poset: DependencyPoset) -> str:
-    universe = poset.universe
-    n_vars = max(universe) if universe else 0
-    lines = [f"p dep {n_vars}"]
-    for u, v in poset.strict_pairs():
-        lines.append(f"d {u} {v}")
+    lines = [f"p dep {max(poset.universe, default=0)}"]
+    lines += (f"d {u} {v}" for u, v in poset.strict_pairs())
     return "\n".join(lines) + "\n"
+
+
+# The JSON key of each ``TraceEvent`` field, in field order.
+_TRACE_KEYS = ("step", "variable", "rule", "family_before", "family_after", "max_set", "micros")
 
 
 def write_trace(events: Iterable, sink: Union[str, TextIO]) -> None:
@@ -373,16 +327,7 @@ def write_trace(events: Iterable, sink: Union[str, TextIO]) -> None:
     handle: TextIO = open(sink, "w", encoding="utf-8") if own else sink  # type: ignore[arg-type]
     try:
         for event in events:
-            record = {
-                "step": event.step,
-                "variable": event.variable,
-                "rule": event.rule,
-                "family_before": event.family_before,
-                "family_after": event.family_after,
-                "max_set": event.max_set_size,
-                "micros": event.micros,
-            }
-            handle.write(json.dumps(record, sort_keys=False) + "\n")
+            handle.write(json.dumps(dict(zip(_TRACE_KEYS, event))) + "\n")
     finally:
         if own:
             handle.close()

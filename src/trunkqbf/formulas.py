@@ -26,9 +26,6 @@ import operator
 from functools import cached_property
 from typing import AbstractSet, Dict, FrozenSet, Iterable, Mapping, Set, Tuple
 
-Variable = int
-Literal = int
-
 # Assignments map variables to 0/1.
 Assignment = Mapping[int, int]
 

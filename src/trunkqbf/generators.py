@@ -11,10 +11,18 @@ Variable numbering of ``qparity(n)``: ``x_i -> i``, ``u -> n+1``,
 
 from __future__ import annotations
 
-from typing import FrozenSet, List
+from typing import FrozenSet, Iterable, List, Sequence
 
 from .decomposition import TrunkTreeDecomposition
 from .formulas import EXISTS, FORALL, Clause, Matrix, Prefix, QbfInstance
+
+
+def _path_td(bags: Sequence[Iterable[int]]) -> TrunkTreeDecomposition:
+    """The path through the bags from the first, a leaf, to the last, the
+    root; the whole path is the trunk."""
+    nodes = range(1, len(bags) + 1)
+    parent = {t: t + 1 for t in nodes[:-1]}
+    return TrunkTreeDecomposition(dict(zip(nodes, bags)), parent, nodes[-1], tuple(nodes))
 
 
 def _eq(a: int, b: int) -> List[Clause]:
@@ -85,10 +93,7 @@ def qparity_td(n: int) -> TrunkTreeDecomposition:
         frozenset({u}),
         frozenset(),
     ]
-    bags = {i + 1: bag for i, bag in enumerate(bag_seq)}
-    parent = {i: i + 1 for i in range(1, len(bag_seq))}
-    trunk = tuple(range(1, len(bag_seq) + 1))
-    return TrunkTreeDecomposition(bags, parent, len(bag_seq), trunk)
+    return _path_td(bag_seq)
 
 
 def single_bag_td(instance: QbfInstance) -> TrunkTreeDecomposition:
@@ -113,7 +118,4 @@ def single_bag_td(instance: QbfInstance) -> TrunkTreeDecomposition:
     for v in forget:
         current.discard(v)
         bag_seq.append(frozenset(current))
-    bags = {i + 1: bag for i, bag in enumerate(bag_seq)}
-    parent = {i: i + 1 for i in range(1, len(bag_seq))}
-    trunk = tuple(range(1, len(bag_seq) + 1))
-    return TrunkTreeDecomposition(bags, parent, len(bag_seq), trunk)
+    return _path_td(bag_seq)

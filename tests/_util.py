@@ -24,6 +24,7 @@ from trunkqbf import (
     step,
 )
 from trunkqbf.derivation import UntouchedStore
+from trunkqbf.generators import _path_td as path_td
 
 R4_LIMITS = EngineLimits(max_strategies=4096, max_family_size=64)
 LIMIT_KINDS = (
@@ -236,16 +237,7 @@ def forget_path_td(instance, forget: Sequence[int]):
     for v in forget:
         current.discard(v)
         bags.append(frozenset(current))
-    return path_td(*bags)
-
-
-def path_td(*bags):
-    """The path through the bags from the first, a leaf, to the last, the
-    root; the whole path is the trunk."""
-    nodes = range(1, len(bags) + 1)
-    return TrunkTreeDecomposition(
-        dict(zip(nodes, bags)), {t: t + 1 for t in nodes[:-1]}, nodes[-1], tuple(nodes)
-    )
+    return path_td(bags)
 
 
 def stepwise(instance, td, poset, limits=EngineLimits()):

@@ -30,18 +30,9 @@ from _util import (
     min_degree_td,
     min_width_by_enumeration,
     normalize,
+    path_td,
     shuffled_path_cases,
 )
-
-
-def path_td(bags):
-    n = len(bags)
-    return TrunkTreeDecomposition(
-        {i + 1: bag for i, bag in enumerate(bags)},
-        {i: i + 1 for i in range(1, n)},
-        n,
-        tuple(range(1, n + 1)),
-    )
 
 
 @pytest.fixture

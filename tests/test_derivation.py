@@ -578,7 +578,7 @@ class TestChecksInRunDerivation:
     def test_neighbor_outside_the_forget_bag(self, monkeypatch, checks):
         # No bag holds both 1 and 2, yet the clause (1 2) joins them.
         monkeypatch.setattr(derivation, "validate_nice", lambda *_: ValidationReport())
-        td = path_td((), (1,), (), (2,), ())
+        td = path_td([(), (1,), (), (2,), ()])
         if checks:
             with pytest.raises(InvariantError, match="variable 1: a matrix neighbor"):
                 self.run(self.EDGE, td, checks)
@@ -591,7 +591,7 @@ class TestChecksInRunDerivation:
         # so only the check after step 1 can see the leftover.
         real = derivation.resolve
         monkeypatch.setattr(derivation, "resolve", lambda m, x: m if x == 1 else real(m, x))
-        td = path_td((), (1,), (1, 2), (2,), ())
+        td = path_td([(), (1,), (1, 2), (2,), ()])
         if checks:
             with pytest.raises(InvariantError, match=r"eliminated variables \[1\]"):
                 self.run(self.EDGE, td, checks)

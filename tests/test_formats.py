@@ -1,8 +1,10 @@
 import io
 import json
+import random
 
 import pytest
 
+from trunkqbf import formats
 from trunkqbf import (
     Matrix,
     ParseError,
@@ -146,6 +148,13 @@ class TestBtd:
         with pytest.raises(ParseError) as info:
             parse_btd(text)
         assert fragment in str(info.value)
+
+    def test_self_edge_fails_at_its_line(self):
+        text = "s btd 3 0 0\nb 1\nb 2\nb 3\ne 2 1\ne 3 3\nr 3\nt 1 2 3\n"
+        with pytest.raises(ParseError) as info:
+            parse_btd(text)
+        assert info.value.line == 6
+        assert str(info.value) == "line 6: node 3 is its own parent"
 
     def test_multiple_roots_rejected(self):
         text = "s btd 3 0 0\nb 1\nb 2\nb 3\ne 3 1\ne 3 2\nr 1\nt 2 3\n"
@@ -342,6 +351,115 @@ class TestIntegerTokens:
     def test_qdimacs_header_and_terminator_spellings(self, text):
         with pytest.raises(ParseError, match="expected an integer"):
             parse_qdimacs(text)
+
+
+# One valid text per format, as its content lines; the last line has at
+# least two tokens.
+_PREFIX = Prefix((("e", (1, 2)), ("a", (3,))))
+FORMATS = {
+    "qdimacs": (parse_qdimacs, ["p cnf 3 2", "e 1 2 0", "a 3 0", "2 0", "1 -3 0"]),
+    "btd": (
+        parse_btd,
+        ["s btd 3 1 1", "b 1", "b 2 1", "b 3", "e 2 1", "e 3 2", "r 3", "t 1 2 3"],
+    ),
+    "poset": (lambda text: parse_poset(text, _PREFIX), ["p dep 3", "d 1 3", "d 2 3"]),
+}
+# Whitespace that str.split() and int() accept but the grammar does not.
+NOT_SPACES = {
+    "tab": "\t",
+    "no-break space": "\u00a0",
+    "ideographic space": "\u3000",
+    "file separator": "\x1c",
+}
+# Line breaks of str.splitlines() that do not end a line of the grammar.
+NOT_LINE_BREAKS = {"line separator": "\u2028", "form feed": "\x0c", "next line": "\x85"}
+
+
+class TestWhitespace:
+    @pytest.mark.parametrize("space", NOT_SPACES.values(), ids=NOT_SPACES.keys())
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_other_whitespace_between_tokens_is_rejected(self, fmt, space):
+        parse, lines = FORMATS[fmt]
+        bad = lines[:-1] + [lines[-1].replace(" ", space, 1)]
+        with pytest.raises(ParseError) as info:
+            parse("\n".join(bad) + "\n")
+        assert info.value.line == len(lines)
+        assert repr(space) in str(info.value)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_line_numbers_count_newlines_only(self, fmt):
+        parse, lines = FORMATS[fmt]
+        bad = ["c one\u2028two\x0cthree\x85four"] + lines[:-1] + [lines[-1].replace(" ", "\t")]
+        with pytest.raises(ParseError) as info:
+            parse("\n".join(bad) + "\n")
+        assert info.value.line == len(lines) + 1
+
+    @pytest.mark.parametrize("brk", NOT_LINE_BREAKS.values(), ids=NOT_LINE_BREAKS.keys())
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_comment_with_a_line_break_is_skipped_whole(self, fmt, brk):
+        parse, lines = FORMATS[fmt]
+        expected = parse("\n".join(lines) + "\n")
+        commented = lines[:2] + [f"c note{brk}more {brk}1 2 0"] + lines[2:]
+        assert parse("\n".join(commented) + "\n") == expected
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_crlf_and_spaces_at_either_end_parse(self, fmt):
+        parse, lines = FORMATS[fmt]
+        expected = parse("\n".join(lines) + "\n")
+        assert parse("\r\n".join(lines) + "\r\n") == expected
+        assert parse("\n".join(f"  {line} " for line in lines)) == expected
+
+    def test_a_later_bad_line_does_not_hide_an_earlier_error(self):
+        with pytest.raises(ParseError) as info:
+            parse_qdimacs("p cnf 1 1\ne 2 0\n1\t0\n")
+        assert info.value.line == 2
+        with pytest.raises(ParseError) as info:
+            parse_qdimacs("p cnf 1 1\ne 2 0\np cnf 1 1\n")
+        assert info.value.line == 2
+
+
+# Integer spellings, valid and not, and separators, valid and not, from
+# which the differential test builds its texts.
+DIFF_TOKENS = ["1", "10", "-3", "0", "007", "+3", "1_0", "-0", "\uff11"]
+DIFF_SEPARATORS = [" ", "  ", "\t", "\x0b", "\x1c", "\u3000"]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return (exc.line, str(exc))
+
+
+def _mutated(rng, lines):
+    """The lines with each number token, with probability 1/8, and each
+    separator, with probability 1/16, drawn from the lists above."""
+    out = []
+    for line in lines:
+        tokens = [
+            rng.choice(DIFF_TOKENS) if t.lstrip("-").isdigit() and rng.random() < 0.125 else t
+            for t in line.split(" ")
+        ]
+        seps = [rng.choice(DIFF_SEPARATORS) if rng.random() < 0.0625 else " " for _ in tokens]
+        out.append("".join(t + s for t, s in zip(tokens, seps)).rstrip(" "))
+    return "\n".join(out) + "\n"
+
+
+class TestFastPath:
+    """Reading a text with ``int()`` and ``str.split()`` alone, when the
+    whole-text test allows it, gives what the checked path gives."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_fast_path_agrees_with_the_checked_path(self, fmt, monkeypatch):
+        parse, lines = FORMATS[fmt]
+        rng = random.Random(fmt)
+        texts = [_mutated(rng, lines) for _ in range(400)]
+        fast = [_outcome(parse, text) for text in texts]
+        monkeypatch.setattr(formats, "_checked", lambda text: True)
+        checked = [_outcome(parse, text) for text in texts]
+        for text, a, b in zip(texts, fast, checked):
+            assert a == b, text
+        assert sum(not isinstance(o, tuple) for o in fast) >= 20  # some parse
 
 
 class TestTrace:

@@ -22,10 +22,10 @@ set difference.
 
 Families are sets of sets of matrices; both levels deduplicate eagerly
 after every rule application.  A clause is the frozenset of its
-literals, a ``Clause`` from the input or a plain frozenset the engine
-derived, and the two are equal when their literals are: a resolvent is
-a union minus the pivot's two literals, reduction and restriction are
-set differences, and a clause is tautological when it meets its own
+literals, a plain frozenset from the parser or a kernel or a ``Clause``
+from another caller, equal when their literals are: a resolvent is a
+union minus the pivot's two literals, reduction and restriction are set
+differences, and a clause is tautological when it meets its own
 negation.  A matrix is the frozenset of its clauses, built by the
 kernels with ``Matrix._of``, so both levels of a family deduplicate by
 C-level set hashing.  No ``Clause`` is constructed and no literal is
@@ -51,8 +51,12 @@ matrices, while the work per step is set by the forget bag and not by
 the formula.
 
 ``validate_input`` is the one path from an instance to the engine's
-input, for ``run_derivation`` and the ``validate`` command alike.  With
-``checks`` on, ``run_derivation`` asserts every invariant after each step.
+input, for ``run_derivation`` and the ``validate`` command alike; it
+removes the input's tautologies.  The kernels trust every matrix to be
+tautology-free, and a run keeps it so: the ``UntouchedStore`` rejects
+tautologies, ``resolve`` drops tautological resolvents, and ``reduce``
+and ``restrict`` only delete literals.  With ``checks`` on, and only
+then, ``run_derivation`` asserts every invariant after each step.
 """
 
 from __future__ import annotations
@@ -230,20 +234,14 @@ class DerivationResult(NamedTuple):
     final: DerivationState
 
 
-def _require_no_tautologies(matrix: Matrix) -> None:
-    for lits in matrix:
-        if is_tautological(lits):
-            raise ValueError(f"matrix contains a tautological clause {Clause(lits)!r}")
-
-
 def resolve(matrix: Matrix, x: int) -> Matrix:
     """Exhaustively resolve the pivot away.
 
     Replaces all clauses mentioning x by every non-tautological
     resolvent of a positive and a negative occurrence; the result
-    contains neither a literal of x nor a tautology.
+    contains neither a literal of x nor a tautology.  The matrix must be
+    tautology-free (see the module docstring), else the result is unspecified.
     """
-    _require_no_tautologies(matrix)
     positive = []
     negative = []
     out = []
@@ -268,8 +266,8 @@ def resolve(matrix: Matrix, x: int) -> Matrix:
 
 
 def reduce(matrix: Matrix, u: int) -> Matrix:
-    """Delete every occurrence of the universal variable from every clause."""
-    _require_no_tautologies(matrix)
+    """Delete every occurrence of the universal variable from every clause
+    of a tautology-free matrix, else unspecified (see the module docstring)."""
     drop = (u, -u)
     return Matrix._of([c if c.isdisjoint(drop) else c.difference(drop) for c in matrix])
 
@@ -288,8 +286,9 @@ def strategy_extension(
     partial existential strategies on its existential part (the prefix
     gives the quantifiers), the output contains, for every tuple of
     per-matrix strategies, the set of all matrices the tuple can produce
-    against plays from B.  Every output matrix is free of tautologies
-    and of all variables in dep(v).
+    against plays from B.  The matrices of pi must be tautology-free (see
+    the module docstring), else the result is unspecified; every output
+    matrix is then free of tautologies and of all variables in dep(v).
 
     Plays and strategies are bit tables.  Play b sets the i-th universal
     dependency (ascending ids) to bit i of b.  A strategy holds one table
@@ -303,8 +302,6 @@ def strategy_extension(
     """
     if v not in live:
         raise ValueError(f"variable {v} is not live")
-    for m in pi:
-        _require_no_tautologies(m)
     universal_dep: List[int] = []
     existential_dep: List[int] = []
     for w in sorted([v, *(live & poset.strict(v))]):
@@ -508,14 +505,15 @@ def validate_input(
     """The instance with its tautologies removed and the decomposition's
     elimination ordering, once the poset is over the instance's variables
     and the decomposition is nice and trunk-aligned for that instance; a
-    failure raises ``ValidationError``."""
+    failure raises ``ValidationError``; an instance without tautologies is kept."""
     variables = instance.prefix.variables
     if poset.universe != variables:
         raise ValidationError(
             f"poset is over variables {sorted(poset.universe)}, "
             f"the instance over {sorted(variables)}"
         )
-    cleaned = QbfInstance(instance.prefix, remove_tautologies(instance.matrix))
+    matrix = remove_tautologies(instance.matrix)
+    cleaned = instance if matrix is instance.matrix else QbfInstance(instance.prefix, matrix)
     nice_report = validate_nice(td, cleaned)
     if not nice_report.ok:
         raise ValidationError(
@@ -542,7 +540,8 @@ def _check_step(
 
     The last holds for the untouched part by construction (the store
     rejects tautologies, and an untouched clause is over the live
-    variables), so only the touched parts are read.
+    variables), so only the touched parts are read.  The kernels trust
+    their input, so this is the one runtime check of tautology-freeness.
     """
     v, where = event.variable, f"step {event.step}, variable {event.variable}"
     if not check_neighborhood_invariant(before, v, td):

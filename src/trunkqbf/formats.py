@@ -22,7 +22,7 @@ from itertools import chain
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, TextIO, Tuple, Union
 
 from .decomposition import DecompositionError, TrunkTreeDecomposition
-from .formulas import EXISTS, FORALL, Clause, Matrix, Prefix, QbfInstance
+from .formulas import EXISTS, FORALL, Matrix, Prefix, QbfInstance
 from .posets import DependencyPoset, check_pair, poset_from_pairs
 
 
@@ -132,14 +132,14 @@ def parse_qdimacs(text: str) -> QbfInstance:
     literals inside a clause collapse and tautological clauses are kept
     (removing them is the engine's preprocessing step).  Variables that
     occur in clauses but in no quantifier line are bound existentially
-    in a new outermost block.
+    in a new outermost block.  Each literal is checked once, here.
     """
     (n_vars, n_clauses), header_line, checked, rows = _read(
         text, "p cnf", ("variable count", "clause count")
     )
     blocks: List[Tuple[str, List[int]]] = []  # one per quantifier line
     quantified: Dict[int, int] = {}  # variable -> declaring line
-    clauses: List[Clause] = []
+    clauses: List[FrozenSet[int]] = []
     for line_no, _, tokens in rows:
         if tokens[0] in (EXISTS, FORALL):
             if clauses:
@@ -166,11 +166,11 @@ def parse_qdimacs(text: str) -> QbfInstance:
         for l in lits:
             if l > n_vars or -l > n_vars:
                 raise ParseError(line_no, f"variable {abs(l)} out of range 1..{n_vars}")
-        clauses.append(Clause(lits))
+        clauses.append(frozenset(lits))
     if len(clauses) != n_clauses:
         found = len(clauses)
         raise ParseError(header_line, f"header declares {n_clauses} clauses, file has {found}")
-    matrix = Matrix(clauses)
+    matrix = Matrix._of(clauses)
     # Prefix merges adjacent same-quantifier blocks and drops empty ones.
     free = matrix.variables() - quantified.keys()
     return QbfInstance(Prefix([(EXISTS, free), *blocks]), matrix)

@@ -8,9 +8,9 @@ immutable values with deterministic canonical encodings.
 A clause is a set of literals and a matrix a set of clauses, as in the
 rules: ``Clause`` is a ``frozenset`` of literals and ``Matrix`` a
 ``frozenset`` of clauses, each equal to and hashing like the plain
-frozenset of its members.  The engine's kernels (``restrict``,
-``remove_tautologies``, resolution and reduction) work on those sets
-with C-level set operations, and the plain frozensets they build are
+frozenset of its members.  The parser, which checks each literal as it
+reads it, and the engine's kernels (``restrict``,
+``remove_tautologies``, resolution and reduction) build plain frozensets
 equal to the ``Clause`` of the same literals.  ``Clause.lits`` and
 ``Matrix.clauses`` give the canonical order, computed when read.
 
@@ -131,10 +131,10 @@ class Matrix(frozenset):
     A matrix equals, and hashes like, the plain frozenset of its clauses,
     so ``Matrix(()) == frozenset()`` and, as for clauses, ``sorted()``
     without a key orders matrices by inclusion only.  The public
-    constructor takes ``Clause`` objects; the engine builds matrices from
-    plain literal frozensets with ``_of``.  ``clauses`` is the canonical
-    view: the clauses as ``Clause`` objects in canonical order, built on
-    first read.  Matrices are immutable.
+    constructor takes ``Clause`` objects; the parser and the engine build
+    matrices from plain literal frozensets with ``_of``.  ``clauses`` is
+    the canonical view: the clauses as ``Clause`` objects in canonical
+    order, built on first read.  Matrices are immutable.
     """
 
     def __new__(cls, clauses: Iterable[Clause] = ()) -> "Matrix":

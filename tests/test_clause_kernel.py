@@ -265,8 +265,3 @@ class TestKernels:
                 public = Matrix(tuple(Clause(tuple(sorted(s))) for s in got))
                 assert_same_matrix(got, public)
                 assert len({got, public}) == 1
-
-    @pytest.mark.parametrize("kernel", [resolve, reduce])
-    def test_tautological_input_raises(self, kernel):
-        with pytest.raises(ValueError, match="tautological"):
-            kernel(matrix_of((1, -1, 2), (2, 3)), 2)

@@ -18,6 +18,7 @@ from trunkqbf import (
     elimination_ordering,
     evaluate,
     initial_state,
+    is_tautological,
     matrix_of,
     poset_from_pairs,
     qparity,
@@ -36,7 +37,7 @@ from trunkqbf import InvariantError, derivation
 from trunkqbf.decomposition import ValidationReport
 from trunkqbf.derivation import UntouchedStore
 
-from _util import path_td
+from _util import R4_LIMITS, join_node_cases, path_td, shuffled_path_cases
 
 
 def family(*sets):
@@ -96,10 +97,6 @@ class TestResolve:
         m = matrix_of((1, 2))
         assert resolve(m, 3) == m
 
-    def test_tautological_input_rejected(self):
-        with pytest.raises(ValueError):
-            resolve(matrix_of((1, -1, 2)), 2)
-
     def test_matches_the_definition_on_random_matrices(self):
         # Every resolvent built, the tautological ones dropped afterwards.
         rng = random.Random(3)
@@ -133,10 +130,6 @@ class TestReduce:
     def test_absent_variable_is_identity(self):
         m = matrix_of((1, 2))
         assert reduce(m, 5) == m
-
-    def test_tautological_input_rejected(self):
-        with pytest.raises(ValueError):
-            reduce(matrix_of((1, -1)), 1)
 
 
 class TestStrategyExtension:
@@ -427,6 +420,16 @@ class TestRunDerivation:
         q = QbfInstance(Prefix((("e", (1,)),)), matrix_of((1,), (1, -1)))
         assert run_derivation(q, single_bag_td(q), trivial_poset(q.prefix)).verdict
 
+    def test_validate_input_keeps_an_instance_without_tautologies(self):
+        q = qparity(3)
+        td, d = qparity_td(3), trivial_poset(q.prefix)
+        assert derivation.validate_input(q, td, d)[0] is q
+        tautology = frozenset({1, -1, 4})
+        with_tautology = QbfInstance(q.prefix, Matrix._of(q.matrix | {tautology}))
+        cleaned, _ = derivation.validate_input(with_tautology, td, d)
+        assert cleaned is not with_tautology
+        assert cleaned == q
+
     def test_validation_failure_raises(self):
         with pytest.raises(ValidationError) as info:
             run_derivation(XUZ, UNALIGNED_TD, trivial_poset(XUZ.prefix))
@@ -500,6 +503,59 @@ class TestRunDerivation:
         strip = lambda t: [(e.step, e.variable, e.rule, e.family_before, e.family_after, e.max_set_size) for e in t]
         assert strip(a.trace) == strip(b.trace)
         assert a.final == b.final
+
+
+def with_a_tautology(q, seed):
+    """The instance with one tautological clause (x or -x or y) added."""
+    rng = random.Random(seed)
+    variables = sorted(q.prefix.variables)
+    x, y = rng.choice(variables), rng.choice(variables)
+    tautology = frozenset({x, -x, rng.choice((1, -1)) * y})
+    return QbfInstance(q.prefix, Matrix._of(q.matrix | {tautology}))
+
+
+class TestKernelPrecondition:
+    """The kernels trust their input to be tautology-free; every call a
+    run makes must meet that, on inputs that hold tautologies too."""
+
+    def test_every_kernel_call_of_a_run_gets_tautology_free_matrices(self, monkeypatch):
+        calls = dict.fromkeys(("resolve", "reduce", "strategy_extension"), 0)
+        broken = []
+
+        def checked(name, matrices_of):
+            kernel = getattr(derivation, name)
+
+            def wrapper(first, *args):
+                calls[name] += 1
+                if any(is_tautological(c) for m in matrices_of(first) for c in m):
+                    broken.append(name)
+                return kernel(first, *args)
+
+            monkeypatch.setattr(derivation, name, wrapper)
+
+        checked("resolve", lambda m: (m,))
+        checked("reduce", lambda m: (m,))
+        checked("strategy_extension", lambda pi: pi)
+
+        cases = []
+        for seed in range(60):
+            q = random_instance(seed, 2 + seed % 6, 1 + seed % 8, 1 + seed % 3, 1 + seed % 4)
+            cases.append((seed, q, single_bag_td(q)))
+        cases += shuffled_path_cases()
+        cases += join_node_cases()
+        cases += [(n, qparity(n), qparity_td(n)) for n in range(2, 9)]
+        runs = 0
+        for seed, q, td in cases:
+            d = trivial_poset(q.prefix)
+            tautological = with_a_tautology(q, seed)
+            try:
+                result = run_derivation(tautological, td, d, R4_LIMITS)
+            except (ResourceLimitError, ValidationError):
+                continue
+            assert result.verdict == evaluate(tautological) == evaluate(q), seed
+            runs += 1
+        assert broken == []
+        assert runs >= 600 and min(calls.values()) >= 500, (runs, calls)
 
 
 class TestInvariantChecks:
@@ -594,6 +650,24 @@ class TestChecksInRunDerivation:
         td = path_td([(), (1,), (1, 2), (2,), ()])
         if checks:
             with pytest.raises(InvariantError, match=r"eliminated variables \[1\]"):
+                self.run(self.EDGE, td, checks)
+        else:
+            assert self.run(self.EDGE, td, checks).verdict is True
+
+    @pytest.mark.parametrize("checks", [True, False])
+    def test_resolve_that_derives_a_tautology(self, monkeypatch, checks):
+        # The kernels trust their input, so only the check after step 1
+        # sees the tautology (2 -2) a faulty resolve adds.
+        real = derivation.resolve
+        tautology = frozenset({2, -2})
+        monkeypatch.setattr(
+            derivation,
+            "resolve",
+            lambda m, x: Matrix._of(real(m, x) | {tautology}) if x == 1 else real(m, x),
+        )
+        td = path_td([(), (1,), (1, 2), (2,), ()])
+        if checks:
+            with pytest.raises(InvariantError, match=r"tautologies \[Clause\(\[-2, 2\]\)\]"):
                 self.run(self.EDGE, td, checks)
         else:
             assert self.run(self.EDGE, td, checks).verdict is True

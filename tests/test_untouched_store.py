@@ -295,6 +295,26 @@ def test_a_run_builds_no_prefix(monkeypatch):
         assert result.final.live == frozenset()
 
 
+def test_a_solve_validates_no_clause_or_matrix(monkeypatch, tmp_path, capsys):
+    # The parser checks every literal as it reads it and builds plain
+    # literal sets, as the engine does, so no public constructor checks
+    # them a second time.
+    assert main(["gen", "qparity", "16", str(tmp_path / "qp16")]) == 0
+    built = {"Clause": 0, "Matrix": 0}
+    for name in built:
+        cls = getattr(formulas, name)
+
+        def counting(self, name=name, original=cls.__post_init__):
+            built[name] += 1
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    files = [str(tmp_path / "qp16.qdimacs"), "--td", str(tmp_path / "qp16.btd")]
+    assert main(["solve", *files, "--trivial-poset"]) == 20
+    assert capsys.readouterr().out == "s cnf 0\n"
+    assert built == {"Clause": 0, "Matrix": 0}
+
+
 def test_half_a_run_leaves_the_expected_live_set():
     n = 64
     q = qparity(n)

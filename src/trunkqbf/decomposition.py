@@ -149,9 +149,6 @@ class TrunkTreeDecomposition:
     def children(self, node: int) -> Tuple[int, ...]:
         return tuple(self._children[node])
 
-    def is_leaf(self, node: int) -> bool:
-        return not self._children[node]
-
     @cached_property
     def _tops(self) -> Dict[int, Tuple[int, ...]]:
         """Variable -> the nodes holding it whose parent does not, ascending.
@@ -165,6 +162,19 @@ class TrunkTreeDecomposition:
             for v in self._bags[node] - above:
                 tops.setdefault(v, []).append(node)
         return {v: tuple(nodes) for v, nodes in tops.items()}
+
+    @cached_property
+    def _forget(self) -> Dict[int, int]:
+        """Variable -> forget node, built once; ``forget_map`` hands out copies."""
+        forget: Dict[int, int] = {}
+        owner: Dict[int, int] = {}
+        for v in self._tops:
+            node = forget[v] = forget_node(self, v)
+            if owner.setdefault(node, v) != v:
+                raise DecompositionError(
+                    f"variables {owner[node]} and {v} share forget node {node}"
+                )
+        return forget
 
     def bag_variables(self) -> FrozenSet[int]:
         out: Set[int] = set()
@@ -219,19 +229,10 @@ def forget_map(td: TrunkTreeDecomposition) -> Dict[int, int]:
 
     Raises DecompositionError when a variable has several topmost
     occurrences (a T2 violation) or shares its forget node with another
-    variable (impossible in a nice decomposition).
+    variable (impossible in a nice decomposition).  The map is built once
+    per decomposition; each call returns a copy the caller may change.
     """
-    result: Dict[int, int] = {}
-    used_nodes: Dict[int, int] = {}
-    for v in td._tops:
-        node = forget_node(td, v)
-        if node in used_nodes:
-            raise DecompositionError(
-                f"variables {used_nodes[node]} and {v} share forget node {node}"
-            )
-        used_nodes[node] = v
-        result[v] = node
-    return result
+    return dict(td._forget)
 
 
 def forget_node(td: TrunkTreeDecomposition, v: int) -> int:
@@ -248,16 +249,15 @@ def forget_node(td: TrunkTreeDecomposition, v: int) -> int:
 
 def subtree_vars(td: TrunkTreeDecomposition, node: int) -> FrozenSet[int]:
     """Union of the bags in the subtree rooted at the node."""
-    try:
-        td.bag(node)
-    except KeyError:
-        raise DecompositionError(f"unknown node {node}") from None
+    bags, children = td._bags, td._children
+    if node not in bags:
+        raise DecompositionError(f"unknown node {node}")
     out: Set[int] = set()
     stack = [node]
     while stack:
         cur = stack.pop()
-        out |= td.bag(cur)
-        stack.extend(td.children(cur))
+        out |= bags[cur]
+        stack.extend(children[cur])
     return frozenset(out)
 
 
@@ -309,58 +309,42 @@ def validate_nice(td: TrunkTreeDecomposition, instance: QbfInstance) -> Validati
             if nodes_of.get(u, frozenset()).isdisjoint(nodes_of.get(w, ()))
         }
         for u, w in sorted(missing):
-            violations.append(
-                Violation("T1", f"{u},{w}", "primal edge not contained in any bag")
-            )
+            violations.append(Violation("T1", f"{u},{w}", "primal edge not contained in any bag"))
 
     # T2: occurrences of each variable form a nonempty connected subtree.
     for v in sorted(variables):
         tops = td._tops.get(v)
         if not tops:
             violations.append(Violation("T2", str(v), "variable occurs in no bag"))
-            continue
-        if len(tops) != 1:
-            violations.append(
-                Violation(
-                    "T2",
-                    str(v),
-                    f"occurrences split into {len(tops)} components (tops {list(tops)})",
-                )
-            )
+        elif len(tops) != 1:
+            message = f"occurrences split into {len(tops)} components (tops {list(tops)})"
+            violations.append(Violation("T2", str(v), message))
 
-    # T3: leaf and root bags are empty.
+    # T3: leaf and root bags are empty.  T4: every non-leaf node is
+    # introduce, forget, or join.  One walk; every T3 is listed first.
+    t4: List[Violation] = []
     for node in td.nodes:
-        if (td.is_leaf(node) or node == td.root) and td.bag(node):
+        bag, kids = bags[node], td._children[node]
+        if (not kids or node == td._root) and bag:
             violations.append(
-                Violation("T3", str(node), f"leaf/root bag is not empty: {sorted(td.bag(node))}")
+                Violation("T3", str(node), f"leaf/root bag is not empty: {sorted(bag)}")
             )
-
-    # T4: every non-leaf node is introduce, forget, or join.
-    for node in td.nodes:
-        kids = td.children(node)
-        if not kids:
-            continue
         if len(kids) == 1:
-            child_bag = td.bag(kids[0])
-            bag = td.bag(node)
+            child_bag = bags[kids[0]]
             if len(bag) == len(child_bag) + 1 and child_bag < bag:
                 continue  # introduce
             if len(bag) == len(child_bag) - 1 and bag < child_bag:
                 continue  # forget
-            violations.append(
+            t4.append(
                 Violation("T4", str(node), "single-child node is neither introduce nor forget")
             )
         elif len(kids) == 2:
-            if not (td.bag(node) == td.bag(kids[0]) == td.bag(kids[1])):
-                violations.append(
-                    Violation("T4", str(node), "join node bags differ from children")
-                )
-        else:
-            violations.append(
-                Violation("T4", str(node), f"node has {len(kids)} children")
-            )
+            if not (bag == bags[kids[0]] == bags[kids[1]]):
+                t4.append(Violation("T4", str(node), "join node bags differ from children"))
+        elif kids:
+            t4.append(Violation("T4", str(node), f"node has {len(kids)} children"))
 
-    return ValidationReport(tuple(violations))
+    return ValidationReport(tuple(violations + t4))
 
 
 def validate_trunk_aligned(
@@ -375,7 +359,7 @@ def validate_trunk_aligned(
     """
     violations: List[Violation] = []
     held: Dict[int, str] = {}
-    fmap = forget_map(td)
+    fmap = td._forget
     forgotten = {node: u for u, node in fmap.items() if u in instance.prefix.variables}
     # P2 in one walk up the trunk: ``below`` grows to the variables of
     # the subtree at each trunk node.  Each distinct stored predecessor
@@ -387,8 +371,8 @@ def validate_trunk_aligned(
     below: Set[int] = set()
     outside: Dict[FrozenSet[int], List[int]] = {}
     for lower, node in zip((None,) + td.trunk, td.trunk):
-        below |= td.bag(node)
-        for child in td.children(node):
+        below |= td._bags[node]
+        for child in td._children[node]:
             if child != lower:
                 below |= subtree_vars(td, child)
         u = forgotten.get(node)
@@ -430,5 +414,5 @@ def elimination_ordering(td: TrunkTreeDecomposition) -> Tuple[int, ...]:
     """Variables sorted by the position of their forget nodes in
     ``td.postorder()``, a fixed total extension of the node order."""
     position = {node: i for i, node in enumerate(td.postorder())}
-    fmap = forget_map(td)
+    fmap = td._forget
     return tuple(sorted(fmap, key=lambda v: position[fmap[v]]))

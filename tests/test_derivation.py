@@ -558,6 +558,54 @@ class TestKernelPrecondition:
         assert runs >= 600 and min(calls.values()) >= 500, (runs, calls)
 
 
+class TestOneStrategyExtensionPerSet:
+    """``step`` calls the module's ``strategy_extension`` once per set of
+    an R4 step, so a wrapper of it (the benchmark's hooks, the test above)
+    sees every set, however the step shares its plan among them."""
+
+    @staticmethod
+    def counted_runs(monkeypatch, cases):
+        """(seed, calls, sum of family_before over R4 events) per finished run."""
+        calls = []
+        real = derivation.strategy_extension
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(derivation, "strategy_extension", counted)
+        for seed, q, td in cases:
+            calls.clear()
+            try:
+                result = run_derivation(q, td, trivial_poset(q.prefix), R4_LIMITS)
+            except ResourceLimitError:
+                continue
+            yield seed, len(calls), sum(e.family_before for e in result.trace if e.rule == "R4")
+
+    def test_qparity_calls_it_2n_minus_1_times(self, monkeypatch):
+        cases = [(n, qparity(n), qparity_td(n)) for n in range(2, 17)]
+        runs = list(self.counted_runs(monkeypatch, cases))
+        assert [(n, calls, sets) for n, calls, sets in runs] == [
+            (n, 2 * n - 1, 2 * n - 1) for n in range(2, 17)
+        ]
+
+    def test_shuffled_paths_call_it_once_per_set(self, monkeypatch):
+        runs = list(self.counted_runs(monkeypatch, shuffled_path_cases()))
+        assert [(seed, calls) for seed, calls, _ in runs] == [
+            (seed, sets) for seed, _, sets in runs
+        ]
+        assert len(runs) >= 200 and sum(calls for _, calls, _ in runs) >= 500
+
+    def test_no_plan_outlives_its_step(self):
+        # A step that trips the branch limit drops its plan as well, so a
+        # later direct call builds its own.
+        q = qparity(3)
+        limits = EngineLimits(max_strategies=1)
+        with pytest.raises(ResourceLimitError, match="branches"):
+            run_derivation(q, qparity_td(3), trivial_poset(q.prefix), limits)
+        assert derivation._step_plan.get() is None
+
+
 class TestInvariantChecks:
     def test_neighborhood_holds_along_qparity2(self, qp2_setup):
         q, td, d = qp2_setup

@@ -1,6 +1,7 @@
-"""In-process A/B of two checkouts: interleaved file-to-verdict qparity solves.
+"""In-process A/B of two checkouts: interleaved file-to-verdict solves.
 
     python3 tools/ab_solve.py BASE CHANGE [--clear-caches]
+    python3 tools/ab_solve.py BASE CHANGE --workload NAME [--seed N]
 
 BASE and CHANGE are checkout roots; each one's ``src/trunkqbf`` is loaded
 into this interpreter under its own package name, so both run in one
@@ -21,6 +22,19 @@ CHANGE / BASE of the medians, the median of the per-round ratios (the
 two solves of a round run back to back, so this one is least moved by
 the host's speed changing between rounds), the number of rounds CHANGE
 was faster and every solve time.  Times are raw wall times.
+
+With ``--workload``, the inputs are instead the corpus that
+``bench/workloads.py`` builds for NAME and the seed (written with BASE's
+package).  After one untimed solve of the first instance per side, each
+of the ``WORKLOAD_ROUNDS`` rounds solves every instance once per side, the
+first side alternating from instance to instance, through
+``bench/run.py``'s ``solve``.  A wrong verdict exits 1; a limit abort
+is a failed instance and its time still counts, as in the benchmark.
+It prints one JSON line: per side the number of failed instances and,
+over the per-instance median times, the p50, the tail by
+``bench/run.py``'s ``tail`` rule and ``scaling_exponent`` by its
+``slope``; then the change's p50 and tail ratios and on how many
+instances the change was faster.
 """
 
 from __future__ import annotations
@@ -40,6 +54,8 @@ from time import perf_counter
 
 SIZES = (32, 128)
 ROUNDS = 41
+WORKLOAD_ROUNDS = 3
+TOOLS = Path(__file__).resolve().parent
 
 
 def load(root: Path, alias: str):
@@ -107,13 +123,66 @@ def compare(sides, n: int, rounds: int, clear: bool) -> dict:
     }
 
 
+def compare_workload(sides, base_root: Path, name: str, seed: int, clear: bool):
+    """The A/B summary of one benchmark corpus."""
+    sys.path[:0] = [str(base_root / "src"), str(TOOLS.parent / "bench")]
+    import run
+    from workloads import WORKLOADS
+
+    if name not in WORKLOADS:
+        raise SystemExit(f"unknown workload {name!r}; choose from {sorted(WORKLOADS)}")
+    with tempfile.TemporaryDirectory() as work:
+        instances = WORKLOADS[name].build(seed, Path(work))
+        times = {alias: [[] for _ in instances] for alias, _ in sides}
+        failed = {alias: set() for alias, _ in sides}
+        for _, cli in sides:
+            run.solve(cli, instances[0].argv)
+        for r in range(WORKLOAD_ROUNDS):
+            for i, inst in enumerate(instances):
+                for alias, cli in sides if (r + i) % 2 == 0 else sides[::-1]:
+                    if clear:
+                        clear_caches(alias)
+                    elapsed, outcome = run.solve(cli, inst.argv)
+                    if outcome == run.MISMATCH or (
+                        isinstance(outcome, bool) and outcome != inst.expected
+                    ):
+                        raise SystemExit(f"{alias}: wrong verdict on instance {inst.ident}")
+                    if not isinstance(outcome, bool):
+                        failed[alias].add(inst.ident)
+                    times[alias][i].append(elapsed * 1000)
+    sizes = [inst.size for inst in instances]
+    out = {"workload": name, "seed": seed, "rounds": WORKLOAD_ROUNDS, "instances": len(instances)}
+    medians = []
+    for (alias, _), side in zip(sides, ("base", "change")):
+        medians.append([statistics.median(ts) for ts in times[alias]])
+        tail_ms, percentile = run.tail(medians[-1])
+        out[side] = {
+            "failed": len(failed[alias]),
+            "p50_ms": round(statistics.median(medians[-1]), 3),
+            "tail_ms": round(tail_ms, 3),
+            "tail_percentile": percentile,
+            "scaling_exponent": round(run.slope(sizes, medians[-1]), 4),
+        }
+    for metric in ("p50_ms", "tail_ms"):
+        out[f"{metric[:-3]}_ratio"] = round(out["change"][metric] / out["base"][metric], 3)
+    a, b = medians
+    out["change_faster_in"] = f"{sum(y < x for x, y in zip(a, b))}/{len(a)}"
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path, help="root of the base checkout")
     parser.add_argument("change", type=Path, help="root of the changed checkout")
     parser.add_argument("--clear-caches", action="store_true")
+    parser.add_argument("--workload", help="A/B over this benchmark corpus instead of qparity")
+    parser.add_argument("--seed", type=int, default=0, help="corpus seed (with --workload)")
     args = parser.parse_args(argv)
     sides = (("ab_base", load(args.base, "ab_base")), ("ab_change", load(args.change, "ab_change")))
+    if args.workload:
+        summary = compare_workload(sides, args.base, args.workload, args.seed, args.clear_caches)
+        print(json.dumps(summary), flush=True)
+        return 0
     for n in SIZES:
         print(json.dumps(compare(sides, n, ROUNDS, args.clear_caches)), flush=True)
     return 0

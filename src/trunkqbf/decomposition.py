@@ -149,6 +149,9 @@ class TrunkTreeDecomposition:
     def children(self, node: int) -> Tuple[int, ...]:
         return tuple(self._children[node])
 
+    def is_leaf(self, node: int) -> bool:
+        return not self._children[node]
+
     @cached_property
     def _tops(self) -> Dict[int, Tuple[int, ...]]:
         """Variable -> the nodes holding it whose parent does not, ascending.
@@ -309,16 +312,24 @@ def validate_nice(td: TrunkTreeDecomposition, instance: QbfInstance) -> Validati
             if nodes_of.get(u, frozenset()).isdisjoint(nodes_of.get(w, ()))
         }
         for u, w in sorted(missing):
-            violations.append(Violation("T1", f"{u},{w}", "primal edge not contained in any bag"))
+            violations.append(
+                Violation("T1", f"{u},{w}", "primal edge not contained in any bag")
+            )
 
     # T2: occurrences of each variable form a nonempty connected subtree.
     for v in sorted(variables):
         tops = td._tops.get(v)
         if not tops:
             violations.append(Violation("T2", str(v), "variable occurs in no bag"))
-        elif len(tops) != 1:
-            message = f"occurrences split into {len(tops)} components (tops {list(tops)})"
-            violations.append(Violation("T2", str(v), message))
+            continue
+        if len(tops) != 1:
+            violations.append(
+                Violation(
+                    "T2",
+                    str(v),
+                    f"occurrences split into {len(tops)} components (tops {list(tops)})",
+                )
+            )
 
     # T3: leaf and root bags are empty.  T4: every non-leaf node is
     # introduce, forget, or join.  One walk; every T3 is listed first.

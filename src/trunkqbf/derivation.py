@@ -13,36 +13,44 @@ a trunk-aligned tree decomposition, one rule per step:
 
 The R2/R3 side condition uses strict dependence; under the reflexive
 relation the tested set would always contain the variable itself (it is
-in its own forget bag) and the rules could never fire.  A state keeps
-the input prefix, read only for quantifiers, and ``live``, the set of
-its still-quantified variables; a step removes the affected variables
-from ``live`` by one set difference.
+in its own forget bag) and the rules could never fire.
 
-Families are sets of sets of matrices, both levels deduplicated after
-every rule by C-level set hashing: a clause is the frozenset of its
-literals and a matrix, built by the kernels with ``Matrix._of``, the
-frozenset of its clauses.  A resolvent is a union minus the pivot's
-literals, reduction and restriction are set differences, and a clause
-is tautological when it meets its own negation; no ``Clause`` is built
-and no literal is sorted during a run.
+The run never rebuilds its prefix.  A state keeps the input prefix, read
+only for quantifiers, and ``live``, the set of its variables still
+quantified; a step removes the affected variables from ``live`` by one
+set difference.
+
+Families are sets of sets of matrices; both levels deduplicate eagerly
+after every rule application.  A clause is the frozenset of its
+literals, a plain frozenset from the parser or a kernel or a ``Clause``
+from another caller, equal when their literals are: a resolvent is a
+union minus the pivot's two literals, reduction and restriction are set
+differences, and a clause is tautological when it meets its own
+negation.  A matrix is the frozenset of its clauses, built by the
+kernels with ``Matrix._of``, so both levels of a family deduplicate by
+C-level set hashing.  No ``Clause`` is constructed and no literal is
+sorted during a run.  R4's table of strategy answers depends only on
+the step's shape, and a small one is built once per shape; R2
+tests resolvents for tautologies with one clash set per negative clause.
 
 A matrix is stored in two parts.  Its *untouched* part is every input
 clause whose variables are all still quantified: no rule has acted on
 such a clause yet, so it is the same in every matrix of the family and
 is kept once per run, in the state's ``UntouchedStore``; a clause leaves
 it when one of its variables leaves ``live``.  ``state.family`` holds
-only the *touched* parts, and ``state.whole_family()`` gives the whole
-matrices.  A rule acts on the untouched clauses over its affected
-variables ({v} for R2 and R3, the live part of dep(v) for R4) and on
-touched parts only, since no other clause mentions a variable it assigns
-or removes.  R2 and R3 pull those clauses into a matrix, apply the kernel
-and drop the clauses still untouched in one pass per matrix.  R4 pulls
-them into every matrix, builds its plan (the dependencies, the strategy
-table and the assignments) once per step for all the sets, and drops
-afterwards.  The untouched part is shared and disjoint from the touched
-one, so deduplicating touched parts gives the same families, sizes and
-strategy counts as deduplicating whole matrices, while the work per step
-is set by the forget bag and not by the formula.
+only the *touched* parts, the clauses an earlier step pulled in or
+derived, and ``state.whole_family()`` gives the whole matrices.  A rule
+acts on touched parts only, with the untouched clauses over its affected
+variables ({v} for R2 and R3, the live part of dep(v) for R4) pulled in,
+since no other clause mentions a variable it assigns or removes; any
+clause still untouched afterwards is dropped again.  R2 and R3 pull,
+apply the kernel and drop in one pass per matrix; R4 pulls into every
+matrix, builds its plan (the dependencies, the strategy table and the
+assignments) once per set, and drops afterwards.  The untouched part is
+shared and disjoint from the touched one, so deduplicating touched parts gives
+the same families, sizes and strategy counts as deduplicating whole
+matrices, while the work per step is set by the forget bag and not by
+the formula.
 
 ``validate_input`` is the one path from an instance to the engine's
 input, for ``run_derivation`` and the ``validate`` command alike; it
@@ -58,7 +66,6 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from contextvars import ContextVar
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from .decomposition import (
@@ -182,9 +189,13 @@ class UntouchedStore(Frozen):
     def untouched_over(self, variables: Iterable[int], live: FrozenSet[int]) -> FrozenSet[Lits]:
         """The untouched clauses, those over live variables only, that
         mention one of the variables."""
-        index = self._index
         return frozenset(
-            [lits for x in variables for lits, over in index.get(x, ()) if over <= live]
+            [
+                lits
+                for x in variables
+                for lits, over in self._index.get(x, ())
+                if over <= live
+            ]
         )
 
     def touched_part(self, m: Matrix, live: FrozenSet[int]) -> Matrix:
@@ -296,70 +307,51 @@ def strategy_extension(
     that table; a table of at most 2^12 entries is built once per shape
     and the 32 most recent ones are kept.
 
-    What does not depend on pi is the plan, ``_R4Plan``: the live
-    dependencies, universal ones first, each existential's own
-    universals and, built by the first non-empty set to pass the branch
-    limit, the strategy table and one assignment per full assignment.
-    ``step`` builds it once for all the sets of a step and hands it over
-    in a context variable; a call from anywhere else builds its own.
+    The dependencies, the table and the list of full assignments (number
+    n sets the i-th variable, universal ones first, to bit i of n) do not
+    depend on the matrices; they are built once per call, the table and
+    the assignments after the branch limit check and for a non-empty pi
+    only.
     """
     if v not in live:
         raise ValueError(f"variable {v} is not live")
-    plan = _step_plan.get()
-    if plan is None or plan.key != (v, prefix, live, poset):
-        plan = _R4Plan(v, prefix, live, poset)
+    deps = sorted([v, *(live & poset.strict(v))])
+    universal_dep = [w for w in deps if w in prefix.universal]
+    existential_dep = [w for w in deps if w not in prefix.universal]
+    owns = tuple(
+        tuple(i for i, u in enumerate(universal_dep) if u in poset.strict(x))
+        if universal_dep
+        else ()
+        for x in existential_dep
+    )
     # The branch count is 2^exponent: the plays times, per matrix, the
     # 2^(2^|own|) tables of every existential dependency.  It is compared
     # by exponent, since it can have thousands of decimal digits.
-    exponent = len(pi) * plan.own_bits + plan.n_universal
+    own_bits = sum([2 ** len(own) for own in owns])
+    exponent = len(pi) * own_bits + len(universal_dep)
     if exponent >= limits.max_strategies.bit_length():
         raise ResourceLimitError(
             f"strategy extension up to {v} needs 2^{exponent} branches, "
             f"limit is {limits.max_strategies}"
         )
-    if pi and plan.tables is None:
-        # Built after the limit check, for a non-empty pi only.  Only small
-        # tables are cached: a few MB at most, whatever max_strategies allows.
-        table_bits = plan.n_universal + plan.own_bits
-        build = _cached_strategy_table if table_bits <= _CACHED_TABLE_BITS else _strategy_table
-        bit_of = list(enumerate(plan.variables))
-        assignments = [{x: n >> i & 1 for i, x in bit_of} for n in range(2 ** len(bit_of))]
-        plan.tables = (build(plan.n_universal, plan.owns), assignments)
+    out = {frozenset()}
+    if not pi:
+        return frozenset(out)
+    # A table has 2^table_bits entries; only small ones are cached, so
+    # the cache holds a few MB at most, whatever max_strategies allows.
+    table_bits = len(universal_dep) + own_bits
+    build = _cached_strategy_table if table_bits <= _CACHED_TABLE_BITS else _strategy_table
+    answers = build(len(universal_dep), owns)
+    bit_of = list(enumerate(universal_dep + existential_dep))
+    assignments = [{x: n >> i & 1 for i, x in bit_of} for n in range(2 ** len(bit_of))]
     # Per matrix, the distinct sets its strategies produce, each full
     # assignment restricted once; an output set is the union of one per
     # matrix, folded in matrix by matrix so equal partial unions merge early.
-    answers, assignments = plan.tables or ((), ())
-    out = {frozenset()}
     for m in pi:
         outcome = [restrict(m, assignment) for assignment in assignments]
         sets = {frozenset(map(outcome.__getitem__, row)) for row in answers}
         out = {partial | choice for partial in out for choice in sets}
     return frozenset(out)
-
-
-class _R4Plan:
-    """What the sets of one R4 step share (see ``strategy_extension``);
-    assignment number n sets ``variables[i]`` to bit i of n."""
-
-    __slots__ = ("key", "variables", "n_universal", "owns", "own_bits", "tables")
-
-    def __init__(self, v: int, prefix: Prefix, live: FrozenSet[int], poset: DependencyPoset):
-        self.key = (v, prefix, live, poset)
-        deps = sorted([v, *(live & poset.strict(v))])
-        universal = [w for w in deps if w in prefix.universal]
-        existential = [w for w in deps if w not in prefix.universal]
-        self.variables = universal + existential
-        self.n_universal = len(universal)
-        self.owns = tuple(
-            tuple(i for i, u in enumerate(universal) if u in poset.strict(x)) if universal else ()
-            for x in existential
-        )
-        self.own_bits = sum([2 ** len(own) for own in self.owns])
-        self.tables: Optional[Tuple[Tuple[Tuple[int, ...], ...], List[Dict[int, int]]]] = None
-
-
-# The plan of the R4 step in progress, set by ``step`` around its calls.
-_step_plan: ContextVar[Optional[_R4Plan]] = ContextVar("_step_plan", default=None)
 
 
 def _strategy_table(
@@ -444,7 +436,9 @@ def _with_clauses(family: Family, clauses: FrozenSet[Lits]) -> Family:
     """Add the clauses to every matrix of the family."""
     if not clauses:
         return family
-    return frozenset(frozenset([Matrix._of(m.union(clauses)) for m in pi]) for pi in family)
+    return frozenset(
+        frozenset([Matrix._of(m.union(clauses)) for m in pi]) for pi in family
+    )
 
 
 def step(
@@ -481,14 +475,10 @@ def step(
         else:
             rule = "R4"
             merged = set()
-            token = _step_plan.set(_R4Plan(v, prefix, live, poset))
-            try:
-                # Largest first: a set that trips the branch limit trips it
-                # with the largest count, whatever the sets' hash order.
-                for pi in sorted(_with_clauses(family, pulled), key=len, reverse=True):
-                    merged |= strategy_extension(pi, v, prefix, live, poset, limits)
-            finally:
-                _step_plan.reset(token)
+            # Largest first: a set that trips the branch limit trips it
+            # with the largest count, whatever the sets' hash order.
+            for pi in sorted(_with_clauses(family, pulled), key=len, reverse=True):
+                merged |= strategy_extension(pi, v, prefix, live, poset, limits)
             new_family = frozenset(frozenset([touched(m, new_live) for m in pi]) for pi in merged)
     largest = _enforce_limits(new_family, limits)
     micros = int((time.perf_counter() - started) * 1_000_000)

@@ -561,7 +561,7 @@ class TestKernelPrecondition:
 class TestOneStrategyExtensionPerSet:
     """``step`` calls the module's ``strategy_extension`` once per set of
     an R4 step, so a wrapper of it (the benchmark's hooks, the test above)
-    sees every set, however the step shares its plan among them."""
+    sees every set."""
 
     @staticmethod
     def counted_runs(monkeypatch, cases):
@@ -595,15 +595,6 @@ class TestOneStrategyExtensionPerSet:
             (seed, sets) for seed, _, sets in runs
         ]
         assert len(runs) >= 200 and sum(calls for _, calls, _ in runs) >= 500
-
-    def test_no_plan_outlives_its_step(self):
-        # A step that trips the branch limit drops its plan as well, so a
-        # later direct call builds its own.
-        q = qparity(3)
-        limits = EngineLimits(max_strategies=1)
-        with pytest.raises(ResourceLimitError, match="branches"):
-            run_derivation(q, qparity_td(3), trivial_poset(q.prefix), limits)
-        assert derivation._step_plan.get() is None
 
 
 class TestInvariantChecks:

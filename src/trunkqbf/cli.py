@@ -113,12 +113,13 @@ def cmd_solve(args) -> int:
 def cmd_validate(args) -> int:
     try:
         instance, td, poset = _load_inputs(args)
-        validate_input(instance, td, poset)
+        _, _, branching = validate_input(instance, td, poset)
     except (OSError, DerivationError, ValueError) as exc:
         return _fail(f"error: {exc}")
     if args.stats:
         print(f"c width {width(td)}")
         print(f"c nodes {len(td.nodes)}")
+        print(f"c r4_variables {len(branching)}")
     return 0
 
 

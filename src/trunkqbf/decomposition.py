@@ -149,9 +149,6 @@ class TrunkTreeDecomposition:
     def children(self, node: int) -> Tuple[int, ...]:
         return tuple(self._children[node])
 
-    def is_leaf(self, node: int) -> bool:
-        return not self._children[node]
-
     @cached_property
     def _tops(self) -> Dict[int, Tuple[int, ...]]:
         """Variable -> the nodes holding it whose parent does not, ascending.

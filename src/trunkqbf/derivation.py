@@ -15,6 +15,19 @@ The R2/R3 side condition uses strict dependence; under the reflexive
 relation the tested set would always contain the variable itself (it is
 in its own forget bag) and the rules could never fire.
 
+The rule is decided once, in validation.  ``validate_trunk_aligned``
+tests P1 for every variable: no strict dependent of it lies in its
+forget bag.  ``validate_input`` returns the variables that fail P1 (so
+meet P2 only) as ``branching``, and ``step`` fires R4 on a live variable
+iff it is in that set; it never reads the decomposition.  This equals
+the side condition above, which asks only for *live* dependents: let v
+be live at its step and w a strict dependent of v in v's forget bag.
+w's forget node is a proper ancestor of v's (its parent forgets v and
+keeps w), so w's own step comes later.  An earlier R4 on some v'
+removed w only if w is in strict(v'); then v is in strict(v') by
+transitivity, and that step would have removed v too.  So w is still
+live, and the live test equals P1.
+
 The run never rebuilds its prefix.  A state keeps the input prefix, read
 only for quantifiers, and ``live``, the set of its variables still
 quantified; a step removes the affected variables from ``live`` by one
@@ -444,11 +457,17 @@ def _with_clauses(family: Family, clauses: FrozenSet[Lits]) -> Family:
 def step(
     state: DerivationState,
     v: int,
-    td: TrunkTreeDecomposition,
+    branching: FrozenSet[int],
     poset: DependencyPoset,
     limits: EngineLimits = EngineLimits(),
 ) -> Tuple[DerivationState, TraceEvent]:
-    """Apply the unique applicable rule for the next elimination variable."""
+    """Apply the unique applicable rule for the next elimination variable.
+
+    ``branching`` is the set ``validate_input`` returns, the variables
+    that fail P1: a dead v is R1, a live v is R4 iff it is in the set,
+    and otherwise R2 or R3 by its quantifier (see the module docstring
+    for why this is the live side condition).
+    """
     started = time.perf_counter()
     prefix, live = state.prefix, state.live
     family = state.family
@@ -457,13 +476,11 @@ def step(
         rule = "R1"
         new_live, new_family = live, family
     else:
-        bag = td.bag(forget_node(td, v))
-        blocked = not live.isdisjoint(poset.dependents_strict(v, bag))
-        affected = (live & poset.strict(v)) | {v} if blocked else frozenset({v})
+        affected = (live & poset.strict(v)) | {v} if v in branching else frozenset({v})
         pulled = store.untouched_over(affected, live)
         new_live = live - affected
         touched = store.touched_part
-        if not blocked:
+        if v not in branching:
             # Looked up per call, not bound once, so wrappers of the
             # module's ``resolve`` and ``reduce`` see every call.
             rule, kernel = ("R2", resolve) if prefix.quantifier(v) == EXISTS else ("R3", reduce)
@@ -506,11 +523,12 @@ def initial_state(instance: QbfInstance) -> DerivationState:
 
 def validate_input(
     instance: QbfInstance, td: TrunkTreeDecomposition, poset: DependencyPoset
-) -> Tuple[QbfInstance, Tuple[int, ...]]:
-    """The instance with its tautologies removed and the decomposition's
-    elimination ordering, once the poset is over the instance's variables
-    and the decomposition is nice and trunk-aligned for that instance; a
-    failure raises ``ValidationError``; an instance without tautologies is kept."""
+) -> Tuple[QbfInstance, Tuple[int, ...], FrozenSet[int]]:
+    """The instance with its tautologies removed, the decomposition's
+    elimination ordering and the variables that fail P1, on which ``step``
+    fires R4, once the poset is over the instance's variables and the
+    decomposition is nice and trunk-aligned for that instance; a failure
+    raises ``ValidationError``; an instance without tautologies is kept."""
     variables = instance.prefix.variables
     if poset.universe != variables:
         raise ValidationError(
@@ -529,7 +547,8 @@ def validate_input(
         raise ValidationError(
             f"decomposition is not trunk-aligned: {trunk_report.summary()}", trunk_report
         )
-    return cleaned, elimination_ordering(td)
+    branching = frozenset([u for u, held in trunk_report.property_held.items() if held == "P2"])
+    return cleaned, elimination_ordering(td), branching
 
 
 def _check_step(
@@ -540,8 +559,10 @@ def _check_step(
     poset: DependencyPoset,
 ) -> None:
     """Assert the engine invariants of one step: v's matrix neighbors and,
-    under R4, its still-quantified dependencies lie in its forget bag, and
-    the result is tautology-free and over the live variables only.
+    under R4, its still-quantified dependencies lie in its forget bag, a
+    live v's rule is R4 iff a live strict dependent of v lies in its
+    forget bag, and the result is tautology-free and over the live
+    variables only.
 
     The last holds for the untouched part by construction (the store
     rejects tautologies, and an untouched clause is over the live
@@ -553,6 +574,14 @@ def _check_step(
         raise InvariantError(f"{where}: a matrix neighbor lies outside the forget bag")
     if event.rule == "R4" and not check_r4_assertion(before.live, v, poset, td):
         raise InvariantError(f"{where}: a dependency of R4 lies outside the forget bag")
+    if event.rule != "R1":
+        bag = td.bag(forget_node(td, v))
+        blocked = not before.live.isdisjoint(poset.dependents_strict(v, bag))
+        if blocked != (event.rule == "R4"):
+            raise InvariantError(
+                f"{where}: {event.rule} fired with {'a' if blocked else 'no'} "
+                "live dependent in the forget bag"
+            )
     for matrix in itertools.chain.from_iterable(after.family):
         tautologies = [Clause(lits) for lits in matrix if is_tautological(lits)]
         leftover = matrix.variables() - after.live
@@ -572,18 +601,18 @@ def run_derivation(
 ) -> DerivationResult:
     """Decide the instance along the decomposition's elimination ordering.
 
-    ``validate_input`` removes the tautologies and validates the
-    decomposition, then the rules are applied once per variable from
-    ``initial_state``.  The verdict is true iff some final set consists
-    of empty matrices only.  With ``checks`` enabled every step is
-    checked by ``_check_step``.
+    ``validate_input`` removes the tautologies, validates the
+    decomposition and picks the variables R4 branches on, then the rules
+    are applied once per variable from ``initial_state``.  The verdict is
+    true iff some final set consists of empty matrices only.  With
+    ``checks`` enabled every step is checked by ``_check_step``.
     """
-    cleaned, ordering = validate_input(instance, td, poset)
+    cleaned, ordering, branching = validate_input(instance, td, poset)
     state = initial_state(cleaned)
     trace: List[TraceEvent] = []
     for i, v in enumerate(ordering, start=1):
         try:
-            after, event = step(state, v, td, poset, limits)
+            after, event = step(state, v, branching, poset, limits)
         except ResourceLimitError as exc:
             raise ResourceLimitError(f"step {i}, variable {v}: {exc}", tuple(trace)) from exc
         if checks:

@@ -15,15 +15,13 @@ from trunkqbf import (
     QbfInstance,
     ResourceLimitError,
     TrunkTreeDecomposition,
-    elimination_ordering,
     forget_node,
     ground_truth,
     primal_graph,
     random_instance,
-    remove_tautologies,
     step,
 )
-from trunkqbf.derivation import UntouchedStore
+from trunkqbf.derivation import UntouchedStore, validate_input
 from trunkqbf.generators import _path_td as path_td
 
 R4_LIMITS = EngineLimits(max_strategies=4096, max_family_size=64)
@@ -242,15 +240,16 @@ def forget_path_td(instance, forget: Sequence[int]):
 
 def stepwise(instance, td, poset, limits=EngineLimits()):
     """Reference derivation on whole matrices: ``step`` from a state with
-    an empty untouched store, so every clause is touched from the start.
+    an empty untouched store, so every clause is touched from the start,
+    on ``validate_input``'s instance, ordering and branching set.
     Returns (verdict, trace, the state after every step)."""
-    cleaned = QbfInstance(instance.prefix, remove_tautologies(instance.matrix))
+    cleaned, ordering, branching = validate_input(instance, td, poset)
     whole = frozenset({frozenset({cleaned.matrix})})
     prefix = cleaned.prefix
     state = DerivationState(prefix, prefix.variables, whole, 0, UntouchedStore())
     trace, states = [], []
-    for v in elimination_ordering(td):
-        state, event = step(state, v, td, poset, limits)
+    for v in ordering:
+        state, event = step(state, v, branching, poset, limits)
         trace.append(event)
         states.append(state)
     verdict = any(all(ground_truth(m) for m in pi) for pi in state.family)

@@ -17,7 +17,6 @@ from trunkqbf import (
     QbfInstance,
     ResourceLimitError,
     TrunkTreeDecomposition,
-    elimination_ordering,
     equisatisfiable,
     evaluate,
     initial_state,
@@ -41,6 +40,7 @@ from trunkqbf import (
     write_poset,
     write_qdimacs,
 )
+from trunkqbf.derivation import validate_input
 
 from _util import min_width_by_enumeration
 
@@ -71,11 +71,13 @@ def test_criterion_1_qparity2_golden_trace():
     bottom = matrix_of(())
 
     # The engine's own start and steps; whole_family() puts the untouched
-    # input clauses back into the stored touched parts.
+    # input clauses back into the stored touched parts; validation picks
+    # the variables R4 branches on.
+    _, ordering, branching = validate_input(q, td, d)
     state = initial_state(q)
     families = []
-    for v in elimination_ordering(td):
-        state, event = step(state, v, td, d)
+    for v in ordering:
+        state, event = step(state, v, branching, d)
         families.append((event.rule, state.whole_family()))
 
     # Step 1, x1: both constant strategies, one singleton set each.

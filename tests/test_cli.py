@@ -174,6 +174,16 @@ class TestValidate:
         qd, td = qparity2_files
         assert main(["validate", qd, "--td", td, "--trivial-poset"]) == 0
 
+    def test_stats_show_the_width_nodes_and_r4_variables(self, qparity2_files, capsys):
+        # qparity(2)'s x1 and x2 fail P1, so R4 branches on both.
+        qd, td = qparity2_files
+        assert main(["validate", qd, "--td", td, "--trivial-poset", "--stats"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "c width 2",
+            "c nodes 11",
+            "c r4_variables 2",
+        ]
+
     def test_qparity4_files_validate(self, tmp_path):
         assert main(["gen", "qparity", "4", str(tmp_path / "qp4")]) == 0
         assert main([

@@ -15,7 +15,6 @@ from trunkqbf import (
     ValidationError,
     check_neighborhood_invariant,
     check_r4_assertion,
-    elimination_ordering,
     evaluate,
     initial_state,
     is_tautological,
@@ -35,7 +34,8 @@ from trunkqbf import (
 )
 from trunkqbf import InvariantError, derivation
 from trunkqbf.decomposition import ValidationReport
-from trunkqbf.derivation import UntouchedStore
+from trunkqbf.derivation import UntouchedStore, validate_input
+from trunkqbf.posets import DependencyPoset
 
 from _util import R4_LIMITS, join_node_cases, path_td, shuffled_path_cases
 
@@ -334,16 +334,18 @@ def shape_instance(n_universal, owns, rng, n_matrices=None):
 class TestStepDispatch:
     def test_qparity2_rule_sequence(self, qp2_setup):
         q, td, d = qp2_setup
+        _, ordering, branching = validate_input(q, td, d)
         state = initial_state(q)
         rules = []
-        for v in elimination_ordering(td):
-            state, event = step(state, v, td, d)
+        for v in ordering:
+            state, event = step(state, v, branching, d)
             rules.append(event.rule)
         assert rules == ["R4", "R2", "R4", "R2", "R3"]
 
     def test_r4_fires_when_a_dependent_shares_the_forget_bag(self, qp2_setup):
         q, td, d = qp2_setup
-        state, event = step(initial_state(q), 1, td, d)
+        branching = validate_input(q, td, d)[2]
+        state, event = step(initial_state(q), 1, branching, d)
         assert event.rule == "R4"
         assert state.live == {2, 3, 4, 5}
 
@@ -352,7 +354,7 @@ class TestStepDispatch:
         state = DerivationState(
             q.prefix, q.prefix.variables - {1}, family({PSI_X1_0}, {PSI_X1_1}), 1, UntouchedStore()
         )
-        state, event = step(state, 4, td, d)
+        state, event = step(state, 4, validate_input(q, td, d)[2], d)
         assert event.rule == "R2"
         assert state.family == family({RES_X1_0}, {RES_X1_1})
 
@@ -361,7 +363,7 @@ class TestStepDispatch:
         state = DerivationState(
             q.prefix, frozenset({3}), family({UNIT_U_NEG}, {UNIT_U_POS}), 4, UntouchedStore()
         )
-        state, event = step(state, 3, td, d)
+        state, event = step(state, 3, validate_input(q, td, d)[2], d)
         assert event.rule == "R3"
         assert state.family == family({EMPTY_CLAUSE_MATRIX})
 
@@ -369,10 +371,11 @@ class TestStepDispatch:
 class TestGoldenQParity2:
     def test_intermediate_families(self, qp2_setup):
         q, td, d = qp2_setup
+        _, ordering, branching = validate_input(q, td, d)
         state = initial_state(q)
         seen = []
-        for v in elimination_ordering(td):
-            state, _ = step(state, v, td, d)
+        for v in ordering:
+            state, _ = step(state, v, branching, d)
             seen.append(state.whole_family())
         assert seen[0] == family({PSI_X1_0}, {PSI_X1_1})
         assert seen[1] == family({RES_X1_0}, {RES_X1_1})
@@ -426,7 +429,7 @@ class TestRunDerivation:
         assert derivation.validate_input(q, td, d)[0] is q
         tautology = frozenset({1, -1, 4})
         with_tautology = QbfInstance(q.prefix, Matrix._of(q.matrix | {tautology}))
-        cleaned, _ = derivation.validate_input(with_tautology, td, d)
+        cleaned = derivation.validate_input(with_tautology, td, d)[0]
         assert cleaned is not with_tautology
         assert cleaned == q
 
@@ -469,6 +472,7 @@ class TestRunDerivation:
     def test_set_limit_names_the_largest_set(self, qp2_setup):
         # An R1 step keeps the family, so the limit check sees both sets.
         q, td, d = qp2_setup
+        branching = validate_input(q, td, d)[2]
         live = q.prefix.variables - {1}
         seen_first = set()
         for k in range(2, 8):
@@ -478,13 +482,14 @@ class TestRunDerivation:
             seen_first.add(len(next(iter(fam))))
             state = DerivationState(q.prefix, live, fam, 0, UntouchedStore())
             with pytest.raises(ResourceLimitError, match="set has 4 matrices, limit is 1"):
-                step(state, 1, td, d, EngineLimits(max_set_size=1))
+                step(state, 1, branching, d, EngineLimits(max_set_size=1))
         assert seen_first == {2, 4}  # both hash orders were tried
 
     def test_branch_limit_names_the_largest_set(self, qp2_setup):
         # R4 at x1 branches 2^|set| ways; both sets exceed the limit,
         # and the message names the larger count whatever the hash order.
         q, td, d = qp2_setup
+        branching = validate_input(q, td, d)[2]
         seen_first = set()
         for k in range(1, 6):
             small = {matrix_of((k,))}
@@ -493,7 +498,7 @@ class TestRunDerivation:
             seen_first.add(len(next(iter(fam))))
             state = DerivationState(q.prefix, q.prefix.variables, fam, 0, UntouchedStore())
             with pytest.raises(ResourceLimitError, match=r"needs 2\^2 branches, limit is 1$"):
-                step(state, 1, td, d, EngineLimits(max_strategies=1))
+                step(state, 1, branching, d, EngineLimits(max_strategies=1))
         assert seen_first == {1, 2}
 
     def test_deterministic_traces_and_verdicts(self, qp2_setup):
@@ -597,21 +602,66 @@ class TestOneStrategyExtensionPerSet:
         assert len(runs) >= 200 and sum(calls for _, calls, _ in runs) >= 500
 
 
+class TestRuleDecidedInValidation:
+    """P1 is computed once per variable, by ``validate_trunk_aligned``;
+    without checks, no step reads the decomposition or a dependents set."""
+
+    def test_the_step_path_reads_no_decomposition_fact(self, monkeypatch):
+        forget_calls = []
+        dependents = {"validation": 0, "steps": 0}
+        validating = []
+        real_forget = derivation.forget_node
+        real_dependents = DependencyPoset.dependents_strict
+        real_validate = derivation.validate_trunk_aligned
+
+        def counted_forget(*args):
+            forget_calls.append(args)
+            return real_forget(*args)
+
+        def counted_dependents(poset, u, within):
+            dependents["validation" if validating else "steps"] += 1
+            return real_dependents(poset, u, within)
+
+        def validate(*args):
+            validating.append(True)
+            try:
+                return real_validate(*args)
+            finally:
+                validating.pop()
+
+        monkeypatch.setattr(derivation, "forget_node", counted_forget)
+        monkeypatch.setattr(DependencyPoset, "dependents_strict", counted_dependents)
+        monkeypatch.setattr(derivation, "validate_trunk_aligned", validate)
+        rules = []
+        for seed, q, td in [(16, qparity(16), qparity_td(16)), *shuffled_path_cases()]:
+            dependents.update(validation=0, steps=0)
+            try:
+                trace = run_derivation(q, td, trivial_poset(q.prefix), R4_LIMITS).trace
+            except ResourceLimitError as exc:
+                trace = exc.trace
+            rules += [e.rule for e in trace]
+            assert dependents == {"validation": len(q.prefix.variables), "steps": 0}, seed
+        assert forget_calls == []
+        assert set(rules) == {"R1", "R2", "R3", "R4"} and rules.count("R4") >= 200
+
+
 class TestInvariantChecks:
     def test_neighborhood_holds_along_qparity2(self, qp2_setup):
         q, td, d = qp2_setup
+        _, ordering, branching = validate_input(q, td, d)
         state = initial_state(q)
-        for v in elimination_ordering(td):
+        for v in ordering:
             assert check_neighborhood_invariant(state, v, td)
-            state, _ = step(state, v, td, d)
+            state, _ = step(state, v, branching, d)
 
     def test_neighborhood_size_bounded_by_width(self, qp2_setup):
         from trunkqbf import width
 
         q, td, d = qp2_setup
         bound = width(td)
+        _, ordering, branching = validate_input(q, td, d)
         state = initial_state(q)
-        for v in elimination_ordering(td):
+        for v in ordering:
             for pi in state.whole_family():
                 for m in pi:
                     neighbors = set()
@@ -619,7 +669,7 @@ class TestInvariantChecks:
                         if v in c.variables():
                             neighbors |= c.variables() - {v}
                     assert len(neighbors) <= bound
-            state, _ = step(state, v, td, d)
+            state, _ = step(state, v, branching, d)
 
     def test_neighborhood_violation_detected(self, qp2_setup):
         q, td, d = qp2_setup
@@ -660,14 +710,30 @@ class TestChecksInRunDerivation:
     def run(q, td, checks):
         return run_derivation(q, td, trivial_poset(q.prefix), checks=checks)
 
+    @staticmethod
+    def plan(monkeypatch, property_held):
+        """Stub trunk alignment with a report that holds the given
+        properties, so validation plans R4 on the "P2" variables."""
+        report = ValidationReport((), property_held)
+        monkeypatch.setattr(derivation, "validate_trunk_aligned", lambda *_: report)
+
     @pytest.mark.parametrize("checks", [True, False])
     def test_r4_dependency_outside_the_forget_bag(self, monkeypatch, checks):
-        monkeypatch.setattr(derivation, "validate_trunk_aligned", lambda *_: ValidationReport())
+        # u (2) depends on x (1), which its forget bag {u, z} lacks.
+        self.plan(monkeypatch, {2: "P2"})
         if checks:
             with pytest.raises(InvariantError, match="step 1, variable 2: a dependency of R4"):
                 self.run(XUZ, UNALIGNED_TD, checks)
         else:
             assert self.run(XUZ, UNALIGNED_TD, checks).trace[0].rule == "R4"
+
+    def test_r2_planned_where_a_live_dependent_shares_the_forget_bag(self, monkeypatch):
+        # qparity(2)'s x1 (1) fails P1: z1 (4) depends on it and sits in
+        # its forget bag.  A report that plans R2 for x1 is caught at step 1.
+        q = qparity(2)
+        self.plan(monkeypatch, {1: "P1", 2: "P2", 3: "P1P2", 4: "P1", 5: "P1P2"})
+        with pytest.raises(InvariantError, match="step 1, variable 1: R2 fired with a live"):
+            run_derivation(q, qparity_td(2), trivial_poset(q.prefix), checks=True)
 
     @pytest.mark.parametrize("checks", [True, False])
     def test_neighbor_outside_the_forget_bag(self, monkeypatch, checks):
@@ -725,10 +791,10 @@ class TestRuleBehaviour:
 
     def test_exhaustive_elimination(self, qp2_setup):
         q, td, d = qp2_setup
+        _, order, branching = validate_input(q, td, d)
         state = initial_state(q)
-        order = elimination_ordering(td)
         for i, v in enumerate(order, start=1):
-            state, _ = step(state, v, td, d)
+            state, _ = step(state, v, branching, d)
             gone = set(order[:i])
             for pi in state.whole_family():
                 for m in pi:
@@ -739,9 +805,10 @@ class TestRuleBehaviour:
             q = random_instance(seed, 2 + seed % 6, 1 + seed % 8, 2, 1 + seed % 3)
             td = single_bag_td(q)
             d = trivial_poset(q.prefix)
+            _, ordering, branching = validate_input(q, td, d)
             state = initial_state(q)
-            for v in elimination_ordering(td):
-                state, _ = step(state, v, td, d)
+            for v in ordering:
+                state, _ = step(state, v, branching, d)
                 for pi in state.whole_family():
                     for m in pi:
                         for c in m.clauses:

@@ -17,7 +17,6 @@ from trunkqbf import (
     QbfInstance,
     ResourceLimitError,
     TrunkTreeDecomposition,
-    elimination_ordering,
     evaluate,
     initial_state,
     matrix_of,
@@ -35,7 +34,7 @@ from trunkqbf import (
 )
 from trunkqbf import formulas
 from trunkqbf.cli import main
-from trunkqbf.derivation import UntouchedStore
+from trunkqbf.derivation import UntouchedStore, validate_input
 
 from _util import (
     R4_LIMITS,
@@ -74,9 +73,10 @@ def test_store_run_matches_stepwise_run_on_qparity():
         q = qparity(n)
         td, d = qparity_td(n), trivial_poset(q.prefix)
         verdict, trace, reference = stepwise(q, td, d)
+        _, ordering, branching = validate_input(q, td, d)
         state = initial_state(q)
-        for v, expected in zip(elimination_ordering(td), reference):
-            state, _ = step(state, v, td, d)
+        for v, expected in zip(ordering, reference):
+            state, _ = step(state, v, branching, d)
             assert state.whole_family() == expected.family, (n, v)
         result = run_derivation(q, td, d)
         assert result.verdict is verdict is False, n
@@ -319,10 +319,10 @@ def test_half_a_run_leaves_the_expected_live_set():
     n = 64
     q = qparity(n)
     td, d = qparity_td(n), trivial_poset(q.prefix)
-    ordering = elimination_ordering(td)
+    _, ordering, branching = validate_input(q, td, d)
     state = initial_state(q)
     for v in ordering[: len(ordering) // 2]:
-        state, _ = step(state, v, td, d)
+        state, _ = step(state, v, branching, d)
     # The first half of the steps removes x_1..x_32 and z_1..z_32.
     assert state.live == {
         *range(n // 2 + 1, n + 1),

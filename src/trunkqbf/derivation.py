@@ -18,9 +18,9 @@ in its own forget bag) and the rules could never fire.
 The rule is decided once, in validation.  ``validate_trunk_aligned``
 tests P1 for every variable: no strict dependent of it lies in its
 forget bag.  ``validate_input`` returns the variables that fail P1 (so
-meet P2 only) as ``branching``, and ``step`` fires R4 on a live variable
-iff it is in that set; it never reads the decomposition.  This equals
-the side condition above, which asks only for *live* dependents: let v
+meet P2 only) as ``branching``, and the plan fires R4 on a live
+variable iff it is in that set; no step reads the decomposition.  This
+equals the side condition above, which asks only for *live* dependents: let v
 be live at its step and w a strict dependent of v in v's forget bag.
 w's forget node is a proper ancestor of v's (its parent forgets v and
 keeps w), so w's own step comes later.  An earlier R4 on some v'
@@ -28,10 +28,13 @@ removed w only if w is in strict(v'); then v is in strict(v') by
 transitivity, and that step would have removed v too.  So w is still
 live, and the live test equals P1.
 
-The run never rebuilds its prefix.  A state keeps the input prefix, read
-only for quantifiers, and ``live``, the set of its variables still
-quantified; a step removes the affected variables from ``live`` by one
-set difference.
+The run is planned once: a step's rule and the variables it removes
+depend on the ordering, the poset and the prefix only.  ``initial_state``
+walks the ordering once with a mutable live set and records per step the
+variable, the rule and the removed variables: none for R1, {v} for R2
+and R3, and v with its live strict dependencies for R4.  A state is the
+input prefix, read only for quantifiers, the family, the step index and
+the store, which holds the plan.
 
 Families are sets of sets of matrices; both levels deduplicate eagerly
 after every rule application.  A clause is the frozenset of its
@@ -49,29 +52,28 @@ tests resolvents for tautologies with one clash set per negative clause.
 A matrix is stored in two parts.  Its *untouched* part is every input
 clause whose variables are all still quantified: no rule has acted on
 such a clause yet, so it is the same in every matrix of the family and
-is kept once per run, in the state's ``UntouchedStore``; a clause leaves
-it when one of its variables leaves ``live``.  ``state.family`` holds
+is kept once per run, in the state's ``UntouchedStore``, bucketed by the
+first step that removes one of its variables.  ``state.family`` holds
 only the *touched* parts, the clauses an earlier step pulled in or
 derived, and ``state.whole_family()`` gives the whole matrices.  A rule
-acts on touched parts only, with the untouched clauses over its affected
-variables ({v} for R2 and R3, the live part of dep(v) for R4) pulled in,
-since no other clause mentions a variable it assigns or removes; any
-clause still untouched afterwards is dropped again.  R2 and R3 pull,
-apply the kernel and drop in one pass per matrix; R4 pulls into every
-matrix, builds its plan (the dependencies, the strategy table and the
-assignments) once per set, and drops afterwards.  The untouched part is
-shared and disjoint from the touched one, so deduplicating touched parts gives
-the same families, sizes and strategy counts as deduplicating whole
-matrices, while the work per step is set by the forget bag and not by
-the formula.
+acts on touched parts only, with its step's bucket pulled in, since no
+other clause mentions a variable it assigns or removes; any clause of a
+later bucket is dropped again.  R2 and R3 pull, apply the kernel and
+drop in one pass per matrix; R4 pulls into every matrix, builds its
+strategy table and assignments once per set, and drops afterwards.  The
+untouched part is shared and disjoint from the touched one, so
+deduplicating touched parts gives the same families, sizes and strategy
+counts as deduplicating whole matrices, while the work per step is set
+by the forget bag and not by the formula.
 
 ``validate_input`` is the one path from an instance to the engine's
 input, for ``run_derivation`` and the ``validate`` command alike; it
 removes the input's tautologies.  The kernels trust every matrix to be
-tautology-free, and a run keeps it so: the ``UntouchedStore`` rejects
-tautologies, ``resolve`` drops tautological resolvents, and ``reduce``
-and ``restrict`` only delete literals.  With ``checks`` on, and only
-then, ``run_derivation`` asserts every invariant after each step.
+tautology-free, and a run keeps it so: the store holds input clauses
+only, ``resolve`` drops tautological resolvents, and ``reduce`` and
+``restrict`` only delete literals.  With ``checks`` on, and only then,
+``run_derivation`` asserts once that every stored clause can be
+untouched and every other invariant after each step.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from .decomposition import (
     TrunkTreeDecomposition,
@@ -108,6 +110,8 @@ MatrixSet = FrozenSet[Matrix]
 Family = FrozenSet[MatrixSet]
 # A clause inside the engine: the frozenset of its literals.
 Lits = FrozenSet[int]
+# A step of a run's plan: its variable, its rule and the variables it removes.
+PlanEntry = Tuple[int, str, FrozenSet[int]]
 
 
 class DerivationError(Exception):
@@ -171,71 +175,61 @@ class EngineLimits(Frozen):
 
 
 class UntouchedStore(Frozen):
-    """The input clauses with at least one variable, stored once per run.
+    """A run's plan and its input clauses with a variable, stored once:
+    ``plan[i]`` is step i + 1, and a clause (a literal set) is untouched
+    until the first step that removes one of its variables pulls it in.
+    ``pulls[i]`` holds the clauses step i + 1 pulls in, the last bucket
+    those no step pulls in.  Stores compare by clauses and plan."""
 
-    Clauses are literal sets.  Such a clause is untouched while all its
-    variables are still quantified; the index maps every variable to
-    the clauses it occurs in, each with its variable set.  Stores compare
-    by their clauses.
-    """
-
-    __slots__ = ("clauses", "_index")
+    __slots__ = ("clauses", "plan", "pulls", "_pulled_at")
     clauses: FrozenSet[Lits]
-    _index: Dict[int, List[Tuple[Lits, FrozenSet[int]]]]
+    plan: Tuple[PlanEntry, ...]
+    pulls: Tuple[FrozenSet[Lits], ...]
+    _pulled_at: Dict[Lits, int]
 
-    def __init__(self, clauses: FrozenSet[Lits] = frozenset()) -> None:
-        index: Dict[int, List[Tuple[Lits, FrozenSet[int]]]] = {}
-        for lits in clauses:
-            if not lits:
-                raise ValueError("a variable-free clause cannot be untouched")
-            if is_tautological(lits):
-                raise ValueError(f"a tautological clause {Clause(lits)!r} cannot be untouched")
-            over = frozenset(map(abs, lits))
-            for x in over:
-                index.setdefault(x, []).append((lits, over))
+    def __init__(self, clauses: FrozenSet[Lits], plan: Tuple[PlanEntry, ...]) -> None:
+        end = len(plan)
+        first = {x: i for i, (_, _, removes) in enumerate(plan) for x in removes}
+        pulled_at = {c: min([first.get(abs(x), end) for x in c], default=end) for c in clauses}
+        pulls: List[List[Lits]] = [[] for _ in range(end + 1)]
+        for lits, i in pulled_at.items():
+            pulls[i].append(lits)
         object.__setattr__(self, "clauses", clauses)
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "pulls", tuple(map(frozenset, pulls)))
+        object.__setattr__(self, "_pulled_at", pulled_at)
 
     def _key(self) -> Tuple[object, ...]:
-        return (self.clauses,)
+        return (self.clauses, self.plan)
 
-    def untouched_over(self, variables: Iterable[int], live: FrozenSet[int]) -> FrozenSet[Lits]:
-        """The untouched clauses, those over live variables only, that
-        mention one of the variables."""
-        return frozenset(
-            [
-                lits
-                for x in variables
-                for lits, over in self._index.get(x, ())
-                if over <= live
-            ]
-        )
-
-    def touched_part(self, m: Matrix, live: FrozenSet[int]) -> Matrix:
-        """The matrix without its untouched clauses, the stored ones over
-        live variables only."""
-        drop = [c for c in m.intersection(self.clauses) if live.issuperset(map(abs, c))]
+    def touched_part(self, m: Matrix, done: int) -> Matrix:
+        """The matrix without the stored clauses still untouched after
+        ``done`` steps."""
+        drop = [c for c in m.intersection(self.clauses) if self._pulled_at[c] >= done]
         return Matrix._of(m.difference(drop)) if drop else m
 
 
 class DerivationState(NamedTuple):
-    """The still-quantified variables and a family of matrices.
-
-    ``prefix`` is the input prefix, read only for quantifiers; ``live``
-    is the part of it not yet eliminated.  Every matrix of the family is
-    the touched part only; its untouched part is the clauses of
-    ``untouched`` that are over ``live`` only.
-    """
+    """A family of matrices after ``step_index`` steps of the run's plan;
+    ``prefix`` is the input prefix, read only for quantifiers.  Every
+    matrix of the family is the touched part only; its untouched part is
+    the clauses of ``untouched`` that no step done has pulled in."""
 
     prefix: Prefix
-    live: FrozenSet[int]
     family: Family
     step_index: int
     untouched: UntouchedStore
 
+    @property
+    def live(self) -> FrozenSet[int]:
+        """The variables still quantified, derived from the plan."""
+        done = self.untouched.plan[: self.step_index]
+        return self.prefix.variables.difference(*[removes for _, _, removes in done])
+
     def whole_family(self) -> Family:
         """The family with the untouched part put back into every matrix."""
-        return _with_clauses(self.family, self.untouched.untouched_over(self.live, self.live))
+        untouched = self.untouched.pulls[self.step_index :]
+        return _with_clauses(self.family, frozenset().union(*untouched))
 
 
 class TraceEvent(NamedTuple):
@@ -294,21 +288,21 @@ def reduce(matrix: Matrix, u: int) -> Matrix:
 
 def strategy_extension(
     pi: MatrixSet,
-    v: int,
+    deps: FrozenSet[int],
     prefix: Prefix,
-    live: FrozenSet[int],
     poset: DependencyPoset,
     limits: EngineLimits = EngineLimits(),
 ) -> Family:
     """Branch over all partial existential strategies up to v.
 
-    With B the universal plays on the live part of dep(v) and A the
-    partial existential strategies on its existential part (the prefix
-    gives the quantifiers), the output contains, for every tuple of
-    per-matrix strategies, the set of all matrices the tuple can produce
-    against plays from B.  The matrices of pi must be tautology-free (see
-    the module docstring), else the result is unspecified; every output
-    matrix is then free of tautologies and of all variables in dep(v).
+    ``deps`` is v with the live part of strict(v), the variables R4
+    removes.  With B the universal plays on deps and A the partial
+    existential strategies on its existential part (the prefix gives the
+    quantifiers), the output contains, for every tuple of per-matrix
+    strategies, the set of all matrices the tuple can produce against
+    plays from B.  The matrices of pi must be tautology-free (see the
+    module docstring), else the result is unspecified; every output
+    matrix is then free of tautologies and of all variables in deps.
 
     Plays and strategies are bit tables.  Play b sets the i-th universal
     dependency (ascending ids) to bit i of b.  A strategy holds one table
@@ -320,17 +314,14 @@ def strategy_extension(
     that table; a table of at most 2^12 entries is built once per shape
     and the 32 most recent ones are kept.
 
-    The dependencies, the table and the list of full assignments (number
-    n sets the i-th variable, universal ones first, to bit i of n) do not
-    depend on the matrices; they are built once per call, the table and
-    the assignments after the branch limit check and for a non-empty pi
-    only.
+    The table and the list of full assignments (number n sets the i-th
+    variable, universal ones first, to bit i of n) do not depend on the
+    matrices; they are built once per call, after the branch limit check
+    and for a non-empty pi only.
     """
-    if v not in live:
-        raise ValueError(f"variable {v} is not live")
-    deps = sorted([v, *(live & poset.strict(v))])
-    universal_dep = [w for w in deps if w in prefix.universal]
-    existential_dep = [w for w in deps if w not in prefix.universal]
+    ordered = sorted(deps)
+    universal_dep = [w for w in ordered if w in prefix.universal]
+    existential_dep = [w for w in ordered if w not in prefix.universal]
     owns = tuple(
         tuple(i for i, u in enumerate(universal_dep) if u in poset.strict(x))
         if universal_dep
@@ -343,6 +334,8 @@ def strategy_extension(
     own_bits = sum([2 ** len(own) for own in owns])
     exponent = len(pi) * own_bits + len(universal_dep)
     if exponent >= limits.max_strategies.bit_length():
+        # v is the one variable of the set that depends on all the others.
+        v = next(x for x in deps if deps - {x} <= poset.strict(x))
         raise ResourceLimitError(
             f"strategy extension up to {v} needs 2^{exponent} branches, "
             f"limit is {limits.max_strategies}"
@@ -404,17 +397,16 @@ _CACHED_TABLE_BITS = 12
 _cached_strategy_table = functools.lru_cache(maxsize=32)(_strategy_table)
 
 
-def check_neighborhood_invariant(
-    state: DerivationState, v: int, td: TrunkTreeDecomposition
-) -> bool:
+def check_neighborhood_invariant(state: DerivationState, td: TrunkTreeDecomposition) -> bool:
     """True iff, in every whole matrix of the family, every variable
-    sharing a clause with v lies in v's forget bag.
-
-    The untouched clauses are the same in every matrix, so the touched
-    parts are read one by one and the untouched clauses over v once.
-    """
+    sharing a clause with v, the state's next variable, lies in v's
+    forget bag.  The untouched clauses that mention v are the same in
+    every matrix and all in the next step's bucket, as that step removes
+    v or an earlier one did; they are read once, the touched parts one
+    by one."""
+    v = state.untouched.plan[state.step_index][0]
     bag = td.bag(forget_node(td, v)) | {v}
-    shared = state.untouched.untouched_over((v,), state.live)
+    shared = state.untouched.pulls[state.step_index]
     touched = (m for pi in state.family for m in pi)
     for lits in itertools.chain(shared, itertools.chain.from_iterable(touched)):
         if (v in lits or -v in lits) and not bag.issuperset(map(abs, lits)):
@@ -455,52 +447,38 @@ def _with_clauses(family: Family, clauses: FrozenSet[Lits]) -> Family:
 
 
 def step(
-    state: DerivationState,
-    v: int,
-    branching: FrozenSet[int],
-    poset: DependencyPoset,
-    limits: EngineLimits = EngineLimits(),
+    state: DerivationState, poset: DependencyPoset, limits: EngineLimits = EngineLimits()
 ) -> Tuple[DerivationState, TraceEvent]:
-    """Apply the unique applicable rule for the next elimination variable.
-
-    ``branching`` is the set ``validate_input`` returns, the variables
-    that fail P1: a dead v is R1, a live v is R4 iff it is in the set,
-    and otherwise R2 or R3 by its quantifier (see the module docstring
-    for why this is the live side condition).
-    """
+    """Apply the next step of the run's plan, with its bucket of untouched
+    clauses pulled in (see the module docstring)."""
     started = time.perf_counter()
-    prefix, live = state.prefix, state.live
-    family = state.family
-    store = state.untouched
-    if v not in live:
-        rule = "R1"
-        new_live, new_family = live, family
+    family, store, index = state.family, state.untouched, state.step_index
+    v, rule, removes = store.plan[index]
+    done = index + 1
+    if rule == "R1":
+        new_family = family
     else:
-        affected = (live & poset.strict(v)) | {v} if v in branching else frozenset({v})
-        pulled = store.untouched_over(affected, live)
-        new_live = live - affected
-        touched = store.touched_part
-        if v not in branching:
-            # Looked up per call, not bound once, so wrappers of the
-            # module's ``resolve`` and ``reduce`` see every call.
-            rule, kernel = ("R2", resolve) if prefix.quantifier(v) == EXISTS else ("R3", reduce)
-            # Pull, apply the rule and drop in one pass per matrix.
-            new_family = frozenset(
-                frozenset([touched(kernel(Matrix._of(m | pulled), v), new_live) for m in pi])
-                for pi in family
-            )
-        else:
-            rule = "R4"
+        pulled, touched = store.pulls[index], store.touched_part
+        if rule == "R4":
             merged = set()
             # Largest first: a set that trips the branch limit trips it
             # with the largest count, whatever the sets' hash order.
             for pi in sorted(_with_clauses(family, pulled), key=len, reverse=True):
-                merged |= strategy_extension(pi, v, prefix, live, poset, limits)
-            new_family = frozenset(frozenset([touched(m, new_live) for m in pi]) for pi in merged)
+                merged |= strategy_extension(pi, removes, state.prefix, poset, limits)
+            new_family = frozenset(frozenset([touched(m, done) for m in pi]) for pi in merged)
+        else:
+            # Looked up per call, not bound once, so wrappers of the
+            # module's ``resolve`` and ``reduce`` see every call.
+            kernel = resolve if rule == "R2" else reduce
+            # Pull, apply the rule and drop in one pass per matrix.
+            new_family = frozenset(
+                frozenset([touched(kernel(Matrix._of(m | pulled), v), done) for m in pi])
+                for pi in family
+            )
     largest = _enforce_limits(new_family, limits)
     micros = int((time.perf_counter() - started) * 1_000_000)
     event = TraceEvent(
-        step=state.step_index + 1,
+        step=done,
         variable=v,
         rule=rule,
         family_before=len(family),
@@ -508,25 +486,41 @@ def step(
         max_set_size=largest,
         micros=micros,
     )
-    return DerivationState(prefix, new_live, new_family, state.step_index + 1, store), event
+    return DerivationState(state.prefix, new_family, done, store), event
 
 
-def initial_state(instance: QbfInstance) -> DerivationState:
-    """The start of a run: every input clause with a variable goes into the
-    untouched store, and the variable-free ones start touched."""
-    matrix = instance.matrix
-    stored = UntouchedStore(frozenset([lits for lits in matrix if lits]))
+def initial_state(
+    instance: QbfInstance,
+    ordering: Tuple[int, ...],
+    branching: FrozenSet[int],
+    poset: DependencyPoset,
+) -> DerivationState:
+    """The start of a run, planned along ``validate_input``'s ordering and
+    branching set (see the module docstring); the input clauses with a
+    variable go into the untouched store, the others start touched."""
+    prefix, matrix = instance.prefix, instance.matrix
+    live = set(prefix.variables)
+    plan: List[PlanEntry] = []
+    for v in ordering:
+        if v not in live:
+            rule, removes = "R1", frozenset()
+        elif v in branching:
+            rule, removes = "R4", frozenset([v, *live.intersection(poset.strict(v))])
+        else:
+            rule, removes = "R2" if prefix.quantifier(v) == EXISTS else "R3", frozenset({v})
+        live -= removes
+        plan.append((v, rule, removes))
+    stored = UntouchedStore(frozenset([lits for lits in matrix if lits]), tuple(plan))
     touched = Matrix._of(matrix - stored.clauses)
-    prefix = instance.prefix
-    return DerivationState(prefix, prefix.variables, frozenset({frozenset({touched})}), 0, stored)
+    return DerivationState(prefix, frozenset({frozenset({touched})}), 0, stored)
 
 
 def validate_input(
     instance: QbfInstance, td: TrunkTreeDecomposition, poset: DependencyPoset
 ) -> Tuple[QbfInstance, Tuple[int, ...], FrozenSet[int]]:
     """The instance with its tautologies removed, the decomposition's
-    elimination ordering and the variables that fail P1, on which ``step``
-    fires R4, once the poset is over the instance's variables and the
+    elimination ordering and the variables that fail P1, on which the
+    plan fires R4, once the poset is over the instance's variables and the
     decomposition is nice and trunk-aligned for that instance; a failure
     raises ``ValidationError``; an instance without tautologies is kept."""
     variables = instance.prefix.variables
@@ -557,34 +551,37 @@ def _check_step(
     event: TraceEvent,
     td: TrunkTreeDecomposition,
     poset: DependencyPoset,
+    live: Set[int],
 ) -> None:
     """Assert the engine invariants of one step: v's matrix neighbors and,
     under R4, its still-quantified dependencies lie in its forget bag, a
     live v's rule is R4 iff a live strict dependent of v lies in its
     forget bag, and the result is tautology-free and over the live
-    variables only.
+    variables only.  ``live``, the variables still quantified, is updated
+    in place: deriving ``before.live`` would cost O(n) per step.
 
-    The last holds for the untouched part by construction (the store
-    rejects tautologies, and an untouched clause is over the live
+    The last holds for the untouched part by construction (the stored
+    clauses are checked once, and an untouched clause is over the live
     variables), so only the touched parts are read.  The kernels trust
     their input, so this is the one runtime check of tautology-freeness.
     """
     v, where = event.variable, f"step {event.step}, variable {event.variable}"
-    if not check_neighborhood_invariant(before, v, td):
+    if not check_neighborhood_invariant(before, td):
         raise InvariantError(f"{where}: a matrix neighbor lies outside the forget bag")
-    if event.rule == "R4" and not check_r4_assertion(before.live, v, poset, td):
+    if event.rule == "R4" and not check_r4_assertion(live, v, poset, td):
         raise InvariantError(f"{where}: a dependency of R4 lies outside the forget bag")
     if event.rule != "R1":
         bag = td.bag(forget_node(td, v))
-        blocked = not before.live.isdisjoint(poset.dependents_strict(v, bag))
+        blocked = not live.isdisjoint(poset.dependents_strict(v, bag))
         if blocked != (event.rule == "R4"):
             raise InvariantError(
                 f"{where}: {event.rule} fired with {'a' if blocked else 'no'} "
                 "live dependent in the forget bag"
             )
+    live.difference_update(before.untouched.plan[before.step_index][2])
     for matrix in itertools.chain.from_iterable(after.family):
         tautologies = [Clause(lits) for lits in matrix if is_tautological(lits)]
-        leftover = matrix.variables() - after.live
+        leftover = matrix.variables() - live
         if tautologies or leftover:
             raise InvariantError(
                 f"{where}: tautologies {tautologies} or eliminated variables "
@@ -602,30 +599,33 @@ def run_derivation(
     """Decide the instance along the decomposition's elimination ordering.
 
     ``validate_input`` removes the tautologies, validates the
-    decomposition and picks the variables R4 branches on, then the rules
-    are applied once per variable from ``initial_state``.  The verdict is
-    true iff some final set consists of empty matrices only.  With
-    ``checks`` enabled every step is checked by ``_check_step``.
+    decomposition and picks the variables R4 branches on; then the steps
+    of ``initial_state``'s plan are applied in turn.  The verdict is true
+    iff some final set consists of empty matrices only.  With ``checks``
+    enabled the stored clauses are checked once and every step by
+    ``_check_step``.
     """
     cleaned, ordering, branching = validate_input(instance, td, poset)
-    state = initial_state(cleaned)
+    state = initial_state(cleaned, ordering, branching, poset)
+    if checks:
+        live = set(state.live)
+        # The store is fixed for the run, so its clauses are checked once.
+        for lits in state.untouched.clauses:
+            if not lits or is_tautological(lits):
+                raise InvariantError(f"the stored clause {Clause(lits)!r} cannot be untouched")
     trace: List[TraceEvent] = []
     for i, v in enumerate(ordering, start=1):
         try:
-            after, event = step(state, v, branching, poset, limits)
+            after, event = step(state, poset, limits)
         except ResourceLimitError as exc:
             raise ResourceLimitError(f"step {i}, variable {v}: {exc}", tuple(trace)) from exc
         if checks:
-            _check_step(state, after, event, td, poset)
+            _check_step(state, after, event, td, poset, live)
         state = after
         trace.append(event)
 
-    verdict = False
-    for pi in state.family:
-        try:
-            if all(ground_truth(m) for m in pi):
-                verdict = True
-                break
-        except ValueError as exc:
-            raise InvariantError(f"final matrix is not variable-free: {exc}") from exc
+    try:
+        verdict = any(all(ground_truth(m) for m in pi) for pi in state.family)
+    except ValueError as exc:
+        raise InvariantError(f"final matrix is not variable-free: {exc}") from exc
     return DerivationResult(verdict, tuple(trace), state)

@@ -192,7 +192,7 @@ class Prefix(Frozen):
     variable order is canonical (ascending id); block membership, not
     written order, carries the semantics.  Prefixes are immutable and
     compare and hash by their blocks.  A run never shrinks its prefix:
-    it keeps the still-quantified variables as a set beside it.
+    its plan records the variables each step removes.
     """
 
     blocks: Tuple[Tuple[str, Tuple[int, ...]], ...]

@@ -17,9 +17,14 @@ from trunkqbf import (
     TrunkTreeDecomposition,
     forget_node,
     ground_truth,
+    initial_state,
+    poset_from_pairs,
     primal_graph,
     random_instance,
     step,
+    trivial_poset,
+    validate_trunk_aligned,
+    verify_poset_property2,
 )
 from trunkqbf.derivation import UntouchedStore, validate_input
 from trunkqbf.generators import _path_td as path_td
@@ -239,21 +244,45 @@ def forget_path_td(instance, forget: Sequence[int]):
 
 
 def stepwise(instance, td, poset, limits=EngineLimits()):
-    """Reference derivation on whole matrices: ``step`` from a state with
-    an empty untouched store, so every clause is touched from the start,
-    on ``validate_input``'s instance, ordering and branching set.
+    """Reference derivation on whole matrices: ``step`` along the run's
+    plan from a state whose store holds no clause, so every clause is
+    touched from the start, on ``validate_input``'s instance.
     Returns (verdict, trace, the state after every step)."""
     cleaned, ordering, branching = validate_input(instance, td, poset)
+    plan = initial_state(cleaned, ordering, branching, poset).untouched.plan
     whole = frozenset({frozenset({cleaned.matrix})})
-    prefix = cleaned.prefix
-    state = DerivationState(prefix, prefix.variables, whole, 0, UntouchedStore())
+    state = DerivationState(cleaned.prefix, whole, 0, UntouchedStore(frozenset(), plan))
     trace, states = [], []
-    for v in ordering:
-        state, event = step(state, v, branching, poset, limits)
+    for _ in plan:
+        state, event = step(state, poset, limits)
         trace.append(event)
         states.append(state)
     verdict = any(all(ground_truth(m) for m in pi) for pi in state.family)
     return verdict, trace, states
+
+
+def reference_plan(instance, td, poset, ordering):
+    """(variable, rule, removed variables) per step, by the side
+    condition on a live set: a dead v is R1 and removes nothing; a live
+    v is R4 iff its forget bag holds a live strict dependent of v, and
+    then removes v and its live strict dependencies; any other v is R2
+    or R3 by its quantifier and removes v alone."""
+    prefix = instance.prefix
+    live = set(prefix.variables)
+    plan = []
+    for v in ordering:
+        if v not in live:
+            plan.append((v, "R1", frozenset()))
+            continue
+        bag = td.bag(forget_node(td, v))
+        if any(w in live and v in poset.strict(w) for w in bag):
+            removes = frozenset({v} | {w for w in live if w in poset.strict(v)})
+            plan.append((v, "R4", removes))
+        else:
+            removes = frozenset({v})
+            plan.append((v, "R2" if v in prefix.existential else "R3", removes))
+        live -= removes
+    return plan
 
 
 def limit_kind(exc: ResourceLimitError) -> str:
@@ -284,3 +313,19 @@ def join_node_cases():
             seed, rng.randint(2, 7), rng.randint(1, 9), rng.randint(1, 3), rng.randint(1, 4)
         )
         yield seed, q, min_degree_td(q)
+
+
+def sub_poset_cases():
+    """Each shuffled path again, under a random sound sub-poset of the
+    trivial one: its strict pairs each kept with probability 1/2,
+    closed, and used only if it preserves truth and the path is
+    trunk-aligned.  Yields (seed, instance, td, poset)."""
+    for seed, q, td in shuffled_path_cases():
+        full = trivial_poset(q.prefix)
+        rng = random.Random(seed)
+        kept = [pair for pair in full.strict_pairs() if rng.random() < 0.5]
+        d = poset_from_pairs(q.prefix, kept)
+        if d == full or not verify_poset_property2(q, d):
+            continue
+        if validate_trunk_aligned(td, q, d).ok:
+            yield seed, q, td, d

@@ -72,12 +72,11 @@ def test_criterion_1_qparity2_golden_trace():
 
     # The engine's own start and steps; whole_family() puts the untouched
     # input clauses back into the stored touched parts; validation picks
-    # the variables R4 branches on.
-    _, ordering, branching = validate_input(q, td, d)
-    state = initial_state(q)
+    # the variables R4 branches on, and the start plans every step.
+    state = initial_state(*validate_input(q, td, d), d)
     families = []
-    for v in ordering:
-        state, event = step(state, v, branching, d)
+    for _ in state.untouched.plan:
+        state, event = step(state, d)
         families.append((event.rule, state.whole_family()))
 
     # Step 1, x1: both constant strategies, one singleton set each.
@@ -192,9 +191,7 @@ def test_criterion_4_rule_soundness_suite():
             matrices.add(extra.matrix)
         pi = frozenset(matrices)
         try:
-            out = strategy_extension(
-                pi, v, q.prefix, q.prefix.variables, d, EngineLimits(max_strategies=2**14)
-            )
+            out = strategy_extension(pi, dep_v, q.prefix, d, EngineLimits(max_strategies=2**14))
         except ResourceLimitError:
             continue
         q_after = q.prefix.remove(dep_v)
@@ -308,12 +305,12 @@ def test_criterion_8_resource_limits_instead_of_worst_case_bound():
         run_derivation(q, td, d, EngineLimits(max_family_size=1))
     with pytest.raises(ResourceLimitError):
         prefix = Prefix((("a", (1, 2, 3)), ("e", (4, 5, 6)), ("a", (7,))))
+        poset = trivial_poset(prefix)
         strategy_extension(
             frozenset({matrix_of((1, 4), (2, 5), (3, 6), (7,))}),
-            7,
+            poset.dep(7),
             prefix,
-            prefix.variables,
-            trivial_poset(prefix),
+            poset,
             EngineLimits(max_strategies=64),
         )
     result = run_derivation(q, td, d)

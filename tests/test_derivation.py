@@ -37,11 +37,26 @@ from trunkqbf.decomposition import ValidationReport
 from trunkqbf.derivation import UntouchedStore, validate_input
 from trunkqbf.posets import DependencyPoset
 
-from _util import R4_LIMITS, join_node_cases, path_td, shuffled_path_cases
+from _util import (
+    R4_LIMITS,
+    join_node_cases,
+    path_td,
+    reference_plan,
+    shuffled_path_cases,
+    sub_poset_cases,
+)
 
 
 def family(*sets):
     return frozenset(frozenset(ms) for ms in sets)
+
+
+def at_step(setup, fam, index):
+    """The state at the given step of the setup's plan whose family holds
+    whole matrices and whose store holds no clause."""
+    q, td, d = setup
+    plan = initial_state(*validate_input(q, td, d), d).untouched.plan
+    return DerivationState(q.prefix, fam, index, UntouchedStore(frozenset(), plan))
 
 
 @pytest.fixture
@@ -135,21 +150,21 @@ class TestReduce:
 class TestStrategyExtension:
     def test_constant_strategies_for_independent_existential(self, qp2_setup):
         q, _, d = qp2_setup
-        out = strategy_extension(frozenset({q.matrix}), 1, q.prefix, q.prefix.variables, d)
+        out = strategy_extension(frozenset({q.matrix}), d.dep(1), q.prefix, d)
         assert out == family({PSI_X1_0}, {PSI_X1_1})
 
     def test_qparity2_x2_outputs_deduplicate(self, qp2_setup):
         q, _, d = qp2_setup
-        live = q.prefix.variables - {1, 4}
-        out1 = strategy_extension(frozenset({RES_X1_0}), 2, q.prefix, live, d)
-        out2 = strategy_extension(frozenset({RES_X1_1}), 2, q.prefix, live, d)
+        deps = d.dep(2) - {1, 4}
+        out1 = strategy_extension(frozenset({RES_X1_0}), deps, q.prefix, d)
+        out2 = strategy_extension(frozenset({RES_X1_1}), deps, q.prefix, d)
         merged = out1 | out2
         assert merged == family({PSI_Z2_NEG}, {PSI_Z2_POS})
         assert {m for pi in merged for m in pi} == {PSI_Z2_NEG, PSI_Z2_POS}
 
     def test_empty_matrix_passes_through(self, qp2_setup):
         q, _, d = qp2_setup
-        out = strategy_extension(frozenset({Matrix(())}), 1, q.prefix, q.prefix.variables, d)
+        out = strategy_extension(frozenset({Matrix(())}), d.dep(1), q.prefix, d)
         assert out == family({Matrix(())})
 
     def test_universal_plays_enter_the_sets(self):
@@ -159,7 +174,7 @@ class TestStrategyExtension:
         prefix = Prefix((("e", (1,)), ("a", (2,))))
         d = trivial_poset(prefix)
         m = matrix_of((1, 2), (-1, -2))
-        out = strategy_extension(frozenset({m}), 2, prefix, prefix.variables, d)
+        out = strategy_extension(frozenset({m}), d.dep(2), prefix, d)
         assert out == family({matrix_of(()), Matrix(())})
 
     def test_strategy_budget_is_enforced(self):
@@ -167,9 +182,7 @@ class TestStrategyExtension:
         d = trivial_poset(prefix)
         m = matrix_of((1, 4), (2, 5), (3, 6), (7,))
         with pytest.raises(ResourceLimitError):
-            strategy_extension(
-                frozenset({m}), 7, prefix, prefix.variables, d, EngineLimits(max_strategies=64)
-            )
+            strategy_extension(frozenset({m}), d.dep(7), prefix, d, EngineLimits(max_strategies=64))
 
     def test_tables_read_each_existentials_own_universals(self):
         # forall 1 2 exists 3 4 forall 5 where 3 sees only 1 and 4 only 2:
@@ -204,12 +217,7 @@ class TestStrategyExtension:
                     for _ in range(rng.randint(2, 6))
                 ]
                 pi.add(matrix_of(*clauses))
-            assert strategy_extension(frozenset(pi), 5, prefix, prefix.variables, d) == reference(pi)
-
-    def test_unquantified_variable_rejected(self, qp2_setup):
-        q, _, d = qp2_setup
-        with pytest.raises(ValueError):
-            strategy_extension(frozenset({q.matrix}), 1, q.prefix, q.prefix.variables - {1}, d)
+            assert strategy_extension(frozenset(pi), d.dep(5), prefix, d) == reference(pi)
 
 
 def reference_table(n_universal, owns):
@@ -271,10 +279,10 @@ class TestStrategyTable:
                     # universal_dep holds v as well as the n_universal others.
                     cached = n_universal + 1 + sum(2 ** len(own) for own in owns) <= 12
                     cache.cache_clear()
-                    cold = strategy_extension(pi, v, prefix, prefix.variables, d)
+                    cold = strategy_extension(pi, d.dep(v), prefix, d)
                     assert cache.cache_info().currsize == int(cached)
                     hits = cache.cache_info().hits
-                    warm = strategy_extension(pi, v, prefix, prefix.variables, d)
+                    warm = strategy_extension(pi, d.dep(v), prefix, d)
                     assert cache.cache_info().hits == hits + int(cached)
                     assert cold == warm
 
@@ -288,7 +296,7 @@ class TestStrategyTable:
         tracemalloc.start()
         try:
             for pi, v, prefix, d in instances:
-                strategy_extension(pi, v, prefix, prefix.variables, d)
+                strategy_extension(pi, d.dep(v), prefix, d)
             kept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -334,48 +342,43 @@ def shape_instance(n_universal, owns, rng, n_matrices=None):
 class TestStepDispatch:
     def test_qparity2_rule_sequence(self, qp2_setup):
         q, td, d = qp2_setup
-        _, ordering, branching = validate_input(q, td, d)
-        state = initial_state(q)
+        state = initial_state(*validate_input(q, td, d), d)
         rules = []
-        for v in ordering:
-            state, event = step(state, v, branching, d)
+        for _ in range(5):
+            state, event = step(state, d)
             rules.append(event.rule)
         assert rules == ["R4", "R2", "R4", "R2", "R3"]
 
     def test_r4_fires_when_a_dependent_shares_the_forget_bag(self, qp2_setup):
         q, td, d = qp2_setup
-        branching = validate_input(q, td, d)[2]
-        state, event = step(initial_state(q), 1, branching, d)
-        assert event.rule == "R4"
+        state, event = step(initial_state(*validate_input(q, td, d), d), d)
+        assert (event.variable, event.rule) == (1, "R4")
         assert state.live == {2, 3, 4, 5}
 
     def test_r2_resolves_in_every_set(self, qp2_setup):
         q, td, d = qp2_setup
-        state = DerivationState(
-            q.prefix, q.prefix.variables - {1}, family({PSI_X1_0}, {PSI_X1_1}), 1, UntouchedStore()
-        )
-        state, event = step(state, 4, validate_input(q, td, d)[2], d)
-        assert event.rule == "R2"
+        state = at_step(qp2_setup, family({PSI_X1_0}, {PSI_X1_1}), 1)
+        assert state.live == q.prefix.variables - {1}
+        state, event = step(state, d)
+        assert (event.variable, event.rule) == (4, "R2")
         assert state.family == family({RES_X1_0}, {RES_X1_1})
 
     def test_r3_reduces_to_empty_clauses(self, qp2_setup):
         q, td, d = qp2_setup
-        state = DerivationState(
-            q.prefix, frozenset({3}), family({UNIT_U_NEG}, {UNIT_U_POS}), 4, UntouchedStore()
-        )
-        state, event = step(state, 3, validate_input(q, td, d)[2], d)
-        assert event.rule == "R3"
+        state = at_step(qp2_setup, family({UNIT_U_NEG}, {UNIT_U_POS}), 4)
+        assert state.live == {3}
+        state, event = step(state, d)
+        assert (event.variable, event.rule) == (3, "R3")
         assert state.family == family({EMPTY_CLAUSE_MATRIX})
 
 
 class TestGoldenQParity2:
     def test_intermediate_families(self, qp2_setup):
         q, td, d = qp2_setup
-        _, ordering, branching = validate_input(q, td, d)
-        state = initial_state(q)
+        state = initial_state(*validate_input(q, td, d), d)
         seen = []
-        for v in ordering:
-            state, _ = step(state, v, branching, d)
+        for _ in range(5):
+            state, _ = step(state, d)
             seen.append(state.whole_family())
         assert seen[0] == family({PSI_X1_0}, {PSI_X1_1})
         assert seen[1] == family({RES_X1_0}, {RES_X1_1})
@@ -471,35 +474,49 @@ class TestRunDerivation:
 
     def test_set_limit_names_the_largest_set(self, qp2_setup):
         # An R1 step keeps the family, so the limit check sees both sets.
-        q, td, d = qp2_setup
-        branching = validate_input(q, td, d)[2]
-        live = q.prefix.variables - {1}
+        q, _, d = qp2_setup
+        r1_plan = ((1, "R1", frozenset()),)
         seen_first = set()
         for k in range(2, 8):
             small = {matrix_of((2, 4)), matrix_of((k + 1,))}
             large = small | {matrix_of((-2,)), matrix_of((3, 5))}
             fam = family(small, large)
             seen_first.add(len(next(iter(fam))))
-            state = DerivationState(q.prefix, live, fam, 0, UntouchedStore())
+            state = DerivationState(q.prefix, fam, 0, UntouchedStore(frozenset(), r1_plan))
             with pytest.raises(ResourceLimitError, match="set has 4 matrices, limit is 1"):
-                step(state, 1, branching, d, EngineLimits(max_set_size=1))
+                step(state, d, EngineLimits(max_set_size=1))
         assert seen_first == {2, 4}  # both hash orders were tried
 
     def test_branch_limit_names_the_largest_set(self, qp2_setup):
         # R4 at x1 branches 2^|set| ways; both sets exceed the limit,
         # and the message names the larger count whatever the hash order.
         q, td, d = qp2_setup
-        branching = validate_input(q, td, d)[2]
         seen_first = set()
         for k in range(1, 6):
             small = {matrix_of((k,))}
             large = small | {matrix_of((1, 4))}
             fam = family(small, large)
             seen_first.add(len(next(iter(fam))))
-            state = DerivationState(q.prefix, q.prefix.variables, fam, 0, UntouchedStore())
             with pytest.raises(ResourceLimitError, match=r"needs 2\^2 branches, limit is 1$"):
-                step(state, 1, branching, d, EngineLimits(max_strategies=1))
+                step(at_step(qp2_setup, fam, 0), d, EngineLimits(max_strategies=1))
         assert seen_first == {1, 2}
+
+    def test_branch_limit_names_the_r4_variable_not_its_largest_dependency(self):
+        # exists 5 forall 4 exists 1 2: 4 depends on the larger id 5, and
+        # its forget bag holds its dependent 1, so R4 fires on 4 first.
+        q = QbfInstance(
+            Prefix((("e", (5,)), ("a", (4,)), ("e", (1, 2)))),
+            matrix_of((5, 4, 1), (-1, 2)),
+        )
+        td = path_td([(), (5,), (5, 4), (5, 4, 1), (5, 1), (1,), (1, 2), (2,), ()])
+        d = trivial_poset(q.prefix)
+        assert [e.rule for e in run_derivation(q, td, d).trace] == ["R4", "R1", "R2", "R2"]
+        limit = EngineLimits(max_strategies=1)
+        with pytest.raises(ResourceLimitError) as info:
+            run_derivation(q, td, d, limit)
+        assert str(info.value) == (
+            "step 1, variable 4: strategy extension up to 4 needs 2^2 branches, limit is 1"
+        )
 
     def test_deterministic_traces_and_verdicts(self, qp2_setup):
         q, td, d = qp2_setup
@@ -644,15 +661,31 @@ class TestRuleDecidedInValidation:
         assert forget_calls == []
         assert set(rules) == {"R1", "R2", "R3", "R4"} and rules.count("R4") >= 200
 
+    def test_the_plan_matches_a_live_set_reference(self):
+        # The reference applies the side condition to a live set step by
+        # step; the engine plans from the variables validation found.
+        trivial = lambda cases: [(seed, q, td, trivial_poset(q.prefix)) for seed, q, td in cases]
+        cases = trivial(shuffled_path_cases()) + trivial(join_node_cases())
+        rules = []
+        for seed, q, td, d in cases + list(sub_poset_cases()):
+            try:
+                cleaned, ordering, branching = validate_input(q, td, d)
+            except ValidationError:
+                continue  # a join-node decomposition that is not trunk-aligned
+            plan = initial_state(cleaned, ordering, branching, d).untouched.plan
+            expected = reference_plan(cleaned, td, d, ordering)
+            assert list(plan) == expected, seed
+            rules += [rule for _, rule, _ in expected]
+        assert set(rules) == {"R1", "R2", "R3", "R4"} and rules.count("R4") >= 500
+
 
 class TestInvariantChecks:
     def test_neighborhood_holds_along_qparity2(self, qp2_setup):
         q, td, d = qp2_setup
-        _, ordering, branching = validate_input(q, td, d)
-        state = initial_state(q)
-        for v in ordering:
-            assert check_neighborhood_invariant(state, v, td)
-            state, _ = step(state, v, branching, d)
+        state = initial_state(*validate_input(q, td, d), d)
+        for _ in range(5):
+            assert check_neighborhood_invariant(state, td)
+            state, _ = step(state, d)
 
     def test_neighborhood_size_bounded_by_width(self, qp2_setup):
         from trunkqbf import width
@@ -660,7 +693,7 @@ class TestInvariantChecks:
         q, td, d = qp2_setup
         bound = width(td)
         _, ordering, branching = validate_input(q, td, d)
-        state = initial_state(q)
+        state = initial_state(q, ordering, branching, d)
         for v in ordering:
             for pi in state.whole_family():
                 for m in pi:
@@ -669,24 +702,17 @@ class TestInvariantChecks:
                         if v in c.variables():
                             neighbors |= c.variables() - {v}
                     assert len(neighbors) <= bound
-            state, _ = step(state, v, branching, d)
+            state, _ = step(state, d)
 
     def test_neighborhood_violation_detected(self, qp2_setup):
         q, td, d = qp2_setup
         # x1's forget bag is {x1, z1}; a clause pairing x1 with u breaks it.
-        poisoned = DerivationState(
-            q.prefix,
-            q.prefix.variables,
-            frozenset({frozenset({matrix_of((1, 3))})}),
-            0,
-            UntouchedStore(),
-        )
-        assert not check_neighborhood_invariant(poisoned, 1, td)
+        poisoned = at_step(qp2_setup, frozenset({frozenset({matrix_of((1, 3))})}), 0)
+        assert not check_neighborhood_invariant(poisoned, td)
 
     def test_empty_family_is_vacuously_fine(self, qp2_setup):
-        q, td, _ = qp2_setup
-        state = DerivationState(q.prefix, q.prefix.variables, frozenset(), 0, UntouchedStore())
-        assert check_neighborhood_invariant(state, 1, td)
+        _, td, _ = qp2_setup
+        assert check_neighborhood_invariant(at_step(qp2_setup, frozenset(), 0), td)
 
     def test_r4_assertion_on_qparity2(self, qp2_setup):
         q, td, d = qp2_setup
@@ -792,9 +818,9 @@ class TestRuleBehaviour:
     def test_exhaustive_elimination(self, qp2_setup):
         q, td, d = qp2_setup
         _, order, branching = validate_input(q, td, d)
-        state = initial_state(q)
-        for i, v in enumerate(order, start=1):
-            state, _ = step(state, v, branching, d)
+        state = initial_state(q, order, branching, d)
+        for i in range(1, len(order) + 1):
+            state, _ = step(state, d)
             gone = set(order[:i])
             for pi in state.whole_family():
                 for m in pi:
@@ -805,10 +831,9 @@ class TestRuleBehaviour:
             q = random_instance(seed, 2 + seed % 6, 1 + seed % 8, 2, 1 + seed % 3)
             td = single_bag_td(q)
             d = trivial_poset(q.prefix)
-            _, ordering, branching = validate_input(q, td, d)
-            state = initial_state(q)
-            for v in ordering:
-                state, _ = step(state, v, branching, d)
+            state = initial_state(*validate_input(q, td, d), d)
+            for _ in state.untouched.plan:
+                state, _ = step(state, d)
                 for pi in state.whole_family():
                     for m in pi:
                         for c in m.clauses:

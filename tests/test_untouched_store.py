@@ -2,12 +2,10 @@
 
 Every run keeps the input clauses no step has touched yet once per run,
 outside the family.  The reference ``stepwise`` runs ``step`` on whole
-matrices from an empty store; the two must give the same whole matrices,
-traces and verdicts, and the oracle must agree on every rule path and on
-decompositions with join nodes.
+matrices from a store that holds no clause; the two must give the same
+whole matrices, traces and verdicts, and the oracle must agree on every
+rule path and on decompositions with join nodes.
 """
-
-import random
 
 import pytest
 
@@ -21,7 +19,6 @@ from trunkqbf import (
     initial_state,
     matrix_of,
     parse_qdimacs,
-    poset_from_pairs,
     qparity,
     qparity_td,
     run_derivation,
@@ -29,10 +26,9 @@ from trunkqbf import (
     step,
     trivial_poset,
     validate_trunk_aligned,
-    verify_poset_property2,
     write_btd,
 )
-from trunkqbf import formulas
+from trunkqbf import InvariantError, derivation, formulas
 from trunkqbf.cli import main
 from trunkqbf.derivation import UntouchedStore, validate_input
 
@@ -42,6 +38,7 @@ from _util import (
     limit_kind,
     shuffled_path_cases,
     stepwise,
+    sub_poset_cases,
 )
 
 
@@ -73,11 +70,10 @@ def test_store_run_matches_stepwise_run_on_qparity():
         q = qparity(n)
         td, d = qparity_td(n), trivial_poset(q.prefix)
         verdict, trace, reference = stepwise(q, td, d)
-        _, ordering, branching = validate_input(q, td, d)
-        state = initial_state(q)
-        for v, expected in zip(ordering, reference):
-            state, _ = step(state, v, branching, d)
-            assert state.whole_family() == expected.family, (n, v)
+        state = initial_state(*validate_input(q, td, d), d)
+        for expected in reference:
+            state, event = step(state, d)
+            assert state.whole_family() == expected.family, (n, event.variable)
         result = run_derivation(q, td, d)
         assert result.verdict is verdict is False, n
         assert counts(result.trace) == counts(trace), n
@@ -122,19 +118,8 @@ def test_shuffled_paths_fire_r4_and_agree_with_the_oracle():
 
 
 def test_shuffled_paths_under_sparser_posets_agree_with_the_oracle():
-    # Each shuffled path again, under a random sound sub-poset of the
-    # trivial one: its strict pairs each kept with probability 1/2, closed,
-    # and used only if it preserves truth and the path is trunk-aligned.
     runs = runs_with_r4 = aborts = 0
-    for seed, q, td in shuffled_path_cases():
-        full = trivial_poset(q.prefix)
-        rng = random.Random(seed)
-        kept = [pair for pair in full.strict_pairs() if rng.random() < 0.5]
-        d = poset_from_pairs(q.prefix, kept)
-        if d == full or not verify_poset_property2(q, d):
-            continue
-        if not validate_trunk_aligned(td, q, d).ok:
-            continue
+    for seed, q, td, d in sub_poset_cases():
         runs += 1
         got = outcome(stored, q, td, d)
         assert got == outcome(whole, q, td, d), seed
@@ -195,7 +180,7 @@ def test_degenerate_inputs(tmp_path, capsys, text, expected):
 def clauses_built_per_step(monkeypatch, n, pull_everything=False):
     """Clauses in the matrices the engine builds, per step of a qparity(n)
     run.  With ``pull_everything`` every step pulls in every untouched
-    clause, not just those over its affected variables."""
+    clause, not just its own bucket."""
     built = 0
     original = formulas.Matrix._of.__func__
 
@@ -210,12 +195,16 @@ def clauses_built_per_step(monkeypatch, n, pull_everything=False):
     with monkeypatch.context() as patch:
         patch.setattr(formulas.Matrix, "_of", classmethod(counting))
         if pull_everything:
-            over = UntouchedStore.untouched_over
-            patch.setattr(
-                UntouchedStore,
-                "untouched_over",
-                lambda self, variables, live: over(self, live, live),
-            )
+            plan_run = derivation.initial_state
+
+            def pulling_everything(*args):
+                state = plan_run(*args)
+                pulls = state.untouched.pulls
+                later = [frozenset().union(*pulls[i:]) for i in range(len(pulls))]
+                object.__setattr__(state.untouched, "pulls", tuple(later))
+                return state
+
+            patch.setattr(derivation, "initial_state", pulling_everything)
         run_derivation(q, td, d)
     return built / (2 * n + 1)
 
@@ -263,14 +252,27 @@ def test_checked_runs_never_rebuild_whole_matrices(monkeypatch):
 
 
 @pytest.mark.parametrize("lits", [frozenset(), frozenset({1, -1, 2})], ids=["empty", "tautology"])
-def test_the_store_rejects_clauses_that_cannot_be_untouched(lits):
-    with pytest.raises(ValueError, match="cannot be untouched"):
-        UntouchedStore(frozenset({frozenset({3}), lits}))
+def test_the_store_rejects_clauses_that_cannot_be_untouched(monkeypatch, lits):
+    # Validation removes tautologies and the start keeps variable-free
+    # clauses out of the store, so a bad clause is slipped in after it;
+    # a checked run rejects it once, before the first step.
+    q = qparity(2)
+    plan_run = derivation.initial_state
+
+    def slipped_in(*args):
+        state = plan_run(*args)
+        store = UntouchedStore(state.untouched.clauses | {lits}, state.untouched.plan)
+        return state._replace(untouched=store)
+
+    monkeypatch.setattr(derivation, "initial_state", slipped_in)
+    with pytest.raises(InvariantError, match="cannot be untouched") as info:
+        run_derivation(q, qparity_td(2), trivial_poset(q.prefix), checks=True)
+    assert "step" not in str(info.value)
 
 
 def test_a_run_builds_no_prefix(monkeypatch):
-    # A step removes the eliminated variables from the state's live set;
-    # the input prefix is kept as it is, and no prefix is cut or built.
+    # The plan records the variables each step removes; the input prefix
+    # is kept as it is, and no prefix is cut or built.
     built = 0
     original = Prefix.__init__
 
@@ -319,10 +321,9 @@ def test_half_a_run_leaves_the_expected_live_set():
     n = 64
     q = qparity(n)
     td, d = qparity_td(n), trivial_poset(q.prefix)
-    _, ordering, branching = validate_input(q, td, d)
-    state = initial_state(q)
-    for v in ordering[: len(ordering) // 2]:
-        state, _ = step(state, v, branching, d)
+    state = initial_state(*validate_input(q, td, d), d)
+    for _ in range(len(state.untouched.plan) // 2):
+        state, _ = step(state, d)
     # The first half of the steps removes x_1..x_32 and z_1..z_32.
     assert state.live == {
         *range(n // 2 + 1, n + 1),

@@ -26,8 +26,6 @@ _EXPORTS = {
         "ResourceLimitError",
         "TraceEvent",
         "ValidationError",
-        "check_neighborhood_invariant",
-        "check_r4_assertion",
         "initial_state",
         "reduce",
         "resolve",

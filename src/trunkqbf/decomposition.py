@@ -1,7 +1,8 @@
 """Rooted nice tree decompositions with a designated trunk path.
 
-The decomposition object only enforces structural shape (a tree rooted
-at ``root`` whose trunk is a leaf-to-root path).  Niceness (T1-T4) and
+The decomposition's constructor is the one check of its structural shape
+(a tree rooted at ``root`` whose trunk is a leaf-to-root path); its
+errors name the edge, node, root or trunk at fault.  Niceness (T1-T4) and
 trunk alignment (P1/P2) are checked by the validators below, which
 report violations instead of raising.
 
@@ -32,7 +33,17 @@ from .posets import DependencyPoset
 
 
 class DecompositionError(ValueError):
-    """Structurally broken decomposition (not a tree, bad trunk, ...)."""
+    """Structurally broken decomposition (not a tree, bad trunk, ...).
+
+    ``subject`` is the part of the input that a structural error is
+    about: ``("edge", child)`` for the edge into ``child``, ``("node", n)``,
+    ``("root",)`` or ``("trunk",)``.  It is empty for the errors raised
+    outside the constructor.
+    """
+
+    def __init__(self, message: str, *subject: object):
+        super().__init__(message)
+        self.subject = subject
 
 
 class Violation(NamedTuple):
@@ -76,56 +87,60 @@ class TrunkTreeDecomposition:
         self._bags: Dict[int, FrozenSet[int]] = {
             node: frozenset(variables) for node, variables in bags.items()
         }
-        if root not in self._bags:
-            raise DecompositionError(f"root {root} is not a node")
-        self._root = root
         self._parent: Dict[int, int] = dict(parent)
+        self._root = root
+        self._trunk: Tuple[int, ...] = tuple(trunk)
+        _check_edges(self._bags, self._parent)
+        if root not in self._bags:
+            raise DecompositionError(f"unknown root node {root}", "root")
+        if root in self._parent:
+            raise DecompositionError(f"root {root} has a parent (multiple roots)", "root")
+        for node in self._trunk:
+            if node not in self._bags:
+                raise DecompositionError(f"trunk mentions unknown node {node}", "trunk")
         self._children: Dict[int, List[int]] = {node: [] for node in self._bags}
         for child, par in self._parent.items():
-            if child not in self._bags or par not in self._bags:
-                raise DecompositionError(f"edge ({par}, {child}) mentions unknown node")
-            if child == root:
-                raise DecompositionError("root must not have a parent")
             self._children[par].append(child)
-        for node in self._bags:
-            if node != root and node not in self._parent:
-                raise DecompositionError(f"node {node} is disconnected (no parent)")
-        # Parent walks must reach the root; a failure indicates a cycle.
-        # Each walk stops at a node an earlier walk reached the root from,
-        # so every node is walked over once.
-        reaches_root = {root}
-        for node in self._bags:
-            walk: List[int] = []
-            on_walk: Set[int] = set()
-            cur = node
-            while cur not in reaches_root:
-                if cur in on_walk:
-                    raise DecompositionError(f"cycle through node {cur}")
-                on_walk.add(cur)
-                walk.append(cur)
-                cur = self._parent[cur]
-            reaches_root.update(walk)
-        for node in self._children:
-            self._children[node].sort()
+        # The edges form a tree iff one walk down from the root reaches
+        # every node; the list grows while it is walked.
+        reached = [root]
+        for node in reached:
+            reached.extend(self._children[node])
+        if len(reached) != len(self._bags):
+            raise self._not_a_tree(set(reached))
+        for kids in self._children.values():
+            kids.sort()
         self._nodes: Tuple[int, ...] = tuple(sorted(self._bags))
-        self._trunk: Tuple[int, ...] = tuple(trunk)
         self._check_trunk()
+
+    def _not_a_tree(self, reached: Set[int]) -> DecompositionError:
+        """The error for a walk from the root that missed some nodes: the
+        first node without a parent, else the cycle that the parent walk
+        from the first missed node runs into."""
+        for node in self._bags:
+            if node != self._root and node not in self._parent:
+                return DecompositionError(f"node {node} is disconnected (no parent)", "node", node)
+        # Every node has a parent, and no parent walk from a missed node
+        # reaches the root, so the walk repeats a node.
+        cur = next(node for node in self._bags if node not in reached)
+        walked: Set[int] = set()
+        while cur not in walked:
+            walked.add(cur)
+            cur = self._parent[cur]
+        return DecompositionError(f"cycle through node {cur}", "edge", cur)
 
     def _check_trunk(self) -> None:
         trunk = self._trunk
         if not trunk:
-            raise DecompositionError("trunk must not be empty")
-        for node in trunk:
-            if node not in self._bags:
-                raise DecompositionError(f"trunk mentions unknown node {node}")
+            raise DecompositionError("trunk must not be empty", "trunk")
         if trunk[-1] != self._root:
-            raise DecompositionError("trunk must end at the root")
+            raise DecompositionError("trunk must end at the root", "trunk")
         if self._children[trunk[0]]:
-            raise DecompositionError(f"trunk start {trunk[0]} is not a leaf")
+            raise DecompositionError(f"trunk start {trunk[0]} is not a leaf", "trunk")
         for lower, upper in zip(trunk, trunk[1:]):
             if self._parent.get(lower) != upper:
                 raise DecompositionError(
-                    f"trunk nodes {lower} and {upper} are not child and parent"
+                    f"trunk nodes {lower} and {upper} are not child and parent", "trunk"
                 )
 
     @property
@@ -164,17 +179,21 @@ class TrunkTreeDecomposition:
         return {v: tuple(nodes) for v, nodes in tops.items()}
 
     @cached_property
-    def _forget(self) -> Dict[int, int]:
-        """Variable -> forget node, built once; ``forget_map`` hands out copies."""
-        forget: Dict[int, int] = {}
-        owner: Dict[int, int] = {}
+    def _forgotten(self) -> Dict[int, int]:
+        """Forget node -> the variable it forgets, built once.
+
+        Raises DecompositionError when a variable has several topmost
+        occurrences (a T2 violation) or shares its forget node with
+        another variable (impossible in a nice decomposition).
+        """
+        forgotten: Dict[int, int] = {}
         for v in self._tops:
-            node = forget[v] = forget_node(self, v)
-            if owner.setdefault(node, v) != v:
+            node = forget_node(self, v)
+            if forgotten.setdefault(node, v) != v:
                 raise DecompositionError(
-                    f"variables {owner[node]} and {v} share forget node {node}"
+                    f"variables {forgotten[node]} and {v} share forget node {node}"
                 )
-        return forget
+        return forgotten
 
     def bag_variables(self) -> FrozenSet[int]:
         out: Set[int] = set()
@@ -224,15 +243,13 @@ def width(td: TrunkTreeDecomposition) -> int:
     return max(len(td.bag(t)) for t in td.nodes) - 1
 
 
-def forget_map(td: TrunkTreeDecomposition) -> Dict[int, int]:
-    """Map every bag variable to its forget node (highest bag containing it).
-
-    Raises DecompositionError when a variable has several topmost
-    occurrences (a T2 violation) or shares its forget node with another
-    variable (impossible in a nice decomposition).  The map is built once
-    per decomposition; each call returns a copy the caller may change.
-    """
-    return dict(td._forget)
+def _check_edges(bags: Mapping[int, object], parent: Mapping[int, int]) -> None:
+    """Raise at the first edge, in ``parent``'s order, that mentions a
+    node without a bag."""
+    for child, par in parent.items():
+        if par not in bags or child not in bags:
+            unknown = child if par in bags else par
+            raise DecompositionError(f"edge mentions unknown node {unknown}", "edge", child)
 
 
 def forget_node(td: TrunkTreeDecomposition, v: int) -> int:
@@ -367,8 +384,9 @@ def validate_trunk_aligned(
     """
     violations: List[Violation] = []
     held: Dict[int, str] = {}
-    fmap = td._forget
-    forgotten = {node: u for u, node in fmap.items() if u in instance.prefix.variables}
+    variables = instance.prefix.variables
+    forgotten = td._forgotten
+    forget = {u: node for node, u in forgotten.items()}
     # P2 in one walk up the trunk: ``below`` grows to the variables of
     # the subtree at each trunk node.  Each distinct stored predecessor
     # set keeps the list of its members not yet seen below; a test pops
@@ -384,7 +402,8 @@ def validate_trunk_aligned(
             if child != lower:
                 below |= subtree_vars(td, child)
         u = forgotten.get(node)
-        if u is not None and u in below:
+        # ``poset.strict`` raises on a variable outside the instance.
+        if u is not None and u in below and u in variables:
             preceding = poset.strict(u)
             rest = outside.get(preceding)
             if rest is None:
@@ -393,8 +412,8 @@ def validate_trunk_aligned(
                 rest.pop()
             if not rest:
                 p2_holds.add(u)
-    for u in sorted(instance.prefix.variables):
-        node = fmap.get(u)
+    for u in sorted(variables):
+        node = forget.get(u)
         if node is None:
             violations.append(Violation("P1P2", str(u), "variable occurs in no bag"))
             continue
@@ -419,8 +438,7 @@ def validate_trunk_aligned(
 
 
 def elimination_ordering(td: TrunkTreeDecomposition) -> Tuple[int, ...]:
-    """Variables sorted by the position of their forget nodes in
-    ``td.postorder()``, a fixed total extension of the node order."""
-    position = {node: i for i, node in enumerate(td.postorder())}
-    fmap = td._forget
-    return tuple(sorted(fmap, key=lambda v: position[fmap[v]]))
+    """Variables in the order of their forget nodes in ``td.postorder()``,
+    a fixed total extension of the node order."""
+    forgotten = td._forgotten
+    return tuple(forgotten[node] for node in td.postorder() if node in forgotten)

@@ -81,7 +81,7 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Set, Tuple
 
 from .decomposition import (
     TrunkTreeDecomposition,
@@ -89,7 +89,6 @@ from .decomposition import (
     forget_node,
     validate_nice,
     validate_trunk_aligned,
-    ValidationReport,
 )
 from .formulas import (
     EXISTS,
@@ -120,10 +119,6 @@ class DerivationError(Exception):
 
 class ValidationError(DerivationError):
     """Input failed decomposition or instance validation."""
-
-    def __init__(self, message: str, report: Optional[ValidationReport] = None):
-        super().__init__(message)
-        self.report = report
 
 
 class ResourceLimitError(DerivationError):
@@ -397,32 +392,6 @@ _CACHED_TABLE_BITS = 12
 _cached_strategy_table = functools.lru_cache(maxsize=32)(_strategy_table)
 
 
-def check_neighborhood_invariant(state: DerivationState, td: TrunkTreeDecomposition) -> bool:
-    """True iff, in every whole matrix of the family, every variable
-    sharing a clause with v, the state's next variable, lies in v's
-    forget bag.  The untouched clauses that mention v are the same in
-    every matrix and all in the next step's bucket, as that step removes
-    v or an earlier one did; they are read once, the touched parts one
-    by one."""
-    v = state.untouched.plan[state.step_index][0]
-    bag = td.bag(forget_node(td, v)) | {v}
-    shared = state.untouched.pulls[state.step_index]
-    touched = (m for pi in state.family for m in pi)
-    for lits in itertools.chain(shared, itertools.chain.from_iterable(touched)):
-        if (v in lits or -v in lits) and not bag.issuperset(map(abs, lits)):
-            return False
-    return True
-
-
-def check_r4_assertion(
-    live: FrozenSet[int], v: int, poset: DependencyPoset, td: TrunkTreeDecomposition
-) -> bool:
-    """True iff every live variable v depends on sits in v's forget bag
-    (must hold whenever R4 fires on a trunk-aligned input)."""
-    bag = td.bag(forget_node(td, v))  # holds v itself
-    return (live & poset.strict(v)) <= bag
-
-
 def _enforce_limits(family: Family, limits: EngineLimits) -> int:
     """Raise if the family exceeds a limit; return its largest set size."""
     if len(family) > limits.max_family_size:
@@ -533,14 +502,10 @@ def validate_input(
     cleaned = instance if matrix is instance.matrix else QbfInstance(instance.prefix, matrix)
     nice_report = validate_nice(td, cleaned)
     if not nice_report.ok:
-        raise ValidationError(
-            f"decomposition is not nice: {nice_report.summary()}", nice_report
-        )
+        raise ValidationError(f"decomposition is not nice: {nice_report.summary()}")
     trunk_report = validate_trunk_aligned(td, cleaned, poset)
     if not trunk_report.ok:
-        raise ValidationError(
-            f"decomposition is not trunk-aligned: {trunk_report.summary()}", trunk_report
-        )
+        raise ValidationError(f"decomposition is not trunk-aligned: {trunk_report.summary()}")
     branching = frozenset([u for u, held in trunk_report.property_held.items() if held == "P2"])
     return cleaned, elimination_ordering(td), branching
 
@@ -556,29 +521,37 @@ def _check_step(
     """Assert the engine invariants of one step: v's matrix neighbors and,
     under R4, its still-quantified dependencies lie in its forget bag, a
     live v's rule is R4 iff a live strict dependent of v lies in its
-    forget bag, and the result is tautology-free and over the live
-    variables only.  ``live``, the variables still quantified, is updated
-    in place: deriving ``before.live`` would cost O(n) per step.
+    forget bag, and the result's touched parts are tautology-free, over
+    the live variables only and disjoint from the untouched part.
+    ``live``, the variables still quantified, is updated in place:
+    deriving ``before.live`` would cost O(n) per step.
 
-    The last holds for the untouched part by construction (the stored
-    clauses are checked once, and an untouched clause is over the live
-    variables), so only the touched parts are read.  The kernels trust
-    their input, so this is the one runtime check of tautology-freeness.
+    The untouched clauses that mention v are the same in every matrix
+    and all in this step's bucket, as this step removes v or an earlier
+    one did; they are read once, the touched parts one by one.  The
+    result's untouched part is tautology-free and over the live
+    variables by construction (the stored clauses are checked once, and
+    an untouched clause is over the live variables), so only its touched
+    parts are read.  The kernels trust their input, so this is the one
+    runtime check of tautology-freeness.
     """
     v, where = event.variable, f"step {event.step}, variable {event.variable}"
-    if not check_neighborhood_invariant(before, td):
-        raise InvariantError(f"{where}: a matrix neighbor lies outside the forget bag")
-    if event.rule == "R4" and not check_r4_assertion(live, v, poset, td):
+    store = before.untouched
+    bag = td.bag(forget_node(td, v))  # holds v itself
+    touched = itertools.chain.from_iterable(m for pi in before.family for m in pi)
+    for lits in itertools.chain(store.pulls[before.step_index], touched):
+        if (v in lits or -v in lits) and not bag.issuperset(map(abs, lits)):
+            raise InvariantError(f"{where}: a matrix neighbor lies outside the forget bag")
+    if event.rule == "R4" and not live.intersection(poset.strict(v)) <= bag:
         raise InvariantError(f"{where}: a dependency of R4 lies outside the forget bag")
     if event.rule != "R1":
-        bag = td.bag(forget_node(td, v))
         blocked = not live.isdisjoint(poset.dependents_strict(v, bag))
         if blocked != (event.rule == "R4"):
             raise InvariantError(
                 f"{where}: {event.rule} fired with {'a' if blocked else 'no'} "
                 "live dependent in the forget bag"
             )
-    live.difference_update(before.untouched.plan[before.step_index][2])
+    live.difference_update(store.plan[before.step_index][2])
     for matrix in itertools.chain.from_iterable(after.family):
         tautologies = [Clause(lits) for lits in matrix if is_tautological(lits)]
         leftover = matrix.variables() - live
@@ -587,6 +560,13 @@ def _check_step(
                 f"{where}: tautologies {tautologies} or eliminated variables "
                 f"{sorted(leftover)} remain in a matrix"
             )
+        # Touched parts hold no clause still untouched, so deduplicating
+        # them is deduplicating whole matrices.
+        for lits in matrix.intersection(store.clauses):
+            if store._pulled_at[lits] >= after.step_index:
+                raise InvariantError(
+                    f"{where}: the untouched clause {Clause(lits)!r} is in a touched part"
+                )
 
 
 def run_derivation(

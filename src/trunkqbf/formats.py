@@ -21,7 +21,7 @@ import re
 from itertools import chain
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, TextIO, Tuple, Union
 
-from .decomposition import DecompositionError, TrunkTreeDecomposition
+from .decomposition import DecompositionError, TrunkTreeDecomposition, _check_edges
 from .formulas import EXISTS, FORALL, Matrix, Prefix, QbfInstance
 from .posets import DependencyPoset, check_pair, poset_from_pairs
 
@@ -190,18 +190,19 @@ def parse_btd(text: str) -> TrunkTreeDecomposition:
     """Parse a BTD decomposition file.
 
     Structural validation (tree shape, root consistency, trunk being a
-    leaf-to-root path) happens here; the niceness and alignment
-    properties are separate validators.
+    leaf-to-root path) is the ``TrunkTreeDecomposition`` constructor's,
+    reported at the line of the edge, bag, root or trunk it names; the
+    niceness and alignment properties are separate validators.
     """
     (num_nodes, max_bag, num_vars), header_line, checked, rows = _read(
         text, "s btd", ("node count", "max bag size", "variable count")
     )
     bags: Dict[int, FrozenSet[int]] = {}
-    bag_lines: Dict[int, int] = {}
+    # The line of each subject a DecompositionError can name.
+    lines: Dict[Tuple[object, ...], int] = {}
     edges: List[Tuple[int, int, int]] = []  # (line, parent, child)
     root: Optional[int] = None
     trunk: Optional[Tuple[int, ...]] = None
-    trunk_line = root_line = 0
     for line_no, _, tokens in rows:
         kind = tokens[0]
         if kind == "b":
@@ -212,7 +213,7 @@ def parse_btd(text: str) -> TrunkTreeDecomposition:
             if node < 1:
                 raise ParseError(line_no, f"node ids are 1-based, got {node}")
             if node in bags:
-                first = bag_lines[node]
+                first = lines["node", node]
                 raise ParseError(line_no, f"duplicate node {node} (bag already on line {first})")
             for v in variables:
                 if v < 1 or v > num_vars:
@@ -221,7 +222,7 @@ def parse_btd(text: str) -> TrunkTreeDecomposition:
             if len(bag) > max_bag:
                 message = f"bag of node {node} has {len(bag)} variables, header allows {max_bag}"
                 raise ParseError(line_no, message)
-            bag_lines[node] = line_no
+            lines["node", node] = line_no
         elif kind == "e":
             if len(tokens) != 3:
                 raise ParseError(line_no, "edge line must be 'e <parent> <child>'")
@@ -235,14 +236,14 @@ def parse_btd(text: str) -> TrunkTreeDecomposition:
             if len(tokens) != 2:
                 raise ParseError(line_no, "root line must be 'r <node>'")
             (root,) = _int_tokens(tokens[1:], line_no, "node id", checked)
-            root_line = line_no
+            lines[("root",)] = line_no
         elif kind == "t":
             if trunk is not None:
                 raise ParseError(line_no, "duplicate trunk line")
             trunk = tuple(_int_tokens(tokens[1:], line_no, "node id", checked))
             if not trunk:
                 raise ParseError(line_no, "empty trunk line")
-            trunk_line = line_no
+            lines[("trunk",)] = line_no
         else:
             raise ParseError(line_no, f"unknown line kind {kind!r}")
 
@@ -254,24 +255,20 @@ def parse_btd(text: str) -> TrunkTreeDecomposition:
     if trunk is None:
         raise ParseError(header_line, "missing trunk line")
     parent_map: Dict[int, int] = {}
-    for line_no, parent, child in edges:
-        if parent not in bags or child not in bags:
-            unknown = child if parent in bags else parent
-            raise ParseError(line_no, f"edge mentions unknown node {unknown}")
-        if child in parent_map:
-            raise ParseError(line_no, f"node {child} has two parents")
-        parent_map[child] = parent
-    if root not in bags:
-        raise ParseError(root_line, f"unknown root node {root}")
-    if root in parent_map:
-        raise ParseError(root_line, f"root {root} has a parent (multiple roots)")
-    for node in trunk:
-        if node not in bags:
-            raise ParseError(trunk_line, f"trunk mentions unknown node {node}")
     try:
+        for line_no, parent, child in edges:
+            if child in parent_map:
+                # An unknown node on an earlier edge, then on this one,
+                # is reported before the second parent.
+                _check_edges(bags, parent_map)
+                lines["edge", child] = line_no
+                _check_edges(bags, {child: parent})
+                raise ParseError(line_no, f"node {child} has two parents")
+            parent_map[child] = parent
+            lines["edge", child] = line_no
         return TrunkTreeDecomposition(bags, parent_map, root, trunk)
     except DecompositionError as exc:
-        raise ParseError(header_line, str(exc)) from exc
+        raise ParseError(lines[exc.subject], str(exc)) from exc
 
 
 def write_btd(td: TrunkTreeDecomposition) -> str:

@@ -23,7 +23,7 @@ from trunkqbf import (
     width,
 )
 from trunkqbf import primal_graph
-from trunkqbf.decomposition import ValidationReport, Violation, forget_map
+from trunkqbf.decomposition import ValidationReport, Violation
 
 from _util import (
     join_node_cases,
@@ -433,7 +433,7 @@ def reference_trunk_aligned(td, instance, poset):
     """``validate_trunk_aligned`` with P2 tested by ``strict(u) <= below``
     at every trunk forget node, the direct definition."""
     violations, held = [], {}
-    fmap = forget_map(td)
+    fmap = {v: forget_node(td, v) for v in td.bag_variables()}
     forgotten = {node: u for u, node in fmap.items() if u in instance.prefix.variables}
     p2_holds, below = set(), set()
     for lower, node in zip((None,) + td.trunk, td.trunk):

@@ -13,8 +13,7 @@ from trunkqbf import (
     ResourceLimitError,
     TrunkTreeDecomposition,
     ValidationError,
-    check_neighborhood_invariant,
-    check_r4_assertion,
+    elimination_ordering,
     evaluate,
     initial_state,
     is_tautological,
@@ -680,12 +679,18 @@ class TestRuleDecidedInValidation:
 
 
 class TestInvariantChecks:
+    @staticmethod
+    def check(state, td, d):
+        """Apply the state's next step, check it and return the result."""
+        after, event = step(state, d)
+        derivation._check_step(state, after, event, td, d, set(state.live))
+        return after
+
     def test_neighborhood_holds_along_qparity2(self, qp2_setup):
         q, td, d = qp2_setup
         state = initial_state(*validate_input(q, td, d), d)
         for _ in range(5):
-            assert check_neighborhood_invariant(state, td)
-            state, _ = step(state, d)
+            state = self.check(state, td, d)
 
     def test_neighborhood_size_bounded_by_width(self, qp2_setup):
         from trunkqbf import width
@@ -708,22 +713,32 @@ class TestInvariantChecks:
         q, td, d = qp2_setup
         # x1's forget bag is {x1, z1}; a clause pairing x1 with u breaks it.
         poisoned = at_step(qp2_setup, frozenset({frozenset({matrix_of((1, 3))})}), 0)
-        assert not check_neighborhood_invariant(poisoned, td)
+        with pytest.raises(InvariantError, match="step 1, variable 1: a matrix neighbor"):
+            self.check(poisoned, td, d)
 
     def test_empty_family_is_vacuously_fine(self, qp2_setup):
-        _, td, _ = qp2_setup
-        assert check_neighborhood_invariant(at_step(qp2_setup, frozenset(), 0), td)
+        _, td, d = qp2_setup
+        self.check(at_step(qp2_setup, frozenset(), 0), td, d)
 
     def test_r4_assertion_on_qparity2(self, qp2_setup):
         q, td, d = qp2_setup
-        assert check_r4_assertion(q.prefix.variables, 1, d, td)
+        state = initial_state(*validate_input(q, td, d), d)
+        branched = []
+        for _ in range(3):
+            v, rule, _ = state.untouched.plan[state.step_index]
+            if rule == "R4":
+                branched.append((v, state.live))
+            state = self.check(state, td, d)
         # step 3 fires R4 on x2 with x1 and z1 already gone
-        assert check_r4_assertion(q.prefix.variables - {1, 4}, 2, d, td)
+        assert branched == [(1, q.prefix.variables), (2, q.prefix.variables - {1, 4})]
 
     def test_r4_assertion_violation(self):
         # dep(u) contains x but x is not in u's forget bag.
-        prefix = XUZ.prefix
-        assert not check_r4_assertion(prefix.variables, 2, trivial_poset(prefix), UNALIGNED_TD)
+        d = trivial_poset(XUZ.prefix)
+        ordering = elimination_ordering(UNALIGNED_TD)
+        state = initial_state(XUZ, ordering, frozenset({2}), d)
+        with pytest.raises(InvariantError, match="step 1, variable 2: a dependency of R4"):
+            self.check(state, UNALIGNED_TD, d)
 
 
 class TestChecksInRunDerivation:
@@ -802,6 +817,21 @@ class TestChecksInRunDerivation:
                 self.run(self.EDGE, td, checks)
         else:
             assert self.run(self.EDGE, td, checks).verdict is True
+
+    @pytest.mark.parametrize("checks", [True, False])
+    def test_touched_part_that_keeps_an_untouched_clause(self, monkeypatch, checks):
+        # Step 1 resolves (1 2) and (-1 2) into (2), which is also the
+        # stored clause (2) that step 2 pulls in; a touched part that
+        # keeps it overlaps the untouched part.
+        monkeypatch.setattr(UntouchedStore, "touched_part", lambda self, m, done: m)
+        q = QbfInstance(Prefix((("e", (1, 2)),)), matrix_of((1, 2), (-1, 2), (2,)))
+        td = path_td([(), (1,), (1, 2), (2,), ()])
+        if checks:
+            match = r"step 1, variable 1: the untouched clause Clause\(\[2\]\) is in a touched"
+            with pytest.raises(InvariantError, match=match):
+                self.run(q, td, checks)
+        else:
+            assert self.run(q, td, checks).verdict is True
 
 
 class TestRuleBehaviour:

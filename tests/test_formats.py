@@ -162,6 +162,33 @@ class TestBtd:
             parse_btd(text)
         assert "root" in str(info.value)
 
+    # The lines after the header and three bag lines: a text's edge,
+    # root and trunk lines, which start at line 5.
+    @pytest.mark.parametrize(
+        "rest,line,message",
+        [
+            ("e 1 2\ne 2 1\nr 3\nt 3", 6, "cycle through node 1"),
+            ("e 3 2\nr 3\nt 2 3", 2, "node 1 is disconnected (no parent)"),
+            ("e 2 1\ne 9 2\nr 3\nt 1 2 3", 6, "edge mentions unknown node 9"),
+            ("e 2 1\ne 3 2\nr 9\nt 1 2 3", 7, "unknown root node 9"),
+            ("e 2 1\ne 3 2\nr 2\nt 1 2", 7, "root 2 has a parent (multiple roots)"),
+            ("e 2 1\ne 3 2\nr 3\nt 1 9 3", 8, "trunk mentions unknown node 9"),
+            ("e 2 1\ne 3 2\nr 3\nt 1 2", 8, "trunk must end at the root"),
+            ("e 2 1\ne 3 2\nr 3\nt 2 3", 8, "trunk start 2 is not a leaf"),
+            ("e 2 1\ne 3 2\nr 3\nt 1 3", 8, "trunk nodes 1 and 3 are not child and parent"),
+            # An unknown node on or before an edge that gives its child a
+            # second parent is named first.
+            ("e 2 1\ne 9 1\nr 3\nt 1 2 3", 6, "edge mentions unknown node 9"),
+            ("e 9 3\ne 2 1\ne 3 1\nr 3\nt 1 2 3", 5, "edge mentions unknown node 9"),
+            ("e 2 1\ne 3 1\ne 9 3\nr 3\nt 1 2 3", 6, "node 1 has two parents"),
+        ],
+    )
+    def test_structural_errors_name_their_line(self, rest, line, message):
+        with pytest.raises(ParseError) as info:
+            parse_btd(f"s btd 3 0 0\nb 1\nb 2\nb 3\n{rest}\n")
+        assert info.value.line == line
+        assert str(info.value) == f"line {line}: {message}"
+
 
 class TestPosetFiles:
     def test_zero_generators_is_the_identity_relation(self):

@@ -3,8 +3,8 @@
     PYTHONPATH=src python3 tools/ab_parse.py BASE CHANGE [--seed N] [--rounds R]
 
 BASE and CHANGE are checkout roots; each one's ``src/trunkqbf`` is loaded
-into this interpreter under its own package name, as ``tools/ab_solve.py``
-does.  The r4-shuffled corpus of the seed and the qparity ladder are
+into this interpreter under its own package name by ``tools/ab_solve.py``'s
+``load``.  The r4-shuffled corpus of the seed and the qparity ladder are
 written once by ``bench/workloads.py`` with the package on ``PYTHONPATH``
 and read into memory.  Each of the ROUNDS rounds then times, per side, one
 pass of ``parse_qdimacs`` (and, separately, of ``parse_btd``) over every
@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import importlib
-import importlib.util
 import json
 import statistics
 import sys
@@ -34,23 +32,10 @@ from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
+from ab_solve import load  # noqa: E402
 from workloads import build_ladder, build_r4_shuffled  # noqa: E402
 
 LADDER_PASSES = 20
-
-
-def load(root: Path, alias: str):
-    """The ``formats`` module of the checkout's package, imported as ``alias``."""
-    package = root / "src" / "trunkqbf"
-    spec = importlib.util.spec_from_file_location(
-        alias, package / "__init__.py", submodule_search_locations=[str(package)]
-    )
-    if spec is None or spec.loader is None:
-        raise SystemExit(f"no trunkqbf package under {root}")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[alias] = module
-    spec.loader.exec_module(module)
-    return importlib.import_module(f"{alias}.formats")
 
 
 def corpora(seed: int):
@@ -85,7 +70,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=21)
     args = parser.parse_args(argv)
-    sides = (load(args.base, "ab_base"), load(args.change, "ab_change"))
+    sides = (load(args.base, "ab_base", "formats"), load(args.change, "ab_change", "formats"))
     for name, qdimacs, btd in corpora(args.seed):
         for parse_name, texts in (("parse_qdimacs", qdimacs), ("parse_btd", btd)):
             parses = [getattr(side, parse_name) for side in sides]

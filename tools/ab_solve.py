@@ -58,8 +58,8 @@ WORKLOAD_ROUNDS = 3
 TOOLS = Path(__file__).resolve().parent
 
 
-def load(root: Path, alias: str):
-    """The ``cli`` module of the checkout's package, imported as ``alias``."""
+def load(root: Path, alias: str, submodule: str):
+    """A submodule of the checkout's package, imported as ``alias``."""
     package = root / "src" / "trunkqbf"
     spec = importlib.util.spec_from_file_location(
         alias, package / "__init__.py", submodule_search_locations=[str(package)]
@@ -69,7 +69,7 @@ def load(root: Path, alias: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[alias] = module
     spec.loader.exec_module(module)
-    return importlib.import_module(f"{alias}.cli")
+    return importlib.import_module(f"{alias}.{submodule}")
 
 
 def clear_caches(alias: str) -> None:
@@ -178,7 +178,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", help="A/B over this benchmark corpus instead of qparity")
     parser.add_argument("--seed", type=int, default=0, help="corpus seed (with --workload)")
     args = parser.parse_args(argv)
-    sides = (("ab_base", load(args.base, "ab_base")), ("ab_change", load(args.change, "ab_change")))
+    sides = (
+        ("ab_base", load(args.base, "ab_base", "cli")),
+        ("ab_change", load(args.change, "ab_change", "cli")),
+    )
     if args.workload:
         summary = compare_workload(sides, args.base, args.workload, args.seed, args.clear_caches)
         print(json.dumps(summary), flush=True)

@@ -24,6 +24,7 @@ _EXPORTS = {
         "EngineLimits",
         "InvariantError",
         "ResourceLimitError",
+        "StrategyShape",
         "TraceEvent",
         "ValidationError",
         "initial_state",

@@ -3,13 +3,22 @@
 Verdict commands follow the SAT-solver convention: ``s cnf 1`` and exit
 code 10 when the instance is true, ``s cnf 0`` and exit code 20 when it
 is false.  Parse, validation and resource errors exit 1 with the
-diagnostic on standard error.  Standard output carries only the verdict
-line plus, behind ``--stats``, ``c``-prefixed statistics lines.
+diagnostic on standard error, running out of memory included.  Standard
+output carries only the verdict line plus, behind ``--stats``,
+``c``-prefixed statistics lines.
+
+``main`` pauses the cyclic garbage collector while a command runs and
+restores its previous state afterwards.  The engine's values are
+frozensets and tuples of integers, which cannot form reference cycles,
+so reference counting frees them all and a collection during a solve
+would only scan them; any cycle made elsewhere is collected once the
+collector runs again.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from typing import List, Optional
 
@@ -218,7 +227,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return args.func(args)
+    except MemoryError:
+        return _fail("error: out of memory")
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def console_main() -> None:

@@ -45,9 +45,10 @@ differences, and a clause is tautological when it meets its own
 negation.  A matrix is the frozenset of its clauses, built by the
 kernels with ``Matrix._of``, so both levels of a family deduplicate by
 C-level set hashing.  No ``Clause`` is constructed and no literal is
-sorted during a run.  R4's table of strategy answers depends only on
-the step's shape, and a small one is built once per shape; R2
-tests resolvents for tautologies with one clash set per negative clause.
+sorted during a run.  What R4's strategy extensions share, the
+``StrategyShape`` of the removed variables, is built once per step, and
+a small strategy table once per shape; R2 tests resolvents for
+tautologies with one clash set per negative clause.
 
 A matrix is stored in two parts.  Its *untouched* part is every input
 clause whose variables are all still quantified: no rule has acted on
@@ -60,11 +61,11 @@ acts on touched parts only, with its step's bucket pulled in, since no
 other clause mentions a variable it assigns or removes; any clause of a
 later bucket is dropped again.  R2 and R3 pull, apply the kernel and
 drop in one pass per matrix; R4 pulls into every matrix, builds its
-strategy table and assignments once per set, and drops afterwards.  The
-untouched part is shared and disjoint from the touched one, so
-deduplicating touched parts gives the same families, sizes and strategy
-counts as deduplicating whole matrices, while the work per step is set
-by the forget bag and not by the formula.
+strategy shape, with the table and the assignments, once per step, and
+drops afterwards.  The untouched part is shared and disjoint from the
+touched one, so deduplicating touched parts gives the same families,
+sizes and strategy counts as deduplicating whole matrices, while the
+work per step is set by the forget bag and not by the formula.
 
 ``validate_input`` is the one path from an instance to the engine's
 input, for ``run_derivation`` and the ``validate`` command alike; it
@@ -184,8 +185,15 @@ class UntouchedStore(Frozen):
 
     def __init__(self, clauses: FrozenSet[Lits], plan: Tuple[PlanEntry, ...]) -> None:
         end = len(plan)
-        first = {x: i for i, (_, _, removes) in enumerate(plan) for x in removes}
-        pulled_at = {c: min([first.get(abs(x), end) for x in c], default=end) for c in clauses}
+        # Keyed by signed literal, so a clause's bucket is one C-level min
+        # over its literals; ``never`` yields the bucket of a literal whose
+        # variable no step removes.  ``min`` gets no ``default``, which
+        # costs more than the empty-clause test.
+        first = {
+            lit: i for i, (_, _, removes) in enumerate(plan) for x in removes for lit in (x, -x)
+        }
+        get, never = first.get, itertools.repeat(end)
+        pulled_at = {c: min(map(get, c, never)) if c else end for c in clauses}
         pulls: List[List[Lits]] = [[] for _ in range(end + 1)]
         for lits, i in pulled_at.items():
             pulls[i].append(lits)
@@ -281,23 +289,73 @@ def reduce(matrix: Matrix, u: int) -> Matrix:
     return Matrix._of([c if c.isdisjoint(drop) else c.difference(drop) for c in matrix])
 
 
+class StrategyShape:
+    """What every strategy extension of one R4 step shares: all that
+    depends on the removed variables ``deps`` and not on a set.
+
+    ``order`` lists the universal dependencies, then the existential
+    ones, each ascending by id.  ``owns[j]`` holds the positions, among
+    the first ``n_universal`` entries of ``order``, of the universals
+    the j-th existential dependency depends on (its own universals),
+    and ``own_bits`` is the number of strategy-table bits per matrix.
+    ``tables()`` builds the strategy table and the full assignments on
+    its first call.  ``strategy_extension`` calls it only after the
+    branch-limit check, which bounds 2^|deps|, and for a non-empty set,
+    so a step builds its shape once and passes it to every call.
+    """
+
+    __slots__ = ("deps", "poset", "n_universal", "order", "owns", "own_bits", "_tables")
+
+    def __init__(self, deps: FrozenSet[int], prefix: Prefix, poset: DependencyPoset) -> None:
+        ordered = sorted(deps)
+        universal_dep = [w for w in ordered if w in prefix.universal]
+        existential_dep = [w for w in ordered if w not in prefix.universal]
+        self.deps, self.poset = deps, poset
+        self.n_universal = len(universal_dep)
+        self.order = universal_dep + existential_dep
+        self.owns = tuple(
+            tuple(i for i, u in enumerate(universal_dep) if u in poset.strict(x))
+            if universal_dep
+            else ()
+            for x in existential_dep
+        )
+        self.own_bits = sum([2 ** len(own) for own in self.owns])
+        self._tables = None
+
+    def top(self) -> int:
+        """v, the one variable of the set that depends on all the others."""
+        return next(x for x in self.deps if self.deps - {x} <= self.poset.strict(x))
+
+    def tables(self) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[Lits, Lits], ...]]:
+        """The shape's ``_strategy_table`` and, for every n, full assignment
+        n (it sets the i-th variable of ``order`` to bit i of n) as its
+        true and its false literals; built on the first call."""
+        if self._tables is None:
+            # Only small tables are cached, so the cache holds a few MB at
+            # most, whatever max_strategies allows.
+            table_bits = self.n_universal + self.own_bits
+            build = _cached_strategy_table if table_bits <= _CACHED_TABLE_BITS else _strategy_table
+            assignments = []
+            for n in range(2 ** len(self.order)):
+                true = frozenset([x if n >> i & 1 else -x for i, x in enumerate(self.order)])
+                assignments.append((true, frozenset(map(_neg, true))))
+            self._tables = (build(self.n_universal, self.owns), tuple(assignments))
+        return self._tables
+
+
 def strategy_extension(
-    pi: MatrixSet,
-    deps: FrozenSet[int],
-    prefix: Prefix,
-    poset: DependencyPoset,
-    limits: EngineLimits = EngineLimits(),
+    pi: MatrixSet, shape: StrategyShape, limits: EngineLimits = EngineLimits()
 ) -> Family:
     """Branch over all partial existential strategies up to v.
 
-    ``deps`` is v with the live part of strict(v), the variables R4
-    removes.  With B the universal plays on deps and A the partial
-    existential strategies on its existential part (the prefix gives the
-    quantifiers), the output contains, for every tuple of per-matrix
-    strategies, the set of all matrices the tuple can produce against
-    plays from B.  The matrices of pi must be tautology-free (see the
-    module docstring), else the result is unspecified; every output
-    matrix is then free of tautologies and of all variables in deps.
+    ``shape.deps`` is v with the live part of strict(v), the variables
+    R4 removes.  With B the universal plays on deps and A the partial
+    existential strategies on its existential part, the output contains,
+    for every tuple of per-matrix strategies, the set of all matrices
+    the tuple can produce against plays from B.  The matrices of pi must
+    be tautology-free (see the module docstring), else the result is
+    unspecified; every output matrix is then free of tautologies and of
+    all variables in deps.
 
     Plays and strategies are bit tables.  Play b sets the i-th universal
     dependency (ascending ids) to bit i of b.  A strategy holds one table
@@ -309,47 +367,28 @@ def strategy_extension(
     that table; a table of at most 2^12 entries is built once per shape
     and the 32 most recent ones are kept.
 
-    The table and the list of full assignments (number n sets the i-th
-    variable, universal ones first, to bit i of n) do not depend on the
-    matrices; they are built once per call, after the branch limit check
-    and for a non-empty pi only.
+    The table and the full assignments do not depend on the matrices;
+    ``shape`` builds them once per step, on the first call that passes
+    the branch limit check with a non-empty pi.
     """
-    ordered = sorted(deps)
-    universal_dep = [w for w in ordered if w in prefix.universal]
-    existential_dep = [w for w in ordered if w not in prefix.universal]
-    owns = tuple(
-        tuple(i for i, u in enumerate(universal_dep) if u in poset.strict(x))
-        if universal_dep
-        else ()
-        for x in existential_dep
-    )
     # The branch count is 2^exponent: the plays times, per matrix, the
     # 2^(2^|own|) tables of every existential dependency.  It is compared
     # by exponent, since it can have thousands of decimal digits.
-    own_bits = sum([2 ** len(own) for own in owns])
-    exponent = len(pi) * own_bits + len(universal_dep)
+    exponent = len(pi) * shape.own_bits + shape.n_universal
     if exponent >= limits.max_strategies.bit_length():
-        # v is the one variable of the set that depends on all the others.
-        v = next(x for x in deps if deps - {x} <= poset.strict(x))
         raise ResourceLimitError(
-            f"strategy extension up to {v} needs 2^{exponent} branches, "
+            f"strategy extension up to {shape.top()} needs 2^{exponent} branches, "
             f"limit is {limits.max_strategies}"
         )
     out = {frozenset()}
     if not pi:
         return frozenset(out)
-    # A table has 2^table_bits entries; only small ones are cached, so
-    # the cache holds a few MB at most, whatever max_strategies allows.
-    table_bits = len(universal_dep) + own_bits
-    build = _cached_strategy_table if table_bits <= _CACHED_TABLE_BITS else _strategy_table
-    answers = build(len(universal_dep), owns)
-    bit_of = list(enumerate(universal_dep + existential_dep))
-    assignments = [{x: n >> i & 1 for i, x in bit_of} for n in range(2 ** len(bit_of))]
+    answers, assignments = shape.tables()
     # Per matrix, the distinct sets its strategies produce, each full
     # assignment restricted once; an output set is the union of one per
     # matrix, folded in matrix by matrix so equal partial unions merge early.
     for m in pi:
-        outcome = [restrict(m, assignment) for assignment in assignments]
+        outcome = [restrict(m, true, false) for true, false in assignments]
         sets = {frozenset(map(outcome.__getitem__, row)) for row in answers}
         out = {partial | choice for partial in out for choice in sets}
     return frozenset(out)
@@ -430,10 +469,11 @@ def step(
         pulled, touched = store.pulls[index], store.touched_part
         if rule == "R4":
             merged = set()
+            shape = StrategyShape(removes, state.prefix, poset)
             # Largest first: a set that trips the branch limit trips it
             # with the largest count, whatever the sets' hash order.
             for pi in sorted(_with_clauses(family, pulled), key=len, reverse=True):
-                merged |= strategy_extension(pi, removes, state.prefix, poset, limits)
+                merged |= strategy_extension(pi, shape, limits)
             new_family = frozenset(frozenset([touched(m, done) for m in pi]) for pi in merged)
         else:
             # Looked up per call, not bound once, so wrappers of the
@@ -499,7 +539,8 @@ def validate_input(
             f"the instance over {sorted(variables)}"
         )
     matrix = remove_tautologies(instance.matrix)
-    cleaned = instance if matrix is instance.matrix else QbfInstance(instance.prefix, matrix)
+    # Removing clauses leaves every variable quantified.
+    cleaned = instance if matrix is instance.matrix else QbfInstance._of(instance.prefix, matrix)
     nice_report = validate_nice(td, cleaned)
     if not nice_report.ok:
         raise ValidationError(f"decomposition is not nice: {nice_report.summary()}")

@@ -173,7 +173,7 @@ def parse_qdimacs(text: str) -> QbfInstance:
     matrix = Matrix._of(clauses)
     # Prefix merges adjacent same-quantifier blocks and drops empty ones.
     free = matrix.variables() - quantified.keys()
-    return QbfInstance(Prefix([(EXISTS, free), *blocks]), matrix)
+    return QbfInstance._of(Prefix([(EXISTS, free), *blocks]), matrix)
 
 
 def write_qdimacs(instance: QbfInstance) -> str:

@@ -24,10 +24,7 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import cached_property
-from typing import AbstractSet, Dict, FrozenSet, Iterable, Mapping, Set, Tuple
-
-# Assignments map variables to 0/1.
-Assignment = Mapping[int, int]
+from typing import AbstractSet, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 EXISTS = "e"
 FORALL = "a"
@@ -276,6 +273,15 @@ class QbfInstance(Frozen):
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "matrix", matrix)
 
+    @classmethod
+    def _of(cls, prefix: Prefix, matrix: Matrix) -> "QbfInstance":
+        """Trusted constructor: every matrix variable is quantified, as
+        the parser ensures by binding the free ones."""
+        instance = cls.__new__(cls)
+        object.__setattr__(instance, "prefix", prefix)
+        object.__setattr__(instance, "matrix", matrix)
+        return instance
+
     def _key(self) -> Tuple[object, ...]:
         return (self.prefix, self.matrix)
 
@@ -295,16 +301,21 @@ def remove_tautologies(matrix: Matrix) -> Matrix:
     return matrix if len(kept) == len(matrix) else Matrix._of(kept)
 
 
-def restrict(matrix: Matrix, assignment: Assignment) -> Matrix:
-    """Apply a partial assignment to the matrix.
+def restrict(
+    matrix: Matrix, true: AbstractSet[int], false: Optional[AbstractSet[int]] = None
+) -> Matrix:
+    """Apply a partial assignment, given as the set of literals it makes
+    true (a set of literals, as a clause is), to the matrix.
 
-    Clauses containing a satisfied literal are removed, falsified
-    literals are deleted from the remaining clauses.  Variables outside
-    the assignment's domain are untouched; the result may contain the
-    empty clause.  Clauses that become equal merge.
+    Clauses containing a true literal are removed, and the false ones,
+    the negations of ``true``, are deleted from the remaining clauses.
+    ``false`` is derived from ``true`` when not given; a caller that
+    applies one assignment many times passes both, built once.
+    Variables outside the assignment's domain are untouched; the result
+    may contain the empty clause.  Clauses that become equal merge.
     """
-    true = [v if value else -v for v, value in assignment.items()]
-    false = frozenset(map(_neg, true))
+    if false is None:
+        false = frozenset(map(_neg, true))
     return Matrix._of([c.difference(false) for c in matrix if c.isdisjoint(true)])
 
 

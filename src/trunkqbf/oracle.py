@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .formulas import (
     EXISTS,
@@ -61,10 +61,10 @@ def evaluate(instance: QbfInstance, budget: OracleBudget = OracleBudget()) -> bo
         if frozenset() in matrix:
             return False
         v = order[i]
-        low = rec(i + 1, restrict(matrix, {v: 0}))
+        low = rec(i + 1, restrict(matrix, {-v}))
         if quantifiers[i] == EXISTS:
-            return low or rec(i + 1, restrict(matrix, {v: 1}))
-        return low and rec(i + 1, restrict(matrix, {v: 1}))
+            return low or rec(i + 1, restrict(matrix, {v}))
+        return low and rec(i + 1, restrict(matrix, {v}))
 
     return rec(0, instance.matrix)
 
@@ -139,12 +139,13 @@ def _play(
     beta: Dict[int, int],
     strategy: Dict[int, Dict[Tuple[Tuple[int, int], ...], int]],
     left_universals: Dict[int, Tuple[int, ...]],
-) -> Dict[int, int]:
+) -> FrozenSet[int]:
+    """The literals made true by play beta and the strategy's answers to it."""
     full = dict(beta)
     for x, table in strategy.items():
         seen = _freeze({u: beta[u] for u in left_universals[x]})
         full[x] = table[seen]
-    return full
+    return frozenset([v if value else -v for v, value in full.items()])
 
 
 def verify_poset_property2(

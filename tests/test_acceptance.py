@@ -16,6 +16,7 @@ from trunkqbf import (
     Prefix,
     QbfInstance,
     ResourceLimitError,
+    StrategyShape,
     TrunkTreeDecomposition,
     equisatisfiable,
     evaluate,
@@ -191,7 +192,8 @@ def test_criterion_4_rule_soundness_suite():
             matrices.add(extra.matrix)
         pi = frozenset(matrices)
         try:
-            out = strategy_extension(pi, dep_v, q.prefix, d, EngineLimits(max_strategies=2**14))
+            shape = StrategyShape(dep_v, q.prefix, d)
+            out = strategy_extension(pi, shape, EngineLimits(max_strategies=2**14))
         except ResourceLimitError:
             continue
         q_after = q.prefix.remove(dep_v)
@@ -308,9 +310,7 @@ def test_criterion_8_resource_limits_instead_of_worst_case_bound():
         poset = trivial_poset(prefix)
         strategy_extension(
             frozenset({matrix_of((1, 4), (2, 5), (3, 6), (7,))}),
-            poset.dep(7),
-            prefix,
-            poset,
+            StrategyShape(poset.dep(7), prefix, poset),
             EngineLimits(max_strategies=64),
         )
     result = run_derivation(q, td, d)

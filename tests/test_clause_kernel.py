@@ -25,6 +25,8 @@ from trunkqbf import (
 )
 from trunkqbf.derivation import reduce, resolve
 
+from _util import true_literals
+
 N_VARS = 8
 
 
@@ -208,9 +210,11 @@ class TestKernels:
         for _ in range(1500):
             m = random_matrix(rng)
             assignment = random_assignment(rng, m)
-            got = restrict(m, assignment)
+            true = true_literals(assignment)
+            got = restrict(m, true)
             expected = ref_restrict(m, assignment)
             assert got == expected and got.clauses == expected.clauses
+            assert restrict(m, true, frozenset(-lit for lit in true)) == expected
             assert_canonical(got)
             kept = sum(
                 1
@@ -257,7 +261,7 @@ class TestKernels:
             m = random_matrix(rng)
             x = rng.randint(1, N_VARS)
             for got in (
-                restrict(m, random_assignment(rng, m)),
+                restrict(m, true_literals(random_assignment(rng, m))),
                 resolve(m, x),
                 reduce(m, x),
                 remove_tautologies(Matrix(tuple(random_clauses(rng, 6)))),

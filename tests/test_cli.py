@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -18,6 +19,7 @@ from trunkqbf import (
     write_poset,
     write_qdimacs,
 )
+from trunkqbf import cli, generators
 from trunkqbf.cli import main
 
 from _util import forget_path_td
@@ -66,6 +68,16 @@ class TestGen:
     def test_generated_pair_validates(self, qparity2_files):
         qd, td = qparity2_files
         assert main(["validate", qd, "--td", td, "--trivial-poset"]) == 0
+
+    def test_out_of_memory_is_one_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(n):
+            raise MemoryError
+
+        monkeypatch.setattr(generators, "qparity", exhausted)
+        assert main(["gen", "qparity", "100000000000", str(tmp_path / "x")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
 
 
 class TestSolve:
@@ -167,6 +179,42 @@ class TestSolve:
     def test_missing_file(self, tmp_path, capsys):
         code = main(["solve", str(tmp_path / "nope.qdimacs"), "--td", "x", "--trivial-poset"])
         assert code == 1
+
+
+class TestCollectorPause:
+    """``main`` pauses the cyclic collector while a command runs and then
+    leaves it as it found it, whatever the command's outcome."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_collector_state_is_restored(
+        self, enabled, qparity2_files, tmp_path, capsys, monkeypatch
+    ):
+        qd, td = qparity2_files
+        bad = tmp_path / "bad.qdimacs"
+        bad.write_text("p cnf 1 1\ne 1 0\n1 x 0\n")
+        during = []
+        real = cli.run_derivation
+
+        def observed(*args, **kwargs):
+            during.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_derivation", observed)
+        commands = [
+            (["solve", qd, "--td", td, "--trivial-poset"], 20),
+            (["solve", qd, "--td", td, "--trivial-poset", "--max-family-size", "1"], 1),
+            (["solve", str(bad), "--td", td, "--trivial-poset"], 1),
+        ]
+        before = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            for argv, code in commands:
+                assert main(argv) == code
+                assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if before else gc.disable)()
+        assert "limit" in capsys.readouterr().err
+        assert during == [False, False]
 
 
 class TestValidate:

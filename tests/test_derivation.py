@@ -11,6 +11,7 @@ from trunkqbf import (
     Prefix,
     QbfInstance,
     ResourceLimitError,
+    StrategyShape,
     TrunkTreeDecomposition,
     ValidationError,
     elimination_ordering,
@@ -43,6 +44,7 @@ from _util import (
     reference_plan,
     shuffled_path_cases,
     sub_poset_cases,
+    true_literals,
 )
 
 
@@ -149,21 +151,21 @@ class TestReduce:
 class TestStrategyExtension:
     def test_constant_strategies_for_independent_existential(self, qp2_setup):
         q, _, d = qp2_setup
-        out = strategy_extension(frozenset({q.matrix}), d.dep(1), q.prefix, d)
+        out = strategy_extension(frozenset({q.matrix}), StrategyShape(d.dep(1), q.prefix, d))
         assert out == family({PSI_X1_0}, {PSI_X1_1})
 
     def test_qparity2_x2_outputs_deduplicate(self, qp2_setup):
         q, _, d = qp2_setup
         deps = d.dep(2) - {1, 4}
-        out1 = strategy_extension(frozenset({RES_X1_0}), deps, q.prefix, d)
-        out2 = strategy_extension(frozenset({RES_X1_1}), deps, q.prefix, d)
+        out1 = strategy_extension(frozenset({RES_X1_0}), StrategyShape(deps, q.prefix, d))
+        out2 = strategy_extension(frozenset({RES_X1_1}), StrategyShape(deps, q.prefix, d))
         merged = out1 | out2
         assert merged == family({PSI_Z2_NEG}, {PSI_Z2_POS})
         assert {m for pi in merged for m in pi} == {PSI_Z2_NEG, PSI_Z2_POS}
 
     def test_empty_matrix_passes_through(self, qp2_setup):
         q, _, d = qp2_setup
-        out = strategy_extension(frozenset({Matrix(())}), d.dep(1), q.prefix, d)
+        out = strategy_extension(frozenset({Matrix(())}), StrategyShape(d.dep(1), q.prefix, d))
         assert out == family({Matrix(())})
 
     def test_universal_plays_enter_the_sets(self):
@@ -173,7 +175,7 @@ class TestStrategyExtension:
         prefix = Prefix((("e", (1,)), ("a", (2,))))
         d = trivial_poset(prefix)
         m = matrix_of((1, 2), (-1, -2))
-        out = strategy_extension(frozenset({m}), d.dep(2), prefix, d)
+        out = strategy_extension(frozenset({m}), StrategyShape(d.dep(2), prefix, d))
         assert out == family({matrix_of(()), Matrix(())})
 
     def test_strategy_budget_is_enforced(self):
@@ -181,7 +183,26 @@ class TestStrategyExtension:
         d = trivial_poset(prefix)
         m = matrix_of((1, 4), (2, 5), (3, 6), (7,))
         with pytest.raises(ResourceLimitError):
-            strategy_extension(frozenset({m}), d.dep(7), prefix, d, EngineLimits(max_strategies=64))
+            strategy_extension(
+                frozenset({m}), StrategyShape(d.dep(7), prefix, d), EngineLimits(max_strategies=64)
+            )
+
+    def test_a_step_over_40_dependencies_trips_the_branch_limit_at_once(self, monkeypatch):
+        # forall 1..39 exists 40, forgetting 40 first: its R4 step removes
+        # all 40 variables, so a table of its 2^40 full assignments could
+        # not be built; the branch limit must trip before anything is.
+        prefix = Prefix((("a", tuple(range(1, 40))), ("e", (40,))))
+        q = QbfInstance(prefix, matrix_of(range(1, 41)))
+        d = trivial_poset(prefix)
+        state = initial_state(q, tuple(range(40, 0, -1)), frozenset({40}), d)
+        assert state.untouched.plan[0] == (40, "R4", frozenset(range(1, 41)))
+
+        def unreachable(shape):
+            raise AssertionError("tables built before the branch limit check")
+
+        monkeypatch.setattr(derivation.StrategyShape, "tables", unreachable)
+        with pytest.raises(ResourceLimitError, match=r"up to 40 needs 2\^\d+ branches"):
+            step(state, d, EngineLimits(max_strategies=64))
 
     def test_tables_read_each_existentials_own_universals(self):
         # forall 1 2 exists 3 4 forall 5 where 3 sees only 1 and 4 only 2:
@@ -194,7 +215,7 @@ class TestStrategyExtension:
             per_matrix = [
                 [
                     frozenset(
-                        restrict(m, {1: a, 2: b, 5: c, 3: f3[a], 4: f4[b]})
+                        restrict(m, true_literals({1: a, 2: b, 5: c, 3: f3[a], 4: f4[b]}))
                         for a, b, c in itertools.product((0, 1), repeat=3)
                     )
                     for f3 in functions
@@ -216,7 +237,7 @@ class TestStrategyExtension:
                     for _ in range(rng.randint(2, 6))
                 ]
                 pi.add(matrix_of(*clauses))
-            assert strategy_extension(frozenset(pi), d.dep(5), prefix, d) == reference(pi)
+            assert strategy_extension(frozenset(pi), StrategyShape(d.dep(5), prefix, d)) == reference(pi)
 
 
 def reference_table(n_universal, owns):
@@ -278,10 +299,10 @@ class TestStrategyTable:
                     # universal_dep holds v as well as the n_universal others.
                     cached = n_universal + 1 + sum(2 ** len(own) for own in owns) <= 12
                     cache.cache_clear()
-                    cold = strategy_extension(pi, d.dep(v), prefix, d)
+                    cold = strategy_extension(pi, StrategyShape(d.dep(v), prefix, d))
                     assert cache.cache_info().currsize == int(cached)
                     hits = cache.cache_info().hits
-                    warm = strategy_extension(pi, d.dep(v), prefix, d)
+                    warm = strategy_extension(pi, StrategyShape(d.dep(v), prefix, d))
                     assert cache.cache_info().hits == hits + int(cached)
                     assert cold == warm
 
@@ -295,7 +316,7 @@ class TestStrategyTable:
         tracemalloc.start()
         try:
             for pi, v, prefix, d in instances:
-                strategy_extension(pi, d.dep(v), prefix, d)
+                strategy_extension(pi, StrategyShape(d.dep(v), prefix, d))
             kept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -609,6 +630,26 @@ class TestOneStrategyExtensionPerSet:
         assert [(n, calls, sets) for n, calls, sets in runs] == [
             (n, 2 * n - 1, 2 * n - 1) for n in range(2, 17)
         ]
+
+    def test_qparity_builds_one_shape_per_r4_step(self, monkeypatch):
+        # qparity(n) has n R4 steps and 2n - 1 sets over them: the shape
+        # is built once per step and shared by the step's sets.
+        shapes = []
+
+        class Counted(derivation.StrategyShape):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                shapes.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(derivation, "StrategyShape", Counted)
+        cases = [(n, qparity(n), qparity_td(n)) for n in range(2, 17)]
+        runs = []
+        for n, calls, sets in self.counted_runs(monkeypatch, cases):
+            runs.append((n, len(shapes), calls, sets))
+            shapes.clear()
+        assert runs == [(n, n, 2 * n - 1, 2 * n - 1) for n in range(2, 17)]
 
     def test_shuffled_paths_call_it_once_per_set(self, monkeypatch):
         runs = list(self.counted_runs(monkeypatch, shuffled_path_cases()))

@@ -55,6 +55,27 @@ class TestQdimacsParsing:
         assert len(q.matrix.clauses) == 1
         assert is_tautological(q.matrix.clauses[0])
 
+    def test_one_parse_scans_the_matrix_variables_once(self, monkeypatch):
+        # The parser binds the free variables from one scan and builds the
+        # instance through the trusted constructor, which does not scan again.
+        calls = []
+        real = Matrix.variables
+
+        def counted(matrix):
+            calls.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(Matrix, "variables", counted)
+        for text in (write_qdimacs(qparity(5)), "p cnf 3 2\na 1 0\n1 2 0\n-3 0\n"):
+            calls.clear()
+            q = parse_qdimacs(text)
+            assert len(calls) == 1
+            assert q == QbfInstance(q.prefix, q.matrix)
+
+    def test_the_public_constructor_still_rejects_free_variables(self):
+        with pytest.raises(ValueError, match="not quantified"):
+            QbfInstance(Prefix((("e", (1,)),)), matrix_of((1, 2)))
+
     @pytest.mark.parametrize(
         "text,line",
         [

@@ -9,8 +9,9 @@ written once by ``bench/workloads.py`` with the package on ``PYTHONPATH``
 and read into memory.  Each of the ROUNDS rounds then times, per side, one
 pass of ``parse_qdimacs`` (and, separately, of ``parse_btd``) over every
 file of a corpus; the ladder's five files are passed over 20 times per
-round.  The side that runs first alternates from round to round, and
-``gc.collect()`` runs before every pass.
+round.  The side that runs first alternates from round to round.  No
+collection is forced between passes, as in ``bench/run.py``, so the
+cyclic collector's work during a pass counts in its time.
 
 Prints one JSON line per corpus and parser: both medians in ms, the median
 of the per-round ratios CHANGE / BASE (the two passes of a round run back
@@ -22,7 +23,6 @@ are raw wall times.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import statistics
 import sys
@@ -56,7 +56,6 @@ def corpora(seed: int):
 
 
 def timed_pass(parse, texts) -> float:
-    gc.collect()
     started = perf_counter()
     for text in texts:
         parse(text)

@@ -11,8 +11,10 @@ gen``, each side solves them once untimed, and then each of the
 ``ROUNDS`` rounds times one
 ``cli.main(["solve", F.qdimacs, "--td", F.btd, "--trivial-poset"])`` per
 side with standard output captured, as ``bench/run.py`` does.  The side
-that runs first alternates from round to round, and ``gc.collect()``
-runs before every solve.  With ``--clear-caches`` every
+that runs first alternates from round to round.  No collection is
+forced between solves, as in ``bench/run.py``, so the cyclic
+collector's work during a solve counts in its time.  With
+``--clear-caches`` every
 ``functools.lru_cache`` of both packages is cleared before every solve,
 so a gain cannot come from work kept from an earlier solve.
 
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import gc
 import importlib
 import importlib.util
 import io
@@ -82,7 +83,6 @@ def clear_caches(alias: str) -> None:
 
 
 def timed_solve(cli, argv, alias: str, clear: bool) -> float:
-    gc.collect()
     if clear:
         clear_caches(alias)
     started = perf_counter()

@@ -275,8 +275,9 @@ class QbfInstance(Frozen):
 
     @classmethod
     def _of(cls, prefix: Prefix, matrix: Matrix) -> "QbfInstance":
-        """Trusted constructor: every matrix variable is quantified, as
-        the parser ensures by binding the free ones."""
+        """Trusted constructor: the caller ensures that every matrix
+        variable is quantified (the parser binds the free ones, and
+        removing clauses keeps it so)."""
         instance = cls.__new__(cls)
         object.__setattr__(instance, "prefix", prefix)
         object.__setattr__(instance, "matrix", matrix)

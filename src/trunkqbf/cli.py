@@ -11,8 +11,10 @@ output carries only the verdict line plus, behind ``--stats``,
 restores its previous state afterwards.  The engine's values are
 frozensets and tuples of integers, which cannot form reference cycles,
 so reference counting frees them all and a collection during a solve
-would only scan them; any cycle made elsewhere is collected once the
-collector runs again.
+would only scan them.  The one cyclic garbage a command makes is its
+argument parser (220 objects on Python 3.11), the same whatever the
+instance and however many steps the run takes; the collector frees it
+once it runs again.
 """
 
 from __future__ import annotations

@@ -291,26 +291,30 @@ def reduce(matrix: Matrix, u: int) -> Matrix:
 
 class StrategyShape:
     """What every strategy extension of one R4 step shares: all that
-    depends on the removed variables ``deps`` and not on a set.
+    depends on the step's variable ``v`` and the removed variables
+    ``deps`` and not on a set.
 
-    ``order`` lists the universal dependencies, then the existential
-    ones, each ascending by id.  ``owns[j]`` holds the positions, among
-    the first ``n_universal`` entries of ``order``, of the universals
-    the j-th existential dependency depends on (its own universals),
-    and ``own_bits`` is the number of strategy-table bits per matrix.
-    ``tables()`` builds the strategy table and the full assignments on
-    its first call.  ``strategy_extension`` calls it only after the
-    branch-limit check, which bounds 2^|deps|, and for a non-empty set,
-    so a step builds its shape once and passes it to every call.
+    ``v`` names the step in the branch-limit error.  ``order`` lists the
+    universal dependencies, then the existential ones, each ascending by
+    id.  ``owns[j]`` holds the positions, among the first ``n_universal``
+    entries of ``order``, of the universals the j-th existential
+    dependency depends on (its own universals), and ``own_bits`` is the
+    number of strategy-table bits per matrix.  ``tables()`` builds the
+    strategy table and the full assignments on its first call.
+    ``strategy_extension`` calls it only after the branch-limit check,
+    which bounds 2^|deps|, and for a non-empty set, so a step builds its
+    shape once and passes it to every call.
     """
 
-    __slots__ = ("deps", "poset", "n_universal", "order", "owns", "own_bits", "_tables")
+    __slots__ = ("v", "n_universal", "order", "owns", "own_bits", "_tables")
 
-    def __init__(self, deps: FrozenSet[int], prefix: Prefix, poset: DependencyPoset) -> None:
+    def __init__(
+        self, v: int, deps: FrozenSet[int], prefix: Prefix, poset: DependencyPoset
+    ) -> None:
         ordered = sorted(deps)
         universal_dep = [w for w in ordered if w in prefix.universal]
         existential_dep = [w for w in ordered if w not in prefix.universal]
-        self.deps, self.poset = deps, poset
+        self.v = v
         self.n_universal = len(universal_dep)
         self.order = universal_dep + existential_dep
         self.owns = tuple(
@@ -321,10 +325,6 @@ class StrategyShape:
         )
         self.own_bits = sum([2 ** len(own) for own in self.owns])
         self._tables = None
-
-    def top(self) -> int:
-        """v, the one variable of the set that depends on all the others."""
-        return next(x for x in self.deps if self.deps - {x} <= self.poset.strict(x))
 
     def tables(self) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[Lits, Lits], ...]]:
         """The shape's ``_strategy_table`` and, for every n, full assignment
@@ -348,11 +348,11 @@ def strategy_extension(
 ) -> Family:
     """Branch over all partial existential strategies up to v.
 
-    ``shape.deps`` is v with the live part of strict(v), the variables
-    R4 removes.  With B the universal plays on deps and A the partial
-    existential strategies on its existential part, the output contains,
-    for every tuple of per-matrix strategies, the set of all matrices
-    the tuple can produce against plays from B.  The matrices of pi must
+    ``shape`` is built from deps, v with the live part of strict(v), the
+    variables R4 removes.  With B the universal plays on deps and A the
+    partial existential strategies on its existential part, the output
+    contains, for every tuple of per-matrix strategies, the set of all
+    matrices the tuple can produce against plays from B.  The matrices of pi must
     be tautology-free (see the module docstring), else the result is
     unspecified; every output matrix is then free of tautologies and of
     all variables in deps.
@@ -377,7 +377,7 @@ def strategy_extension(
     exponent = len(pi) * shape.own_bits + shape.n_universal
     if exponent >= limits.max_strategies.bit_length():
         raise ResourceLimitError(
-            f"strategy extension up to {shape.top()} needs 2^{exponent} branches, "
+            f"strategy extension up to {shape.v} needs 2^{exponent} branches, "
             f"limit is {limits.max_strategies}"
         )
     out = {frozenset()}
@@ -469,7 +469,7 @@ def step(
         pulled, touched = store.pulls[index], store.touched_part
         if rule == "R4":
             merged = set()
-            shape = StrategyShape(removes, state.prefix, poset)
+            shape = StrategyShape(v, removes, state.prefix, poset)
             # Largest first: a set that trips the branch limit trips it
             # with the largest count, whatever the sets' hash order.
             for pi in sorted(_with_clauses(family, pulled), key=len, reverse=True):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import cached_property
-from typing import AbstractSet, Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, Set, Tuple
 
 EXISTS = "e"
 FORALL = "a"
@@ -302,21 +302,16 @@ def remove_tautologies(matrix: Matrix) -> Matrix:
     return matrix if len(kept) == len(matrix) else Matrix._of(kept)
 
 
-def restrict(
-    matrix: Matrix, true: AbstractSet[int], false: Optional[AbstractSet[int]] = None
-) -> Matrix:
-    """Apply a partial assignment, given as the set of literals it makes
-    true (a set of literals, as a clause is), to the matrix.
+def restrict(matrix: Matrix, true: AbstractSet[int], false: AbstractSet[int]) -> Matrix:
+    """Apply a partial assignment, given as the literals it makes true and
+    the literals it makes false (sets of literals, as a clause is), to
+    the matrix; ``false`` holds the negations of ``true``.
 
-    Clauses containing a true literal are removed, and the false ones,
-    the negations of ``true``, are deleted from the remaining clauses.
-    ``false`` is derived from ``true`` when not given; a caller that
-    applies one assignment many times passes both, built once.
-    Variables outside the assignment's domain are untouched; the result
-    may contain the empty clause.  Clauses that become equal merge.
+    Clauses containing a true literal are removed, and the false
+    literals are deleted from the remaining clauses.  Variables outside
+    the assignment's domain are untouched; the result may contain the
+    empty clause.  Clauses that become equal merge.
     """
-    if false is None:
-        false = frozenset(map(_neg, true))
     return Matrix._of([c.difference(false) for c in matrix if c.isdisjoint(true)])
 
 

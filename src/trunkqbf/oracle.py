@@ -61,10 +61,10 @@ def evaluate(instance: QbfInstance, budget: OracleBudget = OracleBudget()) -> bo
         if frozenset() in matrix:
             return False
         v = order[i]
-        low = rec(i + 1, restrict(matrix, {-v}))
+        low = rec(i + 1, restrict(matrix, {-v}, {v}))
         if quantifiers[i] == EXISTS:
-            return low or rec(i + 1, restrict(matrix, {v}))
-        return low and rec(i + 1, restrict(matrix, {v}))
+            return low or rec(i + 1, restrict(matrix, {v}, {-v}))
+        return low and rec(i + 1, restrict(matrix, {v}, {-v}))
 
     return rec(0, instance.matrix)
 
@@ -124,7 +124,7 @@ def evaluate_by_strategy_enumeration(
             for i, x in enumerate(existentials)
         }
         if all(
-            restrict(instance.matrix, _play(beta, strategy, left_universals)).is_empty
+            restrict(instance.matrix, *_play(beta, strategy, left_universals)).is_empty
             for beta in universal_plays
         ):
             return True
@@ -139,13 +139,15 @@ def _play(
     beta: Dict[int, int],
     strategy: Dict[int, Dict[Tuple[Tuple[int, int], ...], int]],
     left_universals: Dict[int, Tuple[int, ...]],
-) -> FrozenSet[int]:
-    """The literals made true by play beta and the strategy's answers to it."""
+) -> Tuple[FrozenSet[int], FrozenSet[int]]:
+    """The literals made true and those made false by play beta and the
+    strategy's answers to it."""
     full = dict(beta)
     for x, table in strategy.items():
         seen = _freeze({u: beta[u] for u in left_universals[x]})
         full[x] = table[seen]
-    return frozenset([v if value else -v for v, value in full.items()])
+    true = frozenset([v if value else -v for v, value in full.items()])
+    return true, frozenset([-lit for lit in true])
 
 
 def verify_poset_property2(

@@ -37,10 +37,12 @@ LIMIT_KINDS = (
 )
 
 
-def true_literals(assignment: Dict[int, int]) -> FrozenSet[int]:
-    """The literals a partial assignment makes true, as ``restrict`` takes
-    them: ``v`` where it maps v to 1, ``-v`` where it maps v to 0."""
-    return frozenset([v if value else -v for v, value in assignment.items()])
+def literal_sets(assignment: Dict[int, int]) -> Tuple[FrozenSet[int], FrozenSet[int]]:
+    """The literals a partial assignment makes true and those it makes
+    false, as ``restrict`` takes them: ``v`` is true where it maps v to 1,
+    ``-v`` where it maps v to 0."""
+    true = frozenset([v if value else -v for v, value in assignment.items()])
+    return true, frozenset([-lit for lit in true])
 
 
 def corpus(n_instances: int, max_vars: int = 8, max_clauses: int = 12) -> List[QbfInstance]:

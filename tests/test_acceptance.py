@@ -192,7 +192,7 @@ def test_criterion_4_rule_soundness_suite():
             matrices.add(extra.matrix)
         pi = frozenset(matrices)
         try:
-            shape = StrategyShape(dep_v, q.prefix, d)
+            shape = StrategyShape(v, dep_v, q.prefix, d)
             out = strategy_extension(pi, shape, EngineLimits(max_strategies=2**14))
         except ResourceLimitError:
             continue
@@ -310,7 +310,7 @@ def test_criterion_8_resource_limits_instead_of_worst_case_bound():
         poset = trivial_poset(prefix)
         strategy_extension(
             frozenset({matrix_of((1, 4), (2, 5), (3, 6), (7,))}),
-            StrategyShape(poset.dep(7), prefix, poset),
+            StrategyShape(7, poset.dep(7), prefix, poset),
             EngineLimits(max_strategies=64),
         )
     result = run_derivation(q, td, d)

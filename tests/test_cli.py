@@ -216,6 +216,25 @@ class TestCollectorPause:
         assert "limit" in capsys.readouterr().err
         assert during == [False, False]
 
+    def test_the_cyclic_garbage_of_a_solve_does_not_grow_with_the_run(self, tmp_path):
+        # The engine's values cannot form cycles, so what the paused
+        # collector leaves behind (the argument parser) is the same for
+        # a run of 5 steps and one of 65.
+        left = []
+        before = gc.isenabled()
+        gc.disable()
+        try:
+            for n in (2, 32):
+                prefix = str(tmp_path / f"q{n}")
+                assert main(["gen", "qparity", str(n), prefix]) == 0
+                argv = ["solve", f"{prefix}.qdimacs", "--td", f"{prefix}.btd", "--trivial-poset"]
+                gc.collect()
+                assert main(argv) == 20
+                left.append(gc.collect())
+        finally:
+            (gc.enable if before else gc.disable)()
+        assert left[0] == left[1]
+
 
 class TestValidate:
     def test_ok_pair(self, qparity2_files):

@@ -44,7 +44,7 @@ from _util import (
     reference_plan,
     shuffled_path_cases,
     sub_poset_cases,
-    true_literals,
+    literal_sets,
 )
 
 
@@ -151,21 +151,21 @@ class TestReduce:
 class TestStrategyExtension:
     def test_constant_strategies_for_independent_existential(self, qp2_setup):
         q, _, d = qp2_setup
-        out = strategy_extension(frozenset({q.matrix}), StrategyShape(d.dep(1), q.prefix, d))
+        out = strategy_extension(frozenset({q.matrix}), StrategyShape(1, d.dep(1), q.prefix, d))
         assert out == family({PSI_X1_0}, {PSI_X1_1})
 
     def test_qparity2_x2_outputs_deduplicate(self, qp2_setup):
         q, _, d = qp2_setup
         deps = d.dep(2) - {1, 4}
-        out1 = strategy_extension(frozenset({RES_X1_0}), StrategyShape(deps, q.prefix, d))
-        out2 = strategy_extension(frozenset({RES_X1_1}), StrategyShape(deps, q.prefix, d))
+        out1 = strategy_extension(frozenset({RES_X1_0}), StrategyShape(2, deps, q.prefix, d))
+        out2 = strategy_extension(frozenset({RES_X1_1}), StrategyShape(2, deps, q.prefix, d))
         merged = out1 | out2
         assert merged == family({PSI_Z2_NEG}, {PSI_Z2_POS})
         assert {m for pi in merged for m in pi} == {PSI_Z2_NEG, PSI_Z2_POS}
 
     def test_empty_matrix_passes_through(self, qp2_setup):
         q, _, d = qp2_setup
-        out = strategy_extension(frozenset({Matrix(())}), StrategyShape(d.dep(1), q.prefix, d))
+        out = strategy_extension(frozenset({Matrix(())}), StrategyShape(1, d.dep(1), q.prefix, d))
         assert out == family({Matrix(())})
 
     def test_universal_plays_enter_the_sets(self):
@@ -175,7 +175,7 @@ class TestStrategyExtension:
         prefix = Prefix((("e", (1,)), ("a", (2,))))
         d = trivial_poset(prefix)
         m = matrix_of((1, 2), (-1, -2))
-        out = strategy_extension(frozenset({m}), StrategyShape(d.dep(2), prefix, d))
+        out = strategy_extension(frozenset({m}), StrategyShape(2, d.dep(2), prefix, d))
         assert out == family({matrix_of(()), Matrix(())})
 
     def test_strategy_budget_is_enforced(self):
@@ -184,7 +184,9 @@ class TestStrategyExtension:
         m = matrix_of((1, 4), (2, 5), (3, 6), (7,))
         with pytest.raises(ResourceLimitError):
             strategy_extension(
-                frozenset({m}), StrategyShape(d.dep(7), prefix, d), EngineLimits(max_strategies=64)
+                frozenset({m}),
+                StrategyShape(7, d.dep(7), prefix, d),
+                EngineLimits(max_strategies=64),
             )
 
     def test_a_step_over_40_dependencies_trips_the_branch_limit_at_once(self, monkeypatch):
@@ -215,7 +217,7 @@ class TestStrategyExtension:
             per_matrix = [
                 [
                     frozenset(
-                        restrict(m, true_literals({1: a, 2: b, 5: c, 3: f3[a], 4: f4[b]}))
+                        restrict(m, *literal_sets({1: a, 2: b, 5: c, 3: f3[a], 4: f4[b]}))
                         for a, b, c in itertools.product((0, 1), repeat=3)
                     )
                     for f3 in functions
@@ -237,7 +239,8 @@ class TestStrategyExtension:
                     for _ in range(rng.randint(2, 6))
                 ]
                 pi.add(matrix_of(*clauses))
-            assert strategy_extension(frozenset(pi), StrategyShape(d.dep(5), prefix, d)) == reference(pi)
+            shape = StrategyShape(5, d.dep(5), prefix, d)
+            assert strategy_extension(frozenset(pi), shape) == reference(pi)
 
 
 def reference_table(n_universal, owns):
@@ -299,10 +302,10 @@ class TestStrategyTable:
                     # universal_dep holds v as well as the n_universal others.
                     cached = n_universal + 1 + sum(2 ** len(own) for own in owns) <= 12
                     cache.cache_clear()
-                    cold = strategy_extension(pi, StrategyShape(d.dep(v), prefix, d))
+                    cold = strategy_extension(pi, StrategyShape(v, d.dep(v), prefix, d))
                     assert cache.cache_info().currsize == int(cached)
                     hits = cache.cache_info().hits
-                    warm = strategy_extension(pi, StrategyShape(d.dep(v), prefix, d))
+                    warm = strategy_extension(pi, StrategyShape(v, d.dep(v), prefix, d))
                     assert cache.cache_info().hits == hits + int(cached)
                     assert cold == warm
 
@@ -316,7 +319,7 @@ class TestStrategyTable:
         tracemalloc.start()
         try:
             for pi, v, prefix, d in instances:
-                strategy_extension(pi, StrategyShape(d.dep(v), prefix, d))
+                strategy_extension(pi, StrategyShape(v, d.dep(v), prefix, d))
             kept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -18,7 +18,7 @@ from trunkqbf import (
     restrict,
 )
 
-from _util import edge_set, true_literals
+from _util import edge_set, literal_sets
 
 
 def literals():
@@ -106,10 +106,10 @@ class TestTautologies:
 class TestRestrict:
     def test_satisfied_clause_removed_falsified_literal_deleted(self):
         m = matrix_of((1,), (-1, 2))
-        assert restrict(m, {1}) == matrix_of((2,))
+        assert restrict(m, {1}, {-1}) == matrix_of((2,))
 
     def test_falsified_unit_leaves_empty_clause(self):
-        assert restrict(matrix_of((1,)), {-1}) == matrix_of(())
+        assert restrict(matrix_of((1,)), {-1}, {1}) == matrix_of(())
 
     def test_qparity2_branch(self):
         # Setting x1 = 0 keeps the unit (-z1) plus the u/z2 equality and
@@ -124,18 +124,19 @@ class TestRestrict:
             (5, 2, -4),
             (-5, -2, -4),
         )
-        assert restrict(m, {-1}) == expected
+        assert restrict(m, {-1}, {1}) == expected
 
     @given(matrices(), st.dictionaries(st.integers(1, 3), st.integers(0, 1)),
            st.dictionaries(st.integers(4, 6), st.integers(0, 1)))
     def test_composition_on_disjoint_domains(self, m, a, b):
-        a, b = true_literals(a), true_literals(b)
-        assert restrict(restrict(m, a), b) == restrict(m, a | b)
+        (a_true, a_false), (b_true, b_false) = literal_sets(a), literal_sets(b)
+        both = restrict(m, a_true | b_true, a_false | b_false)
+        assert restrict(restrict(m, a_true, a_false), b_true, b_false) == both
 
     @given(matrices(), st.dictionaries(st.integers(1, 6), st.integers(0, 1)))
     def test_never_creates_tautologies(self, m, a):
-        clean, a = remove_tautologies(m), true_literals(a)
-        assert remove_tautologies(restrict(clean, a)) == restrict(clean, a)
+        clean, a = remove_tautologies(m), literal_sets(a)
+        assert remove_tautologies(restrict(clean, *a)) == restrict(clean, *a)
 
 
 class TestGroundTruth:

@@ -19,7 +19,7 @@ from trunkqbf import (
     verify_poset_property2,
 )
 
-from _util import true_literals
+from _util import literal_sets
 
 
 class TestEvaluate:
@@ -47,7 +47,7 @@ class TestEvaluate:
             q = QbfInstance(Prefix((("e", tuple(sorted(q.prefix.variables))),)), q.matrix)
             variables = sorted(q.prefix.variables)
             sat = any(
-                restrict(q.matrix, true_literals(dict(zip(variables, bits)))).is_empty
+                restrict(q.matrix, *literal_sets(dict(zip(variables, bits)))).is_empty
                 for bits in itertools.product((0, 1), repeat=len(variables))
             )
             assert evaluate(q) == sat

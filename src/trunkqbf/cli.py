@@ -2,10 +2,14 @@
 
 Verdict commands follow the SAT-solver convention: ``s cnf 1`` and exit
 code 10 when the instance is true, ``s cnf 0`` and exit code 20 when it
-is false.  Parse, validation and resource errors exit 1 with the
-diagnostic on standard error, running out of memory included.  Standard
-output carries only the verdict line plus, behind ``--stats``,
-``c``-prefixed statistics lines.
+is false.  Standard output carries only the verdict line plus, behind
+``--stats``, ``c``-prefixed statistics lines.
+
+``main`` is the one place that reports errors: the commands raise, and
+it prints an ``OSError``, ``ValueError``, ``DerivationError`` or
+``MemoryError`` as the one line ``error: <message>`` on standard error
+and exits 1.  A limit abort of ``solve --trace`` still writes the steps
+done before it; if that write fails too, the line names both failures.
 
 ``main`` pauses the cyclic garbage collector while a command runs and
 restores its previous state afterwards.  The engine's values are
@@ -43,27 +47,11 @@ from .formats import (
     write_qdimacs,
     write_trace,
 )
-from .formulas import QbfInstance
 from .posets import trivial_poset
 
 EXIT_TRUE = 10
 EXIT_FALSE = 20
 EXIT_ERROR = 1
-
-
-def _fail(message: str) -> int:
-    print(message, file=sys.stderr)
-    return EXIT_ERROR
-
-
-def _write_trace(events, path: str) -> bool:
-    """Write the trace file; on failure report it and return False."""
-    try:
-        write_trace(events, path)
-    except OSError as exc:
-        _fail(f"error: cannot write trace: {exc}")
-        return False
-    return True
 
 
 def _read(path: str) -> str:
@@ -76,13 +64,19 @@ def _write(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _load_instance(path: str) -> QbfInstance:
-    return parse_qdimacs(_read(path))
+def _write_trace(path: str, events, prior: str) -> None:
+    """Write the trace file.  A failure raises an OSError whose message is
+    ``prior``, the error that ended the run and its separator or "", then
+    ``cannot write trace: ...``."""
+    try:
+        _write(path, write_trace(events))
+    except OSError as exc:
+        raise OSError(f"{prior}cannot write trace: {exc}") from exc
 
 
 def _load_inputs(args):
     """The instance, decomposition and poset that ``args`` names."""
-    instance = _load_instance(args.instance)
+    instance = parse_qdimacs(_read(args.instance))
     td = parse_btd(_read(args.td))
     if args.trivial_poset:
         poset = trivial_poset(instance.prefix)
@@ -92,23 +86,22 @@ def _load_inputs(args):
 
 
 def cmd_solve(args) -> int:
+    instance, td, poset = _load_inputs(args)
+    limits = EngineLimits(
+        max_family_size=args.max_family_size,
+        max_set_size=args.max_set_size,
+        max_strategies=args.max_strategies,
+    )
     try:
-        instance, td, poset = _load_inputs(args)
-        limits = EngineLimits(
-            max_family_size=args.max_family_size,
-            max_set_size=args.max_set_size,
-            max_strategies=args.max_strategies,
-        )
         result = run_derivation(instance, td, poset, limits, checks=args.checks)
     except ResourceLimitError as exc:
-        # The steps before the limit tripped still go to the trace file.
+        # The steps before the limit tripped still go to the trace file;
+        # if that write fails, its error names the abort too.
         if args.trace:
-            _write_trace(exc.trace, args.trace)
-        return _fail(f"error: {exc}")
-    except (OSError, DerivationError, ValueError) as exc:
-        return _fail(f"error: {exc}")
-    if args.trace and not _write_trace(result.trace, args.trace):
-        return EXIT_ERROR
+            _write_trace(args.trace, exc.trace, f"{exc}; ")
+        raise
+    if args.trace:
+        _write_trace(args.trace, result.trace, "")
     if args.stats:
         peak_family = max((e.family_after for e in result.trace), default=1)
         peak_set = max((e.max_set_size for e in result.trace), default=1)
@@ -122,11 +115,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        instance, td, poset = _load_inputs(args)
-        _, _, branching = validate_input(instance, td, poset)
-    except (OSError, DerivationError, ValueError) as exc:
-        return _fail(f"error: {exc}")
+    instance, td, poset = _load_inputs(args)
+    _, _, branching = validate_input(instance, td, poset)
     if args.stats:
         print(f"c width {width(td)}")
         print(f"c nodes {len(td.nodes)}")
@@ -137,16 +127,11 @@ def cmd_validate(args) -> int:
 def cmd_oracle(args) -> int:
     # Imported here, not at the top, so that ``import trunkqbf.cli`` and
     # ``solve`` do not load the oracle; likewise the generators in ``gen``.
-    from .oracle import BudgetExceededError, OracleBudget, evaluate
+    from .oracle import OracleBudget, evaluate
 
-    try:
-        instance = _load_instance(args.instance)
-        budget = OracleBudget() if args.budget is None else OracleBudget(args.budget)
-        verdict = evaluate(instance, budget)
-    except (OSError, BudgetExceededError, ValueError) as exc:
-        return _fail(f"error: {exc}")
-    except RecursionError:
-        return _fail("error: the prefix is too deep for the oracle's recursion")
+    instance = parse_qdimacs(_read(args.instance))
+    budget = OracleBudget() if args.budget is None else OracleBudget(args.budget)
+    verdict = evaluate(instance, budget)
     print(f"s cnf {1 if verdict else 0}")
     return EXIT_TRUE if verdict else EXIT_FALSE
 
@@ -155,17 +140,10 @@ def cmd_gen(args) -> int:
     from .generators import qparity, qparity_td
 
     if args.family != "qparity":
-        return _fail(f"error: unknown family {args.family!r}")
-    try:
-        instance = qparity(args.n)
-        td = qparity_td(args.n)
-    except ValueError as exc:
-        return _fail(f"error: {exc}")
-    try:
-        _write(f"{args.out_prefix}.qdimacs", write_qdimacs(instance))
-        _write(f"{args.out_prefix}.btd", write_btd(td))
-    except OSError as exc:
-        return _fail(f"error: {exc}")
+        raise ValueError(f"unknown family {args.family!r}")
+    instance, td = qparity(args.n), qparity_td(args.n)
+    _write(f"{args.out_prefix}.qdimacs", write_qdimacs(instance))
+    _write(f"{args.out_prefix}.btd", write_btd(td))
     return 0
 
 
@@ -233,11 +211,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     gc.disable()
     try:
         return args.func(args)
+    except (OSError, ValueError, DerivationError) as exc:
+        message = str(exc)
     except MemoryError:
-        return _fail("error: out of memory")
+        message = "out of memory"
     finally:
         if enabled:
             gc.enable()
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 def console_main() -> None:

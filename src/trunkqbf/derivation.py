@@ -529,7 +529,7 @@ def validate_input(
 ) -> Tuple[QbfInstance, Tuple[int, ...], FrozenSet[int]]:
     """The instance with its tautologies removed, the decomposition's
     elimination ordering and the variables that fail P1, on which the
-    plan fires R4, once the poset is over the instance's variables and the
+    plan fires R4, once the poset is one for the instance's prefix and the
     decomposition is nice and trunk-aligned for that instance; a failure
     raises ``ValidationError``; an instance without tautologies is kept."""
     variables = instance.prefix.variables
@@ -538,6 +538,23 @@ def validate_input(
             f"poset is over variables {sorted(poset.universe)}, "
             f"the instance over {sorted(variables)}"
         )
+    # A poset built for another prefix over the same variables may order a
+    # variable after one of a later block.  Each stored set is tested once,
+    # at the first block that uses it, whose earlier blocks are the fewest.
+    earlier: FrozenSet[int] = frozenset()
+    tested: Set[int] = set()
+    for _, block in instance.prefix.blocks:
+        for v in block:
+            preceding = poset.strict(v)
+            if id(preceding) not in tested:
+                tested.add(id(preceding))
+                if not preceding <= earlier:
+                    u = min(preceding - earlier)
+                    raise ValidationError(
+                        f"poset pair ({u}, {v}) is not prefix-consistent: "
+                        f"{u} is not quantified strictly left of {v}"
+                    )
+        earlier = earlier.union(block)
     matrix = remove_tautologies(instance.matrix)
     # Removing clauses leaves every variable quantified.
     cleaned = instance if matrix is instance.matrix else QbfInstance._of(instance.prefix, matrix)

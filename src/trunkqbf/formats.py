@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from itertools import chain
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, TextIO, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .decomposition import DecompositionError, TrunkTreeDecomposition, _check_edges
 from .formulas import EXISTS, FORALL, Matrix, Prefix, QbfInstance
@@ -315,16 +315,9 @@ def write_poset(poset: DependencyPoset) -> str:
 _TRACE_KEYS = ("step", "variable", "rule", "family_before", "family_after", "max_set", "micros")
 
 
-def write_trace(events: Iterable, sink: Union[str, TextIO]) -> None:
-    """Write one JSON record per trace event, in step order."""
+def write_trace(events: Iterable) -> str:
+    """One JSON record per trace event, in step order, LF endings."""
     # Only traced runs write JSON, so only they import the encoder.
     import json
 
-    own = isinstance(sink, (str, bytes))
-    handle: TextIO = open(sink, "w", encoding="utf-8") if own else sink  # type: ignore[arg-type]
-    try:
-        for event in events:
-            handle.write(json.dumps(dict(zip(_TRACE_KEYS, event))) + "\n")
-    finally:
-        if own:
-            handle.close()
+    return "".join([json.dumps(dict(zip(_TRACE_KEYS, event))) + "\n" for event in events])

@@ -1,6 +1,7 @@
 """Ground-truth brute-force QBF evaluation.
 
-``evaluate`` plays the two-player game by recursion over the prefix;
+``evaluate`` plays the two-player game by recursion over the prefix
+(a prefix deeper than Python's recursion limit exceeds its budget);
 ``evaluate_by_strategy_enumeration`` is an independent cross-check that
 enumerates whole existential strategy tables and is only meant for very
 small instances.  Both explore value 0 before value 1 so runs are
@@ -26,8 +27,9 @@ from .formulas import (
 from .posets import DependencyPoset
 
 
-class BudgetExceededError(Exception):
-    pass
+class BudgetExceededError(ValueError):
+    """The input is too large for the oracle: a rejected input, like a
+    parse error."""
 
 
 class OracleBudget(Frozen):
@@ -66,7 +68,10 @@ def evaluate(instance: QbfInstance, budget: OracleBudget = OracleBudget()) -> bo
             return low or rec(i + 1, restrict(matrix, {v}, {-v}))
         return low and rec(i + 1, restrict(matrix, {v}, {-v}))
 
-    return rec(0, instance.matrix)
+    try:
+        return rec(0, instance.matrix)
+    except RecursionError:
+        raise BudgetExceededError("the prefix is too deep for the oracle's recursion") from None
 
 
 def equisatisfiable(

@@ -5,7 +5,8 @@ that is consistent with the quantifier prefix: ``u`` may precede ``v``
 only if ``u == v`` or ``u`` is quantified in a strictly earlier block.
 Its two builders, ``trivial_poset`` and ``poset_from_pairs``, produce
 only such relations, so every ``DependencyPoset`` is a poset for the
-prefix it was built from and is never checked after the fact.
+prefix it was built from; ``validate_input`` checks only that this is
+the instance's prefix, or one that orders no pair otherwise.
 
 The poset stores, for each variable ``v``, the set ``strict(v)`` of the
 variables other than ``v`` that precede it; ``dep(v)`` adds ``v``

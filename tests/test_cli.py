@@ -181,6 +181,110 @@ class TestSolve:
         assert code == 1
 
 
+def _exhaust_memory(monkeypatch):
+    def exhausted(n):
+        raise MemoryError
+
+    monkeypatch.setattr(generators, "qparity", exhausted)
+
+
+# Per command and failure: the argument tokens and a fragment of the one
+# error line, both with {name} standing for a path of the ``error_inputs``
+# fixture, and what to patch first, if anything.
+ERRORS = {
+    "solve missing file": ("solve {missing} --td {td} --trivial-poset", "No such file", None),
+    "validate missing file": ("validate {qd} --td {missing} --trivial-poset", "No such file", None),
+    "oracle missing file": ("oracle {missing}", "No such file", None),
+    "gen missing directory": ("gen qparity 2 {missing}/q", "No such file", None),
+    "solve parse error": ("solve {bad} --td {td} --trivial-poset", "line 3: expected", None),
+    "validate parse error": ("validate {qd} --td {qd} --trivial-poset", "line 1: content", None),
+    "oracle parse error": ("oracle {bad}", "line 3: expected an integer literal", None),
+    "solve poset parse error": (
+        "solve {qd} --td {td} --poset {qd}",
+        "line 1: malformed header",
+        None,
+    ),
+    "solve validation error": ("solve {unit} --td {t3} --trivial-poset", "T3", None),
+    "validate validation error": ("validate {unit} --td {t3} --trivial-poset", "T3", None),
+    "solve limit abort": (
+        "solve {qd} --td {td} --trivial-poset --max-family-size 1",
+        "sets, limit is 1",
+        None,
+    ),
+    "solve limit abort, unwritable trace": (
+        "solve {qd} --td {td} --trivial-poset --max-strategies 1 --trace {dir}",
+        "error: step 1, variable 1: strategy extension up to 1 needs 2^1 branches, "
+        "limit is 1; cannot write trace: [Errno 21] Is a directory: '{dir}'\n",
+        None,
+    ),
+    "solve unwritable trace": (
+        "solve {qd} --td {td} --trivial-poset --trace {dir}",
+        "error: cannot write trace: [Errno 21] Is a directory: '{dir}'\n",
+        None,
+    ),
+    "solve non-positive family limit": (
+        "solve {qd} --td {td} --trivial-poset --max-family-size 0",
+        "limits must be positive",
+        None,
+    ),
+    "solve non-positive set limit": (
+        "solve {qd} --td {td} --trivial-poset --max-set-size -1",
+        "limits must be positive",
+        None,
+    ),
+    "solve non-positive branch limit": (
+        "solve {qd} --td {td} --trivial-poset --max-strategies 0",
+        "limits must be positive",
+        None,
+    ),
+    "oracle non-positive budget": ("oracle {qd} --budget 0", "budget must be positive", None),
+    "oracle budget exceeded": ("oracle {qd} --budget 4", "5 variables, budget allows 4", None),
+    "oracle prefix too deep": (
+        "oracle {deep} --budget 2000",
+        "error: the prefix is too deep for the oracle's recursion",
+        None,
+    ),
+    "gen unknown family": ("gen mystery 3 {out}", "error: unknown family 'mystery'", None),
+    "gen n below two": ("gen qparity 1 {out}", "error: qparity requires n >= 2, got 1", None),
+    "gen out of memory": (
+        "gen qparity 100000000000 {out}",
+        "error: out of memory",
+        _exhaust_memory,
+    ),
+}
+
+
+@pytest.fixture
+def error_inputs(tmp_path, qparity2_files):
+    qd, td = qparity2_files
+    unit, _ = write_unit_sat(tmp_path)
+    bad, t3, deep = tmp_path / "bad.qdimacs", tmp_path / "t3.btd", tmp_path / "deep.qdimacs"
+    bad.write_text("p cnf 1 1\ne 1 0\n1 x 0\n")
+    t3.write_text("s btd 2 1 1\nb 1\nb 2 1\ne 2 1\nr 2\nt 1 2\n")
+    deep.write_text("p cnf 1500 1\ne " + " ".join(map(str, range(1, 1501))) + " 0\n1500 0\n")
+    return {
+        "qd": qd, "td": td, "unit": unit, "bad": str(bad), "t3": str(t3), "deep": str(deep),
+        "missing": str(tmp_path / "missing"), "dir": str(tmp_path), "out": str(tmp_path / "x"),
+    }
+
+
+class TestOneErrorLine:
+    """Every failure of every command is one ``error: ...`` line on
+    standard error, nothing on standard output, and exit code 1."""
+
+    @pytest.mark.parametrize("case", ERRORS)
+    def test_a_failure_is_one_line(self, case, error_inputs, monkeypatch, capsys):
+        argv, fragment, patch = ERRORS[case]
+        if patch:
+            patch(monkeypatch)
+        capsys.readouterr()
+        assert main([token.format(**error_inputs) for token in argv.split()]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert fragment.format(**error_inputs) in err
+
+
 class TestCollectorPause:
     """``main`` pauses the cyclic collector while a command runs and then
     leaves it as it found it, whatever the command's outcome."""

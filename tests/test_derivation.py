@@ -206,6 +206,21 @@ class TestStrategyExtension:
         with pytest.raises(ResourceLimitError, match=r"up to 40 needs 2\^\d+ branches"):
             step(state, d, EngineLimits(max_strategies=64))
 
+    def test_an_empty_set_builds_no_tables(self, monkeypatch):
+        # exists 1..40 forall 41: one universal, but 40 table bits per
+        # matrix.  With no matrix the branch count is 2^1, so only the
+        # early return keeps tables() from listing 2^41 assignments.
+        prefix = Prefix((("e", tuple(range(1, 41))), ("a", (41,))))
+        shape = StrategyShape(41, frozenset(range(1, 42)), prefix, trivial_poset(prefix))
+        assert (shape.n_universal, shape.own_bits) == (1, 40)
+
+        def unreachable(shape):
+            raise AssertionError("tables built for an empty set")
+
+        monkeypatch.setattr(derivation.StrategyShape, "tables", unreachable)
+        out = strategy_extension(frozenset(), shape, EngineLimits(max_strategies=64))
+        assert out == frozenset({frozenset()})
+
     def test_tables_read_each_existentials_own_universals(self):
         # forall 1 2 exists 3 4 forall 5 where 3 sees only 1 and 4 only 2:
         # a table entry read from the wrong universal changes the output.
@@ -473,6 +488,20 @@ class TestRunDerivation:
                 run_derivation(q, qparity_td(2), trivial_poset(other))
             assert f"the instance over {sorted(q.prefix.variables)}" in str(info.value)
             assert str(sorted(other.variables)) in str(info.value)
+
+    def test_poset_for_another_prefix_is_rejected(self):
+        # forall 1 exists 2 (1 | 2)(-1 | -2) is true; posets for exists 2
+        # forall 1 let 2 depend on 1 and made the run answer false.
+        q = QbfInstance(Prefix([("a", [1]), ("e", [2])]), matrix_of((1, 2), (-1, -2)))
+        assert evaluate(q)
+        other = Prefix([("e", [2]), ("a", [1])])
+        message = r"poset pair \(2, 1\) is not prefix-consistent: 2 is not quantified strictly"
+        for poset in (poset_from_pairs(other, [(2, 1)]), trivial_poset(other)):
+            with pytest.raises(ValidationError, match=message):
+                run_derivation(q, single_bag_td(q), poset)
+            with pytest.raises(ValidationError, match=message):
+                validate_input(q, single_bag_td(q), poset)
+        assert run_derivation(q, single_bag_td(q), trivial_poset(q.prefix)).verdict
 
     def test_family_limit_aborts(self, qp2_setup):
         q, td, d = qp2_setup

@@ -1,4 +1,3 @@
-import io
 import json
 import random
 
@@ -20,6 +19,7 @@ from trunkqbf import (
     qparity,
     qparity_td,
     random_instance,
+    run_derivation,
     single_bag_td,
     trivial_poset,
     write_btd,
@@ -27,6 +27,7 @@ from trunkqbf import (
     write_qdimacs,
     write_trace,
 )
+from trunkqbf.cli import main
 
 
 class TestQdimacsParsing:
@@ -209,6 +210,37 @@ class TestBtd:
             parse_btd(f"s btd 3 0 0\nb 1\nb 2\nb 3\n{rest}\n")
         assert info.value.line == line
         assert str(info.value) == f"line {line}: {message}"
+
+
+# "s btd 1 0 0\nb 1\nr 1\nt 1" is a valid one-node decomposition; each
+# text below breaks one line of it or of a QDIMACS instance.
+@pytest.mark.parametrize(
+    "parse,text,message",
+    [
+        (
+            parse_qdimacs,
+            "p cnf 2 1\n1 2 0\ne 1 0",
+            "line 3: quantifier line after the first clause",
+        ),
+        (parse_qdimacs, "p cnf 2 1\ne 0\n1 2 0", "line 2: empty quantifier line"),
+        (parse_btd, "s btd 1 0 0\nb\nr 1\nt 1", "line 2: bag line needs a node id"),
+        (
+            parse_btd,
+            "s btd 1 0 0\nb 1\ne 1\nr 1\nt 1",
+            "line 3: edge line must be 'e <parent> <child>'",
+        ),
+        (parse_btd, "s btd 1 0 0\nb 1\nr 1\nr 1\nt 1", "line 4: duplicate root line"),
+        (parse_btd, "s btd 1 0 0\nb 1\nr 1 2\nt 1", "line 3: root line must be 'r <node>'"),
+        (parse_btd, "s btd 1 0 0\nb 1\nr 1\nt 1\nt 1", "line 5: duplicate trunk line"),
+        (parse_btd, "s btd 1 0 0\nb 1\nr 1\nt", "line 4: empty trunk line"),
+        (parse_btd, "s btd 1 0 0\nb 1\nt 1", "line 1: missing root line"),
+        (parse_btd, "s btd 1 0 0\nb 1\nr 1", "line 1: missing trunk line"),
+    ],
+)
+def test_line_diagnostics(parse, text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
 
 
 class TestPosetFiles:
@@ -516,17 +548,26 @@ class TestTrace:
             TraceEvent(1, 4, "R2", 2, 2, 1, 17),
             TraceEvent(2, 3, "R3", 2, 1, 1, 9),
         ]
-        sink = io.StringIO()
-        write_trace(events, sink)
-        lines = sink.getvalue().splitlines()
+        text = write_trace(events)
+        lines = text.splitlines()
         assert len(lines) == 2
         first = json.loads(lines[0])
         assert first == {
             "step": 1, "variable": 4, "rule": "R2",
             "family_before": 2, "family_after": 2, "max_set": 1, "micros": 17,
         }
+        assert text.endswith('"max_set": 1, "micros": 9}\n')
+        assert write_trace([]) == ""
 
     def test_writes_to_path(self, tmp_path):
+        # The command line writes the text to the --trace file as it is.
+        prefix = str(tmp_path / "q")
+        assert main(["gen", "qparity", "2", prefix]) == 0
         path = tmp_path / "trace.jsonl"
-        write_trace([TraceEvent(1, 1, "R1", 1, 1, 1, 0)], str(path))
-        assert json.loads(path.read_text().splitlines()[0])["rule"] == "R1"
+        argv = ["solve", f"{prefix}.qdimacs", "--td", f"{prefix}.btd", "--trivial-poset"]
+        assert main(argv + ["--trace", str(path)]) == 20
+        text = path.read_text()
+        assert json.loads(text.splitlines()[0])["rule"] == "R4"
+        events = run_derivation(qparity(2), qparity_td(2), trivial_poset(qparity(2).prefix)).trace
+        micros = [json.loads(line)["micros"] for line in text.splitlines()]
+        assert text == write_trace([e._replace(micros=m) for e, m in zip(events, micros)])

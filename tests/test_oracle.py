@@ -3,6 +3,7 @@ import pytest
 from trunkqbf import (
     BudgetExceededError,
     Matrix,
+    OracleBudget,
     Prefix,
     QbfInstance,
     equisatisfiable,
@@ -38,6 +39,13 @@ class TestEvaluate:
         q = QbfInstance(Prefix((("e", tuple(range(1, 31))),)), Matrix(()))
         with pytest.raises(BudgetExceededError):
             evaluate(q)
+
+    def test_a_prefix_deeper_than_the_recursion_limit_exceeds_the_budget(self):
+        # A rejected input, as a parse error is: both are ValueErrors.
+        q = QbfInstance(Prefix((("e", tuple(range(1, 1501))),)), matrix_of((1500,)))
+        with pytest.raises(ValueError, match="too deep for the oracle's recursion") as info:
+            evaluate(q, OracleBudget(2000))
+        assert isinstance(info.value, BudgetExceededError)
 
     def test_fully_existential_matches_plain_sat(self):
         import itertools

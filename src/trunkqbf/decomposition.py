@@ -403,7 +403,7 @@ def validate_trunk_aligned(
                 below |= subtree_vars(td, child)
         u = forgotten.get(node)
         # ``poset.strict`` raises on a variable outside the instance.
-        if u is not None and u in below and u in variables:
+        if u is not None and u in variables:
             preceding = poset.strict(u)
             rest = outside.get(preceding)
             if rest is None:

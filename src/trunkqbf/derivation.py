@@ -28,13 +28,16 @@ removed w only if w is in strict(v'); then v is in strict(v') by
 transitivity, and that step would have removed v too.  So w is still
 live, and the live test equals P1.
 
-The run is planned once: a step's rule and the variables it removes
-depend on the ordering, the poset and the prefix only.  ``initial_state``
-walks the ordering once with a mutable live set and records per step the
-variable, the rule and the removed variables: none for R1, {v} for R2
-and R3, and v with its live strict dependencies for R4.  A state is the
-input prefix, read only for quantifiers, the family, the step index and
-the store, which holds the plan.
+The run is planned once: a step's rule, the variables it removes and,
+for R4, its strategy shape depend on the ordering, the poset and the
+prefix only.  ``initial_state`` walks the ordering once with a mutable
+live set and records per step the variable, the rule, the removed
+variables (none for R1, {v} for R2 and R3, and v with its live strict
+dependencies for R4) and the ``StrategyShape`` of an R4 step.  A state is
+the family, the step index and the store, which holds the plan; a step
+reads its plan entry, its bucket of the store and the limits, never the
+poset or the prefix.  Every variable is removed by exactly one step, so
+the live variables are those the steps not yet done remove.
 
 Families are sets of sets of matrices; both levels deduplicate eagerly
 after every rule application.  A clause is the frozenset of its
@@ -45,9 +48,9 @@ differences, and a clause is tautological when it meets its own
 negation.  A matrix is the frozenset of its clauses, built by the
 kernels with ``Matrix._of``, so both levels of a family deduplicate by
 C-level set hashing.  No ``Clause`` is constructed and no literal is
-sorted during a run.  What R4's strategy extensions share, the
-``StrategyShape`` of the removed variables, is built once per step, and
-a small strategy table once per shape; R2 tests resolvents for
+sorted during a run.  What R4's strategy extensions share, the strategy
+table and the full assignments of the step's shape, is built once per
+step, and a small table once per shape; R2 tests resolvents for
 tautologies with one clash set per negative clause.
 
 A matrix is stored in two parts.  Its *untouched* part is every input
@@ -60,12 +63,13 @@ derived, and ``state.whole_family()`` gives the whole matrices.  A rule
 acts on touched parts only, with its step's bucket pulled in, since no
 other clause mentions a variable it assigns or removes; any clause of a
 later bucket is dropped again.  R2 and R3 pull, apply the kernel and
-drop in one pass per matrix; R4 pulls into every matrix, builds its
-strategy shape, with the table and the assignments, once per step, and
-drops afterwards.  The untouched part is shared and disjoint from the
-touched one, so deduplicating touched parts gives the same families,
-sizes and strategy counts as deduplicating whole matrices, while the
-work per step is set by the forget bag and not by the formula.
+drop in one pass per matrix; R4 checks the branch limit once, for its
+largest set, pulls into every matrix, builds its shape's table and
+assignments once and drops afterwards.  The untouched part is shared
+and disjoint from the touched one, so deduplicating touched parts gives
+the same families, sizes and strategy counts as deduplicating whole
+matrices, while the work per step is set by the forget bag and not by
+the formula.
 
 ``validate_input`` is the one path from an instance to the engine's
 input, for ``run_derivation`` and the ``validate`` command alike; it
@@ -82,7 +86,7 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from typing import Dict, FrozenSet, List, NamedTuple, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from .decomposition import (
     TrunkTreeDecomposition,
@@ -110,8 +114,9 @@ MatrixSet = FrozenSet[Matrix]
 Family = FrozenSet[MatrixSet]
 # A clause inside the engine: the frozenset of its literals.
 Lits = FrozenSet[int]
-# A step of a run's plan: its variable, its rule and the variables it removes.
-PlanEntry = Tuple[int, str, FrozenSet[int]]
+# A step of a run's plan: its variable, its rule, the variables it removes
+# and, for R4 only, its strategy shape.
+PlanEntry = Tuple[int, str, FrozenSet[int], Optional["StrategyShape"]]
 
 
 class DerivationError(Exception):
@@ -190,7 +195,7 @@ class UntouchedStore(Frozen):
         # variable no step removes.  ``min`` gets no ``default``, which
         # costs more than the empty-clause test.
         first = {
-            lit: i for i, (_, _, removes) in enumerate(plan) for x in removes for lit in (x, -x)
+            lit: i for i, (_, _, removes, _) in enumerate(plan) for x in removes for lit in (x, -x)
         }
         get, never = first.get, itertools.repeat(end)
         pulled_at = {c: min(map(get, c, never)) if c else end for c in clauses}
@@ -213,21 +218,20 @@ class UntouchedStore(Frozen):
 
 
 class DerivationState(NamedTuple):
-    """A family of matrices after ``step_index`` steps of the run's plan;
-    ``prefix`` is the input prefix, read only for quantifiers.  Every
-    matrix of the family is the touched part only; its untouched part is
-    the clauses of ``untouched`` that no step done has pulled in."""
+    """A family of matrices after ``step_index`` steps of the run's plan.
+    Every matrix of the family is the touched part only; its untouched
+    part is the clauses of ``untouched`` that no step done has pulled in."""
 
-    prefix: Prefix
     family: Family
     step_index: int
     untouched: UntouchedStore
 
     @property
     def live(self) -> FrozenSet[int]:
-        """The variables still quantified, derived from the plan."""
-        done = self.untouched.plan[: self.step_index]
-        return self.prefix.variables.difference(*[removes for _, _, removes in done])
+        """The variables still quantified: those the steps not yet done
+        remove, as every variable is removed by exactly one step."""
+        to_do = self.untouched.plan[self.step_index :]
+        return frozenset().union(*[removes for _, _, removes, _ in to_do])
 
     def whole_family(self) -> Family:
         """The family with the untouched part put back into every matrix."""
@@ -289,70 +293,65 @@ def reduce(matrix: Matrix, u: int) -> Matrix:
     return Matrix._of([c if c.isdisjoint(drop) else c.difference(drop) for c in matrix])
 
 
-class StrategyShape:
+class StrategyShape(NamedTuple):
     """What every strategy extension of one R4 step shares: all that
-    depends on the step's variable ``v`` and the removed variables
-    ``deps`` and not on a set.
+    depends on the variables ``deps`` the step removes and not on a set;
+    ``initial_state`` plans one per R4 step.
 
-    ``v`` names the step in the branch-limit error.  ``order`` lists the
-    universal dependencies, then the existential ones, each ascending by
-    id.  ``owns[j]`` holds the positions, among the first ``n_universal``
-    entries of ``order``, of the universals the j-th existential
-    dependency depends on (its own universals), and ``own_bits`` is the
-    number of strategy-table bits per matrix.  ``tables()`` builds the
-    strategy table and the full assignments on its first call.
-    ``strategy_extension`` calls it only after the branch-limit check,
-    which bounds 2^|deps|, and for a non-empty set, so a step builds its
-    shape once and passes it to every call.
+    ``order`` lists the universal dependencies, then the existential
+    ones, each ascending by id.  ``owns[j]`` holds the positions, among
+    the first ``n_universal`` entries of ``order``, of the universals the
+    j-th existential dependency depends on (its own universals), and
+    ``own_bits`` is the number of strategy-table bits per matrix.  ``step``
+    calls ``tables()`` once, after the branch-limit check, which bounds
+    2^|deps|, and only for a family with a non-empty set.
     """
 
-    __slots__ = ("v", "n_universal", "order", "owns", "own_bits", "_tables")
+    n_universal: int
+    order: Tuple[int, ...]
+    owns: Tuple[Tuple[int, ...], ...]
+    own_bits: int
 
-    def __init__(
-        self, v: int, deps: FrozenSet[int], prefix: Prefix, poset: DependencyPoset
-    ) -> None:
+    @classmethod
+    def of(cls, deps: FrozenSet[int], prefix: Prefix, poset: DependencyPoset) -> StrategyShape:
         ordered = sorted(deps)
         universal_dep = [w for w in ordered if w in prefix.universal]
         existential_dep = [w for w in ordered if w not in prefix.universal]
-        self.v = v
-        self.n_universal = len(universal_dep)
-        self.order = universal_dep + existential_dep
-        self.owns = tuple(
+        owns = tuple(
             tuple(i for i, u in enumerate(universal_dep) if u in poset.strict(x))
-            if universal_dep
-            else ()
             for x in existential_dep
         )
-        self.own_bits = sum([2 ** len(own) for own in self.owns])
-        self._tables = None
+        order = tuple(universal_dep + existential_dep)
+        return cls(len(universal_dep), order, owns, sum([2 ** len(own) for own in owns]))
 
     def tables(self) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[Lits, Lits], ...]]:
         """The shape's ``_strategy_table`` and, for every n, full assignment
         n (it sets the i-th variable of ``order`` to bit i of n) as its
-        true and its false literals; built on the first call."""
-        if self._tables is None:
-            # Only small tables are cached, so the cache holds a few MB at
-            # most, whatever max_strategies allows.
-            table_bits = self.n_universal + self.own_bits
-            build = _cached_strategy_table if table_bits <= _CACHED_TABLE_BITS else _strategy_table
-            assignments = []
-            for n in range(2 ** len(self.order)):
-                true = frozenset([x if n >> i & 1 else -x for i, x in enumerate(self.order)])
-                assignments.append((true, frozenset(map(_neg, true))))
-            self._tables = (build(self.n_universal, self.owns), tuple(assignments))
-        return self._tables
+        true and its false literals."""
+        # Only small tables are cached, so the cache holds a few MB at
+        # most, whatever max_strategies allows.
+        table_bits = self.n_universal + self.own_bits
+        build = _cached_strategy_table if table_bits <= _CACHED_TABLE_BITS else _strategy_table
+        assignments = []
+        for n in range(2 ** len(self.order)):
+            true = frozenset([x if n >> i & 1 else -x for i, x in enumerate(self.order)])
+            assignments.append((true, frozenset(map(_neg, true))))
+        return build(self.n_universal, self.owns), tuple(assignments)
 
 
 def strategy_extension(
-    pi: MatrixSet, shape: StrategyShape, limits: EngineLimits = EngineLimits()
+    pi: MatrixSet,
+    answers: Tuple[Tuple[int, ...], ...],
+    assignments: Tuple[Tuple[Lits, Lits], ...],
 ) -> Family:
     """Branch over all partial existential strategies up to v.
 
-    ``shape`` is built from deps, v with the live part of strict(v), the
-    variables R4 removes.  With B the universal plays on deps and A the
-    partial existential strategies on its existential part, the output
-    contains, for every tuple of per-matrix strategies, the set of all
-    matrices the tuple can produce against plays from B.  The matrices of pi must
+    ``answers`` and ``assignments`` are ``tables()`` of the shape of deps,
+    v with the live part of strict(v), the variables R4 removes.  With B
+    the universal plays on deps and A the partial existential strategies
+    on its existential part, the output contains, for every tuple of
+    per-matrix strategies, the set of all matrices the tuple can produce
+    against plays from B; an empty pi gives the one empty set.  The matrices of pi must
     be tautology-free (see the module docstring), else the result is
     unspecified; every output matrix is then free of tautologies and of
     all variables in deps.
@@ -365,25 +364,10 @@ def strategy_extension(
     the shape: the number of universal dependencies and, per existential
     one, the positions of its own universals.  ``_strategy_table`` builds
     that table; a table of at most 2^12 entries is built once per shape
-    and the 32 most recent ones are kept.
-
-    The table and the full assignments do not depend on the matrices;
-    ``shape`` builds them once per step, on the first call that passes
-    the branch limit check with a non-empty pi.
+    and the 32 most recent ones are kept.  ``step`` checks the branch
+    limit and builds the tables once per step, before any call.
     """
-    # The branch count is 2^exponent: the plays times, per matrix, the
-    # 2^(2^|own|) tables of every existential dependency.  It is compared
-    # by exponent, since it can have thousands of decimal digits.
-    exponent = len(pi) * shape.own_bits + shape.n_universal
-    if exponent >= limits.max_strategies.bit_length():
-        raise ResourceLimitError(
-            f"strategy extension up to {shape.v} needs 2^{exponent} branches, "
-            f"limit is {limits.max_strategies}"
-        )
     out = {frozenset()}
-    if not pi:
-        return frozenset(out)
-    answers, assignments = shape.tables()
     # Per matrix, the distinct sets its strategies produce, each full
     # assignment restricted once; an output set is the union of one per
     # matrix, folded in matrix by matrix so equal partial unions merge early.
@@ -455,25 +439,34 @@ def _with_clauses(family: Family, clauses: FrozenSet[Lits]) -> Family:
 
 
 def step(
-    state: DerivationState, poset: DependencyPoset, limits: EngineLimits = EngineLimits()
+    state: DerivationState, limits: EngineLimits = EngineLimits()
 ) -> Tuple[DerivationState, TraceEvent]:
     """Apply the next step of the run's plan, with its bucket of untouched
     clauses pulled in (see the module docstring)."""
     started = time.perf_counter()
     family, store, index = state.family, state.untouched, state.step_index
-    v, rule, removes = store.plan[index]
+    v, rule, _, shape = store.plan[index]
     done = index + 1
     if rule == "R1":
         new_family = family
     else:
         pulled, touched = store.pulls[index], store.touched_part
         if rule == "R4":
+            # The branch count is 2^exponent: the plays times, per matrix,
+            # the 2^(2^|own|) tables of every existential dependency.  It
+            # grows with the set, so the largest set decides the limit, and
+            # it is compared by exponent, as it can have thousands of digits.
+            most = max(map(len, family), default=0)
+            exponent = most * shape.own_bits + shape.n_universal
+            if exponent >= limits.max_strategies.bit_length():
+                raise ResourceLimitError(
+                    f"strategy extension up to {v} needs 2^{exponent} branches, "
+                    f"limit is {limits.max_strategies}"
+                )
+            tables = shape.tables() if most else ((), ())
             merged = set()
-            shape = StrategyShape(v, removes, state.prefix, poset)
-            # Largest first: a set that trips the branch limit trips it
-            # with the largest count, whatever the sets' hash order.
-            for pi in sorted(_with_clauses(family, pulled), key=len, reverse=True):
-                merged |= strategy_extension(pi, shape, limits)
+            for pi in _with_clauses(family, pulled):
+                merged |= strategy_extension(pi, *tables)
             new_family = frozenset(frozenset([touched(m, done) for m in pi]) for pi in merged)
         else:
             # Looked up per call, not bound once, so wrappers of the
@@ -495,7 +488,7 @@ def step(
         max_set_size=largest,
         micros=micros,
     )
-    return DerivationState(state.prefix, new_family, done, store), event
+    return DerivationState(new_family, done, store), event
 
 
 def initial_state(
@@ -511,17 +504,19 @@ def initial_state(
     live = set(prefix.variables)
     plan: List[PlanEntry] = []
     for v in ordering:
+        shape = None
         if v not in live:
             rule, removes = "R1", frozenset()
         elif v in branching:
             rule, removes = "R4", frozenset([v, *live.intersection(poset.strict(v))])
+            shape = StrategyShape.of(removes, prefix, poset)
         else:
             rule, removes = "R2" if prefix.quantifier(v) == EXISTS else "R3", frozenset({v})
         live -= removes
-        plan.append((v, rule, removes))
+        plan.append((v, rule, removes, shape))
     stored = UntouchedStore(frozenset([lits for lits in matrix if lits]), tuple(plan))
     touched = Matrix._of(matrix - stored.clauses)
-    return DerivationState(prefix, frozenset({frozenset({touched})}), 0, stored)
+    return DerivationState(frozenset({frozenset({touched})}), 0, stored)
 
 
 def validate_input(
@@ -654,7 +649,7 @@ def run_derivation(
     trace: List[TraceEvent] = []
     for i, v in enumerate(ordering, start=1):
         try:
-            after, event = step(state, poset, limits)
+            after, event = step(state, limits)
         except ResourceLimitError as exc:
             raise ResourceLimitError(f"step {i}, variable {v}: {exc}", tuple(trace)) from exc
         if checks:

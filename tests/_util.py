@@ -14,6 +14,7 @@ from trunkqbf import (
     Prefix,
     QbfInstance,
     ResourceLimitError,
+    StrategyShape,
     TrunkTreeDecomposition,
     forget_node,
     ground_truth,
@@ -259,10 +260,10 @@ def stepwise(instance, td, poset, limits=EngineLimits()):
     cleaned, ordering, branching = validate_input(instance, td, poset)
     plan = initial_state(cleaned, ordering, branching, poset).untouched.plan
     whole = frozenset({frozenset({cleaned.matrix})})
-    state = DerivationState(cleaned.prefix, whole, 0, UntouchedStore(frozenset(), plan))
+    state = DerivationState(whole, 0, UntouchedStore(frozenset(), plan))
     trace, states = [], []
     for _ in plan:
-        state, event = step(state, poset, limits)
+        state, event = step(state, limits)
         trace.append(event)
         states.append(state)
     verdict = any(all(ground_truth(m) for m in pi) for pi in state.family)
@@ -270,25 +271,36 @@ def stepwise(instance, td, poset, limits=EngineLimits()):
 
 
 def reference_plan(instance, td, poset, ordering):
-    """(variable, rule, removed variables) per step, by the side
-    condition on a live set: a dead v is R1 and removes nothing; a live
-    v is R4 iff its forget bag holds a live strict dependent of v, and
-    then removes v and its live strict dependencies; any other v is R2
-    or R3 by its quantifier and removes v alone."""
+    """(variable, rule, removed variables, strategy shape) per step, by
+    the side condition on a live set: a dead v is R1 and removes nothing;
+    a live v is R4 iff its forget bag holds a live strict dependent of v,
+    and then removes v and its live strict dependencies; any other v is
+    R2 or R3 by its quantifier and removes v alone.  Only R4 has a shape:
+    the removed universals ascending, then the removed existentials, each
+    existential with the positions of the universals it strictly depends
+    on, and one table bit per play of those."""
     prefix = instance.prefix
     live = set(prefix.variables)
     plan = []
     for v in ordering:
         if v not in live:
-            plan.append((v, "R1", frozenset()))
+            plan.append((v, "R1", frozenset(), None))
             continue
         bag = td.bag(forget_node(td, v))
         if any(w in live and v in poset.strict(w) for w in bag):
             removes = frozenset({v} | {w for w in live if w in poset.strict(v)})
-            plan.append((v, "R4", removes))
+            universal = sorted(removes & prefix.universal)
+            existential = sorted(removes - prefix.universal)
+            owns = tuple(
+                tuple(i for i, u in enumerate(universal) if u in poset.strict(x))
+                for x in existential
+            )
+            bits = sum(2 ** len(own) for own in owns)
+            shape = StrategyShape(len(universal), tuple(universal + existential), owns, bits)
+            plan.append((v, "R4", removes, shape))
         else:
             removes = frozenset({v})
-            plan.append((v, "R2" if v in prefix.existential else "R3", removes))
+            plan.append((v, "R2" if v in prefix.existential else "R3", removes, None))
         live -= removes
     return plan
 

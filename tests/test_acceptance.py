@@ -77,7 +77,7 @@ def test_criterion_1_qparity2_golden_trace():
     state = initial_state(*validate_input(q, td, d), d)
     families = []
     for _ in state.untouched.plan:
-        state, event = step(state, d)
+        state, event = step(state)
         families.append((event.rule, state.whole_family()))
 
     # Step 1, x1: both constant strategies, one singleton set each.
@@ -191,11 +191,11 @@ def test_criterion_4_rule_soundness_suite():
             extra = random_instance(seed + 10_000, len(variables), 3, min(2, len(variables)), 1)
             matrices.add(extra.matrix)
         pi = frozenset(matrices)
-        try:
-            shape = StrategyShape(v, dep_v, q.prefix, d)
-            out = strategy_extension(pi, shape, EngineLimits(max_strategies=2**14))
-        except ResourceLimitError:
+        shape = StrategyShape.of(dep_v, q.prefix, d)
+        # The branch count 2^exponent stays within 2^14.
+        if len(pi) * shape.own_bits + shape.n_universal > 14:
             continue
+        out = strategy_extension(pi, *shape.tables())
         q_after = q.prefix.remove(dep_v)
         all_true = all(evaluate(QbfInstance(q.prefix, m)) for m in pi)
         some_set_true = any(
@@ -305,14 +305,11 @@ def test_criterion_8_resource_limits_instead_of_worst_case_bound():
     d = trivial_poset(q.prefix)
     with pytest.raises(ResourceLimitError):
         run_derivation(q, td, d, EngineLimits(max_family_size=1))
+    prefix = Prefix((("a", (1, 2, 3)), ("e", (4, 5, 6)), ("a", (7,))))
+    wide = QbfInstance(prefix, matrix_of((1, 4), (2, 5), (3, 6), (7,)))
+    state = initial_state(wide, tuple(range(7, 0, -1)), frozenset({7}), trivial_poset(prefix))
     with pytest.raises(ResourceLimitError):
-        prefix = Prefix((("a", (1, 2, 3)), ("e", (4, 5, 6)), ("a", (7,))))
-        poset = trivial_poset(prefix)
-        strategy_extension(
-            frozenset({matrix_of((1, 4), (2, 5), (3, 6), (7,))}),
-            StrategyShape(7, poset.dep(7), prefix, poset),
-            EngineLimits(max_strategies=64),
-        )
+        step(state, EngineLimits(max_strategies=64))
     result = run_derivation(q, td, d)
     assert [e.family_after for e in result.trace] == [2, 2, 2, 2, 1]
     assert all(e.max_set_size >= 1 for e in result.trace)

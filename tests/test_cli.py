@@ -57,27 +57,9 @@ class TestGen:
         with open(td) as f:
             assert parse_btd(f.read()) == qparity_td(2)
 
-    def test_n_below_two_fails(self, tmp_path, capsys):
-        assert main(["gen", "qparity", "1", str(tmp_path / "x")]) == 1
-        assert "error" in capsys.readouterr().err
-
-    def test_unknown_family_fails(self, tmp_path, capsys):
-        assert main(["gen", "mystery", "3", str(tmp_path / "x")]) == 1
-        assert "unknown family" in capsys.readouterr().err
-
     def test_generated_pair_validates(self, qparity2_files):
         qd, td = qparity2_files
         assert main(["validate", qd, "--td", td, "--trivial-poset"]) == 0
-
-    def test_out_of_memory_is_one_line(self, tmp_path, capsys, monkeypatch):
-        def exhausted(n):
-            raise MemoryError
-
-        monkeypatch.setattr(generators, "qparity", exhausted)
-        assert main(["gen", "qparity", "100000000000", str(tmp_path / "x")]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: out of memory\n"
 
 
 class TestSolve:
@@ -130,14 +112,6 @@ class TestSolve:
         poset_path.write_text(write_poset(trivial_poset(qparity(2).prefix)))
         assert main(["solve", qd, "--td", td, "--poset", str(poset_path)]) == 20
 
-    def test_resource_limit_is_a_clean_error(self, qparity2_files, capsys):
-        qd, td = qparity2_files
-        code = main([
-            "solve", qd, "--td", td, "--trivial-poset", "--max-family-size", "1",
-        ])
-        assert code == 1
-        assert "limit" in capsys.readouterr().err
-
     def test_huge_branch_count_is_a_branch_limit(self, tmp_path, capsys):
         # forall 1..14 exists 15 forall 16, forgetting 15 first: 15 has 14
         # universal dependencies, so 2^(2^14 + 14) branches, a number too
@@ -175,10 +149,6 @@ class TestSolve:
         assert "branches, limit is 1024" in err
         records = [json.loads(l) for l in trace.read_text().splitlines()]
         assert [(r["step"], r["variable"], r["rule"]) for r in records] == [(1, 1, "R4")]
-
-    def test_missing_file(self, tmp_path, capsys):
-        code = main(["solve", str(tmp_path / "nope.qdimacs"), "--td", "x", "--trivial-poset"])
-        assert code == 1
 
 
 def _exhaust_memory(monkeypatch):
@@ -239,6 +209,11 @@ ERRORS = {
     ),
     "oracle non-positive budget": ("oracle {qd} --budget 0", "budget must be positive", None),
     "oracle budget exceeded": ("oracle {qd} --budget 4", "5 variables, budget allows 4", None),
+    "oracle default budget exceeded": (
+        "oracle {big}",
+        "instance has 30 variables, budget allows 24",
+        None,
+    ),
     "oracle prefix too deep": (
         "oracle {deep} --budget 2000",
         "error: the prefix is too deep for the oracle's recursion",
@@ -248,7 +223,7 @@ ERRORS = {
     "gen n below two": ("gen qparity 1 {out}", "error: qparity requires n >= 2, got 1", None),
     "gen out of memory": (
         "gen qparity 100000000000 {out}",
-        "error: out of memory",
+        "error: out of memory\n",
         _exhaust_memory,
     ),
 }
@@ -259,11 +234,14 @@ def error_inputs(tmp_path, qparity2_files):
     qd, td = qparity2_files
     unit, _ = write_unit_sat(tmp_path)
     bad, t3, deep = tmp_path / "bad.qdimacs", tmp_path / "t3.btd", tmp_path / "deep.qdimacs"
+    big = tmp_path / "big.qdimacs"
     bad.write_text("p cnf 1 1\ne 1 0\n1 x 0\n")
     t3.write_text("s btd 2 1 1\nb 1\nb 2 1\ne 2 1\nr 2\nt 1 2\n")
     deep.write_text("p cnf 1500 1\ne " + " ".join(map(str, range(1, 1501))) + " 0\n1500 0\n")
+    big.write_text("p cnf 30 1\ne " + " ".join(map(str, range(1, 31))) + " 0\n1 0\n")
     return {
         "qd": qd, "td": td, "unit": unit, "bad": str(bad), "t3": str(t3), "deep": str(deep),
+        "big": str(big),
         "missing": str(tmp_path / "missing"), "dir": str(tmp_path), "out": str(tmp_path / "x"),
     }
 
@@ -406,26 +384,11 @@ class TestOracle:
         assert main(["oracle", str(qd)]) == 10
         assert capsys.readouterr().out == "s cnf 1\n"
 
-    def test_budget_exceeded(self, tmp_path, capsys):
-        variables = " ".join(str(i) for i in range(1, 31))
-        qd = tmp_path / "big.qdimacs"
-        qd.write_text(f"p cnf 30 1\ne {variables} 0\n1 0\n")
-        assert main(["oracle", str(qd)]) == 1
-        assert "budget" in capsys.readouterr().err
-
     def test_budget_flag(self, tmp_path):
         variables = " ".join(str(i) for i in range(1, 26))
         qd = tmp_path / "mid.qdimacs"
         qd.write_text(f"p cnf 25 1\ne {variables} 0\n1 0\n")
         assert main(["oracle", str(qd), "--budget", "25"]) == 10
-
-    def test_deep_prefix_fails_with_one_line(self, tmp_path, capsys):
-        variables = " ".join(str(i) for i in range(1, 1501))
-        qd = tmp_path / "deep.qdimacs"
-        qd.write_text(f"p cnf 1500 1\ne {variables} 0\n1500 0\n")
-        assert main(["oracle", str(qd), "--budget", "2000"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestAgreement:

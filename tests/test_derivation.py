@@ -52,12 +52,18 @@ def family(*sets):
     return frozenset(frozenset(ms) for ms in sets)
 
 
+def extend(pi, deps, prefix, d):
+    """``strategy_extension`` of pi under the shape of the removed
+    variables ``deps``."""
+    return strategy_extension(frozenset(pi), *StrategyShape.of(deps, prefix, d).tables())
+
+
 def at_step(setup, fam, index):
     """The state at the given step of the setup's plan whose family holds
     whole matrices and whose store holds no clause."""
     q, td, d = setup
     plan = initial_state(*validate_input(q, td, d), d).untouched.plan
-    return DerivationState(q.prefix, fam, index, UntouchedStore(frozenset(), plan))
+    return DerivationState(fam, index, UntouchedStore(frozenset(), plan))
 
 
 @pytest.fixture
@@ -151,21 +157,21 @@ class TestReduce:
 class TestStrategyExtension:
     def test_constant_strategies_for_independent_existential(self, qp2_setup):
         q, _, d = qp2_setup
-        out = strategy_extension(frozenset({q.matrix}), StrategyShape(1, d.dep(1), q.prefix, d))
+        out = extend({q.matrix}, d.dep(1), q.prefix, d)
         assert out == family({PSI_X1_0}, {PSI_X1_1})
 
     def test_qparity2_x2_outputs_deduplicate(self, qp2_setup):
         q, _, d = qp2_setup
         deps = d.dep(2) - {1, 4}
-        out1 = strategy_extension(frozenset({RES_X1_0}), StrategyShape(2, deps, q.prefix, d))
-        out2 = strategy_extension(frozenset({RES_X1_1}), StrategyShape(2, deps, q.prefix, d))
+        out1 = extend({RES_X1_0}, deps, q.prefix, d)
+        out2 = extend({RES_X1_1}, deps, q.prefix, d)
         merged = out1 | out2
         assert merged == family({PSI_Z2_NEG}, {PSI_Z2_POS})
         assert {m for pi in merged for m in pi} == {PSI_Z2_NEG, PSI_Z2_POS}
 
     def test_empty_matrix_passes_through(self, qp2_setup):
         q, _, d = qp2_setup
-        out = strategy_extension(frozenset({Matrix(())}), StrategyShape(1, d.dep(1), q.prefix, d))
+        out = extend({Matrix(())}, d.dep(1), q.prefix, d)
         assert out == family({Matrix(())})
 
     def test_universal_plays_enter_the_sets(self):
@@ -175,19 +181,17 @@ class TestStrategyExtension:
         prefix = Prefix((("e", (1,)), ("a", (2,))))
         d = trivial_poset(prefix)
         m = matrix_of((1, 2), (-1, -2))
-        out = strategy_extension(frozenset({m}), StrategyShape(2, d.dep(2), prefix, d))
+        out = extend({m}, d.dep(2), prefix, d)
         assert out == family({matrix_of(()), Matrix(())})
 
     def test_strategy_budget_is_enforced(self):
+        # R4 at 7 removes all seven variables: 2^4 plays and, per matrix,
+        # three existentials of 2^3 table bits each.
         prefix = Prefix((("a", (1, 2, 3)), ("e", (4, 5, 6)), ("a", (7,))))
-        d = trivial_poset(prefix)
-        m = matrix_of((1, 4), (2, 5), (3, 6), (7,))
-        with pytest.raises(ResourceLimitError):
-            strategy_extension(
-                frozenset({m}),
-                StrategyShape(7, d.dep(7), prefix, d),
-                EngineLimits(max_strategies=64),
-            )
+        q = QbfInstance(prefix, matrix_of((1, 4), (2, 5), (3, 6), (7,)))
+        state = initial_state(q, tuple(range(7, 0, -1)), frozenset({7}), trivial_poset(prefix))
+        with pytest.raises(ResourceLimitError, match=r"up to 7 needs 2\^28 branches"):
+            step(state, EngineLimits(max_strategies=64))
 
     def test_a_step_over_40_dependencies_trips_the_branch_limit_at_once(self, monkeypatch):
         # forall 1..39 exists 40, forgetting 40 first: its R4 step removes
@@ -197,29 +201,34 @@ class TestStrategyExtension:
         q = QbfInstance(prefix, matrix_of(range(1, 41)))
         d = trivial_poset(prefix)
         state = initial_state(q, tuple(range(40, 0, -1)), frozenset({40}), d)
-        assert state.untouched.plan[0] == (40, "R4", frozenset(range(1, 41)))
+        assert state.untouched.plan[0][:3] == (40, "R4", frozenset(range(1, 41)))
 
         def unreachable(shape):
             raise AssertionError("tables built before the branch limit check")
 
         monkeypatch.setattr(derivation.StrategyShape, "tables", unreachable)
         with pytest.raises(ResourceLimitError, match=r"up to 40 needs 2\^\d+ branches"):
-            step(state, d, EngineLimits(max_strategies=64))
+            step(state, EngineLimits(max_strategies=64))
 
     def test_an_empty_set_builds_no_tables(self, monkeypatch):
         # exists 1..40 forall 41: one universal, but 40 table bits per
-        # matrix.  With no matrix the branch count is 2^1, so only the
-        # early return keeps tables() from listing 2^41 assignments.
+        # matrix.  A family of only the empty set branches 2^1 ways, so the
+        # limit passes and only skipping tables() for it keeps the step
+        # from listing 2^41 assignments.
         prefix = Prefix((("e", tuple(range(1, 41))), ("a", (41,))))
-        shape = StrategyShape(41, frozenset(range(1, 42)), prefix, trivial_poset(prefix))
+        q = QbfInstance(prefix, matrix_of(range(1, 42)))
+        order = (41, *range(40, 0, -1))
+        plan = initial_state(q, order, frozenset({41}), trivial_poset(prefix)).untouched.plan
+        shape = plan[0][3]
         assert (shape.n_universal, shape.own_bits) == (1, 40)
 
         def unreachable(shape):
             raise AssertionError("tables built for an empty set")
 
         monkeypatch.setattr(derivation.StrategyShape, "tables", unreachable)
-        out = strategy_extension(frozenset(), shape, EngineLimits(max_strategies=64))
-        assert out == frozenset({frozenset()})
+        state = DerivationState(family(set()), 0, UntouchedStore(frozenset(), plan))
+        after, event = step(state, EngineLimits(max_strategies=64))
+        assert after.family == family(set()) and event.rule == "R4"
 
     def test_tables_read_each_existentials_own_universals(self):
         # forall 1 2 exists 3 4 forall 5 where 3 sees only 1 and 4 only 2:
@@ -254,8 +263,7 @@ class TestStrategyExtension:
                     for _ in range(rng.randint(2, 6))
                 ]
                 pi.add(matrix_of(*clauses))
-            shape = StrategyShape(5, d.dep(5), prefix, d)
-            assert strategy_extension(frozenset(pi), shape) == reference(pi)
+            assert extend(pi, d.dep(5), prefix, d) == reference(pi)
 
 
 def reference_table(n_universal, owns):
@@ -317,10 +325,10 @@ class TestStrategyTable:
                     # universal_dep holds v as well as the n_universal others.
                     cached = n_universal + 1 + sum(2 ** len(own) for own in owns) <= 12
                     cache.cache_clear()
-                    cold = strategy_extension(pi, StrategyShape(v, d.dep(v), prefix, d))
+                    cold = extend(pi, d.dep(v), prefix, d)
                     assert cache.cache_info().currsize == int(cached)
                     hits = cache.cache_info().hits
-                    warm = strategy_extension(pi, StrategyShape(v, d.dep(v), prefix, d))
+                    warm = extend(pi, d.dep(v), prefix, d)
                     assert cache.cache_info().hits == hits + int(cached)
                     assert cold == warm
 
@@ -334,7 +342,7 @@ class TestStrategyTable:
         tracemalloc.start()
         try:
             for pi, v, prefix, d in instances:
-                strategy_extension(pi, StrategyShape(v, d.dep(v), prefix, d))
+                extend(pi, d.dep(v), prefix, d)
             kept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -383,13 +391,13 @@ class TestStepDispatch:
         state = initial_state(*validate_input(q, td, d), d)
         rules = []
         for _ in range(5):
-            state, event = step(state, d)
+            state, event = step(state)
             rules.append(event.rule)
         assert rules == ["R4", "R2", "R4", "R2", "R3"]
 
     def test_r4_fires_when_a_dependent_shares_the_forget_bag(self, qp2_setup):
         q, td, d = qp2_setup
-        state, event = step(initial_state(*validate_input(q, td, d), d), d)
+        state, event = step(initial_state(*validate_input(q, td, d), d))
         assert (event.variable, event.rule) == (1, "R4")
         assert state.live == {2, 3, 4, 5}
 
@@ -397,7 +405,7 @@ class TestStepDispatch:
         q, td, d = qp2_setup
         state = at_step(qp2_setup, family({PSI_X1_0}, {PSI_X1_1}), 1)
         assert state.live == q.prefix.variables - {1}
-        state, event = step(state, d)
+        state, event = step(state)
         assert (event.variable, event.rule) == (4, "R2")
         assert state.family == family({RES_X1_0}, {RES_X1_1})
 
@@ -405,7 +413,7 @@ class TestStepDispatch:
         q, td, d = qp2_setup
         state = at_step(qp2_setup, family({UNIT_U_NEG}, {UNIT_U_POS}), 4)
         assert state.live == {3}
-        state, event = step(state, d)
+        state, event = step(state)
         assert (event.variable, event.rule) == (3, "R3")
         assert state.family == family({EMPTY_CLAUSE_MATRIX})
 
@@ -416,7 +424,7 @@ class TestGoldenQParity2:
         state = initial_state(*validate_input(q, td, d), d)
         seen = []
         for _ in range(5):
-            state, _ = step(state, d)
+            state, _ = step(state)
             seen.append(state.whole_family())
         assert seen[0] == family({PSI_X1_0}, {PSI_X1_1})
         assert seen[1] == family({RES_X1_0}, {RES_X1_1})
@@ -527,16 +535,16 @@ class TestRunDerivation:
     def test_set_limit_names_the_largest_set(self, qp2_setup):
         # An R1 step keeps the family, so the limit check sees both sets.
         q, _, d = qp2_setup
-        r1_plan = ((1, "R1", frozenset()),)
+        r1_plan = ((1, "R1", frozenset(), None),)
         seen_first = set()
         for k in range(2, 8):
             small = {matrix_of((2, 4)), matrix_of((k + 1,))}
             large = small | {matrix_of((-2,)), matrix_of((3, 5))}
             fam = family(small, large)
             seen_first.add(len(next(iter(fam))))
-            state = DerivationState(q.prefix, fam, 0, UntouchedStore(frozenset(), r1_plan))
+            state = DerivationState(fam, 0, UntouchedStore(frozenset(), r1_plan))
             with pytest.raises(ResourceLimitError, match="set has 4 matrices, limit is 1"):
-                step(state, d, EngineLimits(max_set_size=1))
+                step(state, EngineLimits(max_set_size=1))
         assert seen_first == {2, 4}  # both hash orders were tried
 
     def test_branch_limit_names_the_largest_set(self, qp2_setup):
@@ -550,8 +558,26 @@ class TestRunDerivation:
             fam = family(small, large)
             seen_first.add(len(next(iter(fam))))
             with pytest.raises(ResourceLimitError, match=r"needs 2\^2 branches, limit is 1$"):
-                step(at_step(qp2_setup, fam, 0), d, EngineLimits(max_strategies=1))
+                step(at_step(qp2_setup, fam, 0), EngineLimits(max_strategies=1))
         assert seen_first == {1, 2}
+
+    def test_a_larger_set_trips_the_branch_limit_before_any_extension(
+        self, qp2_setup, monkeypatch
+    ):
+        # R4 at x1 branches 2^|set| ways: the one-matrix set passes a limit
+        # of 2 and the two-matrix set trips it, whatever the hash order,
+        # before strategy_extension sees any set.
+        calls = []
+        monkeypatch.setattr(derivation, "strategy_extension", lambda *args: calls.append(args))
+        seen_first = set()
+        for k in range(1, 6):
+            small = {matrix_of((k,))}
+            fam = family(small, small | {matrix_of((1, 4))})
+            seen_first.add(len(next(iter(fam))))
+            with pytest.raises(ResourceLimitError, match=r"needs 2\^2 branches, limit is 2$"):
+                step(at_step(qp2_setup, fam, 0), EngineLimits(max_strategies=2))
+        assert seen_first == {1, 2}
+        assert calls == []
 
     def test_branch_limit_names_the_r4_variable_not_its_largest_dependency(self):
         # exists 5 forall 4 exists 1 2: 4 depends on the larger id 5, and
@@ -644,7 +670,7 @@ class TestOneStrategyExtensionPerSet:
         real = derivation.strategy_extension
 
         def counted(*args):
-            calls.append(args[1])
+            calls.append(args[0])
             return real(*args)
 
         monkeypatch.setattr(derivation, "strategy_extension", counted)
@@ -664,24 +690,35 @@ class TestOneStrategyExtensionPerSet:
         ]
 
     def test_qparity_builds_one_shape_per_r4_step(self, monkeypatch):
-        # qparity(n) has n R4 steps and 2n - 1 sets over them: the shape
-        # is built once per step and shared by the step's sets.
-        shapes = []
+        # qparity(n) has n R4 steps and 2n - 1 sets over them: initial_state
+        # plans the n shapes, the steps build none, and each step builds
+        # its tables once and shares them among its sets.
+        built = {"shapes": 0, "planned": 0, "tables": 0}
+        real_of, real_tables = derivation.StrategyShape.of, derivation.StrategyShape.tables
+        real_plan = derivation.initial_state
 
-        class Counted(derivation.StrategyShape):
-            __slots__ = ()
+        def of(cls, *args):
+            built["shapes"] += 1
+            return real_of(*args)
 
-            def __init__(self, *args):
-                shapes.append(args[0])
-                super().__init__(*args)
+        def tables(shape):
+            built["tables"] += 1
+            return real_tables(shape)
 
-        monkeypatch.setattr(derivation, "StrategyShape", Counted)
+        def plan(*args):
+            state = real_plan(*args)
+            built["planned"] = built["shapes"]
+            return state
+
+        monkeypatch.setattr(derivation.StrategyShape, "of", classmethod(of))
+        monkeypatch.setattr(derivation.StrategyShape, "tables", tables)
+        monkeypatch.setattr(derivation, "initial_state", plan)
         cases = [(n, qparity(n), qparity_td(n)) for n in range(2, 17)]
         runs = []
         for n, calls, sets in self.counted_runs(monkeypatch, cases):
-            runs.append((n, len(shapes), calls, sets))
-            shapes.clear()
-        assert runs == [(n, n, 2 * n - 1, 2 * n - 1) for n in range(2, 17)]
+            runs.append((n, built["planned"], built["shapes"], built["tables"], calls, sets))
+            built.update(shapes=0, tables=0)
+        assert runs == [(n, n, n, n, 2 * n - 1, 2 * n - 1) for n in range(2, 17)]
 
     def test_shuffled_paths_call_it_once_per_set(self, monkeypatch):
         runs = list(self.counted_runs(monkeypatch, shuffled_path_cases()))
@@ -692,44 +729,57 @@ class TestOneStrategyExtensionPerSet:
 
 
 class TestRuleDecidedInValidation:
-    """P1 is computed once per variable, by ``validate_trunk_aligned``;
-    without checks, no step reads the decomposition or a dependents set."""
+    """P1 is computed once per variable, by ``validate_trunk_aligned``, and
+    R4's shapes once per run, by ``initial_state``; without checks, no step
+    reads the decomposition, a dependents set or a strict dependency set."""
 
     def test_the_step_path_reads_no_decomposition_fact(self, monkeypatch):
         forget_calls = []
         dependents = {"validation": 0, "steps": 0}
-        validating = []
+        strict = {"planning": 0, "steps": 0}
+        planning = []
         real_forget = derivation.forget_node
         real_dependents = DependencyPoset.dependents_strict
-        real_validate = derivation.validate_trunk_aligned
+        real_strict = DependencyPoset.strict
 
         def counted_forget(*args):
             forget_calls.append(args)
             return real_forget(*args)
 
         def counted_dependents(poset, u, within):
-            dependents["validation" if validating else "steps"] += 1
+            dependents["validation" if planning else "steps"] += 1
             return real_dependents(poset, u, within)
 
-        def validate(*args):
-            validating.append(True)
-            try:
-                return real_validate(*args)
-            finally:
-                validating.pop()
+        def counted_strict(poset, v):
+            strict["planning" if planning else "steps"] += 1
+            return real_strict(poset, v)
+
+        def planned(real):
+            def wrapper(*args):
+                planning.append(True)
+                try:
+                    return real(*args)
+                finally:
+                    planning.pop()
+
+            return wrapper
 
         monkeypatch.setattr(derivation, "forget_node", counted_forget)
         monkeypatch.setattr(DependencyPoset, "dependents_strict", counted_dependents)
-        monkeypatch.setattr(derivation, "validate_trunk_aligned", validate)
+        monkeypatch.setattr(DependencyPoset, "strict", counted_strict)
+        for name in ("validate_input", "initial_state"):
+            monkeypatch.setattr(derivation, name, planned(getattr(derivation, name)))
         rules = []
         for seed, q, td in [(16, qparity(16), qparity_td(16)), *shuffled_path_cases()]:
             dependents.update(validation=0, steps=0)
+            strict.update(planning=0, steps=0)
             try:
                 trace = run_derivation(q, td, trivial_poset(q.prefix), R4_LIMITS).trace
             except ResourceLimitError as exc:
                 trace = exc.trace
             rules += [e.rule for e in trace]
             assert dependents == {"validation": len(q.prefix.variables), "steps": 0}, seed
+            assert strict["planning"] > 0 and strict["steps"] == 0, seed
         assert forget_calls == []
         assert set(rules) == {"R1", "R2", "R3", "R4"} and rules.count("R4") >= 200
 
@@ -747,7 +797,7 @@ class TestRuleDecidedInValidation:
             plan = initial_state(cleaned, ordering, branching, d).untouched.plan
             expected = reference_plan(cleaned, td, d, ordering)
             assert list(plan) == expected, seed
-            rules += [rule for _, rule, _ in expected]
+            rules += [rule for _, rule, _, _ in expected]
         assert set(rules) == {"R1", "R2", "R3", "R4"} and rules.count("R4") >= 500
 
 
@@ -755,7 +805,7 @@ class TestInvariantChecks:
     @staticmethod
     def check(state, td, d):
         """Apply the state's next step, check it and return the result."""
-        after, event = step(state, d)
+        after, event = step(state)
         derivation._check_step(state, after, event, td, d, set(state.live))
         return after
 
@@ -780,7 +830,7 @@ class TestInvariantChecks:
                         if v in c.variables():
                             neighbors |= c.variables() - {v}
                     assert len(neighbors) <= bound
-            state, _ = step(state, d)
+            state, _ = step(state)
 
     def test_neighborhood_violation_detected(self, qp2_setup):
         q, td, d = qp2_setup
@@ -798,7 +848,7 @@ class TestInvariantChecks:
         state = initial_state(*validate_input(q, td, d), d)
         branched = []
         for _ in range(3):
-            v, rule, _ = state.untouched.plan[state.step_index]
+            v, rule, _, _ = state.untouched.plan[state.step_index]
             if rule == "R4":
                 branched.append((v, state.live))
             state = self.check(state, td, d)
@@ -923,7 +973,7 @@ class TestRuleBehaviour:
         _, order, branching = validate_input(q, td, d)
         state = initial_state(q, order, branching, d)
         for i in range(1, len(order) + 1):
-            state, _ = step(state, d)
+            state, _ = step(state)
             gone = set(order[:i])
             for pi in state.whole_family():
                 for m in pi:
@@ -936,7 +986,7 @@ class TestRuleBehaviour:
             d = trivial_poset(q.prefix)
             state = initial_state(*validate_input(q, td, d), d)
             for _ in state.untouched.plan:
-                state, _ = step(state, d)
+                state, _ = step(state)
                 for pi in state.whole_family():
                     for m in pi:
                         for c in m.clauses:

@@ -10,6 +10,7 @@ it prints an ``OSError``, ``ValueError``, ``DerivationError`` or
 ``MemoryError`` as the one line ``error: <message>`` on standard error
 and exits 1.  A limit abort of ``solve --trace`` still writes the steps
 done before it; if that write fails too, the line names both failures.
+A usage error is argparse's: it prints the usage and exits 2.
 
 ``main`` pauses the cyclic garbage collector while a command runs and
 restores its previous state afterwards.  The engine's values are

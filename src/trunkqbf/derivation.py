@@ -524,32 +524,14 @@ def validate_input(
 ) -> Tuple[QbfInstance, Tuple[int, ...], FrozenSet[int]]:
     """The instance with its tautologies removed, the decomposition's
     elimination ordering and the variables that fail P1, on which the
-    plan fires R4, once the poset is one for the instance's prefix and the
-    decomposition is nice and trunk-aligned for that instance; a failure
-    raises ``ValidationError``; an instance without tautologies is kept."""
-    variables = instance.prefix.variables
-    if poset.universe != variables:
+    plan fires R4, once the poset was built for the instance's prefix (its
+    builder checked its pairs) and the decomposition is nice and
+    trunk-aligned for that instance; a failure raises ``ValidationError``;
+    an instance without tautologies is kept."""
+    if poset.prefix != instance.prefix:
         raise ValidationError(
-            f"poset is over variables {sorted(poset.universe)}, "
-            f"the instance over {sorted(variables)}"
+            f"poset is for {poset.prefix!r}, the instance's prefix is {instance.prefix!r}"
         )
-    # A poset built for another prefix over the same variables may order a
-    # variable after one of a later block.  Each stored set is tested once,
-    # at the first block that uses it, whose earlier blocks are the fewest.
-    earlier: FrozenSet[int] = frozenset()
-    tested: Set[int] = set()
-    for _, block in instance.prefix.blocks:
-        for v in block:
-            preceding = poset.strict(v)
-            if id(preceding) not in tested:
-                tested.add(id(preceding))
-                if not preceding <= earlier:
-                    u = min(preceding - earlier)
-                    raise ValidationError(
-                        f"poset pair ({u}, {v}) is not prefix-consistent: "
-                        f"{u} is not quantified strictly left of {v}"
-                    )
-        earlier = earlier.union(block)
     matrix = remove_tautologies(instance.matrix)
     # Removing clauses leaves every variable quantified.
     cleaned = instance if matrix is instance.matrix else QbfInstance._of(instance.prefix, matrix)

@@ -18,12 +18,13 @@ reject malformed input with a diagnostic naming the line.
 from __future__ import annotations
 
 import re
+import sys
 from itertools import chain
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .decomposition import DecompositionError, TrunkTreeDecomposition, _check_edges
 from .formulas import EXISTS, FORALL, Matrix, Prefix, QbfInstance
-from .posets import DependencyPoset, check_pair, poset_from_pairs
+from .posets import DependencyPoset, _closure, check_pair
 
 
 class ParseError(ValueError):
@@ -74,9 +75,16 @@ def _int_tokens(
             raise ValueError
         return list(map(int, tokens))
     except ValueError:
-        i = next(i for i, t in enumerate(tokens) if _INT_TOKEN.fullmatch(t) is None)
-        name = what if isinstance(what, str) else what[min(i, len(what) - 1)]
-        raise ParseError(line, f"expected an integer {name}, got {tokens[i]!r}") from None
+        for i, token in enumerate(tokens):
+            name = what if isinstance(what, str) else what[min(i, len(what) - 1)]
+            if _INT_TOKEN.fullmatch(token) is None:
+                raise ParseError(line, f"expected an integer {name}, got {token!r}") from None
+            try:
+                int(token)
+            except ValueError:  # more digits than int() converts
+                limit = sys.get_int_max_str_digits()
+                raise ParseError(line, f"{name} has more than {limit} digits") from None
+        raise
 
 
 def _raise(error: ParseError) -> Iterator[Row]:
@@ -282,8 +290,8 @@ def write_btd(td: TrunkTreeDecomposition) -> str:
 
 
 def parse_poset(text: str, prefix: Prefix) -> DependencyPoset:
-    """Parse generator pairs, check each against the prefix
-    (``posets.check_pair``) and close them reflexively-transitively.
+    """Parse generator pairs, check each once, at its line, against the
+    prefix (``posets.check_pair``) and close them reflexively-transitively.
 
     A file with zero ``d`` lines yields the identity relation, which is
     not the trivial (full prefix order) poset.
@@ -302,7 +310,7 @@ def parse_poset(text: str, prefix: Prefix) -> DependencyPoset:
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from exc
         pairs.append((u, v))
-    return poset_from_pairs(prefix, pairs)
+    return _closure(prefix, pairs)
 
 
 def write_poset(poset: DependencyPoset) -> str:

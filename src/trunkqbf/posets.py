@@ -4,9 +4,9 @@ A dependency poset is a reflexive, antisymmetric, transitive relation
 that is consistent with the quantifier prefix: ``u`` may precede ``v``
 only if ``u == v`` or ``u`` is quantified in a strictly earlier block.
 Its two builders, ``trivial_poset`` and ``poset_from_pairs``, produce
-only such relations, so every ``DependencyPoset`` is a poset for the
-prefix it was built from; ``validate_input`` checks only that this is
-the instance's prefix, or one that orders no pair otherwise.
+only such relations, checking each pair once, and record the prefix
+they were given: a ``DependencyPoset`` is a poset for its ``prefix``,
+and ``validate_input`` checks only that this is the instance's prefix.
 
 The poset stores, for each variable ``v``, the set ``strict(v)`` of the
 variables other than ``v`` that precede it; ``dep(v)`` adds ``v``
@@ -32,20 +32,22 @@ class DependencyPoset:
         raise TypeError("build a DependencyPoset with trivial_poset or poset_from_pairs")
 
     @classmethod
-    def _of(
-        cls, universe: FrozenSet[int], strict: Dict[int, FrozenSet[int]]
-    ) -> "DependencyPoset":
-        """Trusted constructor, called only by the builders below: the
-        strict sets, which lack their own variable, are kept as given and
-        may be shared."""
+    def _of(cls, prefix: Prefix, strict: Dict[int, FrozenSet[int]]) -> "DependencyPoset":
+        """Trusted constructor, called only by the builders below with the
+        prefix they were given and one strict set per variable of it, kept
+        as given: it lacks its own variable and may be shared."""
         poset = cls.__new__(cls)
-        poset._universe = universe
+        poset._prefix = prefix
         poset._strict = strict
         return poset
 
     @property
+    def prefix(self) -> Prefix:
+        return self._prefix
+
+    @property
     def universe(self) -> FrozenSet[int]:
-        return self._universe
+        return self._prefix.variables
 
     def strict(self, v: int) -> FrozenSet[int]:
         """The stored set {v' | v' != v and v' precedes v}, not a copy."""
@@ -64,7 +66,7 @@ class DependencyPoset:
         Costs O(|within|); members of ``within`` outside the universe are
         skipped.  Raises KeyError if u is outside the universe.
         """
-        if u not in self._universe:
+        if u not in self._strict:
             raise KeyError(f"variable {u} is not in the poset universe")
         strict = self._strict
         return frozenset(w for w in within if u in strict.get(w, ()))
@@ -76,11 +78,11 @@ class DependencyPoset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DependencyPoset):
             return NotImplemented
-        return self._universe == other._universe and self._strict == other._strict
+        return self._prefix == other._prefix and self._strict == other._strict
 
     def __repr__(self) -> str:
         pairs = sum(map(len, self._strict.values()))
-        return f"DependencyPoset(|universe|={len(self._universe)}, pairs={pairs})"
+        return f"DependencyPoset(|universe|={len(self._strict)}, pairs={pairs})"
 
 
 def trivial_poset(prefix: Prefix) -> DependencyPoset:
@@ -94,7 +96,7 @@ def trivial_poset(prefix: Prefix) -> DependencyPoset:
     for _, block_vars in prefix.blocks:
         strict.update(dict.fromkeys(block_vars, earlier))
         earlier = earlier.union(block_vars)
-    return DependencyPoset._of(prefix.variables, strict)
+    return DependencyPoset._of(prefix, strict)
 
 
 def check_pair(prefix: Prefix, u: int, v: int) -> None:
@@ -113,17 +115,21 @@ def check_pair(prefix: Prefix, u: int, v: int) -> None:
 
 def poset_from_pairs(prefix: Prefix, pairs: Iterable[Tuple[int, int]]) -> DependencyPoset:
     """The reflexive-transitive closure of generator pairs (u, v), each
-    meaning u precedes v; every pair must pass ``check_pair``.
-
-    The closure is one pass over the prefix: strict(v) is the union of
-    {u} | strict(u) over v's generators u.  Each u is quantified in an
-    earlier block, so its set is final when v's is built, and the result
-    is antisymmetric and consistent with the prefix.  Equal sets are
-    stored once.
-    """
-    generators: Dict[int, Set[int]] = {}
+    meaning u precedes v; every pair must pass ``check_pair``."""
+    pairs = list(pairs)
     for u, v in pairs:
         check_pair(prefix, u, v)
+    return _closure(prefix, pairs)
+
+
+def _closure(prefix: Prefix, pairs: Iterable[Tuple[int, int]]) -> DependencyPoset:
+    """The closure of pairs that passed ``check_pair`` for the prefix, in
+    one pass over the prefix: strict(v) is the union of {u} | strict(u)
+    over v's generators u.  Each u is quantified in an earlier block, so
+    its set is final when v's is built, and the result is antisymmetric
+    and consistent with the prefix.  Equal sets are stored once."""
+    generators: Dict[int, Set[int]] = {}
+    for u, v in pairs:
         if u != v:
             generators.setdefault(v, set()).add(u)
     strict: Dict[int, FrozenSet[int]] = {}
@@ -135,4 +141,4 @@ def poset_from_pairs(prefix: Prefix, pairs: Iterable[Tuple[int, int]]) -> Depend
             preceding |= strict[u]
         closed = frozenset(preceding)
         strict[v] = stored.setdefault(closed, closed)
-    return DependencyPoset._of(prefix.variables, strict)
+    return DependencyPoset._of(prefix, strict)

@@ -219,6 +219,21 @@ ERRORS = {
         "error: the prefix is too deep for the oracle's recursion",
         None,
     ),
+    "oracle header count too long": (
+        "oracle {long_qd}",
+        "error: line 1: variable count has more than 4300 digits\n",
+        None,
+    ),
+    "solve node id too long": (
+        "solve {qd} --td {long_td} --trivial-poset",
+        "error: line 2: node id has more than 4300 digits\n",
+        None,
+    ),
+    "solve poset header count too long": (
+        "solve {qd} --td {td} --poset {long_dep}",
+        "error: line 1: variable count has more than 4300 digits\n",
+        None,
+    ),
     "gen unknown family": ("gen mystery 3 {out}", "error: unknown family 'mystery'", None),
     "gen n below two": ("gen qparity 1 {out}", "error: qparity requires n >= 2, got 1", None),
     "gen out of memory": (
@@ -239,9 +254,17 @@ def error_inputs(tmp_path, qparity2_files):
     t3.write_text("s btd 2 1 1\nb 1\nb 2 1\ne 2 1\nr 2\nt 1 2\n")
     deep.write_text("p cnf 1500 1\ne " + " ".join(map(str, range(1, 1501))) + " 0\n1500 0\n")
     big.write_text("p cnf 30 1\ne " + " ".join(map(str, range(1, 31))) + " 0\n1 0\n")
+    # More digits than int() converts by default (4300).
+    many = "1" * 5000
+    long_qd, long_td = tmp_path / "long.qdimacs", tmp_path / "long.btd"
+    long_dep = tmp_path / "long.dep"
+    long_qd.write_text(f"p cnf {many} 1\ne 1 0\n1 0\n")
+    long_td.write_text(f"s btd 1 1 1\nb {many} 1\nr 1\nt 1\n")
+    long_dep.write_text(f"p dep {many}\n")
     return {
         "qd": qd, "td": td, "unit": unit, "bad": str(bad), "t3": str(t3), "deep": str(deep),
-        "big": str(big),
+        "big": str(big), "long_qd": str(long_qd), "long_td": str(long_td),
+        "long_dep": str(long_dep),
         "missing": str(tmp_path / "missing"), "dir": str(tmp_path), "out": str(tmp_path / "x"),
     }
 
@@ -261,6 +284,21 @@ class TestOneErrorLine:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
         assert fragment.format(**error_inputs) in err
+
+
+class TestUsageErrors:
+    def test_argparse_reports_a_malformed_option_itself(self, qparity2_files, capsys):
+        # argparse rejects the option before main runs a command, with its
+        # usage text and exit code 2.
+        qd, td = qparity2_files
+        with pytest.raises(SystemExit) as info:
+            main(["solve", qd, "--td", td, "--trivial-poset", "--max-strategies", "abc"])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            "trunkqbf solve: error: argument --max-strategies: invalid int value: 'abc'"
+        )
 
 
 class TestCollectorPause:

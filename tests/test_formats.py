@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from trunkqbf import formats
+from trunkqbf import formats, posets
 from trunkqbf import (
     Matrix,
     ParseError,
@@ -235,6 +235,13 @@ class TestBtd:
         (parse_btd, "s btd 1 0 0\nb 1\nr 1\nt", "line 4: empty trunk line"),
         (parse_btd, "s btd 1 0 0\nb 1\nt 1", "line 1: missing root line"),
         (parse_btd, "s btd 1 0 0\nb 1\nr 1", "line 1: missing trunk line"),
+        # The "+" in the comment puts the text on the checked path of `_checked`.
+        pytest.param(
+            parse_qdimacs,
+            "c a+b\np cnf 2 1\ne 1 0\n-" + "1" * 5000 + " 2 0",
+            "line 4: literal has more than 4300 digits",
+            id="literal of 5000 digits",
+        ),
     ],
 )
 def test_line_diagnostics(parse, text, message):
@@ -320,6 +327,24 @@ class TestPosetFiles:
             parse_poset(f"p dep 99\nd {pair}\n", qparity(2).prefix)
         assert info.value.line == 2
         assert "is not quantified" in str(info.value)
+
+    def test_each_pair_is_checked_once(self, monkeypatch):
+        # The loader checks each pair at its line and closes the checked
+        # pairs directly, without poset_from_pairs checking them again.
+        prefix = qparity(4).prefix
+        text = write_poset(trivial_poset(prefix))
+        assert text.count("\nd ") == 24
+        calls = []
+        real = posets.check_pair
+
+        def counted(*args):
+            calls.append(args[1:])
+            real(*args)
+
+        monkeypatch.setattr(formats, "check_pair", counted)
+        monkeypatch.setattr(posets, "check_pair", counted)
+        assert parse_poset(text, prefix) == trivial_poset(prefix)
+        assert sorted(calls) == list(trivial_poset(prefix).strict_pairs())
 
     def test_header_count_above_the_largest_variable_is_accepted(self):
         prefix = qparity(2).prefix

@@ -6,10 +6,12 @@ import pytest
 from trunkqbf import (
     DependencyPoset,
     Prefix,
+    parse_poset,
     poset_from_pairs,
     qparity,
     random_instance,
     trivial_poset,
+    write_poset,
 )
 
 from _util import fixpoint_closure, is_poset_for, random_prefix
@@ -152,6 +154,24 @@ class TestValidatePoset:
         # call the false qparity(2) true on qparity_td(2).
         with pytest.raises(ValueError, match="prefix-consistent"):
             poset_from_pairs(qp2_prefix, [(4, 1)])
+
+    def test_a_poset_records_the_prefix_it_was_built_for(self, qp2_prefix):
+        text = write_poset(trivial_poset(qp2_prefix))
+        for poset in (
+            trivial_poset(qp2_prefix),
+            poset_from_pairs(qp2_prefix, [(1, 3)]),
+            parse_poset(text, qp2_prefix),
+        ):
+            assert poset.prefix is qp2_prefix
+            assert poset.universe == qp2_prefix.variables
+
+    def test_equal_pairs_for_other_prefixes_are_unequal_posets(self):
+        # The same identity relation over {1, 2}, for two prefixes.
+        one, other = Prefix((("e", (1, 2)),)), Prefix((("a", (1, 2)),))
+        for_one, for_other = poset_from_pairs(one, []), poset_from_pairs(other, [])
+        assert for_one.strict_pairs() == for_other.strict_pairs()
+        assert for_one != for_other
+        assert poset_from_pairs(one, []) == poset_from_pairs(Prefix((("e", (2, 1)),)), [])
 
     def test_no_relation_is_built_without_a_builder(self):
         for args in ((), ({1, 2}, {2: {1}})):

@@ -148,7 +148,11 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _add_poset_flags(parser: argparse.ArgumentParser) -> None:
+def _add_inputs(parser: argparse.ArgumentParser) -> None:
+    """Declare the inputs ``_load_inputs`` reads and ``--stats``, the
+    options that ``solve`` and ``validate`` share."""
+    parser.add_argument("instance", help="QDIMACS file")
+    parser.add_argument("--td", required=True, metavar="FILE", help="BTD decomposition file")
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument(
         "--trivial-poset",
@@ -156,6 +160,7 @@ def _add_poset_flags(parser: argparse.ArgumentParser) -> None:
         help="use the full prefix-order dependency poset",
     )
     group.add_argument("--poset", metavar="FILE", help="load a poset file")
+    parser.add_argument("--stats", action="store_true", help="print statistics lines")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,26 +171,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="decide an instance with the derivation engine")
-    solve.add_argument("instance", help="QDIMACS file")
-    solve.add_argument("--td", required=True, metavar="FILE", help="BTD decomposition file")
-    _add_poset_flags(solve)
+    _add_inputs(solve)
     solve.add_argument("--trace", metavar="FILE", help="write a JSON-lines trace")
     solve.add_argument(
         "--checks",
         action="store_true",
         help="assert per-step engine invariants (slower)",
     )
-    solve.add_argument("--stats", action="store_true", help="print statistics lines")
     solve.add_argument("--max-family-size", type=int, default=MAX_FAMILY_SIZE)
     solve.add_argument("--max-set-size", type=int, default=MAX_SET_SIZE)
     solve.add_argument("--max-strategies", type=int, default=MAX_STRATEGIES)
     solve.set_defaults(func=cmd_solve)
 
     validate = sub.add_parser("validate", help="validate a decomposition for an instance")
-    validate.add_argument("instance", help="QDIMACS file")
-    validate.add_argument("--td", required=True, metavar="FILE", help="BTD file")
-    _add_poset_flags(validate)
-    validate.add_argument("--stats", action="store_true", help="print statistics lines")
+    _add_inputs(validate)
     validate.set_defaults(func=cmd_validate)
 
     oracle = sub.add_parser("oracle", help="decide an instance by brute force")

@@ -96,7 +96,6 @@ from .decomposition import (
     validate_trunk_aligned,
 )
 from .formulas import (
-    EXISTS,
     Clause,
     Frozen,
     Matrix,
@@ -511,7 +510,7 @@ def initial_state(
             rule, removes = "R4", frozenset([v, *live.intersection(poset.strict(v))])
             shape = StrategyShape.of(removes, prefix, poset)
         else:
-            rule, removes = "R2" if prefix.quantifier(v) == EXISTS else "R3", frozenset({v})
+            rule, removes = "R3" if v in prefix.universal else "R2", frozenset({v})
         live -= removes
         plan.append((v, rule, removes, shape))
     stored = UntouchedStore(frozenset([lits for lits in matrix if lits]), tuple(plan))

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 import sys
-from itertools import chain
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .decomposition import DecompositionError, TrunkTreeDecomposition, _check_edges
@@ -87,42 +86,44 @@ def _int_tokens(
         raise
 
 
-def _raise(error: ParseError) -> Iterator[Row]:
-    """An iterator that raises ``error`` when first advanced."""
-    raise error
-    yield
-
-
-def _read(text: str, header: str, counts: Tuple[str, ...]):
-    """Split a text into content lines and read the first, its header:
-    ``header`` and one count per name in ``counts``.
+def _rows(text: str, kind: str, checked: bool) -> Iterator[Row]:
+    """The content lines of a text whose header starts with ``kind``.
 
     Lines end at "\\n" only and are stripped at both ends; blank lines and
-    lines that start with "c" are skipped.  Returns the counts, the header's
-    line, ``_checked(text)`` and the rows after the header.  A second header
-    or a row with any character but printable ones and spaces raises when
-    the parser reaches it, so an earlier row's error is reported first.
+    lines that start with "c" are skipped.  A second header, or a line
+    with any character but printable ones and spaces when ``checked``,
+    raises when the reader reaches it, so an earlier line's error is
+    reported first.
     """
-    checked = _checked(text)
-    kind, word = header.split()
-    rows: List[Row] = []
-    error = None
+    first = True
     for line_no, line in enumerate(text.split("\n"), 1):
         line = line.strip()
         if not line or line[0] == "c":
             continue
         if checked and not line.isprintable():
             bad = next(ch for ch in line if not ch.isprintable())
-            error = ParseError(line_no, f"{bad!r} is neither a space nor printable")
-            break
+            raise ParseError(line_no, f"{bad!r} is neither a space nor printable")
         tokens = line.split()
-        if tokens[0] == kind and rows:
-            error = ParseError(line_no, "duplicate header")
-            break
-        rows.append((line_no, line, tokens))
-    if not rows:
-        raise error or ParseError(1, f"missing '{header}' header")
-    line_no, line, tokens = rows.pop(0)
+        if tokens[0] == kind and not first:
+            raise ParseError(line_no, "duplicate header")
+        first = False
+        yield line_no, line, tokens
+
+
+def _read(text: str, header: str, counts: Tuple[str, ...]):
+    """Read a text's first content line (see ``_rows``), its header:
+    ``header`` and one count per name in ``counts``.
+
+    Returns the counts, the header's line, ``_checked(text)`` and an
+    iterator over the rows after the header.
+    """
+    checked = _checked(text)
+    kind, word = header.split()
+    rows = _rows(text, kind, checked)
+    first = next(rows, None)
+    if first is None:
+        raise ParseError(1, f"missing '{header}' header")
+    line_no, line, tokens = first
     if tokens[0] != kind:
         raise ParseError(line_no, f"content before '{header}' header")
     if len(tokens) != 2 + len(counts) or tokens[1] != word:
@@ -130,7 +131,7 @@ def _read(text: str, header: str, counts: Tuple[str, ...]):
     values = _int_tokens(tokens[2:], line_no, counts, checked)
     if min(values) < 0:
         raise ParseError(line_no, "header counts must be non-negative")
-    return values, line_no, checked, chain(rows, _raise(error)) if error else rows
+    return values, line_no, checked, rows
 
 
 def parse_qdimacs(text: str) -> QbfInstance:
@@ -314,7 +315,7 @@ def parse_poset(text: str, prefix: Prefix) -> DependencyPoset:
 
 
 def write_poset(poset: DependencyPoset) -> str:
-    lines = [f"p dep {max(poset.universe, default=0)}"]
+    lines = [f"p dep {max(poset.prefix.variables, default=0)}"]
     lines += (f"d {u} {v}" for u, v in poset.strict_pairs())
     return "\n".join(lines) + "\n"
 

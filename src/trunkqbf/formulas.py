@@ -35,10 +35,13 @@ _neg = operator.neg
 class Frozen:
     """Base of the immutable values that check their fields.
 
-    A subclass sets its fields in its constructor, after its checks,
-    with ``object.__setattr__``; a later assignment or deletion raises
-    ``AttributeError``.  Instances of one class compare and hash by
-    ``_key()``, and the repr names the public slots.
+    A subclass sets its fields in its constructor, after its checks: a
+    ``__slots__`` subclass with ``object.__setattr__``, and ``Prefix``,
+    which declares no ``__slots__``, by writing ``blocks`` into its
+    instance ``__dict__``, where its cached properties are kept too.  A
+    later assignment or deletion raises ``AttributeError``.  Instances
+    of one class compare and hash by ``_key()``, and the default repr
+    names the public slots.
     """
 
     __slots__ = ()
@@ -161,10 +164,6 @@ class Matrix(frozenset):
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-    @property
-    def is_empty(self) -> bool:
-        return not self
-
     def variables(self) -> FrozenSet[int]:
         return frozenset(map(abs, itertools.chain.from_iterable(self)))
 
@@ -286,9 +285,6 @@ class QbfInstance(Frozen):
     def _key(self) -> Tuple[object, ...]:
         return (self.prefix, self.matrix)
 
-    def variables(self) -> FrozenSet[int]:
-        return self.prefix.variables
-
 
 def is_tautological(lits: AbstractSet[int]) -> bool:
     """True iff some variable occurs in both polarities among the literals
@@ -325,7 +321,7 @@ def ground_truth(matrix: Matrix) -> bool:
             raise ValueError(
                 f"matrix is not variable-free: contains {Clause(lits)!r}"
             )
-    return matrix.is_empty
+    return not matrix
 
 
 def primal_graph(instance: QbfInstance) -> Dict[int, Set[int]]:

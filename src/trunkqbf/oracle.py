@@ -58,7 +58,7 @@ def evaluate(instance: QbfInstance, budget: OracleBudget = OracleBudget()) -> bo
     quantifiers = [instance.prefix.quantifier(v) for v in order]
 
     def rec(i: int, matrix: Matrix) -> bool:
-        if matrix.is_empty:
+        if not matrix:
             return True
         if frozenset() in matrix:
             return False
@@ -129,7 +129,7 @@ def evaluate_by_strategy_enumeration(
             for i, x in enumerate(existentials)
         }
         if all(
-            restrict(instance.matrix, *_play(beta, strategy, left_universals)).is_empty
+            not restrict(instance.matrix, *_play(beta, strategy, left_universals))
             for beta in universal_plays
         ):
             return True

@@ -45,10 +45,6 @@ class DependencyPoset:
     def prefix(self) -> Prefix:
         return self._prefix
 
-    @property
-    def universe(self) -> FrozenSet[int]:
-        return self._prefix.variables
-
     def strict(self, v: int) -> FrozenSet[int]:
         """The stored set {v' | v' != v and v' precedes v}, not a copy."""
         try:

@@ -125,7 +125,7 @@ def is_poset_for(poset: DependencyPoset, prefix: Prefix) -> bool:
     """The poset axioms, checked pair by pair through ``dep``: the
     relation is over the prefix's variables, reflexive, transitive and
     consistent with the prefix, which makes it antisymmetric."""
-    if poset.universe != prefix.variables:
+    if poset.prefix.variables != prefix.variables:
         return False
     for v in prefix.variables:
         dep_v = poset.dep(v)

@@ -143,6 +143,10 @@ class TestBtd:
         td = TrunkTreeDecomposition({1: ()}, {}, 1, (1,))
         assert parse_btd(write_btd(td)) == td
 
+    def test_a_repeated_bag_variable_counts_once(self):
+        td = parse_btd("s btd 3 1 1\nb 1\nb 2 1 1\nb 3\ne 2 1\ne 3 2\nr 3\nt 1 2 3\n")
+        assert td.bag(2) == frozenset({1})
+
     def test_sparse_node_ids_round_trip(self):
         from trunkqbf import TrunkTreeDecomposition
 
@@ -241,6 +245,49 @@ class TestBtd:
             "c a+b\np cnf 2 1\ne 1 0\n-" + "1" * 5000 + " 2 0",
             "line 4: literal has more than 4300 digits",
             id="literal of 5000 digits",
+        ),
+        pytest.param(
+            parse_qdimacs,
+            "p cnf 2 1\ne 1 0\np cnf 2 1\n1 2 0",
+            "line 3: duplicate header",
+            id="qdimacs duplicate header",
+        ),
+        pytest.param(
+            parse_btd,
+            "s btd 1 0 0\nb 1\ns btd 1 0 0\nr 1\nt 1",
+            "line 3: duplicate header",
+            id="btd duplicate header",
+        ),
+        pytest.param(
+            lambda text: parse_poset(text, Prefix((("e", (1,)), ("a", (2,))))),
+            "p dep 2\nd 1 2\np dep 2",
+            "line 3: duplicate header",
+            id="poset duplicate header",
+        ),
+        pytest.param(
+            parse_qdimacs,
+            "c only\n\nc comments",
+            "line 1: missing 'p cnf' header",
+            id="comments only",
+        ),
+        pytest.param(
+            parse_btd,
+            "b 1\ns btd 1 0 0\nr 1\nt 1",
+            "line 1: content before 's btd' header",
+            id="btd content before header",
+        ),
+        # A tab puts the text on the checked path of `_checked`.
+        pytest.param(
+            parse_btd,
+            "s btd 1 0 0\nb 1\nr\t1\nt 1",
+            "line 3: '\\t' is neither a space nor printable",
+            id="tab in a btd row",
+        ),
+        pytest.param(
+            lambda text: parse_poset(text, Prefix((("e", (1,)), ("a", (2,))))),
+            "p dep 2\nd 1\t2",
+            "line 2: '\\t' is neither a space nor printable",
+            id="tab in a poset row",
         ),
     ],
 )
@@ -514,13 +561,27 @@ class TestWhitespace:
         assert parse("\r\n".join(lines) + "\r\n") == expected
         assert parse("\n".join(f"  {line} " for line in lines)) == expected
 
-    def test_a_later_bad_line_does_not_hide_an_earlier_error(self):
-        with pytest.raises(ParseError) as info:
-            parse_qdimacs("p cnf 1 1\ne 2 0\n1\t0\n")
-        assert info.value.line == 2
-        with pytest.raises(ParseError) as info:
-            parse_qdimacs("p cnf 1 1\ne 2 0\np cnf 1 1\n")
-        assert info.value.line == 2
+    # Each format's second line is wrong on its own; a tab line or a
+    # second header after it is reported only once the reader reaches it.
+    @pytest.mark.parametrize(
+        "fmt,wrong,message",
+        [
+            pytest.param("qdimacs", "e 9 0", "variable 9 out of range 1..3", id="qdimacs"),
+            pytest.param("btd", "b 0", "node ids are 1-based, got 0", id="btd"),
+            pytest.param(
+                "poset",
+                "d 3 1",
+                "pair (3, 1) is not prefix-consistent: 3 is not quantified strictly left of 1",
+                id="poset",
+            ),
+        ],
+    )
+    def test_a_later_bad_line_does_not_hide_an_earlier_error(self, fmt, wrong, message):
+        parse, lines = FORMATS[fmt]
+        for later in (lines[-1].replace(" ", "\t"), lines[0]):
+            with pytest.raises(ParseError) as info:
+                parse("\n".join([lines[0], wrong, later]) + "\n")
+            assert str(info.value) == f"line 2: {message}"
 
 
 # Integer spellings, valid and not, and separators, valid and not, from

@@ -55,7 +55,7 @@ class TestEvaluate:
             q = QbfInstance(Prefix((("e", tuple(sorted(q.prefix.variables))),)), q.matrix)
             variables = sorted(q.prefix.variables)
             sat = any(
-                restrict(q.matrix, *literal_sets(dict(zip(variables, bits)))).is_empty
+                not restrict(q.matrix, *literal_sets(dict(zip(variables, bits))))
                 for bits in itertools.product((0, 1), repeat=len(variables))
             )
             assert evaluate(q) == sat
@@ -159,7 +159,7 @@ class TestRandomInstance:
 
     def test_no_clauses_means_true(self):
         q = random_instance(3, 5, 0, 2, 2)
-        assert q.matrix.is_empty
+        assert not q.matrix
         assert evaluate(q) is True
 
     def test_clauses_have_no_tautologies_or_duplicate_vars(self):

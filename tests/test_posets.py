@@ -49,7 +49,7 @@ class TestTrivialPoset:
                     dep[v] = set(earlier) | {v}
                 earlier.update(block_vars)
             got = trivial_poset(prefix)
-            assert got.universe == prefix.variables
+            assert got.prefix.variables == prefix.variables
             assert {v: got.dep(v) for v in prefix.variables} == dep
             assert all(type(got.dep(v)) is frozenset for v in prefix.variables)
             # The same order given as the pairs of the prefix order.
@@ -163,7 +163,7 @@ class TestValidatePoset:
             parse_poset(text, qp2_prefix),
         ):
             assert poset.prefix is qp2_prefix
-            assert poset.universe == qp2_prefix.variables
+            assert poset.prefix.variables == qp2_prefix.variables
 
     def test_equal_pairs_for_other_prefixes_are_unequal_posets(self):
         # The same identity relation over {1, 2}, for two prefixes.
@@ -239,12 +239,14 @@ class TestDependentsStrict:
         ]
         rng = random.Random(3)
         for d in posets:
-            universe = sorted(d.universe)
+            universe = sorted(d.prefix.variables)
             for u in universe:
                 for _ in range(20):
                     within = set(rng.sample(universe, rng.randint(0, len(universe))))
                     within |= set(rng.sample(range(20, 30), rng.randint(0, 3)))  # foreign
-                    want = {w for w in within if w in d.universe and w != u and u in d.dep(w)}
+                    want = {
+                        w for w in within if w in d.prefix.variables and w != u and u in d.dep(w)
+                    }
                     assert d.dependents_strict(u, within) == want
                 assert d.dependents_strict(u, universe) == {
                     w for w in universe if w != u and u in d.dep(w)

@@ -6,6 +6,12 @@ errors name the edge, node, root or trunk at fault.  Niceness (T1-T4) and
 trunk alignment (P1/P2) are checked by the validators below, which
 report violations instead of raising.
 
+The constructor walks the tree once, from the root, and records the
+post-order, each variable's topmost nodes (those whose parent's bag
+lacks it), the nodes failing T3 or T4 and the forget nodes: a variable's
+one topmost node, if that node tops no other.  The functions below read
+these records and walk no node again, but for P2's subtrees off the trunk.
+
 Trunk alignment is evaluated with strict dependence for P1: the
 reflexive pair (u, u) is ignored, otherwise no variable could ever
 satisfy P1 since every variable sits in its own forget bag.
@@ -13,7 +19,6 @@ satisfy P1 since every variable sits in its own forget bag.
 
 from __future__ import annotations
 
-from functools import cached_property
 from types import MappingProxyType
 from typing import (
     Dict,
@@ -98,20 +103,72 @@ class TrunkTreeDecomposition:
         for node in self._trunk:
             if node not in self._bags:
                 raise DecompositionError(f"trunk mentions unknown node {node}", "trunk")
-        self._children: Dict[int, List[int]] = {node: [] for node in self._bags}
-        for child, par in self._parent.items():
-            self._children[par].append(child)
-        # The edges form a tree iff one walk down from the root reaches
-        # every node; the list grows while it is walked.
-        reached = [root]
-        for node in reached:
-            reached.extend(self._children[node])
-        if len(reached) != len(self._bags):
-            raise self._not_a_tree(set(reached))
-        for kids in self._children.values():
-            kids.sort()
         self._nodes: Tuple[int, ...] = tuple(sorted(self._bags))
+        self._children: Dict[int, List[int]] = {node: [] for node in self._nodes}
+        for child in sorted(self._parent):
+            self._children[self._parent[child]].append(child)
+        self._walk()
         self._check_trunk()
+
+    def _walk(self) -> None:
+        """The one walk (see the module docstring).  The edges form a tree
+        iff it reaches every node; else it raises.  A node is visited
+        before its children, and the trunk child first among them, so the
+        visits reversed are the post-order."""
+        bags, children, root, trunk = self._bags, self._children, self._root, self._trunk
+        parent, empty = self._parent, frozenset()
+        top: Dict[int, int] = {}  # variable -> the first topmost node found
+        split: Dict[int, List[int]] = {}  # variable -> its topmost nodes, if several
+        forgotten: Dict[int, int] = {}  # node -> the one variable new at it
+        # The root; a root without children is checked with the leaves.
+        t3 = [root] if bags[root] and children[root] else []
+        t4: List[int] = []
+        visits: List[int] = []
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            bag = bags[node]
+            new = bag - bags.get(parent.get(node), empty)
+            # Down a chain of single children without the stack.
+            while True:
+                visits.append(node)
+                if new:
+                    for v in new:
+                        if top.setdefault(v, node) != node:
+                            split.setdefault(v, [top[v]]).append(node)
+                    if len(new) == 1:
+                        forgotten[node] = v
+                kids = children[node]
+                if len(kids) != 1:
+                    break
+                kid_bag = bags[kids[0]]
+                new = kid_bag - bag
+                # Introduce: no new variable and one fewer.  Forget: one new
+                # variable and one more.  With more new ones, sizes differ.
+                if len(kid_bag) != len(bag) + 2 * len(new) - 1:
+                    t4.append(node)
+                node, bag = kids[0], kid_bag
+            if not kids:
+                if bag:
+                    t3.append(node)
+                continue
+            if len(kids) != 2 or not bag == bags[kids[0]] == bags[kids[1]]:
+                t4.append(node)
+            # The trunk is visited first, from the root down, as each
+            # trunk child is pushed last: the m-th visit is trunk[-m].
+            m = len(visits)
+            tc = trunk[-1 - m] if m < len(trunk) else None
+            stack += [kid for kid in kids if kid != tc]
+            if tc in kids:
+                stack.append(tc)
+        if len(visits) != len(bags):
+            raise self._not_a_tree(set(visits))
+        for tops in split.values():
+            tops.sort()
+        visits.reverse()
+        self._postorder: Tuple[int, ...] = tuple(visits)
+        self._top, self._split, self._forgotten = top, split, forgotten
+        self._t3, self._t4 = t3, t4
 
     def _not_a_tree(self, reached: Set[int]) -> DecompositionError:
         """The error for a walk from the root that missed some nodes: the
@@ -164,62 +221,15 @@ class TrunkTreeDecomposition:
     def children(self, node: int) -> Tuple[int, ...]:
         return tuple(self._children[node])
 
-    @cached_property
-    def _tops(self) -> Dict[int, Tuple[int, ...]]:
-        """Variable -> the nodes holding it whose parent does not, ascending.
-
-        A variable whose occurrences form one subtree has exactly one
-        such node, its forget node.
-        """
-        tops: Dict[int, List[int]] = {}
-        for node in self._nodes:
-            above = self._bags.get(self._parent.get(node), frozenset())
-            for v in self._bags[node] - above:
-                tops.setdefault(v, []).append(node)
-        return {v: tuple(nodes) for v, nodes in tops.items()}
-
-    @cached_property
-    def _forgotten(self) -> Dict[int, int]:
-        """Forget node -> the variable it forgets, built once.
-
-        Raises DecompositionError when a variable has several topmost
-        occurrences (a T2 violation) or shares its forget node with
-        another variable (impossible in a nice decomposition).
-        """
-        forgotten: Dict[int, int] = {}
-        for v in self._tops:
-            node = forget_node(self, v)
-            if forgotten.setdefault(node, v) != v:
-                raise DecompositionError(
-                    f"variables {forgotten[node]} and {v} share forget node {node}"
-                )
-        return forgotten
-
     def bag_variables(self) -> FrozenSet[int]:
-        out: Set[int] = set()
-        for bag in self._bags.values():
-            out |= bag
-        return frozenset(out)
+        """The variables of all bags: each has a topmost node."""
+        return frozenset(self._top)
 
     def postorder(self) -> Tuple[int, ...]:
         """Deterministic post-order: the trunk child of a trunk node last
-        among its siblings, the other children ascending by id."""
-        trunk_child = dict(zip(self._trunk[1:], self._trunk))
-        order: List[int] = []
-        stack: List[Tuple[int, bool]] = [(self._root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            stack.append((node, True))
-            tc = trunk_child.get(node)
-            if tc is not None:
-                stack.append((tc, False))
-            for child in reversed(self._children[node]):
-                if child != tc:
-                    stack.append((child, False))
-        return tuple(order)
+        among its siblings, the other children ascending by id.  It is
+        the constructor's one walk, reversed."""
+        return self._postorder
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TrunkTreeDecomposition):
@@ -254,14 +264,24 @@ def _check_edges(bags: Mapping[int, object], parent: Mapping[int, int]) -> None:
 
 def forget_node(td: TrunkTreeDecomposition, v: int) -> int:
     """The unique highest node whose bag contains v."""
-    tops = td._tops.get(v)
-    if not tops:
+    node = td._top.get(v)
+    if node is None:
         raise DecompositionError(f"variable {v} is never introduced")
-    if len(tops) != 1:
-        raise DecompositionError(
-            f"variable {v} has {len(tops)} topmost occurrences {list(tops)}"
-        )
-    return tops[0]
+    if v in td._split:
+        raise DecompositionError(f"variable {v} {_forget_fault(td, v)}")
+    return node
+
+
+def _forget_fault(td: TrunkTreeDecomposition, v: int) -> str:
+    """Why a variable of some bag has no forget node: it has several
+    topmost nodes (a T2 violation), or its one topmost node tops another
+    variable too (impossible in a nice decomposition)."""
+    tops = td._split.get(v)
+    if tops:
+        return f"has {len(tops)} topmost occurrences {tops}"
+    node = td._top[v]
+    above = td._bags.get(td._parent.get(node), frozenset())
+    return f"shares forget node {node} with {sorted(td._bags[node] - above - {v})}"
 
 
 def subtree_vars(td: TrunkTreeDecomposition, node: int) -> FrozenSet[int]:
@@ -283,12 +303,14 @@ def validate_nice(td: TrunkTreeDecomposition, instance: QbfInstance) -> Validati
 
     T1 is checked clause by clause, so on a valid decomposition its cost
     is linear in the matrix and never enumerates the pairs of a bag.
+    T2, T3 and T4 read what the constructor's walk recorded: each
+    variable's topmost nodes and the nodes failing T3 or T4.
     """
     violations: List[Violation] = []
     variables = instance.prefix.variables
+    bags, top, split = td._bags, td._top, td._split
 
-    foreign = td.bag_variables() - variables
-    for v in sorted(foreign):
+    for v in sorted(top.keys() - variables):
         violations.append(
             Violation("T2", str(v), "appears in bags but is not a variable of the instance")
         )
@@ -300,16 +322,14 @@ def validate_nice(td: TrunkTreeDecomposition, instance: QbfInstance) -> Validati
     # (Helly), and the top of that common part is the top of one of
     # them.  Only the pairs of the other clauses are tested against the
     # bags.
-    bags = td._bags
-    tops = td._tops
     uncovered = []
     for lits in instance.matrix:
         over = frozenset(map(abs, lits))
         if len(over) < 2:
             continue
         for x in over:
-            top = tops.get(x)
-            if top and over <= bags[top[0]]:
+            node = top.get(x)
+            if node is not None and over <= bags[node]:
                 break
         else:
             uncovered.append(sorted(over))
@@ -330,46 +350,33 @@ def validate_nice(td: TrunkTreeDecomposition, instance: QbfInstance) -> Validati
                 Violation("T1", f"{u},{w}", "primal edge not contained in any bag")
             )
 
-    # T2: occurrences of each variable form a nonempty connected subtree.
-    for v in sorted(variables):
-        tops = td._tops.get(v)
-        if not tops:
+    # T2: occurrences of each variable form a nonempty connected subtree,
+    # so it has exactly one topmost node.
+    for v in sorted(variables - top.keys() | variables & split.keys()):
+        tops = split.get(v)
+        if tops is None:
             violations.append(Violation("T2", str(v), "variable occurs in no bag"))
-            continue
-        if len(tops) != 1:
-            violations.append(
-                Violation(
-                    "T2",
-                    str(v),
-                    f"occurrences split into {len(tops)} components (tops {list(tops)})",
-                )
-            )
+        else:
+            message = f"occurrences split into {len(tops)} components (tops {tops})"
+            violations.append(Violation("T2", str(v), message))
 
     # T3: leaf and root bags are empty.  T4: every non-leaf node is
-    # introduce, forget, or join.  One walk; every T3 is listed first.
-    t4: List[Violation] = []
-    for node in td.nodes:
-        bag, kids = bags[node], td._children[node]
-        if (not kids or node == td._root) and bag:
-            violations.append(
-                Violation("T3", str(node), f"leaf/root bag is not empty: {sorted(bag)}")
-            )
-        if len(kids) == 1:
-            child_bag = bags[kids[0]]
-            if len(bag) == len(child_bag) + 1 and child_bag < bag:
-                continue  # introduce
-            if len(bag) == len(child_bag) - 1 and bag < child_bag:
-                continue  # forget
-            t4.append(
-                Violation("T4", str(node), "single-child node is neither introduce nor forget")
-            )
-        elif len(kids) == 2:
-            if not (bag == bags[kids[0]] == bags[kids[1]]):
-                t4.append(Violation("T4", str(node), "join node bags differ from children"))
-        elif kids:
-            t4.append(Violation("T4", str(node), f"node has {len(kids)} children"))
+    # introduce, forget, or join.  Every T3 is listed first.
+    for node in sorted(td._t3):
+        violations.append(
+            Violation("T3", str(node), f"leaf/root bag is not empty: {sorted(bags[node])}")
+        )
+    for node in sorted(td._t4):
+        count = len(td._children[node])
+        if count == 1:
+            message = "single-child node is neither introduce nor forget"
+        elif count == 2:
+            message = "join node bags differ from children"
+        else:
+            message = f"node has {count} children"
+        violations.append(Violation("T4", str(node), message))
 
-    return ValidationReport(tuple(violations + t4))
+    return ValidationReport(tuple(violations))
 
 
 def validate_trunk_aligned(
@@ -385,8 +392,8 @@ def validate_trunk_aligned(
     violations: List[Violation] = []
     held: Dict[int, str] = {}
     variables = instance.prefix.variables
-    forgotten = td._forgotten
-    forget = {u: node for node, u in forgotten.items()}
+    bags, children = td._bags, td._children
+    top, split, forgotten = td._top, td._split, td._forgotten
     # P2 in one walk up the trunk: ``below`` grows to the variables of
     # the subtree at each trunk node.  Each distinct stored predecessor
     # set keeps the list of its members not yet seen below; a test pops
@@ -397,8 +404,8 @@ def validate_trunk_aligned(
     below: Set[int] = set()
     outside: Dict[FrozenSet[int], List[int]] = {}
     for lower, node in zip((None,) + td.trunk, td.trunk):
-        below |= td._bags[node]
-        for child in td._children[node]:
+        below |= bags[node]
+        for child in children[node]:
             if child != lower:
                 below |= subtree_vars(td, child)
         u = forgotten.get(node)
@@ -413,11 +420,14 @@ def validate_trunk_aligned(
             if not rest:
                 p2_holds.add(u)
     for u in sorted(variables):
-        node = forget.get(u)
+        node = top.get(u)
         if node is None:
             violations.append(Violation("P1P2", str(u), "variable occurs in no bag"))
             continue
-        offenders = poset.dependents_strict(u, td.bag(node))
+        if forgotten.get(node) != u or u in split:
+            violations.append(Violation("P1P2", str(u), _forget_fault(td, u)))
+            continue
+        offenders = poset.dependents_strict(u, bags[node])
         p1 = not offenders
         p2 = u in p2_holds
         if p1 and p2:
@@ -439,6 +449,12 @@ def validate_trunk_aligned(
 
 def elimination_ordering(td: TrunkTreeDecomposition) -> Tuple[int, ...]:
     """Variables in the order of their forget nodes in ``td.postorder()``,
-    a fixed total extension of the node order."""
+    a fixed total extension of the node order; raises DecompositionError
+    if a variable has no forget node (see ``_forget_fault``)."""
     forgotten = td._forgotten
-    return tuple(forgotten[node] for node in td.postorder() if node in forgotten)
+    # Every variable of a bag has a topmost node, so each has a forget
+    # node iff none has several and each of them tops one variable.
+    if td._split or len(forgotten) != len(td._top):
+        v = min(td._top.keys() - set(forgotten.values()) | td._split.keys())
+        raise DecompositionError(f"variable {v} {_forget_fault(td, v)}")
+    return tuple([forgotten[node] for node in td._postorder if node in forgotten])

@@ -207,11 +207,13 @@ def parse_btd(text: str) -> TrunkTreeDecomposition:
         text, "s btd", ("node count", "max bag size", "variable count")
     )
     bags: Dict[int, FrozenSet[int]] = {}
-    # The line of each subject a DecompositionError can name.
-    lines: Dict[Tuple[object, ...], int] = {}
+    # The line of each node's bag and of the edge into each node.
+    bag_lines: Dict[int, int] = {}
+    edge_lines: Dict[int, int] = {}
     edges: List[Tuple[int, int, int]] = []  # (line, parent, child)
     root: Optional[int] = None
     trunk: Optional[Tuple[int, ...]] = None
+    root_line = trunk_line = 0  # set with the root and the trunk
     for line_no, _, tokens in rows:
         kind = tokens[0]
         if kind == "b":
@@ -222,7 +224,7 @@ def parse_btd(text: str) -> TrunkTreeDecomposition:
             if node < 1:
                 raise ParseError(line_no, f"node ids are 1-based, got {node}")
             if node in bags:
-                first = lines["node", node]
+                first = bag_lines[node]
                 raise ParseError(line_no, f"duplicate node {node} (bag already on line {first})")
             for v in variables:
                 if v < 1 or v > num_vars:
@@ -231,7 +233,7 @@ def parse_btd(text: str) -> TrunkTreeDecomposition:
             if len(bag) > max_bag:
                 message = f"bag of node {node} has {len(bag)} variables, header allows {max_bag}"
                 raise ParseError(line_no, message)
-            lines["node", node] = line_no
+            bag_lines[node] = line_no
         elif kind == "e":
             if len(tokens) != 3:
                 raise ParseError(line_no, "edge line must be 'e <parent> <child>'")
@@ -245,14 +247,14 @@ def parse_btd(text: str) -> TrunkTreeDecomposition:
             if len(tokens) != 2:
                 raise ParseError(line_no, "root line must be 'r <node>'")
             (root,) = _int_tokens(tokens[1:], line_no, "node id", checked)
-            lines[("root",)] = line_no
+            root_line = line_no
         elif kind == "t":
             if trunk is not None:
                 raise ParseError(line_no, "duplicate trunk line")
             trunk = tuple(_int_tokens(tokens[1:], line_no, "node id", checked))
             if not trunk:
                 raise ParseError(line_no, "empty trunk line")
-            lines[("trunk",)] = line_no
+            trunk_line = line_no
         else:
             raise ParseError(line_no, f"unknown line kind {kind!r}")
 
@@ -270,14 +272,21 @@ def parse_btd(text: str) -> TrunkTreeDecomposition:
                 # An unknown node on an earlier edge, then on this one,
                 # is reported before the second parent.
                 _check_edges(bags, parent_map)
-                lines["edge", child] = line_no
+                edge_lines[child] = line_no
                 _check_edges(bags, {child: parent})
                 raise ParseError(line_no, f"node {child} has two parents")
             parent_map[child] = parent
-            lines["edge", child] = line_no
+            edge_lines[child] = line_no
         return TrunkTreeDecomposition(bags, parent_map, root, trunk)
     except DecompositionError as exc:
-        raise ParseError(lines[exc.subject], str(exc)) from exc
+        kind = exc.subject[0]
+        if kind == "edge":
+            line = edge_lines[exc.subject[1]]
+        elif kind == "node":
+            line = bag_lines[exc.subject[1]]
+        else:
+            line = root_line if kind == "root" else trunk_line
+        raise ParseError(line, str(exc)) from exc
 
 
 def write_btd(td: TrunkTreeDecomposition) -> str:

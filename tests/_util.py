@@ -27,6 +27,7 @@ from trunkqbf import (
     validate_trunk_aligned,
     verify_poset_property2,
 )
+from trunkqbf.decomposition import Violation
 from trunkqbf.derivation import UntouchedStore, validate_input
 from trunkqbf.generators import _path_td as path_td
 
@@ -151,6 +152,99 @@ def random_prefix(rng: random.Random, max_vars: int) -> Prefix:
 
 def edge_set(adjacency: Dict[int, Set[int]]) -> Set[Tuple[int, int]]:
     return {(u, v) for u, ns in adjacency.items() for v in ns if u < v}
+
+
+def reference_children(td: TrunkTreeDecomposition, node: int) -> Tuple[int, ...]:
+    """The nodes whose parent is the node, ascending, by scanning every node."""
+    return tuple(c for c in sorted(td.nodes) if td.parent_of(c) == node)
+
+
+def reference_postorder(td: TrunkTreeDecomposition) -> List[int]:
+    """The post-order by recursion: the children ascending by id, but a
+    trunk child last."""
+    on_trunk = set(td.trunk)
+
+    def visit(node: int) -> List[int]:
+        kids = sorted(reference_children(td, node), key=lambda c: (c in on_trunk, c))
+        return [x for c in kids for x in visit(c)] + [node]
+
+    return visit(td.root)
+
+
+def reference_tops(td: TrunkTreeDecomposition) -> Dict[int, List[int]]:
+    """Variable -> the nodes holding it whose parent does not, ascending,
+    by scanning every node."""
+    tops: Dict[int, List[int]] = {}
+    for node in sorted(td.nodes):
+        above = td.parent_of(node)
+        for v in td.bag(node):
+            if above is None or v not in td.bag(above):
+                tops.setdefault(v, []).append(node)
+    return tops
+
+
+def reference_forget_nodes(td: TrunkTreeDecomposition) -> Dict[int, int]:
+    """Variable -> its forget node, for the variables with one topmost node
+    that tops no other variable."""
+    tops = reference_tops(td)
+    single = [nodes[0] for nodes in tops.values() if len(nodes) == 1]
+    return {
+        v: nodes[0]
+        for v, nodes in tops.items()
+        if len(nodes) == 1 and single.count(nodes[0]) == 1
+    }
+
+
+def reference_t1(td, instance):
+    """T1 violations by the direct definition: every pair of every bag is
+    covered, and every primal edge must be among them."""
+    covered = set()
+    for node in td.nodes:
+        bag = sorted(td.bag(node))
+        for i, u in enumerate(bag):
+            for w in bag[i + 1 :]:
+                covered.add((u, w))
+    adjacency = primal_graph(instance)
+    return [
+        Violation("T1", f"{u},{w}", "primal edge not contained in any bag")
+        for u in sorted(adjacency)
+        for w in sorted(adjacency[u])
+        if u < w and (u, w) not in covered
+    ]
+
+
+def reference_nice(td: TrunkTreeDecomposition, instance: QbfInstance) -> Tuple[Violation, ...]:
+    """``validate_nice``'s violations by the definitions, node by node:
+    the foreign variables, T1, T2 from ``reference_tops``, then T3 and T4
+    by comparing each node's bag with its children's."""
+    variables = instance.prefix.variables
+    tops = reference_tops(td)
+    out = [
+        Violation("T2", str(v), "appears in bags but is not a variable of the instance")
+        for v in sorted(set(tops) - variables)
+    ]
+    out += reference_t1(td, instance)
+    for v in sorted(variables):
+        if v not in tops:
+            out.append(Violation("T2", str(v), "variable occurs in no bag"))
+        elif len(tops[v]) > 1:
+            message = f"occurrences split into {len(tops[v])} components (tops {tops[v]})"
+            out.append(Violation("T2", str(v), message))
+    t3, t4 = [], []
+    for node in sorted(td.nodes):
+        bag, kids = td.bag(node), reference_children(td, node)
+        if bag and (not kids or node == td.root):
+            t3.append(Violation("T3", str(node), f"leaf/root bag is not empty: {sorted(bag)}"))
+        if len(kids) == 1:
+            below = td.bag(kids[0])
+            if not (below < bag and len(bag - below) == 1 or bag < below and len(below - bag) == 1):
+                message = "single-child node is neither introduce nor forget"
+                t4.append(Violation("T4", str(node), message))
+        elif len(kids) == 2 and not bag == td.bag(kids[0]) == td.bag(kids[1]):
+            t4.append(Violation("T4", str(node), "join node bags differ from children"))
+        elif len(kids) > 2:
+            t4.append(Violation("T4", str(node), f"node has {len(kids)} children"))
+    return tuple(out + t3 + t4)
 
 
 def normalize(rough: TrunkTreeDecomposition) -> TrunkTreeDecomposition:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trunkqbf import (
     DecompositionError,
@@ -22,7 +24,6 @@ from trunkqbf import (
     validate_trunk_aligned,
     width,
 )
-from trunkqbf import primal_graph
 from trunkqbf.decomposition import ValidationReport, Violation
 
 from _util import (
@@ -31,6 +32,12 @@ from _util import (
     min_width_by_enumeration,
     normalize,
     path_td,
+    reference_children,
+    reference_forget_nodes,
+    reference_nice,
+    reference_postorder,
+    reference_t1,
+    reference_tops,
     shuffled_path_cases,
 )
 
@@ -150,6 +157,26 @@ class TestTrunkAlignment:
         report = validate_trunk_aligned(td, q, trivial_poset(q.prefix))
         assert not report.ok
         assert any(v.subject == "2" for v in report.violations)
+
+    def test_a_split_variable_is_a_violation_not_an_error(self):
+        q = QbfInstance(Prefix((("e", (1,)), ("a", (2,)))), matrix_of((1, 2)))
+        td = path_td([(), (1,), (), (1,), (1, 2), (2,), ()])
+        report = validate_trunk_aligned(td, q, trivial_poset(q.prefix))
+        assert report.violations == (
+            Violation("P1P2", "1", "has 2 topmost occurrences [2, 5]"),
+        )
+        assert dict(report.property_held) == {2: "P1P2"}
+
+    def test_a_shared_forget_node_is_a_violation_not_an_error(self):
+        q = QbfInstance(Prefix((("e", (1,)), ("a", (2,)))), matrix_of((1, 2)))
+        td = path_td([(), (1,), (1, 2), ()])
+        report = validate_trunk_aligned(td, q, trivial_poset(q.prefix))
+        assert report.violations == (
+            Violation("P1P2", "1", "shares forget node 3 with [2]"),
+            Violation("P1P2", "2", "shares forget node 3 with [1]"),
+        )
+        with pytest.raises(DecompositionError, match="variable 1 shares forget node 3"):
+            elimination_ordering(td)
 
     def test_p2_through_join_nodes_matches_brute_force(self):
         # across_joins counts variables whose P2 needs an off-trunk subtree.
@@ -349,24 +376,6 @@ class TestMinDependencyEliminationWidth:
         assert min_width_by_enumeration(q, trivial_poset(q.prefix)) == 0
 
 
-def reference_t1(td, instance):
-    """T1 violations by the direct definition: every pair of every bag is
-    covered, and every primal edge must be among them."""
-    covered = set()
-    for node in td.nodes:
-        bag = sorted(td.bag(node))
-        for i, u in enumerate(bag):
-            for w in bag[i + 1 :]:
-                covered.add((u, w))
-    adjacency = primal_graph(instance)
-    return [
-        Violation("T1", f"{u},{w}", "primal edge not contained in any bag")
-        for u in sorted(adjacency)
-        for w in sorted(adjacency[u])
-        if u < w and (u, w) not in covered
-    ]
-
-
 def mutated_tds(td, instance, rng):
     """Broken copies of a decomposition: a variable dropped from one bag,
     a clause's variable dropped from every bag holding the whole clause,
@@ -499,3 +508,96 @@ class TestLinearP2:
             failing += not report.ok
             self.check(td, q, poset_from_pairs(q.prefix, ()))
         assert held >= 200 and failing >= 50
+
+
+@st.composite
+def random_trees(draw):
+    """A tree of 1-12 nodes with shuffled ids and random bags over the
+    variables 1-4, its trunk from a random leaf up to the root.  Most
+    fail niceness: split variables, nodes with 3 or more children,
+    non-empty leaves and roots, bags that jump."""
+    n = draw(st.integers(1, 12))
+    ids = draw(st.permutations(range(1, n + 1)))
+    parent = {ids[i]: ids[draw(st.integers(0, i - 1))] for i in range(1, n)}
+    bags = {node: draw(st.frozensets(st.integers(1, 4), max_size=3)) for node in ids}
+    leaves = sorted(set(ids) - set(parent.values()))
+    trunk = [draw(st.sampled_from(leaves))]
+    while trunk[-1] in parent:
+        trunk.append(parent[trunk[-1]])
+    return TrunkTreeDecomposition(bags, parent, ids[0], trunk)
+
+
+def broken_shapes(td, rng):
+    """Copies of a nice decomposition with one fault each, by name: a
+    variable split by adding it to a far bag, a non-empty leaf and a node
+    with a third child."""
+    bags = {node: set(td.bag(node)) for node in td.nodes}
+    parent = {node: td.parent_of(node) for node in td.nodes if node != td.root}
+    variables = sorted(td.bag_variables())
+    if variables:
+        split = {node: set(bag) for node, bag in bags.items()}
+        split[td.trunk[0]].add(rng.choice(variables))
+        yield "split", TrunkTreeDecomposition(split, parent, td.root, td.trunk)
+        leafy = {node: set(bag) for node, bag in bags.items()}
+        leaf = rng.choice([node for node in td.nodes if not td.children(node)])
+        leafy[leaf].add(rng.choice(variables))
+        yield "leaf", TrunkTreeDecomposition(leafy, parent, td.root, td.trunk)
+    joins = [node for node in td.nodes if len(td.children(node)) == 2]
+    if joins:
+        extra = max(td.nodes) + 1
+        wide = {**parent, extra: rng.choice(joins)}
+        yield "wide", TrunkTreeDecomposition({**bags, extra: ()}, wide, td.root, td.trunk)
+
+
+class TestOneWalk:
+    """The constructor's one walk against brute force: the post-order,
+    the children, each variable's forget node, the elimination ordering
+    and ``validate_nice``'s violations."""
+
+    def check(self, td, q):
+        assert list(td.postorder()) == reference_postorder(td)
+        for node in td.nodes:
+            assert td.children(node) == reference_children(td, node)
+        tops = reference_tops(td)
+        for v in range(1, 6):
+            if len(tops.get(v, ())) == 1:
+                assert forget_node(td, v) == tops[v][0]
+            else:
+                with pytest.raises(DecompositionError):
+                    forget_node(td, v)
+        forget = reference_forget_nodes(td)
+        if len(forget) == len(tops):
+            by_node = {node: v for v, node in forget.items()}
+            want = [by_node[node] for node in reference_postorder(td) if node in by_node]
+            assert list(elimination_ordering(td)) == want
+        else:
+            with pytest.raises(DecompositionError):
+                elimination_ordering(td)
+        assert validate_nice(td, q).violations == reference_nice(td, q)
+        # A variable without a forget node is a violation, not an error.
+        report = validate_trunk_aligned(td, q, trivial_poset(q.prefix))
+        faulty = {str(v) for v in q.prefix.variables if v not in forget}
+        assert faulty <= {v.subject for v in report.violations if v.rule == "P1P2"}
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(
+        random_trees(),
+        st.lists(st.frozensets(st.integers(-3, 3).filter(bool), max_size=3), max_size=4),
+    )
+    def test_random_trees(self, td, clauses):
+        # Variable 4 occurs in bags only: foreign to the instance.
+        q = QbfInstance(Prefix((("e", (1,)), ("a", (2,)), ("e", (3,)))), matrix_of(*clauses))
+        self.check(td, q)
+
+    def test_join_nodes_and_their_broken_shapes(self):
+        rng = random.Random(27)
+        shapes = {"nice": 0, "split": 0, "leaf": 0, "wide": 0}
+        for _, q, td in join_node_cases():
+            if max(q.prefix.variables) > 5:
+                continue
+            self.check(td, q)
+            shapes["nice"] += 1
+            for name, bad in broken_shapes(td, rng):
+                self.check(bad, q)
+                shapes[name] += not validate_nice(bad, q).ok
+        assert min(shapes.values()) >= 50, shapes

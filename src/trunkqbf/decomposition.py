@@ -6,10 +6,12 @@ errors name the edge, node, root or trunk at fault.  Niceness (T1-T4) and
 trunk alignment (P1/P2) are checked by the validators below, which
 report violations instead of raising.
 
-The constructor walks the tree once, from the root, and records the
-post-order, each variable's topmost nodes (those whose parent's bag
-lacks it), the nodes failing T3 or T4 and the forget nodes: a variable's
-one topmost node, if that node tops no other.  The functions below read
+The constructor walks the tree once, from the root: the walk checks
+that the edges form a tree and gives the post-order.  One pass over the
+nodes, made when first needed and then kept, records each
+variable's topmost nodes (those whose parent's bag lacks it), the nodes
+failing T3 or T4 and the forget nodes: a variable's one topmost node, if
+that node tops no other.  The functions below read the post-order and
 these records and walk no node again, but for P2's subtrees off the trunk.
 
 Trunk alignment is evaluated with strict dependence for P1: the
@@ -19,6 +21,7 @@ satisfy P1 since every variable sits in its own forget bag.
 
 from __future__ import annotations
 
+from functools import cached_property
 from types import MappingProxyType
 from typing import (
     Dict,
@@ -103,72 +106,83 @@ class TrunkTreeDecomposition:
         for node in self._trunk:
             if node not in self._bags:
                 raise DecompositionError(f"trunk mentions unknown node {node}", "trunk")
+        # Each node's children; the walk sorts those of a node with several.
+        self._children: Dict[int, List[int]] = {node: [] for node in self._bags}
+        for child, par in self._parent.items():
+            self._children[par].append(child)
         self._nodes: Tuple[int, ...] = tuple(sorted(self._bags))
-        self._children: Dict[int, List[int]] = {node: [] for node in self._nodes}
-        for child in sorted(self._parent):
-            self._children[self._parent[child]].append(child)
-        self._walk()
+        self._postorder: Tuple[int, ...] = self._walk()
         self._check_trunk()
 
-    def _walk(self) -> None:
-        """The one walk (see the module docstring).  The edges form a tree
-        iff it reaches every node; else it raises.  A node is visited
-        before its children, and the trunk child first among them, so the
-        visits reversed are the post-order."""
-        bags, children, root, trunk = self._bags, self._children, self._root, self._trunk
-        parent, empty = self._parent, frozenset()
-        top: Dict[int, int] = {}  # variable -> the first topmost node found
-        split: Dict[int, List[int]] = {}  # variable -> its topmost nodes, if several
-        forgotten: Dict[int, int] = {}  # node -> the one variable new at it
-        # The root; a root without children is checked with the leaves.
-        t3 = [root] if bags[root] and children[root] else []
-        t4: List[int] = []
+    def _walk(self) -> Tuple[int, ...]:
+        """The post-order (see ``postorder``) of the one walk from the root;
+        raises unless the walk reaches every node, i.e. unless the edges
+        form a tree.  A node is visited before its children and the trunk
+        child first among them, so the visits reversed are the post-order."""
+        children, on_trunk = self._children, set(self._trunk)
         visits: List[int] = []
-        stack = [root]
+        stack = [self._root]
         while stack:
             node = stack.pop()
-            bag = bags[node]
-            new = bag - bags.get(parent.get(node), empty)
-            # Down a chain of single children without the stack.
-            while True:
-                visits.append(node)
+            visits.append(node)
+            kids = children[node]
+            if len(kids) > 1:
+                kids.sort()
+                # A stable sort puts the trunk child, the one child of a
+                # trunk node on the trunk, last.
+                stack += sorted(kids, key=on_trunk.__contains__)
+            else:
+                stack += kids
+        if len(visits) != len(self._bags):
+            raise self._not_a_tree(set(visits))
+        visits.reverse()
+        return tuple(visits)
+
+    @cached_property
+    def _records(self) -> tuple:
+        """The one pass over the nodes (see the module docstring): variable
+        -> a topmost node, variable -> its topmost nodes if several, node
+        -> the one variable new at it, the nodes failing T3 and those
+        failing T4 with the message, each list ascending.  The variables
+        new at a child, those its parent's bag lacks, are found at the
+        parent; those at the root are its bag."""
+        bags, children, root = self._bags, self._children, self._root
+        top = dict.fromkeys(bags[root], root)
+        split: Dict[int, List[int]] = {}
+        forgotten: Dict[int, int] = {}
+        if len(top) == 1:
+            (forgotten[root],) = top
+        # A root without children is checked with the leaves.
+        t3 = [root] if top and children[root] else []
+        t4: List[Tuple[int, str]] = []
+        for node in self._nodes:
+            bag, kids = bags[node], children[node]
+            for kid in kids:
+                below = bags[kid]
+                new = below - bag
                 if new:
                     for v in new:
-                        if top.setdefault(v, node) != node:
-                            split.setdefault(v, [top[v]]).append(node)
+                        if top.setdefault(v, kid) != kid:
+                            split.setdefault(v, [top[v]]).append(kid)
                     if len(new) == 1:
-                        forgotten[node] = v
-                kids = children[node]
-                if len(kids) != 1:
-                    break
-                kid_bag = bags[kids[0]]
-                new = kid_bag - bag
-                # Introduce: no new variable and one fewer.  Forget: one new
-                # variable and one more.  With more new ones, sizes differ.
-                if len(kid_bag) != len(bag) + 2 * len(new) - 1:
-                    t4.append(node)
-                node, bag = kids[0], kid_bag
+                        forgotten[kid] = v
             if not kids:
                 if bag:
                     t3.append(node)
-                continue
-            if len(kids) != 2 or not bag == bags[kids[0]] == bags[kids[1]]:
-                t4.append(node)
-            # The trunk is visited first, from the root down, as each
-            # trunk child is pushed last: the m-th visit is trunk[-m].
-            m = len(visits)
-            tc = trunk[-1 - m] if m < len(trunk) else None
-            stack += [kid for kid in kids if kid != tc]
-            if tc in kids:
-                stack.append(tc)
-        if len(visits) != len(bags):
-            raise self._not_a_tree(set(visits))
+            elif len(kids) == 1:
+                # Introduce: no variable new below and one fewer.  Forget:
+                # one new and one more.  With more new ones, sizes differ.
+                if len(below) != len(bag) + 2 * len(new) - 1:
+                    t4.append((node, "single-child node is neither introduce nor forget"))
+            elif len(kids) == 2:
+                if not bag == bags[kids[0]] == bags[kids[1]]:
+                    t4.append((node, "join node bags differ from children"))
+            else:
+                t4.append((node, f"node has {len(kids)} children"))
         for tops in split.values():
             tops.sort()
-        visits.reverse()
-        self._postorder: Tuple[int, ...] = tuple(visits)
-        self._top, self._split, self._forgotten = top, split, forgotten
-        self._t3, self._t4 = t3, t4
+        t3.sort()
+        return top, split, forgotten, t3, t4
 
     def _not_a_tree(self, reached: Set[int]) -> DecompositionError:
         """The error for a walk from the root that missed some nodes: the
@@ -223,7 +237,7 @@ class TrunkTreeDecomposition:
 
     def bag_variables(self) -> FrozenSet[int]:
         """The variables of all bags: each has a topmost node."""
-        return frozenset(self._top)
+        return frozenset(self._records[0])
 
     def postorder(self) -> Tuple[int, ...]:
         """Deterministic post-order: the trunk child of a trunk node last
@@ -264,10 +278,11 @@ def _check_edges(bags: Mapping[int, object], parent: Mapping[int, int]) -> None:
 
 def forget_node(td: TrunkTreeDecomposition, v: int) -> int:
     """The unique highest node whose bag contains v."""
-    node = td._top.get(v)
+    top, split = td._records[:2]
+    node = top.get(v)
     if node is None:
         raise DecompositionError(f"variable {v} is never introduced")
-    if v in td._split:
+    if v in split:
         raise DecompositionError(f"variable {v} {_forget_fault(td, v)}")
     return node
 
@@ -276,10 +291,11 @@ def _forget_fault(td: TrunkTreeDecomposition, v: int) -> str:
     """Why a variable of some bag has no forget node: it has several
     topmost nodes (a T2 violation), or its one topmost node tops another
     variable too (impossible in a nice decomposition)."""
-    tops = td._split.get(v)
+    top, split = td._records[:2]
+    tops = split.get(v)
     if tops:
         return f"has {len(tops)} topmost occurrences {tops}"
-    node = td._top[v]
+    node = top[v]
     above = td._bags.get(td._parent.get(node), frozenset())
     return f"shares forget node {node} with {sorted(td._bags[node] - above - {v})}"
 
@@ -303,12 +319,13 @@ def validate_nice(td: TrunkTreeDecomposition, instance: QbfInstance) -> Validati
 
     T1 is checked clause by clause, so on a valid decomposition its cost
     is linear in the matrix and never enumerates the pairs of a bag.
-    T2, T3 and T4 read what the constructor's walk recorded: each
+    T2, T3 and T4 read what the one pass over the nodes recorded: each
     variable's topmost nodes and the nodes failing T3 or T4.
     """
     violations: List[Violation] = []
     variables = instance.prefix.variables
-    bags, top, split = td._bags, td._top, td._split
+    bags = td._bags
+    top, split, _, t3, t4 = td._records
 
     for v in sorted(top.keys() - variables):
         violations.append(
@@ -362,19 +379,11 @@ def validate_nice(td: TrunkTreeDecomposition, instance: QbfInstance) -> Validati
 
     # T3: leaf and root bags are empty.  T4: every non-leaf node is
     # introduce, forget, or join.  Every T3 is listed first.
-    for node in sorted(td._t3):
+    for node in t3:
         violations.append(
             Violation("T3", str(node), f"leaf/root bag is not empty: {sorted(bags[node])}")
         )
-    for node in sorted(td._t4):
-        count = len(td._children[node])
-        if count == 1:
-            message = "single-child node is neither introduce nor forget"
-        elif count == 2:
-            message = "join node bags differ from children"
-        else:
-            message = f"node has {count} children"
-        violations.append(Violation("T4", str(node), message))
+    violations += [Violation("T4", str(node), message) for node, message in t4]
 
     return ValidationReport(tuple(violations))
 
@@ -393,7 +402,7 @@ def validate_trunk_aligned(
     held: Dict[int, str] = {}
     variables = instance.prefix.variables
     bags, children = td._bags, td._children
-    top, split, forgotten = td._top, td._split, td._forgotten
+    top, split, forgotten = td._records[:3]
     # P2 in one walk up the trunk: ``below`` grows to the variables of
     # the subtree at each trunk node.  Each distinct stored predecessor
     # set keeps the list of its members not yet seen below; a test pops
@@ -451,10 +460,10 @@ def elimination_ordering(td: TrunkTreeDecomposition) -> Tuple[int, ...]:
     """Variables in the order of their forget nodes in ``td.postorder()``,
     a fixed total extension of the node order; raises DecompositionError
     if a variable has no forget node (see ``_forget_fault``)."""
-    forgotten = td._forgotten
+    top, split, forgotten = td._records[:3]
     # Every variable of a bag has a topmost node, so each has a forget
     # node iff none has several and each of them tops one variable.
-    if td._split or len(forgotten) != len(td._top):
-        v = min(td._top.keys() - set(forgotten.values()) | td._split.keys())
+    if split or len(forgotten) != len(top):
+        v = min(top.keys() - set(forgotten.values()) | split.keys())
         raise DecompositionError(f"variable {v} {_forget_fault(td, v)}")
     return tuple([forgotten[node] for node in td._postorder if node in forgotten])

@@ -316,14 +316,11 @@ class StrategyShape(NamedTuple):
         universal, universal_dep, existential_dep = prefix.universal, [], []
         for w in sorted(deps):
             (universal_dep if w in universal else existential_dep).append(w)
-        order = tuple(universal_dep + existential_dep)
-        if not universal_dep:
-            # No universal to own: one table bit per existential.
-            return cls(0, order, ((),) * len(existential_dep), len(existential_dep))
         owns = tuple(
             tuple(i for i, u in enumerate(universal_dep) if u in poset.strict(x))
             for x in existential_dep
         )
+        order = tuple(universal_dep + existential_dep)
         return cls(len(universal_dep), order, owns, sum([2 ** len(own) for own in owns]))
 
     def tables(self) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[Lits, Lits], ...]]:

@@ -550,9 +550,9 @@ def broken_shapes(td, rng):
 
 
 class TestOneWalk:
-    """The constructor's one walk against brute force: the post-order,
-    the children, each variable's forget node, the elimination ordering
-    and ``validate_nice``'s violations."""
+    """The constructor's one walk and the one pass over the nodes against
+    brute force: the post-order, the children, each variable's forget
+    node, the elimination ordering and ``validate_nice``'s violations."""
 
     def check(self, td, q):
         assert list(td.postorder()) == reference_postorder(td)

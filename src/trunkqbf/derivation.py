@@ -64,12 +64,12 @@ acts on touched parts only, with its step's bucket pulled in, since no
 other clause mentions a variable it assigns or removes; any clause of a
 later bucket is dropped again.  R2 and R3 pull, apply the kernel and
 drop in one pass per matrix; R4 checks the branch limit once, for its
-largest set, pulls into every matrix, builds its shape's table and
-assignments once and drops afterwards.  The untouched part is shared
-and disjoint from the touched one, so deduplicating touched parts gives
-the same families, sizes and strategy counts as deduplicating whole
-matrices, while the work per step is set by the forget bag and not by
-the formula.
+largest set, builds its shape's table and assignments once, pulls a
+non-empty bucket into one set at a time and drops afterwards.  The
+untouched part is shared and disjoint from the touched one, so
+deduplicating touched parts gives the same families, sizes and strategy
+counts as deduplicating whole matrices, while the work per step is set
+by the forget bag and not by the formula.
 
 ``validate_input`` is the one path from an instance to the engine's
 input, for ``run_derivation`` and the ``validate`` command alike; it
@@ -99,7 +99,6 @@ from .formulas import (
     Clause,
     Frozen,
     Matrix,
-    Prefix,
     QbfInstance,
     _neg,
     ground_truth,
@@ -234,8 +233,8 @@ class DerivationState(NamedTuple):
 
     def whole_family(self) -> Family:
         """The family with the untouched part put back into every matrix."""
-        untouched = self.untouched.pulls[self.step_index :]
-        return _with_clauses(self.family, frozenset().union(*untouched))
+        untouched = frozenset().union(*self.untouched.pulls[self.step_index :])
+        return frozenset(frozenset([Matrix._of(m | untouched) for m in pi]) for pi in self.family)
 
 
 class TraceEvent(NamedTuple):
@@ -295,7 +294,8 @@ def reduce(matrix: Matrix, u: int) -> Matrix:
 class StrategyShape(NamedTuple):
     """What every strategy extension of one R4 step shares: all that
     depends on the variables ``deps`` the step removes and not on a set;
-    ``initial_state`` plans one per R4 step.
+    ``initial_state`` plans one per R4 step, with the quantifiers of
+    ``poset.prefix``, which ``validate_input`` checks is the instance's.
 
     ``order`` lists the universal dependencies, then the existential
     ones, each ascending by id.  ``owns[j]`` holds the positions, among
@@ -312,8 +312,8 @@ class StrategyShape(NamedTuple):
     own_bits: int
 
     @classmethod
-    def of(cls, deps: FrozenSet[int], prefix: Prefix, poset: DependencyPoset) -> StrategyShape:
-        universal, universal_dep, existential_dep = prefix.universal, [], []
+    def of(cls, deps: FrozenSet[int], poset: DependencyPoset) -> StrategyShape:
+        universal, universal_dep, existential_dep = poset.prefix.universal, [], []
         for w in sorted(deps):
             (universal_dep if w in universal else existential_dep).append(w)
         owns = tuple(
@@ -428,15 +428,6 @@ def _enforce_limits(family: Family, limits: EngineLimits) -> int:
     return largest
 
 
-def _with_clauses(family: Family, clauses: FrozenSet[Lits]) -> Family:
-    """Add the clauses to every matrix of the family."""
-    if not clauses:
-        return family
-    return frozenset(
-        frozenset([Matrix._of(m.union(clauses)) for m in pi]) for pi in family
-    )
-
-
 def step(
     state: DerivationState, limits: EngineLimits = EngineLimits()
 ) -> Tuple[DerivationState, TraceEvent]:
@@ -464,7 +455,9 @@ def step(
                 )
             tables = shape.tables() if most else ((), ())
             merged = set()
-            for pi in _with_clauses(family, pulled):
+            for pi in family:
+                if pulled:
+                    pi = frozenset([Matrix._of(m | pulled) for m in pi])
                 merged |= strategy_extension(pi, *tables)
             new_family = frozenset(frozenset([touched(m, done) for m in pi]) for pi in merged)
         else:
@@ -508,7 +501,7 @@ def initial_state(
             rule, removes = "R1", frozenset()
         elif v in branching:
             rule, removes = "R4", frozenset([v, *live.intersection(poset.strict(v))])
-            shape = StrategyShape.of(removes, prefix, poset)
+            shape = StrategyShape.of(removes, poset)
         else:
             rule, removes = "R3" if v in prefix.universal else "R2", frozenset({v})
         live -= removes

@@ -200,20 +200,16 @@ def parse_btd(text: str) -> TrunkTreeDecomposition:
 
     Structural validation (tree shape, root consistency, trunk being a
     leaf-to-root path) is the ``TrunkTreeDecomposition`` constructor's,
-    reported at the line of the edge, bag, root or trunk it names; the
+    reported at the first row of the kind it names (``_line_of``); the
     niceness and alignment properties are separate validators.
     """
     (num_nodes, max_bag, num_vars), header_line, checked, rows = _read(
         text, "s btd", ("node count", "max bag size", "variable count")
     )
     bags: Dict[int, FrozenSet[int]] = {}
-    # The line of each node's bag and of the edge into each node.
-    bag_lines: Dict[int, int] = {}
-    edge_lines: Dict[int, int] = {}
     edges: List[Tuple[int, int, int]] = []  # (line, parent, child)
     root: Optional[int] = None
     trunk: Optional[Tuple[int, ...]] = None
-    root_line = trunk_line = 0  # set with the root and the trunk
     for line_no, _, tokens in rows:
         kind = tokens[0]
         if kind == "b":
@@ -224,7 +220,7 @@ def parse_btd(text: str) -> TrunkTreeDecomposition:
             if node < 1:
                 raise ParseError(line_no, f"node ids are 1-based, got {node}")
             if node in bags:
-                first = bag_lines[node]
+                first = _line_of(text, checked, "node", node)
                 raise ParseError(line_no, f"duplicate node {node} (bag already on line {first})")
             for v in variables:
                 if v < 1 or v > num_vars:
@@ -233,7 +229,6 @@ def parse_btd(text: str) -> TrunkTreeDecomposition:
             if len(bag) > max_bag:
                 message = f"bag of node {node} has {len(bag)} variables, header allows {max_bag}"
                 raise ParseError(line_no, message)
-            bag_lines[node] = line_no
         elif kind == "e":
             if len(tokens) != 3:
                 raise ParseError(line_no, "edge line must be 'e <parent> <child>'")
@@ -247,14 +242,12 @@ def parse_btd(text: str) -> TrunkTreeDecomposition:
             if len(tokens) != 2:
                 raise ParseError(line_no, "root line must be 'r <node>'")
             (root,) = _int_tokens(tokens[1:], line_no, "node id", checked)
-            root_line = line_no
         elif kind == "t":
             if trunk is not None:
                 raise ParseError(line_no, "duplicate trunk line")
             trunk = tuple(_int_tokens(tokens[1:], line_no, "node id", checked))
             if not trunk:
                 raise ParseError(line_no, "empty trunk line")
-            trunk_line = line_no
         else:
             raise ParseError(line_no, f"unknown line kind {kind!r}")
 
@@ -266,27 +259,34 @@ def parse_btd(text: str) -> TrunkTreeDecomposition:
     if trunk is None:
         raise ParseError(header_line, "missing trunk line")
     parent_map: Dict[int, int] = {}
+    at = 0  # the line of an error on the edge being read, else 0
     try:
         for line_no, parent, child in edges:
             if child in parent_map:
                 # An unknown node on an earlier edge, then on this one,
                 # is reported before the second parent.
                 _check_edges(bags, parent_map)
-                edge_lines[child] = line_no
+                at = line_no
                 _check_edges(bags, {child: parent})
                 raise ParseError(line_no, f"node {child} has two parents")
             parent_map[child] = parent
-            edge_lines[child] = line_no
         return TrunkTreeDecomposition(bags, parent_map, root, trunk)
     except DecompositionError as exc:
-        kind = exc.subject[0]
-        if kind == "edge":
-            line = edge_lines[exc.subject[1]]
-        elif kind == "node":
-            line = bag_lines[exc.subject[1]]
-        else:
-            line = root_line if kind == "root" else trunk_line
-        raise ParseError(line, str(exc)) from exc
+        raise ParseError(at or _line_of(text, checked, *exc.subject), str(exc)) from exc
+
+
+# The row kind of each ``DecompositionError`` subject and the position of
+# the node's token in such a row, 0 for a subject without a node.
+_SUBJECT_ROWS = {"node": ("b", 1), "edge": ("e", 2), "root": ("r", 0), "trunk": ("t", 0)}
+
+
+def _line_of(text: str, checked: bool, subject: str, node: int = 0) -> int:
+    """The line of a BTD text's first row about the subject: a node's bag,
+    the edge into a node, the root or the trunk.  Only error paths call
+    it, so no line is recorded while the text is read."""
+    kind, at = _SUBJECT_ROWS[subject]
+    rows = _rows(text, "s", checked)
+    return next(n for n, _, t in rows if t[0] == kind and (not at or int(t[at]) == node))
 
 
 def write_btd(td: TrunkTreeDecomposition) -> str:

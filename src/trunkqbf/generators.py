@@ -3,7 +3,8 @@
 The parity family pairs an n-ary XOR constraint chain with a width-2
 trunk decomposition; ``single_bag_td`` is the generic fallback that
 introduces every variable in prefix order and forgets in reverse, so it
-exists for every instance (at width n-1).
+exists for every instance (at width n-1), and ``forget_path_td`` the
+same path with any forget order.
 
 Variable numbering of ``qparity(n)``: ``x_i -> i``, ``u -> n+1``,
 ``z_i -> n+1+i``.
@@ -96,6 +97,20 @@ def qparity_td(n: int) -> TrunkTreeDecomposition:
     return _path_td(bag_seq)
 
 
+def forget_path_td(instance: QbfInstance, forget: Iterable[int]) -> TrunkTreeDecomposition:
+    """The path that introduces every variable in prefix order, then
+    forgets them in the given order; the whole path is the trunk."""
+    bag_seq: List[FrozenSet[int]] = [frozenset()]
+    current: set = set()
+    for v in instance.prefix.variables_in_order():
+        current.add(v)
+        bag_seq.append(frozenset(current))
+    for v in forget:
+        current.discard(v)
+        bag_seq.append(frozenset(current))
+    return _path_td(bag_seq)
+
+
 def single_bag_td(instance: QbfInstance) -> TrunkTreeDecomposition:
     """Path decomposition introducing all variables in prefix order and
     forgetting them in reverse prefix order (in-block ties: descending id).
@@ -104,18 +119,4 @@ def single_bag_td(instance: QbfInstance) -> TrunkTreeDecomposition:
     P1, so the derivation engine only ever resolves and reduces on it.
     An instance without variables gets one node with an empty bag.
     """
-    intro = list(instance.prefix.variables_in_order())
-    forget = [
-        v
-        for _, block in reversed(instance.prefix.blocks)
-        for v in sorted(block, reverse=True)
-    ]
-    bag_seq: List[FrozenSet[int]] = [frozenset()]
-    current: set = set()
-    for v in intro:
-        current.add(v)
-        bag_seq.append(frozenset(current))
-    for v in forget:
-        current.discard(v)
-        bag_seq.append(frozenset(current))
-    return _path_td(bag_seq)
+    return forget_path_td(instance, reversed(instance.prefix.variables_in_order()))

@@ -29,7 +29,7 @@ from trunkqbf import (
 )
 from trunkqbf.decomposition import Violation
 from trunkqbf.derivation import UntouchedStore, validate_input
-from trunkqbf.generators import _path_td as path_td
+from trunkqbf.generators import _path_td as path_td, forget_path_td
 
 R4_LIMITS = EngineLimits(max_strategies=4096, max_family_size=64)
 LIMIT_KINDS = (
@@ -331,19 +331,6 @@ def min_degree_td(instance):
     while trunk[-1] != root:
         trunk.append(parent[trunk[-1]])
     return normalize(TrunkTreeDecomposition(bags, parent, root, trunk))
-
-
-def forget_path_td(instance, forget: Sequence[int]):
-    """A path that introduces every variable in prefix order, then forgets
-    them in the given order; the whole path is the trunk."""
-    bags, current = [frozenset()], set()
-    for v in instance.prefix.variables_in_order():
-        current.add(v)
-        bags.append(frozenset(current))
-    for v in forget:
-        current.discard(v)
-        bags.append(frozenset(current))
-    return path_td(bags)
 
 
 def stepwise(instance, td, poset, limits=EngineLimits()):

@@ -191,7 +191,7 @@ def test_criterion_4_rule_soundness_suite():
             extra = random_instance(seed + 10_000, len(variables), 3, min(2, len(variables)), 1)
             matrices.add(extra.matrix)
         pi = frozenset(matrices)
-        shape = StrategyShape.of(dep_v, q.prefix, d)
+        shape = StrategyShape.of(dep_v, d)
         # The branch count 2^exponent stays within 2^14.
         if len(pi) * shape.own_bits + shape.n_universal > 14:
             continue

@@ -21,8 +21,7 @@ from trunkqbf import (
 )
 from trunkqbf import cli, generators
 from trunkqbf.cli import main
-
-from _util import forget_path_td
+from trunkqbf.generators import forget_path_td
 
 
 @pytest.fixture

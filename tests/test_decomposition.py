@@ -56,6 +56,9 @@ class TestConstruction:
     def test_trunk_must_be_leaf_to_root(self):
         with pytest.raises(DecompositionError):
             TrunkTreeDecomposition({1: (), 2: ()}, {1: 2}, 2, (2,))
+        with pytest.raises(DecompositionError, match="trunk must not be empty") as info:
+            TrunkTreeDecomposition({1: ()}, {}, 1, ())
+        assert info.value.subject == ("trunk",)
 
     def test_cycle_detected(self):
         with pytest.raises(DecompositionError):
@@ -296,6 +299,10 @@ class TestSubtreeVars:
     def test_middle_of_qparity2(self, qp2_td):
         node = forget_node(qp2_td, 4)  # bag {z1, x2, z2}
         assert subtree_vars(qp2_td, node) == {1, 4, 2, 5}
+
+    def test_unknown_node_rejected(self, qp2_td):
+        with pytest.raises(DecompositionError, match="unknown node 99"):
+            subtree_vars(qp2_td, 99)
 
 
 def canonical_shape(td, node=None):

@@ -52,10 +52,10 @@ def family(*sets):
     return frozenset(frozenset(ms) for ms in sets)
 
 
-def extend(pi, deps, prefix, d):
+def extend(pi, deps, d):
     """``strategy_extension`` of pi under the shape of the removed
     variables ``deps``."""
-    return strategy_extension(frozenset(pi), *StrategyShape.of(deps, prefix, d).tables())
+    return strategy_extension(frozenset(pi), *StrategyShape.of(deps, d).tables())
 
 
 def at_step(setup, fam, index):
@@ -157,21 +157,21 @@ class TestReduce:
 class TestStrategyExtension:
     def test_constant_strategies_for_independent_existential(self, qp2_setup):
         q, _, d = qp2_setup
-        out = extend({q.matrix}, d.dep(1), q.prefix, d)
+        out = extend({q.matrix}, d.dep(1), d)
         assert out == family({PSI_X1_0}, {PSI_X1_1})
 
     def test_qparity2_x2_outputs_deduplicate(self, qp2_setup):
         q, _, d = qp2_setup
         deps = d.dep(2) - {1, 4}
-        out1 = extend({RES_X1_0}, deps, q.prefix, d)
-        out2 = extend({RES_X1_1}, deps, q.prefix, d)
+        out1 = extend({RES_X1_0}, deps, d)
+        out2 = extend({RES_X1_1}, deps, d)
         merged = out1 | out2
         assert merged == family({PSI_Z2_NEG}, {PSI_Z2_POS})
         assert {m for pi in merged for m in pi} == {PSI_Z2_NEG, PSI_Z2_POS}
 
     def test_empty_matrix_passes_through(self, qp2_setup):
         q, _, d = qp2_setup
-        out = extend({Matrix(())}, d.dep(1), q.prefix, d)
+        out = extend({Matrix(())}, d.dep(1), d)
         assert out == family({Matrix(())})
 
     def test_universal_plays_enter_the_sets(self):
@@ -181,7 +181,7 @@ class TestStrategyExtension:
         prefix = Prefix((("e", (1,)), ("a", (2,))))
         d = trivial_poset(prefix)
         m = matrix_of((1, 2), (-1, -2))
-        out = extend({m}, d.dep(2), prefix, d)
+        out = extend({m}, d.dep(2), d)
         assert out == family({matrix_of(()), Matrix(())})
 
     def test_strategy_budget_is_enforced(self):
@@ -263,7 +263,7 @@ class TestStrategyExtension:
                     for _ in range(rng.randint(2, 6))
                 ]
                 pi.add(matrix_of(*clauses))
-            assert extend(pi, d.dep(5), prefix, d) == reference(pi)
+            assert extend(pi, d.dep(5), d) == reference(pi)
 
 
 def reference_table(n_universal, owns):
@@ -321,14 +321,14 @@ class TestStrategyTable:
             ]
             for n_existential in range(4):
                 for owns in itertools.product(subsets, repeat=n_existential):
-                    pi, v, prefix, d = shape_instance(n_universal, owns, rng)
+                    pi, v, d = shape_instance(n_universal, owns, rng)
                     # universal_dep holds v as well as the n_universal others.
                     cached = n_universal + 1 + sum(2 ** len(own) for own in owns) <= 12
                     cache.cache_clear()
-                    cold = extend(pi, d.dep(v), prefix, d)
+                    cold = extend(pi, d.dep(v), d)
                     assert cache.cache_info().currsize == int(cached)
                     hits = cache.cache_info().hits
-                    warm = extend(pi, d.dep(v), prefix, d)
+                    warm = extend(pi, d.dep(v), d)
                     assert cache.cache_info().hits == hits + int(cached)
                     assert cold == warm
 
@@ -341,8 +341,8 @@ class TestStrategyTable:
         instances = [shape_instance(n, owns, rng, n_matrices=1) for n, owns in shapes]
         tracemalloc.start()
         try:
-            for pi, v, prefix, d in instances:
-                extend(pi, d.dep(v), prefix, d)
+            for pi, v, d in instances:
+                extend(pi, d.dep(v), d)
             kept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -350,7 +350,7 @@ class TestStrategyTable:
 
 
 def shape_instance(n_universal, owns, rng, n_matrices=None):
-    """(pi, v, prefix, poset) of forall U exists X forall v whose R4 step
+    """(pi, v, poset) of forall U exists X forall v whose R4 step
     at v has the given shape: each x_j precedes v and sees the universals
     of its own set ``owns[j]``.  pi holds random 2-literal clauses.
 
@@ -382,7 +382,7 @@ def shape_instance(n_universal, owns, rng, n_matrices=None):
         )
         for _ in range(n_matrices)
     )
-    return pi, v, prefix, d
+    return pi, v, d
 
 
 class TestStepDispatch:

@@ -207,6 +207,8 @@ class TestBtd:
             ("e 2 1\ne 9 1\nr 3\nt 1 2 3", 6, "edge mentions unknown node 9"),
             ("e 9 3\ne 2 1\ne 3 1\nr 3\nt 1 2 3", 5, "edge mentions unknown node 9"),
             ("e 2 1\ne 3 1\ne 9 3\nr 3\nt 1 2 3", 6, "node 1 has two parents"),
+            # A second bag of a node names the line of the first.
+            ("b 2\ne 2 1\ne 3 2\nr 3\nt 1 2 3", 5, "duplicate node 2 (bag already on line 3)"),
         ],
     )
     def test_structural_errors_name_their_line(self, rest, line, message):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from trunkqbf import (
     Clause,
+    EngineLimits,
     Matrix,
     Prefix,
     QbfInstance,
@@ -79,6 +80,24 @@ class TestMatrix:
         with pytest.raises(AttributeError):
             delattr(m, name)
         assert m.clauses == (Clause((1,)),)
+
+
+@pytest.mark.parametrize(
+    "value,field",
+    [
+        (Prefix((("e", (1,)),)), "blocks"),
+        (QbfInstance(Prefix((("e", (1,)),)), matrix_of((1,))), "prefix"),
+        (EngineLimits(), "max_set_size"),
+    ],
+    ids=["Prefix", "QbfInstance", "EngineLimits"],
+)
+def test_frozen_fields_cannot_be_assigned_or_deleted(value, field):
+    before = getattr(value, field)
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        delattr(value, field)
+    assert getattr(value, field) == before
 
 
 class TestTautologies:
@@ -252,6 +271,11 @@ class TestPrefix:
     def test_duplicate_variable_rejected(self):
         with pytest.raises(ValueError):
             Prefix((("e", (1,)), ("a", (1,))))
+        with pytest.raises(ValueError, match="unknown quantifier 'x'"):
+            Prefix((("x", (1,)),))
+        for v in (0, -2, True, 1.0, "1"):
+            with pytest.raises(ValueError, match=f"positive integers, got {v!r}"):
+                Prefix((("e", (v,)),))
 
     def test_instance_requires_quantified_matrix(self):
         with pytest.raises(ValueError):

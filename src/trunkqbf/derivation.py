@@ -29,8 +29,8 @@ transitivity, and that step would have removed v too.  So w is still
 live, and the live test equals P1.
 
 The run is planned once: a step's rule, the variables it removes and,
-for R4, its strategy shape depend on the ordering, the poset and the
-prefix only.  ``initial_state`` walks the ordering once with a mutable
+for R4, its strategy shape depend on the ordering and the poset, with the
+prefix it records, only.  ``initial_state`` walks the ordering once with a mutable
 live set and records per step the variable, the rule, the removed
 variables (none for R1, {v} for R2 and R3, and v with its live strict
 dependencies for R4) and the ``StrategyShape`` of an R4 step.  A state is
@@ -456,6 +456,8 @@ def step(
             tables = shape.tables() if most else ((), ())
             merged = set()
             for pi in family:
+                # Nearly every R4 bucket of a ladder is empty; rebuilding
+                # the set for nothing slows the ladder measurably.
                 if pulled:
                     pi = frozenset([Matrix._of(m | pulled) for m in pi])
                 merged |= strategy_extension(pi, *tables)
@@ -490,9 +492,10 @@ def initial_state(
     poset: DependencyPoset,
 ) -> DerivationState:
     """The start of a run, planned along ``validate_input``'s ordering and
-    branching set (see the module docstring); the input clauses with a
-    variable go into the untouched store, the others start touched."""
-    prefix, matrix = instance.prefix, instance.matrix
+    branching set (see the module docstring) with the quantifiers of the
+    poset's prefix; the input clauses with a variable go into the untouched
+    store, the others start touched."""
+    prefix, matrix = poset.prefix, instance.matrix
     live = set(prefix.variables)
     plan: List[PlanEntry] = []
     for v in ordering:

@@ -1,20 +1,18 @@
 """The mutation table: each entry breaks one rule of the engine on purpose
 and names the tests that must fail on it.
 
-    python3 tools/mutants.py [NAME ...]
+    python3 tools/mutants.py
 
 An entry is (name, file under ``src/trunkqbf``, exact source text,
-replacement, test ids), and each of its tests fails on the mutant by
-itself.  For every entry, or only the named ones, the script copies
-``src`` into a temporary directory, replaces the text there (it must
-occur exactly once in the file) and runs pytest on the entry's tests
-alone, with the copy first on the import path.  A mutant is killed when
-pytest reports a failed test (exit status 1); any other status, such as
-a test id that is not found, is an error.  Prints one line per mutant
-and exits 1 if a source text does not occur exactly once, a mutant
-survives or a run errs or takes more than ``TIMEOUT`` seconds; an
-unknown NAME exits 2.
-"""
+replacement, test ids).  For every entry the script copies ``src`` into
+a temporary directory, replaces the text there (it must occur exactly
+once in the file) and runs pytest once per test id of the entry, with
+the copy first on the import path.  A mutant is killed when every one of
+its tests fails on it by itself (pytest exit status 1 for each run); a
+run that passes makes it a survivor, and any other status, such as a
+test id that is not found, is an error.  Prints one line per mutant and
+exits 1 if a source text does not occur exactly once, a mutant survives
+or a run errs or takes more than ``TIMEOUT`` seconds."""
 
 from __future__ import annotations
 
@@ -27,7 +25,7 @@ from pathlib import Path
 from typing import NamedTuple, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
-# Seconds a mutant's tests may take; a mutant that makes them hang is an
+# Seconds one test of a mutant may take; a mutant that makes it hang is an
 # error, not a kill.
 TIMEOUT = 600
 
@@ -175,7 +173,8 @@ def source_text(mutant: Mutant) -> str:
 
 
 def run(mutant: Mutant) -> str:
-    """"killed", "survived" or, for a run that errs, what went wrong."""
+    """"killed", "survived by <test id>" or, for a run that errs, what
+    went wrong."""
     try:
         text = source_text(mutant)
     except ValueError as exc:
@@ -187,38 +186,36 @@ def run(mutant: Mutant) -> str:
         (src / "trunkqbf" / mutant.file).write_text(mutated)
         # pyproject.toml puts the checkout's src on the path; -o points
         # pytest at the copy, and PYTHONPATH any subprocess a test starts.
-        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
-        command += ["-o", f"pythonpath={src}", *mutant.tests]
+        command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+        command += ["-o", f"pythonpath={src}"]
         env = dict(os.environ, PYTHONPATH=str(src))
-        try:
-            result = subprocess.run(
-                command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT
-            )
-        except subprocess.TimeoutExpired:
-            return f"timed out after {TIMEOUT} s"
-    if result.returncode == 1:
-        return "killed"
-    if result.returncode == 0:
-        return "survived"
-    last = (result.stdout + result.stderr).strip().splitlines()[-1:]
-    return f"pytest exited {result.returncode}: {' '.join(last)}"
+        for test in mutant.tests:
+            try:
+                result = subprocess.run(
+                    [*command, test],
+                    cwd=ROOT,
+                    env=env,
+                    capture_output=True,
+                    text=True,
+                    timeout=TIMEOUT,
+                )
+            except subprocess.TimeoutExpired:
+                return f"{test} timed out after {TIMEOUT} s"
+            if result.returncode == 0:
+                return f"survived by {test}"
+            if result.returncode != 1:
+                last = (result.stdout + result.stderr).strip().splitlines()[-1:]
+                return f"{test}: pytest exited {result.returncode}: {' '.join(last)}"
+    return "killed"
 
 
-def main(argv: Tuple[str, ...]) -> int:
-    names = {mutant.name for mutant in MUTANTS}
-    unknown = sorted(set(argv) - names)
-    if unknown:
-        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
-        return 2
+def main() -> int:
     failed = 0
     for mutant in MUTANTS:
-        if argv and mutant.name not in argv:
-            continue
         outcome = run(mutant)
         failed += outcome != "killed"
         print(f"{mutant.name}: {outcome}", flush=True)
     return 1 if failed else 0
 
-
 if __name__ == "__main__":
-    sys.exit(main(tuple(sys.argv[1:])))
+    sys.exit(main())

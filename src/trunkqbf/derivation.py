@@ -51,7 +51,8 @@ C-level set hashing.  No ``Clause`` is constructed and no literal is
 sorted during a run.  What R4's strategy extensions share, the strategy
 table and the full assignments of the step's shape, is built once per
 step, and a small table once per shape; R2 tests resolvents for
-tautologies with one clash set per negative clause.
+tautologies with one clash set per negative clause, built once per step
+for the clauses of its bucket.
 
 A matrix is stored in two parts.  Its *untouched* part is every input
 clause whose variables are all still quantified: no rule has acted on
@@ -62,14 +63,18 @@ only the *touched* parts, the clauses an earlier step pulled in or
 derived, and ``state.whole_family()`` gives the whole matrices.  A rule
 acts on touched parts only, with its step's bucket pulled in, since no
 other clause mentions a variable it assigns or removes; any clause of a
-later bucket is dropped again.  R2 and R3 pull, apply the kernel and
-drop in one pass per matrix; R4 checks the branch limit once, for its
-largest set, builds its shape's table and assignments once, pulls a
-non-empty bucket into one set at a time and drops afterwards.  The
-untouched part is shared and disjoint from the touched one, so
-deduplicating touched parts gives the same families, sizes and strategy
-counts as deduplicating whole matrices, while the work per step is set
-by the forget bag and not by the formula.
+later bucket is dropped again, and a matrix without a stored clause is
+kept as it is.  R3 pulls, reduces and drops in one pass per matrix.  R2
+handles its bucket once per step: it splits it by the pivot's sign,
+builds its clash sets and resolves its own pairs; then one ``resolve``
+call per matrix tests only the pairs with a parent in the matrix, and
+the drop follows.  R4 checks the branch limit once, for its largest
+set, builds its shape's table and assignments once, pulls a non-empty
+bucket into one set at a time and drops afterwards.  The untouched part
+is shared and disjoint from the touched one, so deduplicating touched
+parts gives the same families, sizes and strategy counts as
+deduplicating whole matrices, while the work per step is set by the
+forget bag and not by the formula.
 
 ``validate_input`` is the one path from an instance to the engine's
 input, for ``run_derivation`` and the ``validate`` command alike; it
@@ -210,7 +215,10 @@ class UntouchedStore(Frozen):
 
     def touched_part(self, m: Matrix, done: int) -> Matrix:
         """The matrix without the stored clauses still untouched after
-        ``done`` steps."""
+        ``done`` steps; a matrix without a stored clause is returned as it
+        is, without building their intersection."""
+        if self.clauses.isdisjoint(m):
+            return m
         drop = [c for c in m.intersection(self.clauses) if self._pulled_at[c] >= done]
         return Matrix._of(m.difference(drop)) if drop else m
 
@@ -253,34 +261,63 @@ class DerivationResult(NamedTuple):
     final: DerivationState
 
 
-def resolve(matrix: Matrix, x: int) -> Matrix:
+# A clause set resolved on a pivot: its clauses with the pivot, a
+# (clause, clash set) pair per clause with the pivot's negation, and the
+# resolved clauses, those with neither literal and every non-tautological
+# resolvent.  ``step`` builds it once per R2 step for the step's bucket.
+Resolution = Tuple[List[Lits], List[Tuple[Lits, Lits]], List[Lits]]
+
+
+def _resolution(clauses: FrozenSet[Lits], x: int) -> Resolution:
+    """The ``Resolution`` of a tautology-free clause set on the pivot x."""
+    pivot = (x, -x)
+    positive = []
+    clashes = []
+    out = []
+    # Both parents are tautology-free, so a clashing pair in a resolvent
+    # has one literal from each: the resolvent of c1 and c2 is
+    # tautological exactly when c1 meets the negation of c2 without the
+    # pivot's literals.  That clash set is built once per negative clause.
+    for c in clauses:
+        if x in c:
+            positive.append(c)
+        elif -x in c:
+            clashes.append((c, frozenset(map(_neg, c)).difference(pivot)))
+        else:
+            out.append(c)
+    for c1 in positive:
+        for c2, clash in clashes:
+            if c1.isdisjoint(clash):
+                out.append(c1.union(c2).difference(pivot))
+    return positive, clashes, out
+
+
+def resolve(matrix: Matrix, x: int, bucket: Optional[Resolution] = None) -> Matrix:
     """Exhaustively resolve the pivot away.
 
     Replaces all clauses mentioning x by every non-tautological
     resolvent of a positive and a negative occurrence; the result
     contains neither a literal of x nor a tautology.  The matrix must be
     tautology-free (see the module docstring), else the result is unspecified.
+
+    With ``bucket``, the ``_resolution(B, x)`` of a clause set B, the
+    result is ``resolve(matrix | B, x)`` for a tautology-free union.  B's
+    own pairs were resolved when the bucket was built, so only the pairs
+    with a parent in the matrix are tested.
     """
-    positive = []
-    negative = []
-    out = []
-    for c in matrix:
-        if x in c:
-            positive.append(c)
-        elif -x in c:
-            negative.append(c)
-        else:
-            out.append(c)
-    pivot = (x, -x)
-    # Both parents are tautology-free, so a clashing pair in a resolvent
-    # has one literal from each: the resolvent of c1 and c2 is
-    # tautological exactly when c1 meets the negation of c2 without the
-    # pivot's literals.  That clash set is built once per negative clause.
-    clashes = [(c2, frozenset(map(_neg, c2)).difference(pivot)) for c2 in negative]
-    for c1 in positive:
-        for c2, clash in clashes:
-            if c1.isdisjoint(clash):
-                out.append(c1.union(c2).difference(pivot))
+    positive, clashes, out = _resolution(matrix, x)
+    if bucket is not None:
+        pivot = (x, -x)
+        bucket_positive, bucket_clashes, bucket_out = bucket
+        out += bucket_out
+        for c1 in bucket_positive:
+            for c2, clash in clashes:
+                if c1.isdisjoint(clash):
+                    out.append(c1.union(c2).difference(pivot))
+        for c1 in positive:
+            for c2, clash in bucket_clashes:
+                if c1.isdisjoint(clash):
+                    out.append(c1.union(c2).difference(pivot))
     return Matrix._of(out)
 
 
@@ -326,15 +363,17 @@ class StrategyShape(NamedTuple):
     def tables(self) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[Lits, Lits], ...]]:
         """The shape's ``_strategy_table`` and, for every n, full assignment
         n (it sets the i-th variable of ``order`` to bit i of n) as its
-        true and its false literals."""
+        true and its false literals, built by one ``itertools.product``."""
         # Only small tables are cached, so the cache holds a few MB at
         # most, whatever max_strategies allows.
         table_bits = self.n_universal + self.own_bits
         build = _cached_strategy_table if table_bits <= _CACHED_TABLE_BITS else _strategy_table
-        assignments = []
-        for n in range(2 ** len(self.order)):
-            true = frozenset([x if n >> i & 1 else -x for i, x in enumerate(self.order)])
-            assignments.append((true, frozenset(map(_neg, true))))
+        # The last factor varies fastest, so with ``order`` reversed the
+        # n-th product sets order[i] to bit i of n.
+        assignments = [
+            (frozenset(true), frozenset(map(_neg, true)))
+            for true in itertools.product(*[(-x, x) for x in reversed(self.order)])
+        ]
         return build(self.n_universal, self.owns), tuple(assignments)
 
 
@@ -462,13 +501,19 @@ def step(
                     pi = frozenset([Matrix._of(m | pulled) for m in pi])
                 merged |= strategy_extension(pi, *tables)
             new_family = frozenset(frozenset([touched(m, done) for m in pi]) for pi in merged)
-        else:
-            # Looked up per call, not bound once, so wrappers of the
-            # module's ``resolve`` and ``reduce`` see every call.
-            kernel = resolve if rule == "R2" else reduce
-            # Pull, apply the rule and drop in one pass per matrix.
+        elif rule == "R2":
+            # The bucket is the same in every matrix: split it and resolve
+            # its own pairs once, then resolve and drop matrix by matrix.
+            bucket = _resolution(pulled, v)
+            # ``resolve`` is looked up per call, not bound once, so a
+            # wrapper of the module's function sees every call.
             new_family = frozenset(
-                frozenset([touched(kernel(Matrix._of(m | pulled), v), done) for m in pi])
+                frozenset([touched(resolve(m, v, bucket), done) for m in pi]) for pi in family
+            )
+        else:
+            # Pull, reduce and drop in one pass per matrix.
+            new_family = frozenset(
+                frozenset([touched(reduce(Matrix._of(m | pulled), v), done) for m in pi])
                 for pi in family
             )
     largest = _enforce_limits(new_family, limits)

@@ -11,6 +11,7 @@ from trunkqbf import (
     DependencyPoset,
     DerivationState,
     EngineLimits,
+    Matrix,
     Prefix,
     QbfInstance,
     ResourceLimitError,
@@ -22,6 +23,7 @@ from trunkqbf import (
     poset_from_pairs,
     primal_graph,
     random_instance,
+    resolve,
     step,
     trivial_poset,
     validate_trunk_aligned,
@@ -349,6 +351,16 @@ def stepwise(instance, td, poset, limits=EngineLimits()):
         states.append(state)
     verdict = any(all(ground_truth(m) for m in pi) for pi in state.family)
     return verdict, trace, states
+
+
+def reference_r2(state: DerivationState, m: Matrix) -> Matrix:
+    """The touched part R2 makes of one matrix of the state's family at
+    its next step, by the definition: the step's whole bucket pulled in,
+    the pivot resolved by the two-argument ``resolve`` and the clauses
+    still untouched after the step dropped."""
+    store, index = state.untouched, state.step_index
+    pivot, pulled = store.plan[index][0], store.pulls[index]
+    return store.touched_part(resolve(Matrix._of(m | pulled), pivot), index + 1)
 
 
 def reference_plan(instance, td, poset, ordering):

@@ -308,6 +308,28 @@ class TestStrategyTable:
                 n_universal, owns
             )
 
+    def test_assignment_n_sets_the_ith_dependency_to_bit_i_of_n(self):
+        # Every shape of up to 4 dependencies; the universals take larger
+        # ids than the existentials, so ``order`` is not ascending.
+        shapes = 0
+        for k in range(5):
+            for n_universal in range(k + 1):
+                subsets = [
+                    own
+                    for size in range(n_universal + 1)
+                    for own in itertools.combinations(range(n_universal), size)
+                ]
+                order = tuple(range(11, 11 + n_universal)) + tuple(range(1, 1 + k - n_universal))
+                for owns in itertools.product(subsets, repeat=k - n_universal):
+                    bits = sum(2 ** len(own) for own in owns)
+                    _, assignments = StrategyShape(n_universal, order, owns, bits).tables()
+                    assert len(assignments) == 2**k
+                    for n, pair in enumerate(assignments):
+                        want = literal_sets({x: n >> i & 1 for i, x in enumerate(order)})
+                        assert pair == want, (order, n)
+                    shapes += 1
+        assert shapes == 51
+
     def test_output_is_the_same_with_the_cache_cleared_and_warm(self):
         # Every shape with at most two universals before v and three
         # existentials; the ones of more than 2^12 entries are not cached.
@@ -918,10 +940,17 @@ class TestChecksInRunDerivation:
 
     @pytest.mark.parametrize("checks", [True, False])
     def test_resolve_that_leaves_the_pivot_behind(self, monkeypatch, checks):
+        # The faulty resolve keeps the bucket's clause (1 2) with the pivot.
         # Resolving 2 later drops the pure clause (1 2), pivot 1 and all,
         # so only the check after step 1 can see the leftover.
         real = derivation.resolve
-        monkeypatch.setattr(derivation, "resolve", lambda m, x: m if x == 1 else real(m, x))
+        monkeypatch.setattr(
+            derivation,
+            "resolve",
+            lambda m, x, bucket=None: (
+                Matrix._of(m.union(bucket[0])) if x == 1 else real(m, x, bucket)
+            ),
+        )
         td = path_td([(), (1,), (1, 2), (2,), ()])
         if checks:
             with pytest.raises(InvariantError, match=r"eliminated variables \[1\]"):
@@ -938,7 +967,9 @@ class TestChecksInRunDerivation:
         monkeypatch.setattr(
             derivation,
             "resolve",
-            lambda m, x: Matrix._of(real(m, x) | {tautology}) if x == 1 else real(m, x),
+            lambda m, x, bucket=None: (
+                Matrix._of(real(m, x, bucket) | {tautology}) if x == 1 else real(m, x, bucket)
+            ),
         )
         td = path_td([(), (1,), (1, 2), (2,), ()])
         if checks:

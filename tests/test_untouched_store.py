@@ -7,20 +7,26 @@ whole matrices, traces and verdicts, and the oracle must agree on every
 rule path and on decompositions with join nodes.
 """
 
+import random
+from collections import Counter
+
 import pytest
 
 from trunkqbf import (
     DerivationState,
+    Matrix,
     Prefix,
     QbfInstance,
     ResourceLimitError,
     TrunkTreeDecomposition,
     evaluate,
     initial_state,
+    is_tautological,
     matrix_of,
     parse_qdimacs,
     qparity,
     qparity_td,
+    resolve,
     run_derivation,
     single_bag_td,
     step,
@@ -36,6 +42,7 @@ from _util import (
     R4_LIMITS,
     join_node_cases,
     limit_kind,
+    reference_r2,
     shuffled_path_cases,
     stepwise,
     sub_poset_cases,
@@ -99,6 +106,76 @@ def test_a_derived_copy_of_an_untouched_clause_is_dropped():
         ("R4", 1, 1, 1), ("R2", 1, 1, 1), ("R3", 1, 1, 1)
     ]
     assert result.verdict is verdict is evaluate(q) is True
+
+
+def r2_states():
+    """Seeded states whose next step is R2 on a non-empty bucket, with two
+    to four sets of two or three matrices.  The plan removes the
+    variables 1..n one per step in a shuffled order.  In every other
+    state the first bucket holds every stored clause, so it holds clauses
+    without the pivot too.  Yields (seed, state)."""
+    for seed in range(240):
+        rng = random.Random(seed)
+        n = rng.randint(2, 5)
+
+        def clause():
+            width = rng.randint(1, min(3, n))
+            return frozenset(x * rng.choice((1, -1)) for x in rng.sample(range(1, n + 1), width))
+
+        plan = tuple((x, "R2", frozenset({x}), None) for x in rng.sample(range(1, n + 1), n))
+        store = UntouchedStore(frozenset(clause() for _ in range(rng.randint(2, 8))), plan)
+        if seed % 2:
+            object.__setattr__(store, "pulls", (store.clauses, *store.pulls[1:]))
+        # Before the first step every stored clause is untouched, so no
+        # touched part holds one.
+        touched = sorted({clause() for _ in range(30)} - store.clauses, key=sorted)
+        if not store.pulls[0] or len(touched) < 3:
+            continue
+        family = set()
+        for _ in range(rng.randint(2, 4)):
+            pi, size = set(), rng.randint(2, 3)
+            while len(pi) < size:
+                pi.add(Matrix._of(rng.sample(touched, rng.randint(0, min(4, len(touched))))))
+            family.add(frozenset(pi))
+        if len(family) >= 2:
+            yield seed, DerivationState(frozenset(family), 0, store)
+
+
+def test_r2_matches_the_reference_matrix_by_matrix(monkeypatch):
+    # ``step`` splits the bucket and resolves its own pairs once per step;
+    # every matrix must still become what resolving it with the whole
+    # bucket pulled in and dropping the untouched clauses makes of it.
+    results = []
+    real = derivation.resolve
+
+    def recorded(m, x, *bucket):
+        results.append((m, real(m, x, *bucket)))
+        return results[-1][1]
+
+    monkeypatch.setattr(derivation, "resolve", recorded)
+    cases = lacking = own = cross = 0
+    for seed, state in r2_states():
+        store, v = state.untouched, state.untouched.plan[0][0]
+        pulled, pivot = store.pulls[0], (v, -v)
+        results.clear()
+        after, event = step(state)
+        assert event.rule == "R2"
+        matrices = [m for pi in state.family for m in pi]
+        assert Counter(m for m, _ in results) == Counter(matrices), seed
+        for m, result in results:
+            assert store.touched_part(result, 1) == reference_r2(state, m), seed
+        want = frozenset(frozenset([reference_r2(state, m) for m in pi]) for pi in state.family)
+        assert after.family == want, seed
+        cases += 1
+        lacking += any(c.isdisjoint(pivot) for c in pulled)
+        own += bool(resolve(Matrix._of(pulled), v) - pulled)
+        negative = [c for m in matrices for c in m if -v in c]
+        cross += any(
+            not is_tautological((c1 | c2) - set(pivot))
+            for c1 in pulled if v in c1
+            for c2 in negative
+        )
+    assert cases >= 200 and min(lacking, own, cross) >= 50, (cases, lacking, own, cross)
 
 
 def test_shuffled_paths_fire_r4_and_agree_with_the_oracle():

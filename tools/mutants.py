@@ -44,6 +44,7 @@ STORE = "tests/test_untouched_store.py::"
 ALIGNMENT = "tests/test_decomposition.py::"
 ORACLE = STORE + "test_shuffled_paths_fire_r4_and_agree_with_the_oracle"
 SNAPSHOT = "tests/test_trace_snapshot.py::test_traces_match_the_snapshot"
+R2_REFERENCE = STORE + "test_r2_matches_the_reference_matrix_by_matrix"
 MUTANTS = (
     # The BTD reader's error lines.
     Mutant(
@@ -64,12 +65,29 @@ MUTANTS = (
     Mutant(
         "r2-wrong-pivot",
         "derivation.py",
-        'kernel = resolve if rule == "R2" else reduce',
-        'kernel = (lambda m, x: resolve(m, x + 1)) if rule == "R2" else reduce',
+        "resolve(m, v, bucket)",
+        "resolve(m, v + 1, _resolution(pulled, v + 1))",
         (
             DERIVATION + "TestStepDispatch::test_r2_resolves_in_every_set",
             DERIVATION + "TestGoldenQParity2::test_intermediate_families",
         ),
+    ),
+    Mutant(
+        "r2-without-the-buckets-own-resolvents",
+        "derivation.py",
+        "bucket = _resolution(pulled, v)",
+        "bucket = (*_resolution(pulled, v)[:2], [c for c in pulled if c.isdisjoint((v, -v))])",
+        (R2_REFERENCE, SNAPSHOT),
+    ),
+    Mutant(
+        "r2-without-bucket-positive-touched-negative-pairs",
+        "derivation.py",
+        "        for c1 in bucket_positive:\n"
+        "            for c2, clash in clashes:\n"
+        "                if c1.isdisjoint(clash):\n"
+        "                    out.append(c1.union(c2).difference(pivot))\n",
+        "",
+        (R2_REFERENCE, DERIVATION + "TestGoldenQParity2::test_intermediate_families"),
     ),
     Mutant(
         "r3-reduces-an-existential",
@@ -111,6 +129,17 @@ MUTANTS = (
         (DERIVATION + "TestStrategyExtension::test_an_empty_set_builds_no_tables",),
     ),
     Mutant(
+        "assignments-without-reversed-order",
+        "derivation.py",
+        "for x in reversed(self.order)",
+        "for x in self.order",
+        (
+            DERIVATION + "TestStrategyTable::"
+            "test_assignment_n_sets_the_ith_dependency_to_bit_i_of_n",
+            DERIVATION + "TestStrategyExtension::test_tables_read_each_existentials_own_universals",
+        ),
+    ),
+    Mutant(
         "strategy-table-answer-bit-off-by-one",
         "derivation.py",
         "<< (n_universal + j)",
@@ -123,8 +152,8 @@ MUTANTS = (
     Mutant(
         "no-family-deduplication",
         "derivation.py",
-        "new_family = frozenset(\n                frozenset([touched(kernel",
-        "new_family = tuple(\n                frozenset([touched(kernel",
+        "new_family = frozenset(\n                frozenset([touched(resolve",
+        "new_family = tuple(\n                frozenset([touched(resolve",
         (DERIVATION + "TestStepDispatch::test_r2_resolves_in_every_set", SNAPSHOT),
     ),
     Mutant(
@@ -140,6 +169,13 @@ MUTANTS = (
         "if not lits or is_tautological(lits):",
         "if not lits:",
         (STORE + "test_the_store_rejects_clauses_that_cannot_be_untouched",),
+    ),
+    Mutant(
+        "touched-part-early-return-inverted",
+        "derivation.py",
+        "if self.clauses.isdisjoint(m):",
+        "if not self.clauses.isdisjoint(m):",
+        (STORE + "test_a_derived_copy_of_an_untouched_clause_is_dropped", ORACLE),
     ),
     Mutant(
         "every-clause-in-bucket-0",

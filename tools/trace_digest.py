@@ -4,7 +4,10 @@
 
 Builds every corpus of ``bench/workloads.py`` for the seed, loads each
 instance's inputs as ``trunkqbf solve`` does and runs the engine with
-the limits its command line asks for.  The digest of a corpus covers,
+the limits its command line asks for and its invariant checks on
+(``run_derivation(..., checks=True)``), so a step that breaks one, such
+as a touched part holding an untouched clause or a tautology, stops the
+script with ``InvariantError``.  The digest of a corpus covers,
 per instance in order: the verdict or the abort message, the (rule,
 family_before, family_after, max_set_size) of every completed step, the
 encodings of the final family and the sorted final live variables.  A
@@ -40,7 +43,7 @@ def record(argv) -> str:
     limits = EngineLimits(args.max_family_size, args.max_set_size, args.max_strategies)
     final = None
     try:
-        result = run_derivation(instance, td, poset, limits)
+        result = run_derivation(instance, td, poset, limits, checks=True)
     except ResourceLimitError as exc:
         outcome, trace = f"abort: {exc}", exc.trace
     except ValidationError as exc:

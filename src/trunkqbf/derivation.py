@@ -64,15 +64,17 @@ derived, and ``state.whole_family()`` gives the whole matrices.  A rule
 acts on touched parts only, with its step's bucket pulled in, since no
 other clause mentions a variable it assigns or removes; any clause of a
 later bucket is dropped again, and a matrix without a stored clause is
-kept as it is.  R3 pulls, reduces and drops in one pass per matrix.  R2
-handles its bucket once per step: it splits it by the pivot's sign,
-builds its clash sets and resolves its own pairs; then one ``resolve``
-call per matrix tests only the pairs with a parent in the matrix, and
-the drop follows.  R4 checks the branch limit once, for its largest
-set, builds its shape's table and assignments once, pulls a non-empty
-bucket into one set at a time and drops afterwards.  The untouched part
-is shared and disjoint from the touched one, so deduplicating touched
-parts gives the same families, sizes and strategy counts as
+kept as it is.  R3 pulls, reduces the union and drops in one pass per
+matrix.  R2 handles its bucket once per step: it splits it by the
+pivot's sign, builds its clash sets and resolves its own pairs; then
+one ``resolve`` call per matrix tests only the pairs with a parent in
+the matrix, and the drop follows.  R4 checks the branch limit once, for
+its largest set, builds its shape's table and assignments once, pulls a
+non-empty bucket into one set at a time and drops afterwards.  After
+the rule, ``step`` checks the family and set size limits itself, so
+every limit of a run is checked in that one function.  The untouched
+part is shared and disjoint from the touched one, so deduplicating
+touched parts gives the same families, sizes and strategy counts as
 deduplicating whole matrices, while the work per step is set by the
 forget bag and not by the formula.
 
@@ -91,7 +93,7 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .decomposition import (
     TrunkTreeDecomposition,
@@ -155,7 +157,7 @@ MAX_STRATEGIES = 2**20
 
 class EngineLimits(Frozen):
     """Bounds on a run: sets per family, matrices per set and branches
-    per strategy extension, each positive."""
+    per strategy extension, each a positive ``int``."""
 
     __slots__ = ("max_family_size", "max_set_size", "max_strategies")
     max_family_size: int
@@ -168,7 +170,10 @@ class EngineLimits(Frozen):
         max_set_size: int = MAX_SET_SIZE,
         max_strategies: int = MAX_STRATEGIES,
     ) -> None:
-        if min(max_family_size, max_set_size, max_strategies) < 1:
+        values = (max_family_size, max_set_size, max_strategies)
+        if any(type(n) is not int for n in values):
+            raise ValueError("limits must be integers")
+        if min(values) < 1:
             raise ValueError("limits must be positive")
         object.__setattr__(self, "max_family_size", max_family_size)
         object.__setattr__(self, "max_set_size", max_set_size)
@@ -265,7 +270,21 @@ class DerivationResult(NamedTuple):
 # (clause, clash set) pair per clause with the pivot's negation, and the
 # resolved clauses, those with neither literal and every non-tautological
 # resolvent.  ``step`` builds it once per R2 step for the step's bucket.
-Resolution = Tuple[List[Lits], List[Tuple[Lits, Lits]], List[Lits]]
+Resolution = Tuple[Sequence[Lits], Sequence[Tuple[Lits, Lits]], Sequence[Lits]]
+
+
+def _resolvents(
+    out: List[Lits],
+    positive: Sequence[Lits],
+    clashes: Sequence[Tuple[Lits, Lits]],
+    pivot: Tuple[int, int],
+) -> None:
+    """Append the non-tautological resolvents of every positive clause
+    with every (clause, clash set) pair to ``out``."""
+    for c1 in positive:
+        for c2, clash in clashes:
+            if c1.isdisjoint(clash):
+                out.append(c1.union(c2).difference(pivot))
 
 
 def _resolution(clauses: FrozenSet[Lits], x: int) -> Resolution:
@@ -285,14 +304,11 @@ def _resolution(clauses: FrozenSet[Lits], x: int) -> Resolution:
             clashes.append((c, frozenset(map(_neg, c)).difference(pivot)))
         else:
             out.append(c)
-    for c1 in positive:
-        for c2, clash in clashes:
-            if c1.isdisjoint(clash):
-                out.append(c1.union(c2).difference(pivot))
+    _resolvents(out, positive, clashes, pivot)
     return positive, clashes, out
 
 
-def resolve(matrix: Matrix, x: int, bucket: Optional[Resolution] = None) -> Matrix:
+def resolve(matrix: Matrix, x: int, bucket: Resolution = ((), (), ())) -> Matrix:
     """Exhaustively resolve the pivot away.
 
     Replaces all clauses mentioning x by every non-tautological
@@ -300,28 +316,21 @@ def resolve(matrix: Matrix, x: int, bucket: Optional[Resolution] = None) -> Matr
     contains neither a literal of x nor a tautology.  The matrix must be
     tautology-free (see the module docstring), else the result is unspecified.
 
-    With ``bucket``, the ``_resolution(B, x)`` of a clause set B, the
-    result is ``resolve(matrix | B, x)`` for a tautology-free union.  B's
-    own pairs were resolved when the bucket was built, so only the pairs
-    with a parent in the matrix are tested.
+    ``bucket`` is the ``_resolution(B, x)`` of a clause set B, by default
+    of the empty set, and the result is ``resolve(matrix | B, x)`` for a
+    tautology-free union.  B's own pairs were resolved when the bucket
+    was built, so only the pairs with a parent in the matrix are tested.
     """
     positive, clashes, out = _resolution(matrix, x)
-    if bucket is not None:
-        pivot = (x, -x)
-        bucket_positive, bucket_clashes, bucket_out = bucket
-        out += bucket_out
-        for c1 in bucket_positive:
-            for c2, clash in clashes:
-                if c1.isdisjoint(clash):
-                    out.append(c1.union(c2).difference(pivot))
-        for c1 in positive:
-            for c2, clash in bucket_clashes:
-                if c1.isdisjoint(clash):
-                    out.append(c1.union(c2).difference(pivot))
+    bucket_positive, bucket_clashes, bucket_out = bucket
+    out += bucket_out
+    pivot = (x, -x)
+    _resolvents(out, bucket_positive, clashes, pivot)
+    _resolvents(out, positive, bucket_clashes, pivot)
     return Matrix._of(out)
 
 
-def reduce(matrix: Matrix, u: int) -> Matrix:
+def reduce(matrix: FrozenSet[Lits], u: int) -> Matrix:
     """Delete every occurrence of the universal variable from every clause
     of a tautology-free matrix, else unspecified (see the module docstring)."""
     drop = (u, -u)
@@ -453,20 +462,6 @@ _CACHED_TABLE_BITS = 12
 _cached_strategy_table = functools.lru_cache(maxsize=32)(_strategy_table)
 
 
-def _enforce_limits(family: Family, limits: EngineLimits) -> int:
-    """Raise if the family exceeds a limit; return its largest set size."""
-    if len(family) > limits.max_family_size:
-        raise ResourceLimitError(
-            f"family has {len(family)} sets, limit is {limits.max_family_size}"
-        )
-    largest = max(map(len, family), default=0)
-    if largest > limits.max_set_size:
-        raise ResourceLimitError(
-            f"a matrix set has {largest} matrices, limit is {limits.max_set_size}"
-        )
-    return largest
-
-
 def step(
     state: DerivationState, limits: EngineLimits = EngineLimits()
 ) -> Tuple[DerivationState, TraceEvent]:
@@ -496,7 +491,9 @@ def step(
             merged = set()
             for pi in family:
                 # Nearly every R4 bucket of a ladder is empty; rebuilding
-                # the set for nothing slows the ladder measurably.
+                # the set for nothing slows the ladder measurably.  Unlike
+                # R3's union, a pulled matrix is built as a ``Matrix``: the
+                # benchmark's traced ``restrict`` reads its ``clauses``.
                 if pulled:
                     pi = frozenset([Matrix._of(m | pulled) for m in pi])
                 merged |= strategy_extension(pi, *tables)
@@ -513,20 +510,19 @@ def step(
         else:
             # Pull, reduce and drop in one pass per matrix.
             new_family = frozenset(
-                frozenset([touched(reduce(Matrix._of(m | pulled), v), done) for m in pi])
-                for pi in family
+                frozenset([touched(reduce(m | pulled, v), done) for m in pi]) for pi in family
             )
-    largest = _enforce_limits(new_family, limits)
+    if len(new_family) > limits.max_family_size:
+        raise ResourceLimitError(
+            f"family has {len(new_family)} sets, limit is {limits.max_family_size}"
+        )
+    largest = max(map(len, new_family), default=0)
+    if largest > limits.max_set_size:
+        raise ResourceLimitError(
+            f"a matrix set has {largest} matrices, limit is {limits.max_set_size}"
+        )
     micros = int((time.perf_counter() - started) * 1_000_000)
-    event = TraceEvent(
-        step=done,
-        variable=v,
-        rule=rule,
-        family_before=len(family),
-        family_after=len(new_family),
-        max_set_size=largest,
-        micros=micros,
-    )
+    event = TraceEvent(done, v, rule, len(family), len(new_family), largest, micros)
     return DerivationState(new_family, done, store), event
 
 

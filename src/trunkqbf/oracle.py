@@ -33,12 +33,14 @@ class BudgetExceededError(ValueError):
 
 
 class OracleBudget(Frozen):
-    """The most variables an oracle call may enumerate; positive."""
+    """The most variables an oracle call may enumerate; a positive ``int``."""
 
     __slots__ = ("max_variables",)
     max_variables: int
 
     def __init__(self, max_variables: int = 24) -> None:
+        if type(max_variables) is not int:
+            raise ValueError("budget must be an integer")
         if max_variables < 1:
             raise ValueError("budget must be positive")
         object.__setattr__(self, "max_variables", max_variables)

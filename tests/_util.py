@@ -23,6 +23,7 @@ from trunkqbf import (
     poset_from_pairs,
     primal_graph,
     random_instance,
+    reduce,
     resolve,
     step,
     trivial_poset,
@@ -361,6 +362,16 @@ def reference_r2(state: DerivationState, m: Matrix) -> Matrix:
     store, index = state.untouched, state.step_index
     pivot, pulled = store.plan[index][0], store.pulls[index]
     return store.touched_part(resolve(Matrix._of(m | pulled), pivot), index + 1)
+
+
+def reference_r3(state: DerivationState, m: Matrix) -> Matrix:
+    """The touched part R3 makes of one matrix of the state's family at
+    its next step, by the definition: the step's whole bucket pulled in,
+    the universal reduced and the clauses still untouched after the step
+    dropped."""
+    store, index = state.untouched, state.step_index
+    u, pulled = store.plan[index][0], store.pulls[index]
+    return store.touched_part(reduce(Matrix._of(m | pulled), u), index + 1)
 
 
 def reference_plan(instance, td, poset, ordering):

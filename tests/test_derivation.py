@@ -544,6 +544,17 @@ class TestRunDerivation:
         with pytest.raises(ResourceLimitError):
             run_derivation(q, td, d, EngineLimits(max_family_size=1))
 
+    def test_a_family_as_large_as_the_limit_completes(self, qp2_setup):
+        # The limit bounds the family's size inclusively.
+        q, td, d = qp2_setup
+        trace = run_derivation(q, td, d).trace
+        largest = max(e.family_after for e in trace)
+        assert largest >= 2
+        result = run_derivation(q, td, d, EngineLimits(max_family_size=largest))
+        assert [e[:6] for e in result.trace] == [e[:6] for e in trace]
+        with pytest.raises(ResourceLimitError, match=f"sets, limit is {largest - 1}$"):
+            run_derivation(q, td, d, EngineLimits(max_family_size=largest - 1))
+
     def test_set_limit_aborts(self):
         # Strategy extension at u answers two universal plays, so the
         # produced sets hold two matrices each.

@@ -8,6 +8,7 @@ from trunkqbf import (
     Clause,
     EngineLimits,
     Matrix,
+    OracleBudget,
     Prefix,
     QbfInstance,
     ground_truth,
@@ -98,6 +99,24 @@ def test_frozen_fields_cannot_be_assigned_or_deleted(value, field):
     with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
         delattr(value, field)
     assert getattr(value, field) == before
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: EngineLimits(max_strategies=1e6),
+        lambda: EngineLimits(max_set_size="9"),
+        lambda: EngineLimits(max_family_size=True),
+        lambda: OracleBudget(30.5),
+        lambda: OracleBudget(True),
+    ],
+    ids=["float-limit", "str-limit", "bool-limit", "float-budget", "bool-budget"],
+)
+def test_limits_and_budgets_accept_only_integers(build):
+    # A float limit would pass until R4's branch-limit check reads its
+    # bit length; a bool is an int, but not a count.
+    with pytest.raises(ValueError, match="integer"):
+        build()
 
 
 class TestTautologies:

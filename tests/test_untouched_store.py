@@ -43,6 +43,7 @@ from _util import (
     join_node_cases,
     limit_kind,
     reference_r2,
+    reference_r3,
     shuffled_path_cases,
     stepwise,
     sub_poset_cases,
@@ -108,12 +109,12 @@ def test_a_derived_copy_of_an_untouched_clause_is_dropped():
     assert result.verdict is verdict is evaluate(q) is True
 
 
-def r2_states():
-    """Seeded states whose next step is R2 on a non-empty bucket, with two
-    to four sets of two or three matrices.  The plan removes the
-    variables 1..n one per step in a shuffled order.  In every other
-    state the first bucket holds every stored clause, so it holds clauses
-    without the pivot too.  Yields (seed, state)."""
+def bucket_states(rule):
+    """Seeded states whose next step is ``rule``, R2 or R3, on a non-empty
+    bucket, with two to four sets of two or three matrices.  The plan
+    removes the variables 1..n one per step in a shuffled order.  In
+    every other state the first bucket holds every stored clause, so it
+    holds clauses without the step's variable too.  Yields (seed, state)."""
     for seed in range(240):
         rng = random.Random(seed)
         n = rng.randint(2, 5)
@@ -122,7 +123,7 @@ def r2_states():
             width = rng.randint(1, min(3, n))
             return frozenset(x * rng.choice((1, -1)) for x in rng.sample(range(1, n + 1), width))
 
-        plan = tuple((x, "R2", frozenset({x}), None) for x in rng.sample(range(1, n + 1), n))
+        plan = tuple((x, rule, frozenset({x}), None) for x in rng.sample(range(1, n + 1), n))
         store = UntouchedStore(frozenset(clause() for _ in range(rng.randint(2, 8))), plan)
         if seed % 2:
             object.__setattr__(store, "pulls", (store.clauses, *store.pulls[1:]))
@@ -141,20 +142,27 @@ def r2_states():
             yield seed, DerivationState(frozenset(family), 0, store)
 
 
+def recorded_calls(monkeypatch, name):
+    """The (first argument, result) of every call ``step`` makes to the
+    derivation module's function ``name``, recorded into a list."""
+    calls = []
+    real = getattr(derivation, name)
+
+    def recorded(m, *args):
+        calls.append((m, real(m, *args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(derivation, name, recorded)
+    return calls
+
+
 def test_r2_matches_the_reference_matrix_by_matrix(monkeypatch):
     # ``step`` splits the bucket and resolves its own pairs once per step;
     # every matrix must still become what resolving it with the whole
     # bucket pulled in and dropping the untouched clauses makes of it.
-    results = []
-    real = derivation.resolve
-
-    def recorded(m, x, *bucket):
-        results.append((m, real(m, x, *bucket)))
-        return results[-1][1]
-
-    monkeypatch.setattr(derivation, "resolve", recorded)
+    results = recorded_calls(monkeypatch, "resolve")
     cases = lacking = own = cross = 0
-    for seed, state in r2_states():
+    for seed, state in bucket_states("R2"):
         store, v = state.untouched, state.untouched.plan[0][0]
         pulled, pivot = store.pulls[0], (v, -v)
         results.clear()
@@ -176,6 +184,30 @@ def test_r2_matches_the_reference_matrix_by_matrix(monkeypatch):
             for c2 in negative
         )
     assert cases >= 200 and min(lacking, own, cross) >= 50, (cases, lacking, own, cross)
+
+
+def test_r3_matches_the_reference_matrix_by_matrix(monkeypatch):
+    # ``step`` reduces each matrix with its bucket pulled in, in one
+    # ``reduce`` call per matrix; every matrix must become what reducing
+    # it with the whole bucket pulled in and dropping the untouched
+    # clauses makes of it.
+    results = recorded_calls(monkeypatch, "reduce")
+    cases = lacking = 0
+    for seed, state in bucket_states("R3"):
+        store, u = state.untouched, state.untouched.plan[0][0]
+        results.clear()
+        after, event = step(state)
+        assert event.rule == "R3"
+        matrices = [m for pi in state.family for m in pi]
+        assert Counter(m - store.pulls[0] for m, _ in results) == Counter(matrices), seed
+        for m, result in results:
+            assert m >= store.pulls[0], seed
+            assert store.touched_part(result, 1) == reference_r3(state, m - store.pulls[0]), seed
+        want = frozenset(frozenset([reference_r3(state, m) for m in pi]) for pi in state.family)
+        assert after.family == want, seed
+        cases += 1
+        lacking += any(c.isdisjoint((u, -u)) for c in store.pulls[0])
+    assert cases >= 200 and lacking >= 50, (cases, lacking)
 
 
 def test_shuffled_paths_fire_r4_and_agree_with_the_oracle():

@@ -45,6 +45,7 @@ ALIGNMENT = "tests/test_decomposition.py::"
 ORACLE = STORE + "test_shuffled_paths_fire_r4_and_agree_with_the_oracle"
 SNAPSHOT = "tests/test_trace_snapshot.py::test_traces_match_the_snapshot"
 R2_REFERENCE = STORE + "test_r2_matches_the_reference_matrix_by_matrix"
+R3_REFERENCE = STORE + "test_r3_matches_the_reference_matrix_by_matrix"
 MUTANTS = (
     # The BTD reader's error lines.
     Mutant(
@@ -82,12 +83,16 @@ MUTANTS = (
     Mutant(
         "r2-without-bucket-positive-touched-negative-pairs",
         "derivation.py",
-        "        for c1 in bucket_positive:\n"
-        "            for c2, clash in clashes:\n"
-        "                if c1.isdisjoint(clash):\n"
-        "                    out.append(c1.union(c2).difference(pivot))\n",
+        "    _resolvents(out, bucket_positive, clashes, pivot)\n",
         "",
         (R2_REFERENCE, DERIVATION + "TestGoldenQParity2::test_intermediate_families"),
+    ),
+    Mutant(
+        "r3-without-its-pull",
+        "derivation.py",
+        "reduce(m | pulled, v)",
+        "reduce(m, v)",
+        (R3_REFERENCE, ORACLE),
     ),
     Mutant(
         "r3-reduces-an-existential",
@@ -120,6 +125,21 @@ MUTANTS = (
             DERIVATION + "TestRunDerivation::"
             "test_branch_limit_names_the_r4_variable_not_its_largest_dependency",
         ),
+    ),
+    # The limits.
+    Mutant(
+        "family-limit-off-by-one",
+        "derivation.py",
+        "if len(new_family) > limits.max_family_size:",
+        "if len(new_family) >= limits.max_family_size:",
+        (DERIVATION + "TestRunDerivation::test_a_family_as_large_as_the_limit_completes",),
+    ),
+    Mutant(
+        "limits-without-the-integer-check",
+        "derivation.py",
+        "if any(type(n) is not int for n in values):",
+        "if False:",
+        ("tests/test_formulas.py::test_limits_and_budgets_accept_only_integers",),
     ),
     Mutant(
         "tables-built-for-an-empty-set",

@@ -60,9 +60,7 @@ _EXPORTS = {
     "oracle": (
         "BudgetExceededError",
         "OracleBudget",
-        "equisatisfiable",
         "evaluate",
-        "evaluate_by_strategy_enumeration",
         "random_instance",
         "verify_poset_property2",
     ),

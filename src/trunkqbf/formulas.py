@@ -243,12 +243,6 @@ class Prefix(Frozen):
         """All variables, block by block, ascending id inside each block."""
         return tuple(v for _, vs in self.blocks for v in vs)
 
-    def remove(self, variables: Iterable[int]) -> "Prefix":
-        """Prefix with the given variables dropped (blocks re-merged);
-        variables outside the prefix are ignored."""
-        drop = set(variables)
-        return Prefix((q, [v for v in vs if v not in drop]) for q, vs in self.blocks)
-
     def _key(self) -> Tuple[object, ...]:
         return (self.blocks,)
 

@@ -1,18 +1,17 @@
 """Ground-truth brute-force QBF evaluation.
 
-``evaluate`` plays the two-player game by recursion over the prefix
-(a prefix deeper than Python's recursion limit exceeds its budget);
-``evaluate_by_strategy_enumeration`` is an independent cross-check that
-enumerates whole existential strategy tables and is only meant for very
-small instances.  Both explore value 0 before value 1 so runs are
-reproducible.
+``evaluate`` is the one oracle: it plays the two-player game by
+recursion over the prefix, value 0 before value 1 so runs are
+reproducible (a prefix deeper than Python's recursion limit exceeds its
+budget).  Rule soundness, the poset's property 2 and the engine's
+verdicts are all checked against it.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .formulas import (
     EXISTS,
@@ -74,87 +73,6 @@ def evaluate(instance: QbfInstance, budget: OracleBudget = OracleBudget()) -> bo
         return rec(0, instance.matrix)
     except RecursionError:
         raise BudgetExceededError("the prefix is too deep for the oracle's recursion") from None
-
-
-def equisatisfiable(
-    q1: QbfInstance, q2: QbfInstance, budget: OracleBudget = OracleBudget()
-) -> bool:
-    return evaluate(q1, budget) == evaluate(q2, budget)
-
-
-def _assignments(variables: Sequence[int]) -> List[Dict[int, int]]:
-    """All assignments over the variables, in binary-counter order."""
-    variables = sorted(variables)
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(variables)):
-        out.append(dict(zip(variables, bits)))
-    return out
-
-
-def evaluate_by_strategy_enumeration(
-    instance: QbfInstance, budget: OracleBudget = OracleBudget(max_variables=5)
-) -> bool:
-    """Truth via exhaustive search for a winning existential strategy.
-
-    Each candidate strategy assigns every existential variable a value
-    for every assignment to the universal variables quantified to its
-    left; it wins if the matrix is satisfied under every universal play.
-    Exponentially more expensive than ``evaluate``; cross-check only.
-    """
-    n = len(instance.prefix.variables)
-    if n > budget.max_variables:
-        raise BudgetExceededError(
-            f"instance has {n} variables, budget allows {budget.max_variables}"
-        )
-    prefix = instance.prefix
-    order = prefix.variables_in_order()
-    existentials = [v for v in order if prefix.quantifier(v) == EXISTS]
-    left_universals = {}
-    seen_universals: List[int] = []
-    for v in order:
-        if prefix.quantifier(v) == FORALL:
-            seen_universals.append(v)
-        else:
-            left_universals[v] = tuple(seen_universals)
-    universal_plays = _assignments(sorted(prefix.universal))
-
-    # A strategy table per existential: one output bit per play restriction.
-    domains = {
-        x: _assignments(left_universals[x]) for x in existentials
-    }
-    table_choices = [
-        list(itertools.product((0, 1), repeat=len(domains[x]))) for x in existentials
-    ]
-    for tables in itertools.product(*table_choices):
-        strategy = {
-            x: dict(zip(map(_freeze, domains[x]), tables[i]))
-            for i, x in enumerate(existentials)
-        }
-        if all(
-            not restrict(instance.matrix, *_play(beta, strategy, left_universals))
-            for beta in universal_plays
-        ):
-            return True
-    return False
-
-
-def _freeze(assignment: Dict[int, int]) -> Tuple[Tuple[int, int], ...]:
-    return tuple(sorted(assignment.items()))
-
-
-def _play(
-    beta: Dict[int, int],
-    strategy: Dict[int, Dict[Tuple[Tuple[int, int], ...], int]],
-    left_universals: Dict[int, Tuple[int, ...]],
-) -> Tuple[FrozenSet[int], FrozenSet[int]]:
-    """The literals made true and those made false by play beta and the
-    strategy's answers to it."""
-    full = dict(beta)
-    for x, table in strategy.items():
-        seen = _freeze({u: beta[u] for u in left_universals[x]})
-        full[x] = table[seen]
-    true = frozenset([v if value else -v for v, value in full.items()])
-    return true, frozenset([-lit for lit in true])
 
 
 def verify_poset_property2(

@@ -50,6 +50,14 @@ def literal_sets(assignment: Dict[int, int]) -> Tuple[FrozenSet[int], FrozenSet[
     return true, frozenset([-lit for lit in true])
 
 
+def prefix_without(prefix: Prefix, variables: Iterable[int]) -> Prefix:
+    """The prefix rebuilt without the given variables: the constructor drops
+    the blocks this empties and merges their neighbours.  Variables outside
+    the prefix are ignored."""
+    drop = set(variables)
+    return Prefix(tuple((q, tuple(v for v in vs if v not in drop)) for q, vs in prefix.blocks))
+
+
 def corpus(n_instances: int, max_vars: int = 8, max_clauses: int = 12) -> List[QbfInstance]:
     """Deterministic instance corpus; seed i yields the i-th instance."""
     out = []

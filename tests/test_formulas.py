@@ -20,7 +20,7 @@ from trunkqbf import (
     restrict,
 )
 
-from _util import edge_set, literal_sets
+from _util import edge_set, literal_sets, prefix_without
 
 
 def literals():
@@ -243,24 +243,27 @@ class TestPrefix:
 
     def test_remove_collapses_blocks(self):
         p = Prefix((("e", (1,)), ("a", (2,)), ("e", (3,))))
-        assert p.remove((2,)).blocks == (("e", (1, 3)),)
+        assert prefix_without(p, (2,)).blocks == (("e", (1, 3)),)
 
-    def test_remove_matches_rebuilding_the_prefix(self):
-        def rebuilt(p, drop):
-            return Prefix(tuple((q, tuple(v for v in vs if v not in drop)) for q, vs in p.blocks))
-
-        def assert_same(got, want):
-            assert got.blocks == want.blocks
-            assert got == want and hash(got) == hash(want)
-            assert repr(got) == repr(want)
-            assert got.variables == want.variables
-            assert got.existential == want.existential
-            assert got.universal == want.universal
-            assert got.variables_in_order() == want.variables_in_order()
-            for v in want.variables:
-                assert got.quantifier(v) == want.quantifier(v)
-                assert got.block_index(v) == want.block_index(v)
-            for v in (0, 99, *(set(range(1, 13)) - want.variables)):
+    def test_dropped_variables_leave_a_canonical_prefix(self):
+        def assert_canonical(got, p, drop):
+            kept = p.variables - drop
+            assert all(vs and list(vs) == sorted(vs) for _, vs in got.blocks)
+            assert all(a[0] != b[0] for a, b in zip(got.blocks, got.blocks[1:]))
+            rebuilt = Prefix(got.blocks)
+            assert got == rebuilt and hash(got) == hash(rebuilt)
+            assert repr(got) == "Prefix(" + " ".join(f"{q}{list(vs)}" for q, vs in got.blocks) + ")"
+            assert got.variables == kept
+            assert got.existential == p.existential - drop
+            assert got.universal == p.universal - drop
+            assert got.variables_in_order() == tuple(v for _, vs in got.blocks for v in vs)
+            for v in kept:
+                assert got.quantifier(v) == p.quantifier(v)
+                assert v in got.blocks[got.block_index(v)][1]
+            # Blocks keep their order, so a block's neighbours merge.
+            in_order = [got.block_index(v) for v in p.variables_in_order() if v in kept]
+            assert in_order == sorted(in_order)
+            for v in (0, 99, *(set(range(1, 13)) - kept)):
                 with pytest.raises(KeyError, match=f"variable {v} is not quantified"):
                     got.quantifier(v)
                 with pytest.raises(KeyError, match=f"variable {v} is not quantified"):
@@ -282,10 +285,10 @@ class TestPrefix:
             for _ in range(4):
                 drops.append(set(rng.sample(inside, rng.randint(0, len(inside)))) | {99})
             for drop in drops:
-                once = p.remove(drop)
-                assert_same(once, rebuilt(p, drop))
+                once = prefix_without(p, drop)
+                assert_canonical(once, p, drop)
                 again = set(rng.sample(inside, rng.randint(0, len(inside))))
-                assert_same(once.remove(again), rebuilt(p, drop | again))
+                assert_canonical(prefix_without(once, again), p, drop | again)
 
     def test_duplicate_variable_rejected(self):
         with pytest.raises(ValueError):

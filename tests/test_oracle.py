@@ -6,9 +6,7 @@ from trunkqbf import (
     OracleBudget,
     Prefix,
     QbfInstance,
-    equisatisfiable,
     evaluate,
-    evaluate_by_strategy_enumeration,
     matrix_of,
     poset_from_pairs,
     qparity,
@@ -20,7 +18,7 @@ from trunkqbf import (
     verify_poset_property2,
 )
 
-from _util import literal_sets
+from _util import literal_sets, prefix_without
 
 
 class TestEvaluate:
@@ -71,15 +69,6 @@ class TestEvaluate:
 
 
 class TestEquisatisfiable:
-    def test_reflexive(self):
-        q = qparity(2)
-        assert equisatisfiable(q, q)
-
-    def test_true_vs_false(self):
-        t = QbfInstance(Prefix((("e", (1,)),)), matrix_of((1,)))
-        f = QbfInstance(Prefix((("a", (1,)),)), matrix_of((1,)))
-        assert not equisatisfiable(t, f)
-
     def test_resolution_under_its_side_condition(self):
         # With the trivial poset the side condition reads: no clause pairs
         # the pivot with a universal from a later block.
@@ -98,31 +87,10 @@ class TestEquisatisfiable:
                 )
                 if blocked:
                     continue
-                reduced = QbfInstance(prefix.remove((x,)), resolve(q.matrix, x))
-                assert equisatisfiable(q, reduced), (seed, x)
+                reduced = QbfInstance(prefix_without(prefix, (x,)), resolve(q.matrix, x))
+                assert evaluate(q) == evaluate(reduced), (seed, x)
                 hits += 1
         assert hits > 50
-
-
-class TestStrategyEnumerationOracle:
-    def test_agrees_with_game_recursion(self):
-        checked = 0
-        for seed in range(80):
-            q = random_instance(seed, 2 + seed % 4, 1 + seed % 7, 1 + seed % 2, 1 + seed % 4)
-            if len(q.prefix.variables) > 5:
-                continue
-            assert evaluate_by_strategy_enumeration(q) == evaluate(q), seed
-            checked += 1
-        assert checked > 40
-
-    def test_qparity2_both_ways(self):
-        q = qparity(2)
-        assert evaluate_by_strategy_enumeration(q) is False
-
-    def test_budget_guard(self):
-        q = QbfInstance(Prefix((("e", tuple(range(1, 8))),)), Matrix(()))
-        with pytest.raises(BudgetExceededError):
-            evaluate_by_strategy_enumeration(q)
 
 
 class TestPosetProperty2:
@@ -202,7 +170,7 @@ class TestReductionSoundness:
                 )
                 if blocked:
                     continue
-                reduced = QbfInstance(prefix.remove((u,)), reduce(q.matrix, u))
-                assert equisatisfiable(q, reduced), (seed, u)
+                reduced = QbfInstance(prefix_without(prefix, (u,)), reduce(q.matrix, u))
+                assert evaluate(q) == evaluate(reduced), (seed, u)
                 hits += 1
         assert hits > 30

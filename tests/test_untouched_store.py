@@ -390,16 +390,12 @@ def test_a_run_builds_no_prefix(monkeypatch):
         built += 1
         original(self, blocks)
 
-    def remove(self, variables):
-        raise AssertionError("a run called Prefix.remove")
-
     for n in (16, 32, 64):
         q = qparity(n)
         td, d = qparity_td(n), trivial_poset(q.prefix)
         built = 0
         with monkeypatch.context() as patch:
             patch.setattr(Prefix, "__init__", counting)
-            patch.setattr(Prefix, "remove", remove)
             result = run_derivation(q, td, d, checks=True)
         assert built == 0, n
         assert result.final.live == frozenset()

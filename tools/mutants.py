@@ -204,6 +204,17 @@ MUTANTS = (
         "pulled_at = {c: 0 for c in clauses}",
         (STORE + "test_clauses_built_per_step_do_not_grow_with_n",),
     ),
+    # The oracle.
+    Mutant(
+        "oracle-forall-as-exists",
+        "oracle.py",
+        "return low and rec(i + 1, restrict(matrix, {v}, {-v}))",
+        "return low or rec(i + 1, restrict(matrix, {v}, {-v}))",
+        (
+            "tests/test_oracle.py::TestEvaluate::test_universal_unit_is_false",
+            "tests/test_cli.py::TestAgreement::test_solver_and_oracle_exit_codes_match",
+        ),
+    ),
     # Trunk alignment.
     Mutant(
         "reflexive-p1",

@@ -4,7 +4,9 @@ The parity family pairs an n-ary XOR constraint chain with a width-2
 trunk decomposition; ``single_bag_td`` is the generic fallback that
 introduces every variable in prefix order and forgets in reverse, so it
 exists for every instance (at width n-1), and ``forget_path_td`` the
-same path with any forget order.
+same path with any forget order.  Each is built from one list of
+events: from an empty leaf bag, ``+v`` introduces v and ``-v`` forgets
+it, one node per event.
 
 Variable numbering of ``qparity(n)``: ``x_i -> i``, ``u -> n+1``,
 ``z_i -> n+1+i``.
@@ -12,15 +14,20 @@ Variable numbering of ``qparity(n)``: ``x_i -> i``, ``u -> n+1``,
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Sequence
+from typing import FrozenSet, Iterable, List
 
 from .decomposition import TrunkTreeDecomposition
 from .formulas import EXISTS, FORALL, Clause, Matrix, Prefix, QbfInstance
 
 
-def _path_td(bags: Sequence[Iterable[int]]) -> TrunkTreeDecomposition:
-    """The path through the bags from the first, a leaf, to the last, the
-    root; the whole path is the trunk."""
+def _event_path(events: Iterable[int]) -> TrunkTreeDecomposition:
+    """The path from an empty leaf bag through one node per event, ``+v``
+    introducing v and ``-v`` forgetting it, to the last node, the root;
+    the whole path is the trunk."""
+    bags: List[FrozenSet[int]] = [frozenset()]
+    for event in events:
+        bag = bags[-1]
+        bags.append(bag | {event} if event > 0 else bag - {-event})
     nodes = range(1, len(bags) + 1)
     parent = {t: t + 1 for t in nodes[:-1]}
     return TrunkTreeDecomposition(dict(zip(nodes, bags)), parent, nodes[-1], tuple(nodes))
@@ -61,54 +68,23 @@ def qparity(n: int) -> QbfInstance:
 
 
 def qparity_td(n: int) -> TrunkTreeDecomposition:
-    """The width-2 single-path trunk decomposition of qparity(n).
-
-    Bag sequence (leaf to root): empty, {x1}, {x1,z1}, {z1}, then for
-    each middle index {z_{i-1},x_i}, {z_{i-1},x_i,z_i}, {x_i,z_i},
-    {z_i}, then {z_{n-1},x_n}, {z_{n-1},x_n,z_n}, {x_n,z_n},
-    {x_n,z_n,u}, {z_n,u}, {u}, empty.  The trunk is the whole path.
-    """
+    """The width-2 single-path trunk decomposition of qparity(n), by its
+    events: x1, z1, -x1; then for i = 2..n: x_i, z_i, -z_{i-1}, and -x_i
+    below n; then u, -x_n, -z_n, -u.  The trunk is the whole path."""
     if n < 2:
         raise ValueError(f"qparity_td requires n >= 2, got {n}")
     u = n + 1
     z = {i: n + 1 + i for i in range(1, n + 1)}
-    bag_seq: List[FrozenSet[int]] = [
-        frozenset(),
-        frozenset({1}),
-        frozenset({1, z[1]}),
-        frozenset({z[1]}),
-    ]
+    events = [1, z[1], -1]
     for i in range(2, n):
-        bag_seq += [
-            frozenset({z[i - 1], i}),
-            frozenset({z[i - 1], i, z[i]}),
-            frozenset({i, z[i]}),
-            frozenset({z[i]}),
-        ]
-    bag_seq += [
-        frozenset({z[n - 1], n}),
-        frozenset({z[n - 1], n, z[n]}),
-        frozenset({n, z[n]}),
-        frozenset({n, z[n], u}),
-        frozenset({z[n], u}),
-        frozenset({u}),
-        frozenset(),
-    ]
-    return _path_td(bag_seq)
+        events += [i, z[i], -z[i - 1], -i]
+    return _event_path(events + [n, z[n], -z[n - 1], u, -n, -z[n], -u])
 
 
 def forget_path_td(instance: QbfInstance, forget: Iterable[int]) -> TrunkTreeDecomposition:
     """The path that introduces every variable in prefix order, then
     forgets them in the given order; the whole path is the trunk."""
-    bag_seq: List[FrozenSet[int]] = [frozenset()]
-    current: set = set()
-    for v in instance.prefix.variables_in_order():
-        current.add(v)
-        bag_seq.append(frozenset(current))
-    for v in forget:
-        current.discard(v)
-        bag_seq.append(frozenset(current))
-    return _path_td(bag_seq)
+    return _event_path([*instance.prefix.variables_in_order(), *(-v for v in forget)])
 
 
 def single_bag_td(instance: QbfInstance) -> TrunkTreeDecomposition:

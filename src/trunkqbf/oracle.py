@@ -4,14 +4,14 @@
 recursion over the prefix, value 0 before value 1 so runs are
 reproducible (a prefix deeper than Python's recursion limit exceeds its
 budget).  Rule soundness, the poset's property 2 and the engine's
-verdicts are all checked against it.
+verdicts are all checked against it; property 2 on each linear extension
+of the poset, walked directly in lexicographic order.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
-from typing import Sequence, Tuple
+from typing import Iterator, Tuple
 
 from .formulas import (
     EXISTS,
@@ -84,31 +84,37 @@ def verify_poset_property2(
 
     Rebuilds the prefix along each extension (quantifiers travel with
     their variables) and compares oracle verdicts.  Guarded to at most
-    7 variables since all linear extensions are enumerated.
+    7 variables since all linear extensions are enumerated.  A poset for
+    another prefix is a ValueError, with the engine's message.
     """
-    variables = sorted(instance.prefix.variables)
+    if poset.prefix != instance.prefix:
+        raise ValueError(
+            f"poset is for {poset.prefix!r}, the instance's prefix is {instance.prefix!r}"
+        )
+    variables = tuple(sorted(instance.prefix.variables))
     if len(variables) > 7:
         raise BudgetExceededError(
             f"property-2 check enumerates linear extensions; {len(variables)} variables is too many"
         )
     reference = evaluate(instance, budget)
-    quantifier = {v: instance.prefix.quantifier(v) for v in variables}
-    for perm in itertools.permutations(variables):
-        if not _is_linear_extension(perm, poset):
-            continue
-        blocks = tuple((quantifier[v], (v,)) for v in perm)
-        reordered = QbfInstance(Prefix(blocks), instance.matrix)
-        if evaluate(reordered, budget) != reference:
+    quantifier = instance.prefix.quantifier
+    for order in _linear_extensions(poset, variables):
+        prefix = Prefix(tuple((quantifier(v), (v,)) for v in order))
+        if evaluate(QbfInstance(prefix, instance.matrix), budget) != reference:
             return False
     return True
 
 
-def _is_linear_extension(perm: Sequence[int], poset: DependencyPoset) -> bool:
-    position = {v: i for i, v in enumerate(perm)}
-    for u, v in poset.strict_pairs():
-        if position[u] > position[v]:
-            return False
-    return True
+def _linear_extensions(poset: DependencyPoset, rest: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
+    """The orders of the ascending ``rest`` that extend the poset, in
+    lexicographic order: each position takes, in ascending order, every
+    variable of ``rest`` none of whose strict predecessors is left."""
+    if not rest:
+        yield ()
+    for v in rest:
+        if poset.strict(v).isdisjoint(rest):
+            left = tuple([w for w in rest if w != v])
+            yield from ((v, *tail) for tail in _linear_extensions(poset, left))
 
 
 def random_instance(

@@ -32,7 +32,7 @@ from trunkqbf import (
 )
 from trunkqbf.decomposition import Violation
 from trunkqbf.derivation import UntouchedStore, validate_input
-from trunkqbf.generators import _path_td as path_td, forget_path_td
+from trunkqbf.generators import forget_path_td
 
 R4_LIMITS = EngineLimits(max_strategies=4096, max_family_size=64)
 LIMIT_KINDS = (
@@ -40,6 +40,70 @@ LIMIT_KINDS = (
     ("sets, limit is", "family"),
     ("matrices, limit is", "set"),
 )
+
+
+def path_td(bags: Sequence[Iterable[int]]) -> TrunkTreeDecomposition:
+    """The path through the bags from the first, a leaf, to the last, the
+    root; the whole path is the trunk.  The bags need not make it nice."""
+    nodes = range(1, len(bags) + 1)
+    parent = {t: t + 1 for t in nodes[:-1]}
+    return TrunkTreeDecomposition(dict(zip(nodes, bags)), parent, nodes[-1], tuple(nodes))
+
+
+def reference_qparity_bags(n: int) -> List[FrozenSet[int]]:
+    """The bags of ``qparity_td(n)`` written out, leaf to root: empty, {x1},
+    {x1,z1}, {z1}, then for each middle index {z_{i-1},x_i},
+    {z_{i-1},x_i,z_i}, {x_i,z_i}, {z_i}, then {z_{n-1},x_n},
+    {z_{n-1},x_n,z_n}, {x_n,z_n}, {x_n,z_n,u}, {z_n,u}, {u}, empty."""
+    u = n + 1
+    z = {i: n + 1 + i for i in range(1, n + 1)}
+    bags = [frozenset(), frozenset({1}), frozenset({1, z[1]}), frozenset({z[1]})]
+    for i in range(2, n):
+        bags += [
+            frozenset({z[i - 1], i}),
+            frozenset({z[i - 1], i, z[i]}),
+            frozenset({i, z[i]}),
+            frozenset({z[i]}),
+        ]
+    bags += [
+        frozenset({z[n - 1], n}),
+        frozenset({z[n - 1], n, z[n]}),
+        frozenset({n, z[n]}),
+        frozenset({n, z[n], u}),
+        frozenset({z[n], u}),
+        frozenset({u}),
+        frozenset(),
+    ]
+    return bags
+
+
+def introduce_then_forget_bags(
+    instance: QbfInstance, forget: Iterable[int]
+) -> List[FrozenSet[int]]:
+    """The bags of the path that introduces every variable in prefix order,
+    then forgets them in the given order, by updating one live set."""
+    bags: List[FrozenSet[int]] = [frozenset()]
+    current: Set[int] = set()
+    for v in instance.prefix.variables_in_order():
+        current.add(v)
+        bags.append(frozenset(current))
+    for v in forget:
+        current.discard(v)
+        bags.append(frozenset(current))
+    return bags
+
+
+def linear_extensions_by_filter(poset: DependencyPoset) -> List[Tuple[int, ...]]:
+    """Reference for the oracle's walk: every permutation of the sorted
+    variables, in ``itertools`` order, that puts each strict pair of the
+    poset in order."""
+    pairs = poset.strict_pairs()
+    out = []
+    for perm in itertools.permutations(sorted(poset.prefix.variables)):
+        position = {v: i for i, v in enumerate(perm)}
+        if all(position[u] < position[v] for u, v in pairs):
+            out.append(perm)
+    return out
 
 
 def literal_sets(assignment: Dict[int, int]) -> Tuple[FrozenSet[int], FrozenSet[int]]:
@@ -422,9 +486,9 @@ def limit_kind(exc: ResourceLimitError) -> str:
     return next(kind for fragment, kind in LIMIT_KINDS if fragment in str(exc))
 
 
-def shuffled_path_cases():
-    """The R4-heavy corpus: seeded 3-7 variable instances of 2-4 blocks on
-    paths that forget in a shuffled order.  Yields (seed, instance, td)."""
+def shuffled_forget_orders():
+    """Seeded 3-7 variable instances of 2-4 blocks, each with its variables
+    in a shuffled order.  Yields (seed, instance, forget order)."""
     for seed in range(240):
         rng = random.Random(seed)
         q = random_instance(
@@ -432,6 +496,13 @@ def shuffled_path_cases():
         )
         forget = list(q.prefix.variables_in_order())
         rng.shuffle(forget)
+        yield seed, q, forget
+
+
+def shuffled_path_cases():
+    """The R4-heavy corpus: ``shuffled_forget_orders`` on the paths that
+    forget in the shuffled order.  Yields (seed, instance, td)."""
+    for seed, q, forget in shuffled_forget_orders():
         yield seed, q, forget_path_td(q, forget)
 
 

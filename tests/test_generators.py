@@ -16,6 +16,15 @@ from trunkqbf import (
     validate_nice,
     validate_trunk_aligned,
     width,
+    write_btd,
+)
+from trunkqbf.generators import forget_path_td
+
+from _util import (
+    introduce_then_forget_bags,
+    path_td,
+    reference_qparity_bags,
+    shuffled_forget_orders,
 )
 
 
@@ -61,6 +70,10 @@ class TestQParityTd:
         assert [set(td.bag(t)) for t in td.nodes] == [set(b) for b in expected]
         assert td.trunk == td.nodes
 
+    def test_btd_matches_the_bag_table_up_to_64(self):
+        for n in range(2, 65):
+            assert write_btd(qparity_td(n)) == write_btd(path_td(reference_qparity_bags(n))), n
+
     def test_width_two_up_to_64(self):
         for n in range(2, 65):
             assert width(qparity_td(n)) == 2
@@ -78,6 +91,14 @@ class TestQParityTd:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             qparity_td(1)
+
+
+class TestForgetPathTd:
+    def test_bags_match_introduce_then_forget_on_the_shuffled_corpus(self):
+        for seed, q, forget in shuffled_forget_orders():
+            td = forget_path_td(q, forget)
+            assert [td.bag(t) for t in td.nodes] == introduce_then_forget_bags(q, forget), seed
+            assert td.trunk == td.nodes and td.root == td.nodes[-1]
 
 
 class TestSingleBagTd:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from trunkqbf import (
@@ -6,6 +8,7 @@ from trunkqbf import (
     OracleBudget,
     Prefix,
     QbfInstance,
+    ValidationError,
     evaluate,
     matrix_of,
     poset_from_pairs,
@@ -14,11 +17,20 @@ from trunkqbf import (
     reduce,
     resolve,
     restrict,
+    run_derivation,
+    single_bag_td,
     trivial_poset,
     verify_poset_property2,
 )
+from trunkqbf.oracle import _linear_extensions
 
-from _util import literal_sets, prefix_without
+from _util import (
+    linear_extensions_by_filter,
+    literal_sets,
+    prefix_without,
+    random_prefix,
+    sub_poset_cases,
+)
 
 
 class TestEvaluate:
@@ -109,6 +121,27 @@ class TestPosetProperty2:
         assert verify_poset_property2(q, identity) is False
         assert verify_poset_property2(q, trivial_poset(q.prefix)) is True
 
+    def test_a_poset_for_another_prefix_is_the_engines_value_error(self):
+        # forall 1 exists 2 . 1 = 2, under posets for three other prefixes:
+        # one lacks 2, one has an extra 3 and one swaps the blocks.
+        q = QbfInstance(Prefix((("a", (1,)), ("e", (2,)))), matrix_of((1, -2), (-1, 2)))
+        others = [
+            Prefix((("a", (1,)),)),
+            Prefix((("a", (1,)), ("e", (2, 3)))),
+            Prefix((("e", (2,)), ("a", (1,)))),
+        ]
+        for other in others:
+            poset = trivial_poset(other)
+            message = f"poset is for {other!r}, the instance's prefix is {q.prefix!r}"
+            with pytest.raises(ValueError) as oracle:
+                verify_poset_property2(q, poset)
+            with pytest.raises(ValidationError) as engine:
+                run_derivation(q, single_bag_td(q), poset)
+            assert str(oracle.value) == str(engine.value) == message
+        assert message == (
+            "poset is for Prefix(e[2] a[1]), the instance's prefix is Prefix(a[1] e[2])"
+        )
+
     def test_variable_free_instance(self):
         q = QbfInstance(Prefix(()), Matrix(()))
         assert verify_poset_property2(q, trivial_poset(q.prefix))
@@ -117,6 +150,25 @@ class TestPosetProperty2:
         q = QbfInstance(Prefix((("e", tuple(range(1, 9))),)), Matrix(()))
         with pytest.raises(BudgetExceededError):
             verify_poset_property2(q, trivial_poset(q.prefix))
+
+
+class TestLinearExtensions:
+    """The walk ``verify_poset_property2`` runs yields the permutation
+    filter's orders, in its order."""
+
+    def test_the_walk_matches_the_filter_on_seeded_posets(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            prefix = random_prefix(rng, 6)
+            kept = [pair for pair in trivial_poset(prefix).strict_pairs() if rng.random() < 0.5]
+            poset = poset_from_pairs(prefix, kept)
+            walked = list(_linear_extensions(poset, tuple(sorted(prefix.variables))))
+            assert walked == linear_extensions_by_filter(poset), prefix
+
+    def test_the_walk_matches_the_filter_on_the_sub_poset_corpus(self):
+        for seed, q, _, poset in sub_poset_cases():
+            walked = list(_linear_extensions(poset, tuple(sorted(q.prefix.variables))))
+            assert walked == linear_extensions_by_filter(poset), seed
 
 
 class TestRandomInstance:

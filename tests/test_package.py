@@ -1,4 +1,5 @@
-"""The package's own shape: its lazy public names and its imports."""
+"""The package's own shape: its lazy public names, its imports and its
+private names."""
 
 import ast
 import importlib
@@ -47,3 +48,42 @@ def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert _imported(tree) - used == set()
+
+
+def _private_definitions(tree):
+    """The module-level statements that bind a private name, not a dunder:
+    name -> statement."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        out.update((name, node) for name in names if name[:1] == "_" and name[:2] != "__")
+    return out
+
+
+def _reads(node):
+    """The names the statement reads, by name or as an attribute."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)) or isinstance(n, ast.Attribute)
+    }
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_private_name_is_read_in_the_package(path):
+    """Read outside the statement that binds it, so a helper that only
+    calls itself counts as unread."""
+    trees = {source: ast.parse(source.read_text(), filename=str(source)) for source in SOURCES}
+    statements = [node for tree in trees.values() for node in tree.body]
+    unread = [
+        name
+        for name, binding in _private_definitions(trees[path]).items()
+        if not any(name in _reads(node) for node in statements if node is not binding)
+    ]
+    assert unread == []

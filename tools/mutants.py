@@ -215,6 +215,29 @@ MUTANTS = (
             "tests/test_cli.py::TestAgreement::test_solver_and_oracle_exit_codes_match",
         ),
     ),
+    Mutant(
+        "extension-walk-ignores-the-poset",
+        "oracle.py",
+        "if poset.strict(v).isdisjoint(rest):",
+        "if True:",
+        (
+            "tests/test_oracle.py::TestPosetProperty2::"
+            "test_reordering_existential_before_universal_fails",
+            "tests/test_oracle.py::TestLinearExtensions::"
+            "test_the_walk_matches_the_filter_on_seeded_posets",
+        ),
+    ),
+    # The generators.
+    Mutant(
+        "forget-event-keeps-its-variable",
+        "generators.py",
+        "else bag - {-event}",
+        "else bag",
+        (
+            "tests/test_generators.py::TestQParityTd::test_n2_exact_bag_sequence",
+            "tests/test_generators.py::TestQParityTd::test_btd_matches_the_bag_table_up_to_64",
+        ),
+    ),
     # Trunk alignment.
     Mutant(
         "reflexive-p1",

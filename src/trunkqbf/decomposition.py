@@ -13,6 +13,8 @@ variable's topmost nodes (those whose parent's bag lacks it), the nodes
 failing T3 or T4 and the forget nodes: a variable's one topmost node, if
 that node tops no other.  The functions below read the post-order and
 these records and walk no node again, but for P2's subtrees off the trunk.
+T1 and P1 build no set per clause or variable: a clause is tested as a
+subset of a top bag kept with both signs, P1 reads stored strict sets.
 
 Trunk alignment is evaluated with strict dependence for P1: the
 reflexive pair (u, u) is ignored, otherwise no variable could ever
@@ -36,7 +38,7 @@ from typing import (
     Tuple,
 )
 
-from .formulas import QbfInstance
+from .formulas import QbfInstance, _neg
 from .posets import DependencyPoset
 
 
@@ -314,6 +316,10 @@ def subtree_vars(td: TrunkTreeDecomposition, node: int) -> FrozenSet[int]:
     return frozenset(out)
 
 
+# The top bag or strict set of a literal or variable that has none.
+_NOWHERE: FrozenSet[int] = frozenset()
+
+
 def validate_nice(td: TrunkTreeDecomposition, instance: QbfInstance) -> ValidationReport:
     """Check T1-T4, listing every violation.
 
@@ -337,19 +343,23 @@ def validate_nice(td: TrunkTreeDecomposition, instance: QbfInstance) -> Validati
     # holding the whole clause.  On a valid decomposition every clause
     # is: its variables' subtrees meet pairwise, so they share a node
     # (Helly), and the top of that common part is the top of one of
-    # them.  Only the pairs of the other clauses are tested against the
-    # bags.
+    # them.  Each literal maps to its variable's top bag with both signs
+    # of every variable, so a clause is tested by subset alone, with no
+    # set built per clause.  Only the pairs of the other clauses are
+    # tested against the bags.
+    cover: Dict[int, FrozenSet[int]] = {}
+    for v, node in top.items():
+        bag = bags[node]
+        cover[v] = cover[-v] = bag.union(map(_neg, bag))
     uncovered = []
     for lits in instance.matrix:
-        over = frozenset(map(abs, lits))
-        if len(over) < 2:
-            continue
-        for x in over:
-            node = top.get(x)
-            if node is not None and over <= bags[node]:
+        for lit in lits:
+            if lits <= cover.get(lit, _NOWHERE):
                 break
         else:
-            uncovered.append(sorted(over))
+            over = sorted(set(map(abs, lits)))
+            if len(over) > 1:  # else it has no primal edge
+                uncovered.append(over)
     if uncovered:
         nodes_of: Dict[int, Set[int]] = {}
         for node, bag in bags.items():
@@ -403,6 +413,7 @@ def validate_trunk_aligned(
     variables = instance.prefix.variables
     bags, children = td._bags, td._children
     top, split, forgotten = td._records[:3]
+    strict = poset._strict  # P1 reads the stored sets; outside the poset, none
     # P2 in one walk up the trunk: ``below`` grows to the variables of
     # the subtree at each trunk node.  Each distinct stored predecessor
     # set keeps the list of its members not yet seen below; a test pops
@@ -436,8 +447,15 @@ def validate_trunk_aligned(
         if forgotten.get(node) != u or u in split:
             violations.append(Violation("P1P2", str(u), _forget_fault(td, u)))
             continue
-        offenders = poset.dependents_strict(u, bags[node])
-        p1 = not offenders
+        if u not in strict:
+            raise KeyError(f"variable {u} is not in the poset universe")
+        # P1: no member of the forget bag has u in its strict set.
+        for w in bags[node]:
+            if u in strict.get(w, _NOWHERE):
+                p1 = False
+                break
+        else:
+            p1 = True
         p2 = u in p2_holds
         if p1 and p2:
             held[u] = "P1P2"
@@ -446,11 +464,12 @@ def validate_trunk_aligned(
         elif p2:
             held[u] = "P2"
         else:
+            offenders = sorted(poset.dependents_strict(u, bags[node]))
             violations.append(
                 Violation(
                     "P1P2",
                     str(u),
-                    f"P1 fails (dependents {sorted(offenders)} in forget bag {node}) and P2 fails",
+                    f"P1 fails (dependents {offenders} in forget bag {node}) and P2 fails",
                 )
             )
     return ValidationReport(tuple(violations), held)

@@ -202,9 +202,10 @@ class UntouchedStore(Frozen):
         # over its literals; ``never`` yields the bucket of a literal whose
         # variable no step removes.  ``min`` gets no ``default``, which
         # costs more than the empty-clause test.
-        first = {
-            lit: i for i, (_, _, removes, _) in enumerate(plan) for x in removes for lit in (x, -x)
-        }
+        first: Dict[int, int] = {}
+        for i, (_, _, removes, _) in enumerate(plan):
+            for x in removes:
+                first[x] = first[-x] = i
         get, never = first.get, itertools.repeat(end)
         pulled_at = {c: min(map(get, c, never)) if c else end for c in clauses}
         pulls: List[List[Lits]] = [[] for _ in range(end + 1)]
@@ -362,12 +363,16 @@ class StrategyShape(NamedTuple):
         universal, universal_dep, existential_dep = poset.prefix.universal, [], []
         for w in sorted(deps):
             (universal_dep if w in universal else existential_dep).append(w)
-        owns = tuple(
-            tuple(i for i, u in enumerate(universal_dep) if u in poset.strict(x))
-            for x in existential_dep
-        )
-        order = tuple(universal_dep + existential_dep)
-        return cls(len(universal_dep), order, owns, sum([2 ** len(own) for own in owns]))
+        owns, own_bits = [], 0
+        for x in existential_dep:
+            own = ()  # with no universal dependency, x owns none
+            if universal_dep:
+                preceding = poset.strict(x)
+                own = tuple([i for i, u in enumerate(universal_dep) if u in preceding])
+            owns.append(own)
+            own_bits += 2 ** len(own)
+        order = (*universal_dep, *existential_dep)
+        return cls(len(universal_dep), order, tuple(owns), own_bits)
 
     def tables(self) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[Lits, Lits], ...]]:
         """The shape's ``_strategy_table`` and, for every n, full assignment

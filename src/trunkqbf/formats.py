@@ -11,15 +11,17 @@ Four text formats:
 * Trace output (one JSON object per line).
 
 Writers emit canonical, byte-deterministic output with LF endings.
-Parsers share one line reader, ``_read``, and one integer reader, and
-reject malformed input with a diagnostic naming the line.
+Each parser reads its text in one loop of its own once ``_read`` has
+read the header: one ``split()`` and one ``map(int, ...)`` per line,
+and ``_bad_token`` looks for the token to name only once that failed.
+Parsers reject malformed input with a diagnostic naming the line.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NoReturn, Optional, Tuple, Union
 
 from .decomposition import DecompositionError, TrunkTreeDecomposition, _check_edges
 from .formulas import EXISTS, FORALL, Matrix, Prefix, QbfInstance
@@ -35,12 +37,12 @@ class ParseError(ValueError):
 # An integer token as docs/formats.md spells it: ASCII digits without a
 # leading zero, after an optional minus sign.
 _INT_TOKEN = re.compile("-?[1-9][0-9]*|0")
-# A "0" that starts a number of two or more digits.
-_LEADING_ZERO = re.compile("0(?<![0-9]0)[0-9]")
+# A "0" that starts a number of two or more digits: one after a space, a
+# "-" or a line start.  The digit after it is matched first, so the "0"
+# that ends each clause is passed over without a look back.
+_LEADING_ZERO = re.compile("0[0-9](?<![^ \n-]0[0-9])")
 # Printable ASCII and "\n", but for "+" and "_".
 _PLAIN = bytes(b for b in range(32, 127) if b not in b"+_") + b"\n"
-# A content line: its number, the line stripped at both ends, its tokens.
-Row = Tuple[int, str, List[str]]
 
 
 def _checked(text: str) -> bool:
@@ -61,77 +63,83 @@ def _checked(text: str) -> bool:
     )
 
 
-def _int_tokens(
-    tokens: List[str], line: int, what: Union[str, Tuple[str, ...]], checked: bool
-) -> List[int]:
-    """The integer tokens of one line; ``checked`` is ``_checked(text)``.
+def _strict_int(token: str) -> int:
+    """``int()`` for the tokens of a text that ``_checked`` flags: it
+    raises ValueError unless the grammar spells the token as an integer."""
+    if _INT_TOKEN.fullmatch(token) is None:
+        raise ValueError(token)
+    return int(token)
 
-    ``what`` names the tokens in the error message: one name for all, or
-    a tuple of one per token whose last name also stands for the rest.
-    """
+
+def _bad_token(line: int, tokens: List[str], what: Union[str, Tuple[str, ...]]) -> NoReturn:
+    """Raise, while the ValueError of reading a line's tokens as integers
+    is handled, the ParseError that names the first token the grammar
+    does not spell as an integer or ``int()`` cannot convert.  ``what``
+    names the tokens: one name for all, or one per token, the last one
+    standing for the rest."""
+    for i, token in enumerate(tokens):
+        name = what if isinstance(what, str) else what[min(i, len(what) - 1)]
+        if _INT_TOKEN.fullmatch(token) is None:
+            raise ParseError(line, f"expected an integer {name}, got {token!r}") from None
+        try:
+            int(token)
+        except ValueError:  # more digits than int() converts
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(line, f"{name} has more than {limit} digits") from None
+    raise
+
+
+def _ints(line: int, tokens: List[str], what, to_int) -> List[int]:
+    """The tokens of a line read by ``to_int``, else ``_bad_token``'s
+    error; the clause, bag and edge lines read theirs inline."""
     try:
-        if checked and not all(map(_INT_TOKEN.fullmatch, tokens)):
-            raise ValueError
-        return list(map(int, tokens))
+        return list(map(to_int, tokens))
     except ValueError:
-        for i, token in enumerate(tokens):
-            name = what if isinstance(what, str) else what[min(i, len(what) - 1)]
-            if _INT_TOKEN.fullmatch(token) is None:
-                raise ParseError(line, f"expected an integer {name}, got {token!r}") from None
-            try:
-                int(token)
-            except ValueError:  # more digits than int() converts
-                limit = sys.get_int_max_str_digits()
-                raise ParseError(line, f"{name} has more than {limit} digits") from None
-        raise
+        _bad_token(line, tokens, what)
 
 
-def _rows(text: str, kind: str, checked: bool) -> Iterator[Row]:
-    """The content lines of a text whose header starts with ``kind``.
-
-    Lines end at "\\n" only and are stripped at both ends; blank lines and
-    lines that start with "c" are skipped.  A second header, or a line
-    with any character but printable ones and spaces when ``checked``,
-    raises when the reader reaches it, so an earlier line's error is
-    reported first.
-    """
-    first = True
-    for line_no, line in enumerate(text.split("\n"), 1):
-        line = line.strip()
-        if not line or line[0] == "c":
-            continue
-        if checked and not line.isprintable():
-            bad = next(ch for ch in line if not ch.isprintable())
+def _plain_rows(rows: Iterable[Tuple[int, str]]) -> Iterator[Tuple[int, str]]:
+    """The rows of a text that ``_checked`` flags; a content line with any
+    character but printable ones and spaces raises when it is reached, so
+    an earlier line's error is reported first."""
+    for line_no, line in rows:
+        row = line.strip()
+        if row and row[0] != "c" and not row.isprintable():
+            bad = next(ch for ch in row if not ch.isprintable())
             raise ParseError(line_no, f"{bad!r} is neither a space nor printable")
-        tokens = line.split()
-        if tokens[0] == kind and not first:
-            raise ParseError(line_no, "duplicate header")
-        first = False
-        yield line_no, line, tokens
+        yield line_no, line
 
 
 def _read(text: str, header: str, counts: Tuple[str, ...]):
-    """Read a text's first content line (see ``_rows``), its header:
-    ``header`` and one count per name in ``counts``.
+    """Read a text's first content line, its header: ``header`` and one
+    count per name in ``counts``.
 
-    Returns the counts, the header's line, ``_checked(text)`` and an
-    iterator over the rows after the header.
+    Lines end at "\\n" only and are split at whitespace; blank lines and
+    lines that start with "c" are skipped, here and by the parsers.
+    Returns the counts, the header's line, the integer reader for the
+    text's tokens (``int`` unless ``_checked`` flags the text) and the
+    (number, line) pairs after the header, which the parser reads on.
     """
     checked = _checked(text)
     kind, word = header.split()
-    rows = _rows(text, kind, checked)
-    first = next(rows, None)
-    if first is None:
+    rows = enumerate(text.split("\n"), 1)
+    if checked:
+        rows = _plain_rows(rows)
+    for line_no, line in rows:
+        tokens = line.split()
+        if tokens and tokens[0][0] != "c":
+            break
+    else:
         raise ParseError(1, f"missing '{header}' header")
-    line_no, line, tokens = first
     if tokens[0] != kind:
         raise ParseError(line_no, f"content before '{header}' header")
     if len(tokens) != 2 + len(counts) or tokens[1] != word:
-        raise ParseError(line_no, f"malformed header {line!r}")
-    values = _int_tokens(tokens[2:], line_no, counts, checked)
+        raise ParseError(line_no, f"malformed header {line.strip()!r}")
+    to_int = _strict_int if checked else int
+    values = _ints(line_no, tokens[2:], counts, to_int)
     if min(values) < 0:
         raise ParseError(line_no, "header counts must be non-negative")
-    return values, line_no, checked, rows
+    return values, line_no, to_int, rows
 
 
 def parse_qdimacs(text: str) -> QbfInstance:
@@ -141,48 +149,77 @@ def parse_qdimacs(text: str) -> QbfInstance:
     literals inside a clause collapse and tautological clauses are kept
     (removing them is the engine's preprocessing step).  Variables that
     occur in clauses but in no quantifier line are bound existentially
-    in a new outermost block.  Each literal is checked once, here.
+    in a new outermost block.  Each literal is checked once, here: a
+    clause line must end with 0 and hold no other, and one ``max`` over
+    the matrix's variables bounds them all by the variable count.
     """
-    (n_vars, n_clauses), header_line, checked, rows = _read(
+    (n_vars, n_clauses), header_line, to_int, rows = _read(
         text, "p cnf", ("variable count", "clause count")
     )
     blocks: List[Tuple[str, List[int]]] = []  # one per quantifier line
     quantified: Dict[int, int] = {}  # variable -> declaring line
     clauses: List[FrozenSet[int]] = []
-    for line_no, _, tokens in rows:
-        if tokens[0] in (EXISTS, FORALL):
-            if clauses:
-                raise ParseError(line_no, "quantifier line after the first clause")
-            variables = _int_tokens(tokens[1:], line_no, "variable", checked)
-            if not variables or variables.pop() != 0:
-                raise ParseError(line_no, "quantifier line must end with 0")
-            if not variables:
-                raise ParseError(line_no, "empty quantifier line")
-            for v in variables:
-                if v < 1 or v > n_vars:
-                    raise ParseError(line_no, f"variable {v} out of range 1..{n_vars}")
-                if v in quantified:
-                    first = quantified[v]
-                    raise ParseError(line_no, f"variable {v} already quantified on line {first}")
-                quantified[v] = line_no
-            blocks.append((tokens[0], variables))
-            continue
-        lits = _int_tokens(tokens, line_no, "literal", checked)
-        if lits.pop() != 0:
-            raise ParseError(line_no, "clause line must end with 0")
-        if 0 in lits:
-            raise ParseError(line_no, "literal 0 inside a clause")
-        for l in lits:
-            if l > n_vars or -l > n_vars:
-                raise ParseError(line_no, f"variable {abs(l)} out of range 1..{n_vars}")
-        clauses.append(frozenset(lits))
+    try:
+        for line_no, line in rows:
+            tokens = line.split()
+            if not tokens:
+                continue
+            if tokens[0] in (EXISTS, FORALL):
+                if clauses:
+                    raise ParseError(line_no, "quantifier line after the first clause")
+                variables = _ints(line_no, tokens[1:], "variable", to_int)
+                if not variables or variables.pop() != 0:
+                    raise ParseError(line_no, "quantifier line must end with 0")
+                if not variables:
+                    raise ParseError(line_no, "empty quantifier line")
+                for v in variables:
+                    if v < 1 or v > n_vars:
+                        raise ParseError(line_no, f"variable {v} out of range 1..{n_vars}")
+                    if v in quantified:
+                        message = f"variable {v} already quantified on line {quantified[v]}"
+                        raise ParseError(line_no, message)
+                    quantified[v] = line_no
+                blocks.append((tokens[0], variables))
+                continue
+            try:
+                *lits, end = map(to_int, tokens)
+            except ValueError:
+                if tokens[0][0] == "c":  # a comment line
+                    continue
+                if tokens[0] == "p":
+                    raise ParseError(line_no, "duplicate header") from None
+                _bad_token(line_no, tokens, "literal")
+            if end != 0:
+                raise ParseError(line_no, "clause line must end with 0")
+            if 0 in lits:
+                raise ParseError(line_no, "literal 0 inside a clause")
+            clauses.append(frozenset(lits))
+    except ParseError as exc:
+        # A variable out of range on an earlier clause line comes first.
+        raise _out_of_range(text, n_vars, exc.line) or exc
+    matrix = Matrix._of(clauses)
+    used = matrix.variables()
+    if max(used, default=0) > n_vars:
+        raise _out_of_range(text, n_vars)
     if len(clauses) != n_clauses:
         found = len(clauses)
         raise ParseError(header_line, f"header declares {n_clauses} clauses, file has {found}")
-    matrix = Matrix._of(clauses)
     # Prefix merges adjacent same-quantifier blocks and drops empty ones.
-    free = matrix.variables() - quantified.keys()
+    free = used - quantified.keys()
     return QbfInstance._of(Prefix([(EXISTS, free), *blocks]), matrix)
+
+
+def _out_of_range(text: str, n_vars: int, before: int = 0) -> Optional[ParseError]:
+    """The error for the first clause line, before line ``before`` if it
+    is given, with a variable above ``n_vars``, or None.  The lines before
+    it were read without error, so a clause line is integers only."""
+    lines = text.split("\n")[: before - 1] if before else text.split("\n")
+    for line_no, tokens in enumerate(map(str.split, lines), 1):
+        if tokens and tokens[0][0] in "-123456789":
+            for l in map(int, tokens[:-1]):
+                if l > n_vars or -l > n_vars:
+                    return ParseError(line_no, f"variable {abs(l)} out of range 1..{n_vars}")
+    return None
 
 
 def write_qdimacs(instance: QbfInstance) -> str:
@@ -203,24 +240,29 @@ def parse_btd(text: str) -> TrunkTreeDecomposition:
     reported at the first row of the kind it names (``_line_of``); the
     niceness and alignment properties are separate validators.
     """
-    (num_nodes, max_bag, num_vars), header_line, checked, rows = _read(
+    (num_nodes, max_bag, num_vars), header_line, to_int, rows = _read(
         text, "s btd", ("node count", "max bag size", "variable count")
     )
     bags: Dict[int, FrozenSet[int]] = {}
     edges: List[Tuple[int, int, int]] = []  # (line, parent, child)
     root: Optional[int] = None
     trunk: Optional[Tuple[int, ...]] = None
-    for line_no, _, tokens in rows:
+    for line_no, line in rows:
+        tokens = line.split()
+        if not tokens:
+            continue
         kind = tokens[0]
         if kind == "b":
             if len(tokens) < 2:
                 raise ParseError(line_no, "bag line needs a node id")
-            values = _int_tokens(tokens[1:], line_no, ("node id", "variable"), checked)
-            node, variables = values[0], values[1:]
+            try:
+                node, *variables = map(to_int, tokens[1:])
+            except ValueError:
+                _bad_token(line_no, tokens[1:], ("node id", "variable"))
             if node < 1:
                 raise ParseError(line_no, f"node ids are 1-based, got {node}")
             if node in bags:
-                first = _line_of(text, checked, "node", node)
+                first = _line_of(text, "node", node)
                 raise ParseError(line_no, f"duplicate node {node} (bag already on line {first})")
             for v in variables:
                 if v < 1 or v > num_vars:
@@ -232,7 +274,10 @@ def parse_btd(text: str) -> TrunkTreeDecomposition:
         elif kind == "e":
             if len(tokens) != 3:
                 raise ParseError(line_no, "edge line must be 'e <parent> <child>'")
-            parent, child = _int_tokens(tokens[1:], line_no, "node id", checked)
+            try:
+                parent, child = to_int(tokens[1]), to_int(tokens[2])
+            except ValueError:
+                _bad_token(line_no, tokens[1:], "node id")
             if parent == child:
                 raise ParseError(line_no, f"node {child} is its own parent")
             edges.append((line_no, parent, child))
@@ -241,14 +286,16 @@ def parse_btd(text: str) -> TrunkTreeDecomposition:
                 raise ParseError(line_no, "duplicate root line")
             if len(tokens) != 2:
                 raise ParseError(line_no, "root line must be 'r <node>'")
-            (root,) = _int_tokens(tokens[1:], line_no, "node id", checked)
+            (root,) = _ints(line_no, tokens[1:], "node id", to_int)
         elif kind == "t":
             if trunk is not None:
                 raise ParseError(line_no, "duplicate trunk line")
-            trunk = tuple(_int_tokens(tokens[1:], line_no, "node id", checked))
+            trunk = tuple(_ints(line_no, tokens[1:], "node id", to_int))
             if not trunk:
                 raise ParseError(line_no, "empty trunk line")
-        else:
+        elif kind == "s":
+            raise ParseError(line_no, "duplicate header")
+        elif kind[0] != "c":  # not a comment line
             raise ParseError(line_no, f"unknown line kind {kind!r}")
 
     if len(bags) != num_nodes:
@@ -272,7 +319,7 @@ def parse_btd(text: str) -> TrunkTreeDecomposition:
             parent_map[child] = parent
         return TrunkTreeDecomposition(bags, parent_map, root, trunk)
     except DecompositionError as exc:
-        raise ParseError(at or _line_of(text, checked, *exc.subject), str(exc)) from exc
+        raise ParseError(at or _line_of(text, *exc.subject), str(exc)) from exc
 
 
 # The row kind of each ``DecompositionError`` subject and the position of
@@ -280,13 +327,13 @@ def parse_btd(text: str) -> TrunkTreeDecomposition:
 _SUBJECT_ROWS = {"node": ("b", 1), "edge": ("e", 2), "root": ("r", 0), "trunk": ("t", 0)}
 
 
-def _line_of(text: str, checked: bool, subject: str, node: int = 0) -> int:
+def _line_of(text: str, subject: str, node: int = 0) -> int:
     """The line of a BTD text's first row about the subject: a node's bag,
     the edge into a node, the root or the trunk.  Only error paths call
     it, so no line is recorded while the text is read."""
     kind, at = _SUBJECT_ROWS[subject]
-    rows = _rows(text, "s", checked)
-    return next(n for n, _, t in rows if t[0] == kind and (not at or int(t[at]) == node))
+    rows = enumerate(map(str.split, text.split("\n")), 1)
+    return next(n for n, t in rows if t and t[0] == kind and (not at or int(t[at]) == node))
 
 
 def write_btd(td: TrunkTreeDecomposition) -> str:
@@ -306,15 +353,22 @@ def parse_poset(text: str, prefix: Prefix) -> DependencyPoset:
     A file with zero ``d`` lines yields the identity relation, which is
     not the trivial (full prefix order) poset.
     """
-    (header_vars,), header_line, checked, rows = _read(text, "p dep", ("variable count",))
+    (header_vars,), header_line, to_int, rows = _read(text, "p dep", ("variable count",))
     largest = max(prefix.variables, default=0)
     if header_vars < largest:
         raise ParseError(header_line, f"header count {header_vars} is below variable {largest}")
     pairs: List[Tuple[int, int]] = []
-    for line_no, line, tokens in rows:
+    for line_no, line in rows:
+        tokens = line.split()
+        if not tokens:
+            continue
         if tokens[0] != "d" or len(tokens) != 3:
-            raise ParseError(line_no, f"expected 'd <u> <v>', got {line!r}")
-        u, v = _int_tokens(tokens[1:], line_no, "variable", checked)
+            if tokens[0][0] == "c":  # a comment line
+                continue
+            if tokens[0] == "p":
+                raise ParseError(line_no, "duplicate header")
+            raise ParseError(line_no, f"expected 'd <u> <v>', got {line.strip()!r}")
+        u, v = _ints(line_no, tokens[1:], "variable", to_int)
         try:
             check_pair(prefix, u, v)
         except ValueError as exc:

@@ -21,7 +21,6 @@ generates no code when the package is imported.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from functools import cached_property
 from typing import AbstractSet, Dict, FrozenSet, Iterable, Set, Tuple
@@ -165,7 +164,8 @@ class Matrix(frozenset):
         raise AttributeError(f"cannot delete field {name!r}")
 
     def variables(self) -> FrozenSet[int]:
-        return frozenset(map(abs, itertools.chain.from_iterable(self)))
+        # The union keeps each literal once, so abs runs once per literal.
+        return frozenset(map(abs, frozenset().union(*self)))
 
     def encoding(self) -> Tuple[Tuple[int, ...], ...]:
         """Canonical encoding: tuple of canonical literal tuples."""

@@ -3,6 +3,7 @@ reference implementations used as oracles."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -518,11 +519,16 @@ def join_node_cases():
         yield seed, q, min_degree_td(q)
 
 
+@functools.lru_cache(maxsize=None)
 def sub_poset_cases():
     """Each shuffled path again, under a random sound sub-poset of the
     trivial one: its strict pairs each kept with probability 1/2,
     closed, and used only if it preserves truth and the path is
-    trunk-aligned.  Yields (seed, instance, td, poset)."""
+    trunk-aligned.  Returns (seed, instance, td, poset) tuples in the
+    order of ``shuffled_path_cases``.  Checking the sub-posets with
+    ``verify_poset_property2`` takes over a second, so the cases are
+    built once per test run and shared by every caller."""
+    cases = []
     for seed, q, td in shuffled_path_cases():
         full = trivial_poset(q.prefix)
         rng = random.Random(seed)
@@ -531,4 +537,5 @@ def sub_poset_cases():
         if d == full or not verify_poset_property2(q, d):
             continue
         if validate_trunk_aligned(td, q, d).ok:
-            yield seed, q, td, d
+            cases.append((seed, q, td, d))
+    return tuple(cases)

@@ -1,6 +1,6 @@
-"""The in-process A/B tools that size and attribute engine changes; a
-rename in the package or the benchmark that breaks ``tools/ab_solve.py``
-or ``tools/ab_parse.py`` must fail here."""
+"""The in-process tools that size and attribute engine changes; a rename
+in the package or the benchmark that breaks ``tools/ab_solve.py``,
+``tools/ab_parse.py`` or ``tools/front_end.py`` must fail here."""
 
 import sys
 from pathlib import Path
@@ -39,3 +39,14 @@ def test_both_tools_run_this_checkout_against_itself(monkeypatch):
         for name in list(sys.modules):
             if name.split(".")[0] in ALIASES:
                 del sys.modules[name]
+
+
+def test_front_end_runs_on_qparity2(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import front_end
+
+    record = front_end.measure(2, rounds=3)
+    layers = [f"{name}_ms" for name in (*front_end.LAYERS, "before_first_step", "steps")]
+    assert record["n"] == 2 and record["rounds"] == 3
+    assert all(record[key] >= 0 for key in layers)
+    assert isinstance(record["target_met"], bool)

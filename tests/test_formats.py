@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -291,12 +293,155 @@ class TestBtd:
             "line 2: '\\t' is neither a space nor printable",
             id="tab in a poset row",
         ),
+        # Each check of a clause, quantifier or bag line, on a text where
+        # it is the first to fail.  The clause literals are bounded once,
+        # after the last line, so an earlier line out of range must still
+        # be reported before a later line's error and the clause count.
+        pytest.param(
+            parse_qdimacs,
+            "p cnf 2 1\ne 1 2 0\n1 3 0",
+            "line 3: variable 3 out of range 1..2",
+            id="literal above the count",
+        ),
+        pytest.param(
+            parse_qdimacs,
+            "p cnf 2 1\ne 1 2 0\n1 -3 0",
+            "line 3: variable 3 out of range 1..2",
+            id="literal below minus the count",
+        ),
+        pytest.param(
+            parse_qdimacs,
+            "p cnf 3 1\ne 1 2 3 0\n1 -5 4 0",
+            "line 3: variable 5 out of range 1..3",
+            id="first literal out of range on its line",
+        ),
+        pytest.param(
+            parse_qdimacs,
+            "p cnf 2 2\ne 1 2 0\n-3 1 0\n1 x 0",
+            "line 3: variable 3 out of range 1..2",
+            id="literal out of range before a later bad line",
+        ),
+        pytest.param(
+            parse_qdimacs,
+            "p cnf 2 2\ne 1 2 0\n1 3 0",
+            "line 3: variable 3 out of range 1..2",
+            id="literal out of range before the clause count",
+        ),
+        pytest.param(
+            parse_qdimacs,
+            "p cnf 2 1\ne 1 2 0\n3 0 1 0",
+            "line 3: literal 0 inside a clause",
+            id="0 inside a clause",
+        ),
+        pytest.param(
+            parse_qdimacs,
+            "p cnf 2 1\ne 1 2 0\n1 3",
+            "line 3: clause line must end with 0",
+            id="clause without its final 0",
+        ),
+        pytest.param(
+            parse_qdimacs,
+            "p cnf 2 1\ne 1 2 0\n1 x 0",
+            "line 3: expected an integer literal, got 'x'",
+            id="clause token that is no integer",
+        ),
+        pytest.param(
+            parse_qdimacs,
+            "p cnf 10 1\ne 10 0\n010 0",
+            "line 3: expected an integer literal, got '010'",
+            id="leading zero at the start of a line",
+        ),
+        pytest.param(
+            parse_qdimacs,
+            "p cnf x 1",
+            "line 1: expected an integer variable count, got 'x'",
+            id="header count that is no integer",
+        ),
+        pytest.param(
+            parse_qdimacs,
+            "p cnf 2 0\ne 3 0",
+            "line 2: variable 3 out of range 1..2",
+            id="quantified above the count",
+        ),
+        pytest.param(
+            parse_qdimacs,
+            "p cnf 2 0\ne 1 0\na 1 0",
+            "line 3: variable 1 already quantified on line 2",
+            id="quantified twice",
+        ),
+        pytest.param(
+            parse_btd,
+            "s btd 1 1 1\nb 1 x\nr 1\nt 1",
+            "line 2: expected an integer variable, got 'x'",
+            id="bag variable that is no integer",
+        ),
+        pytest.param(
+            parse_btd,
+            "s btd 1 0 0\nb x\nr 1\nt 1",
+            "line 2: expected an integer node id, got 'x'",
+            id="node id that is no integer",
+        ),
+        pytest.param(
+            parse_btd,
+            "s btd 1 0 0\nb 1\nb 1\nr 1\nt 1",
+            "line 3: duplicate node 1 (bag already on line 2)",
+            id="duplicate node",
+        ),
+        pytest.param(
+            parse_btd,
+            "s btd 1 1 2\nb 1 1 2\nr 1\nt 1",
+            "line 2: bag of node 1 has 2 variables, header allows 1",
+            id="oversized bag",
+        ),
+        pytest.param(
+            parse_btd,
+            "s btd 1 1 2\nb 1 3 1\nr 1\nt 1",
+            "line 2: variable 3 out of range 1..2",
+            id="bag variable out of range before its size",
+        ),
     ],
 )
 def test_line_diagnostics(parse, text, message):
     with pytest.raises(ParseError) as info:
         parse(text)
     assert str(info.value) == message
+    assert message.startswith(f"line {info.value.line}: ")
+
+
+# SHA-256, per benchmark corpus, over write_qdimacs(parse_qdimacs(text))
+# and write_btd(parse_btd(text)) of every seed-0 input file in corpus
+# order, as the line-by-line readers of commit 7c6b8dd returned them.
+CORPUS_DIGESTS = {
+    "qparity-ladder": "ad65bbddc630a207705557c55ee9d8651e849238a7e6b71471b489506ef506ef",
+    "random-single-bag": "b942488b9f4475b95dc8f5a3be3d1a114b350ce5c7d36e6fa52c61d29ddb45ad",
+    "r4-shuffled": "59bd0f4f858679cf31ecd32e2ba1701e4328143c0e11768bf9371c2772aa2b3c",
+}
+
+
+def test_the_benchmark_corpora_parse_to_the_recorded_bytes(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    # The builders' texts are kept in memory as ``workloads._write`` would
+    # write them, and their oracle verdicts are skipped: writing about
+    # 7800 files and judging every instance took most of the test's time.
+    texts = []
+
+    def keep(work, ident, instance, td, extra=()):
+        texts.append((write_qdimacs(instance), write_btd(td)))
+        return ()
+
+    monkeypatch.setattr(workloads, "_write", keep)
+    monkeypatch.setattr(workloads, "evaluate", lambda instance: None)
+    assert set(workloads.WORKLOADS) == set(CORPUS_DIGESTS)
+    for name, workload in workloads.WORKLOADS.items():
+        texts.clear()
+        workload.build(0, tmp_path)
+        digest = hashlib.sha256()
+        for qdimacs, btd in texts:
+            digest.update(write_qdimacs(parse_qdimacs(qdimacs)).encode())
+            digest.update(write_btd(parse_btd(btd)).encode())
+        assert digest.hexdigest() == CORPUS_DIGESTS[name], name
 
 
 class TestPosetFiles:

@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 
 
 BTD_LINES = "tests/test_formats.py::TestBtd::test_structural_errors_name_their_line"
+DIAGNOSTICS = "tests/test_formats.py::test_line_diagnostics"
 DERIVATION = "tests/test_derivation.py::"
 STORE = "tests/test_untouched_store.py::"
 ALIGNMENT = "tests/test_decomposition.py::"
@@ -61,6 +62,45 @@ MUTANTS = (
         '"edge": ("e", 2)',
         '"edge": ("e", 1)',
         (BTD_LINES,),
+    ),
+    # The readers' checks.
+    Mutant(
+        "clause-bound-admits-no-variable-at-the-count",
+        "formats.py",
+        "if max(used, default=0) > n_vars:",
+        "if max(used, default=0) >= n_vars:",
+        ("tests/test_formats.py::TestQdimacsParsing::test_minimal_instance",),
+    ),
+    Mutant(
+        "clause-bound-below-minus-the-count-off-by-one",
+        "formats.py",
+        "if l > n_vars or -l > n_vars:",
+        "if l > n_vars or -l > n_vars + 1:",
+        (DIAGNOSTICS + "[literal below minus the count]",),
+    ),
+    Mutant(
+        "clause-without-the-inner-zero-check",
+        "formats.py",
+        "if 0 in lits:",
+        "if False:",
+        (DIAGNOSTICS + "[0 inside a clause]",),
+    ),
+    Mutant(
+        "leading-zero-at-a-line-start-unflagged",
+        "formats.py",
+        '_LEADING_ZERO = re.compile("0[0-9](?<![^ \\n-]0[0-9])")',
+        '_LEADING_ZERO = re.compile("0[0-9](?<![^ -]0[0-9])")',
+        (DIAGNOSTICS + "[leading zero at the start of a line]",),
+    ),
+    Mutant(
+        "t1-covers-every-clause",
+        "decomposition.py",
+        "if lits <= cover.get(lit, _NOWHERE):",
+        "if True:",
+        (
+            ALIGNMENT + "TestValidateNice::test_uncovered_edge_is_t1",
+            ALIGNMENT + "TestT1PerClause::test_valid_and_mutated_decompositions",
+        ),
     ),
     # The rules.
     Mutant(
@@ -242,8 +282,8 @@ MUTANTS = (
     Mutant(
         "reflexive-p1",
         "decomposition.py",
-        "offenders = poset.dependents_strict(u, bags[node])",
-        "offenders = poset.dependents_strict(u, bags[node]) | {u}",
+        "if u in strict.get(w, _NOWHERE):",
+        "if u in strict.get(w, _NOWHERE) | {u}:",
         (
             ALIGNMENT + "TestTrunkAlignment::test_single_bag_satisfies_p1_everywhere",
             ALIGNMENT + "TestLinearP2::test_qparity",

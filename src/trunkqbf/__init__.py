@@ -59,7 +59,6 @@ _EXPORTS = {
     "generators": ("qparity", "qparity_td", "single_bag_td"),
     "oracle": (
         "BudgetExceededError",
-        "OracleBudget",
         "evaluate",
         "random_instance",
         "verify_poset_property2",

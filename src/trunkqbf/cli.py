@@ -128,11 +128,10 @@ def cmd_validate(args) -> int:
 def cmd_oracle(args) -> int:
     # Imported here, not at the top, so that ``import trunkqbf.cli`` and
     # ``solve`` do not load the oracle; likewise the generators in ``gen``.
-    from .oracle import OracleBudget, evaluate
+    from .oracle import evaluate
 
     instance = parse_qdimacs(_read(args.instance))
-    budget = OracleBudget() if args.budget is None else OracleBudget(args.budget)
-    verdict = evaluate(instance, budget)
+    verdict = evaluate(instance) if args.budget is None else evaluate(instance, args.budget)
     print(f"s cnf {1 if verdict else 0}")
     return EXIT_TRUE if verdict else EXIT_FALSE
 

@@ -17,7 +17,6 @@ from .formulas import (
     EXISTS,
     FORALL,
     Clause,
-    Frozen,
     Matrix,
     Prefix,
     QbfInstance,
@@ -31,30 +30,21 @@ class BudgetExceededError(ValueError):
     parse error."""
 
 
-class OracleBudget(Frozen):
-    """The most variables an oracle call may enumerate; a positive ``int``."""
-
-    __slots__ = ("max_variables",)
-    max_variables: int
-
-    def __init__(self, max_variables: int = 24) -> None:
-        if type(max_variables) is not int:
-            raise ValueError("budget must be an integer")
-        if max_variables < 1:
-            raise ValueError("budget must be positive")
-        object.__setattr__(self, "max_variables", max_variables)
-
-    def _key(self) -> Tuple[object, ...]:
-        return (self.max_variables,)
+def _check_budget(max_variables: int) -> None:
+    """A budget, the most variables an oracle call may enumerate, is a
+    positive ``int``."""
+    if type(max_variables) is not int:
+        raise ValueError("budget must be an integer")
+    if max_variables < 1:
+        raise ValueError("budget must be positive")
 
 
-def evaluate(instance: QbfInstance, budget: OracleBudget = OracleBudget()) -> bool:
+def evaluate(instance: QbfInstance, max_variables: int = 24) -> bool:
     """Game-tree truth: OR over existential choices, AND over universal."""
+    _check_budget(max_variables)
     n = len(instance.prefix.variables)
-    if n > budget.max_variables:
-        raise BudgetExceededError(
-            f"instance has {n} variables, budget allows {budget.max_variables}"
-        )
+    if n > max_variables:
+        raise BudgetExceededError(f"instance has {n} variables, budget allows {max_variables}")
     order = instance.prefix.variables_in_order()
     quantifiers = [instance.prefix.quantifier(v) for v in order]
 
@@ -78,7 +68,7 @@ def evaluate(instance: QbfInstance, budget: OracleBudget = OracleBudget()) -> bo
 def verify_poset_property2(
     instance: QbfInstance,
     poset: DependencyPoset,
-    budget: OracleBudget = OracleBudget(),
+    max_variables: int = 24,
 ) -> bool:
     """Check that every linear extension of the poset preserves truth.
 
@@ -87,6 +77,7 @@ def verify_poset_property2(
     7 variables since all linear extensions are enumerated.  A poset for
     another prefix is a ValueError, with the engine's message.
     """
+    _check_budget(max_variables)
     if poset.prefix != instance.prefix:
         raise ValueError(
             f"poset is for {poset.prefix!r}, the instance's prefix is {instance.prefix!r}"
@@ -96,11 +87,11 @@ def verify_poset_property2(
         raise BudgetExceededError(
             f"property-2 check enumerates linear extensions; {len(variables)} variables is too many"
         )
-    reference = evaluate(instance, budget)
+    reference = evaluate(instance, max_variables)
     quantifier = instance.prefix.quantifier
     for order in _linear_extensions(poset, variables):
         prefix = Prefix(tuple((quantifier(v), (v,)) for v in order))
-        if evaluate(QbfInstance(prefix, instance.matrix), budget) != reference:
+        if evaluate(QbfInstance(prefix, instance.matrix), max_variables) != reference:
             return False
     return True
 

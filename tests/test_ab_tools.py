@@ -1,52 +1,89 @@
-"""The in-process tools that size and attribute engine changes; a rename
-in the package or the benchmark that breaks ``tools/ab_solve.py``,
-``tools/ab_parse.py`` or ``tools/front_end.py`` must fail here."""
+"""The in-process A/B tool, ``tools/ab_solve.py``, on this checkout
+against itself; a rename in the package or the benchmark that breaks it
+must fail here."""
 
+import json
 import sys
 from pathlib import Path
+
+import pytest
 
 from trunkqbf import qparity, qparity_td, write_btd, write_qdimacs
 
 ROOT = Path(__file__).resolve().parent.parent
-ALIASES = ("ab_smoke_base", "ab_smoke_change")
 
 
-def test_both_tools_run_this_checkout_against_itself(monkeypatch):
-    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+@pytest.fixture
+def ab_solve(monkeypatch):
+    # Prepending saves sys.path, which the tool extends, for the teardown.
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
-    import ab_parse
     import ab_solve
-    import run
 
-    try:
-        sides = tuple((alias, ab_solve.load(ROOT, alias, "cli")) for alias in ALIASES)
-        summary = ab_solve.compare(sides, 2, 2, clear=True)
-        assert summary["n"] == 2 and summary["clear_caches"] is True
-        assert len(summary["base_ms"]) == len(summary["change_ms"]) == 2
-        assert all(t > 0 for t in summary["base_ms"] + summary["change_ms"])
-
-        texts = {
-            "parse_qdimacs": [write_qdimacs(qparity(2))],
-            "parse_btd": [write_btd(qparity_td(2))],
-        }
-        for alias in ALIASES:
-            formats = sys.modules[f"{alias}.formats"]
-            for parser, files in texts.items():
-                assert ab_parse.timed_pass(getattr(formats, parser), files) > 0
-        # What ``ab_solve.compare_workload`` reads of the benchmark runner.
-        assert all(callable(getattr(run, name)) for name in ("solve", "tail", "slope"))
-    finally:
-        for name in list(sys.modules):
-            if name.split(".")[0] in ALIASES:
-                del sys.modules[name]
+    yield ab_solve
+    for name in list(sys.modules):
+        if name.split(".")[0] in ("ab_base", "ab_change"):
+            del sys.modules[name]
 
 
-def test_front_end_runs_on_qparity2(monkeypatch):
-    monkeypatch.syspath_prepend(str(ROOT / "tools"))
-    import front_end
+def run_tool(ab_solve, capsys, *argv):
+    assert ab_solve.main([str(ROOT), str(ROOT), *argv]) == 0
+    return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
 
-    record = front_end.measure(2, rounds=3)
-    layers = [f"{name}_ms" for name in (*front_end.LAYERS, "before_first_step", "steps")]
-    assert record["n"] == 2 and record["rounds"] == 3
-    assert all(record[key] >= 0 for key in layers)
-    assert isinstance(record["target_met"], bool)
+
+def hand_made(monkeypatch, work: Path, *cases):
+    """The ``hand-made`` workload: ``(n, expected, extra argv)`` cases on ``qparity(n)``."""
+    import workloads
+
+    instances = []
+    for ident, (n, expected, extra) in enumerate(cases):
+        stem = work / f"{ident}"
+        Path(f"{stem}.qdimacs").write_text(write_qdimacs(qparity(n)), encoding="utf-8")
+        Path(f"{stem}.btd").write_text(write_btd(qparity_td(n)), encoding="utf-8")
+        argv = ("solve", f"{stem}.qdimacs", "--td", f"{stem}.btd", "--trivial-poset", *extra)
+        instances.append(workloads.Instance(ident, argv, expected, n))
+    corpus = workloads.Workload("hand-made", "", lambda seed, work: instances, lambda *_: [])
+    monkeypatch.setitem(workloads.WORKLOADS, "hand-made", corpus)
+    return instances
+
+
+def test_both_tools_run_this_checkout_against_itself(ab_solve, monkeypatch, capsys):
+    monkeypatch.setattr(ab_solve, "ROUNDS", 3)
+    (record,) = run_tool(ab_solve, capsys, "--clear-caches", "2")  # a size after an option
+    assert record["n"] == 2 and record["rounds"] == 3 and record["clear_caches"] is True
+    for key in ab_solve.KEYS:
+        assert record[f"{key}_ratio"] > 0
+        assert record[f"{key}_change_faster_in"].endswith("/3")
+
+
+def test_front_end_runs_on_qparity2(ab_solve, monkeypatch, capsys):
+    monkeypatch.setattr(ab_solve, "ROUNDS", 3)
+    (record,) = run_tool(ab_solve, capsys, "2")
+    for side in (record["base"], record["change"]):
+        assert side["solve_ms"] > 0 and isinstance(side["target_met"], bool)
+        assert all(side[f"{key}_ms"] >= 0 for key in ab_solve.KEYS)
+
+
+def test_a_limit_abort_is_a_failed_instance_that_keeps_its_time(
+    ab_solve, monkeypatch, capsys, tmp_path
+):
+    instances = hand_made(
+        monkeypatch, tmp_path, (2, False, ()), (3, False, ("--max-family-size", "1"))
+    )
+    (record,) = run_tool(ab_solve, capsys, "--workload", "hand-made")
+    assert record["workload"] == "hand-made" and record["instances"] == 2
+    for side in ("base", "change"):
+        assert record[side]["failed"] == 1
+        assert record[side]["p50_ms"] > 0 and record[side]["tail_ms"] > 0
+        assert isinstance(record[side]["scaling_exponent"], float)
+
+    times, failed = ab_solve.compare([ab_solve.load(ROOT, "ab_base")], instances, 2, True)
+    assert failed == {"ab_base": {1}}
+    for key in ("solve", "before_first_step", "steps"):
+        assert len(times["ab_base"][key][1]) == 2
+        assert all(ms > 0 for ms in times["ab_base"][key][1])
+
+
+def test_a_wrong_verdict_exits_1(ab_solve, monkeypatch, capsys, tmp_path):
+    hand_made(monkeypatch, tmp_path, (2, False, ()), (3, True, ()))
+    with pytest.raises(SystemExit, match="wrong verdict on instance 1"):
+        run_tool(ab_solve, capsys, "--workload", "hand-made")

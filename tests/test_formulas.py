@@ -8,9 +8,9 @@ from trunkqbf import (
     Clause,
     EngineLimits,
     Matrix,
-    OracleBudget,
     Prefix,
     QbfInstance,
+    evaluate,
     ground_truth,
     is_tautological,
     matrix_of,
@@ -107,8 +107,8 @@ def test_frozen_fields_cannot_be_assigned_or_deleted(value, field):
         lambda: EngineLimits(max_strategies=1e6),
         lambda: EngineLimits(max_set_size="9"),
         lambda: EngineLimits(max_family_size=True),
-        lambda: OracleBudget(30.5),
-        lambda: OracleBudget(True),
+        lambda: evaluate(qparity(2), 30.5),
+        lambda: evaluate(qparity(2), True),
     ],
     ids=["float-limit", "str-limit", "bool-limit", "float-budget", "bool-budget"],
 )

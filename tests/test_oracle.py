@@ -5,7 +5,6 @@ import pytest
 from trunkqbf import (
     BudgetExceededError,
     Matrix,
-    OracleBudget,
     Prefix,
     QbfInstance,
     ValidationError,
@@ -54,7 +53,7 @@ class TestEvaluate:
         # A rejected input, as a parse error is: both are ValueErrors.
         q = QbfInstance(Prefix((("e", tuple(range(1, 1501))),)), matrix_of((1500,)))
         with pytest.raises(ValueError, match="too deep for the oracle's recursion") as info:
-            evaluate(q, OracleBudget(2000))
+            evaluate(q, 2000)
         assert isinstance(info.value, BudgetExceededError)
 
     def test_fully_existential_matches_plain_sat(self):

@@ -1,5 +1,5 @@
-"""The package's own shape: its lazy public names, its imports and its
-private names."""
+"""The package's own shape: its lazy public names, its imports, its
+private names and the oldest Python it declares."""
 
 import ast
 import importlib
@@ -10,6 +10,10 @@ import pytest
 import trunkqbf
 
 SOURCES = sorted(Path(trunkqbf.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+PYTHON_FILES = sorted(
+    path for folder in ("src/trunkqbf", "tools", "tests") for path in (ROOT / folder).glob("*.py")
+)
 
 
 class TestPublicNames:
@@ -26,7 +30,9 @@ class TestPublicNames:
     def test_dir_lists_every_public_name(self):
         assert {"__all__", *trunkqbf.__all__} <= set(dir(trunkqbf))
 
-    @pytest.mark.parametrize("name", ["equisatisfiable", "evaluate_by_strategy_enumeration"])
+    @pytest.mark.parametrize(
+        "name", ["equisatisfiable", "evaluate_by_strategy_enumeration", "OracleBudget"]
+    )
     def test_a_name_outside_the_exports_is_an_attribute_error(self, name):
         with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
             getattr(trunkqbf, name)
@@ -87,3 +93,9 @@ def test_every_private_name_is_read_in_the_package(path):
         if not any(name in _reads(node) for node in statements if node is not binding)
     ]
     assert unread == []
+
+
+@pytest.mark.parametrize("path", PYTHON_FILES, ids=lambda path: str(path.relative_to(ROOT)))
+def test_every_file_parses_as_python_3_10(path):
+    """``pyproject.toml`` declares ``requires-python = ">=3.10"``."""
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -1,76 +1,83 @@
-"""In-process A/B of two checkouts: interleaved file-to-verdict solves.
+"""In-process A/B of two checkouts, end to end and layer by layer.
 
-    python3 tools/ab_solve.py BASE CHANGE [--clear-caches]
-    python3 tools/ab_solve.py BASE CHANGE --workload NAME [--seed N]
+    python3 tools/ab_solve.py BASE CHANGE [N ...] [--clear-caches]
+    python3 tools/ab_solve.py BASE CHANGE --workload NAME [--seed S] [--clear-caches]
 
-BASE and CHANGE are checkout roots; each one's ``src/trunkqbf`` is loaded
-into this interpreter under its own package name, so both run in one
-process on the same inputs.  For every n in ``SIZES``, ``qparity(n)``
-and its width-2 decomposition are written once with BASE's ``trunkqbf
-gen``, each side solves them once untimed, and then each of the
-``ROUNDS`` rounds times one
-``cli.main(["solve", F.qdimacs, "--td", F.btd, "--trivial-poset"])`` per
-side with standard output captured, as ``bench/run.py`` does.  The side
-that runs first alternates from round to round.  No collection is
-forced between solves, as in ``bench/run.py``, so the cyclic
-collector's work during a solve counts in its time.  With
-``--clear-caches`` every
-``functools.lru_cache`` of both packages is cleared before every solve,
-so a gain cannot come from work kept from an earlier solve.
+BASE and CHANGE are checkout roots, and may be the same one; each one's
+``src/trunkqbf`` is loaded into this interpreter under its own package
+name, so both run in one process on the same inputs.  The inputs are
+``qparity(N)`` and its width-2 decomposition for each N (by default 32
+and 128), written with BASE's ``trunkqbf gen`` and compared one N at a
+time over ``ROUNDS`` rounds, or with ``--workload`` the corpus that
+``bench/workloads.py`` builds for NAME and the seed (with BASE's
+package), compared as a whole over ``WORKLOAD_ROUNDS`` rounds.
 
-Every solve must return the known verdict, FALSE; otherwise the script
-exits 1.  It prints one JSON line per n: both medians in ms, the ratio
-CHANGE / BASE of the medians, the median of the per-round ratios (the
-two solves of a round run back to back, so this one is least moved by
-the host's speed changing between rounds), the number of rounds CHANGE
-was faster and every solve time.  Times are raw wall times.
+Each input is solved two ways, in two passes of the same rounds.  The
+first pass goes from file to verdict through ``bench/run.py``'s
+``solve``, with standard output captured, as the benchmark runs it.  The
+second starts from the input's two texts, read once beforehand, and
+times its layers: ``parse_qdimacs``, ``parse_btd``, ``trivial_poset``,
+``validate_input`` and ``initial_state``, whose sum is the time before
+the first step, then the steps, under the limits that the side's command
+line reads from the input's argv; it pauses the cyclic collector, as
+``trunkqbf solve`` does.  In each round every side solves every input
+once; the side that runs first alternates from round to round, and on a
+corpus from instance to instance too.  Each pass starts with one
+untimed solve of the first input per side.  With ``--clear-caches``
+every ``functools`` cache of the side's package is cleared before each
+solve, so a gain cannot come from work kept from an earlier solve.
 
-With ``--workload``, the inputs are instead the corpus that
-``bench/workloads.py`` builds for NAME and the seed (written with BASE's
-package).  After one untimed solve of the first instance per side, each
-of the ``WORKLOAD_ROUNDS`` rounds solves every instance once per side, the
-first side alternating from instance to instance, through
-``bench/run.py``'s ``solve``.  A wrong verdict exits 1; a limit abort
-is a failed instance and its time still counts, as in the benchmark.
-It prints one JSON line: per side the number of failed instances and,
-over the per-instance median times, the p50, the tail by
-``bench/run.py``'s ``tail`` rule and ``scaling_exponent`` by its
-``slope``; then the change's p50 and tail ratios and on how many
-instances the change was faster.
+A wrong verdict exits 1.  A limit abort is a failed instance whose time
+still counts; in the layered solve it ends the steps, which keep their
+time.  Prints one JSON line per N or per corpus: per side, for the
+solve, each layer and the time before the first step, the median over
+the inputs of each input's median time in ms, and whether that time
+before the first step is at most the steps' (``target_met``); per key
+the median ratio CHANGE / BASE of the two sides' times paired by input
+and round, and in how many pairs the change was faster.  For a corpus
+each side also gets the number of failed instances and, over the
+per-instance median solve times, the p50, the tail by ``bench/run.py``'s
+``tail`` rule and ``scaling_exponent`` by its ``slope``.  Times are raw
+wall times.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import importlib
+import gc
 import importlib.util
-import io
 import json
 import statistics
 import sys
 import tempfile
+from importlib import import_module
 from pathlib import Path
 from time import perf_counter
+from types import SimpleNamespace
 
 SIZES = (32, 128)
 ROUNDS = 41
 WORKLOAD_ROUNDS = 3
-TOOLS = Path(__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
+LAYERS = ("parse_qdimacs", "parse_btd", "trivial_poset", "validate_input", "initial_state")
+KEYS = ("solve", *LAYERS, "before_first_step", "steps")
+
+sys.path.insert(0, str(ROOT / "bench"))
+import run  # noqa: E402
 
 
-def load(root: Path, alias: str, submodule: str):
-    """A submodule of the checkout's package, imported as ``alias``."""
+def load(root: Path, alias: str) -> SimpleNamespace:
+    """The modules of the checkout's package, imported under ``alias``."""
     package = root / "src" / "trunkqbf"
     spec = importlib.util.spec_from_file_location(
         alias, package / "__init__.py", submodule_search_locations=[str(package)]
     )
     if spec is None or spec.loader is None:
         raise SystemExit(f"no trunkqbf package under {root}")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[alias] = module
-    spec.loader.exec_module(module)
-    return importlib.import_module(f"{alias}.{submodule}")
+    sys.modules[alias] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[alias])
+    modules = ("cli", "derivation", "formats", "formulas", "posets")
+    return SimpleNamespace(alias=alias, **{m: import_module(f"{alias}.{m}") for m in modules})
 
 
 def clear_caches(alias: str) -> None:
@@ -82,112 +89,148 @@ def clear_caches(alias: str) -> None:
                     value.cache_clear()
 
 
-def timed_solve(cli, argv, alias: str, clear: bool) -> float:
-    if clear:
-        clear_caches(alias)
-    started = perf_counter()
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(argv)
-    elapsed = (perf_counter() - started) * 1000
-    if code != cli.EXIT_FALSE:
-        raise SystemExit(f"{alias} exited {code}, expected {cli.EXIT_FALSE}")
-    return elapsed
+def layered_solve(side, qdimacs: str, btd: str, args):
+    """(layer times in ms, the verdict or "limit") of one solve from the texts."""
+    formats, derivation = side.formats, side.derivation
+    limits = derivation.EngineLimits(
+        max_family_size=args.max_family_size,
+        max_set_size=args.max_set_size,
+        max_strategies=args.max_strategies,
+    )
+    verdict = None
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        t = [perf_counter()]
+        instance = formats.parse_qdimacs(qdimacs)
+        t.append(perf_counter())
+        td = formats.parse_btd(btd)
+        t.append(perf_counter())
+        poset = side.posets.trivial_poset(instance.prefix)
+        t.append(perf_counter())
+        cleaned, ordering, branching = derivation.validate_input(instance, td, poset)
+        t.append(perf_counter())
+        state = derivation.initial_state(cleaned, ordering, branching, poset)
+        t.append(perf_counter())
+        try:
+            for _ in ordering:
+                state, _ = derivation.step(state, limits)
+        except derivation.ResourceLimitError:
+            verdict = "limit"
+        t.append(perf_counter())
+    finally:
+        if enabled:
+            gc.enable()
+    if verdict is None:
+        truth = side.formulas.ground_truth
+        verdict = any(all(truth(m) for m in pi) for pi in state.family)
+    times = {key: (b - a) * 1000 for key, a, b in zip((*LAYERS, "steps"), t, t[1:])}
+    times["before_first_step"] = (t[-2] - t[0]) * 1000
+    return times, verdict
 
 
-def compare(sides, n: int, rounds: int, clear: bool) -> dict:
-    base = sides[0][1]
-    with tempfile.TemporaryDirectory() as work:
-        stem = str(Path(work) / f"qparity-{n}")
-        if base.main(["gen", "qparity", str(n), stem]) != 0:
-            raise SystemExit(f"could not write qparity({n})")
-        argv = ["solve", f"{stem}.qdimacs", "--td", f"{stem}.btd", "--trivial-poset"]
-        times = {alias: [] for alias, _ in sides}
-        for alias, cli in sides:
-            timed_solve(cli, argv, alias, clear)
+def compare(sides, instances, rounds: int, clear: bool):
+    """Per side, the times of every key by instance, in round order, and
+    the ids of the failed instances."""
+    texts = [[Path(i.argv[k]).read_text(encoding="utf-8") for k in (1, 3)] for i in instances]
+    argvs = {s.alias: [s.cli.build_parser().parse_args(i.argv) for i in instances] for s in sides}
+    times = {s.alias: {key: [[] for _ in instances] for key in KEYS} for s in sides}
+    failed = {s.alias: set() for s in sides}
+
+    def file_to_verdict(side, i: int):
+        elapsed, outcome = run.solve(side.cli, instances[i].argv)
+        return {"solve": elapsed * 1000}, outcome
+
+    def layer_by_layer(side, i: int):
+        return layered_solve(side, *texts[i], argvs[side.alias][i])
+
+    # One kind of solve at a time: at qparity(1024) a layered solve run
+    # right after a file-to-verdict one read its front end about 4%
+    # slower against its steps than one run after another layered solve
+    # (Python 3.11, 2 shared CPUs).
+    for solve in (file_to_verdict, layer_by_layer):
+        for side in sides:
+            solve(side, 0)
         for r in range(rounds):
-            for alias, cli in sides if r % 2 == 0 else sides[::-1]:
-                times[alias].append(timed_solve(cli, argv, alias, clear))
-    a_ms, b_ms = times.values()
-    a_med, b_med = statistics.median(a_ms), statistics.median(b_ms)
-    return {
-        "n": n,
-        "rounds": rounds,
-        "clear_caches": clear,
-        "base_median_ms": round(a_med, 2),
-        "change_median_ms": round(b_med, 2),
-        "ratio": round(b_med / a_med, 3),
-        "median_round_ratio": round(statistics.median(y / x for x, y in zip(a_ms, b_ms)), 3),
-        "change_faster_in": f"{sum(y < x for x, y in zip(a_ms, b_ms))}/{rounds}",
-        "base_ms": [round(t, 2) for t in a_ms],
-        "change_ms": [round(t, 2) for t in b_ms],
-    }
-
-
-def compare_workload(sides, base_root: Path, name: str, seed: int, clear: bool):
-    """The A/B summary of one benchmark corpus."""
-    sys.path[:0] = [str(base_root / "src"), str(TOOLS.parent / "bench")]
-    import run
-    from workloads import WORKLOADS
-
-    if name not in WORKLOADS:
-        raise SystemExit(f"unknown workload {name!r}; choose from {sorted(WORKLOADS)}")
-    with tempfile.TemporaryDirectory() as work:
-        instances = WORKLOADS[name].build(seed, Path(work))
-        times = {alias: [[] for _ in instances] for alias, _ in sides}
-        failed = {alias: set() for alias, _ in sides}
-        for _, cli in sides:
-            run.solve(cli, instances[0].argv)
-        for r in range(WORKLOAD_ROUNDS):
             for i, inst in enumerate(instances):
-                for alias, cli in sides if (r + i) % 2 == 0 else sides[::-1]:
+                for side in sides if (r + i) % 2 == 0 else sides[::-1]:
                     if clear:
-                        clear_caches(alias)
-                    elapsed, outcome = run.solve(cli, inst.argv)
+                        clear_caches(side.alias)
+                    ms, outcome = solve(side, i)
                     if outcome == run.MISMATCH or (
                         isinstance(outcome, bool) and outcome != inst.expected
                     ):
-                        raise SystemExit(f"{alias}: wrong verdict on instance {inst.ident}")
+                        raise SystemExit(f"{side.alias}: wrong verdict on instance {inst.ident}")
                     if not isinstance(outcome, bool):
-                        failed[alias].add(inst.ident)
-                    times[alias][i].append(elapsed * 1000)
-    sizes = [inst.size for inst in instances]
-    out = {"workload": name, "seed": seed, "rounds": WORKLOAD_ROUNDS, "instances": len(instances)}
-    medians = []
-    for (alias, _), side in zip(sides, ("base", "change")):
-        medians.append([statistics.median(ts) for ts in times[alias]])
-        tail_ms, percentile = run.tail(medians[-1])
-        out[side] = {
-            "failed": len(failed[alias]),
-            "p50_ms": round(statistics.median(medians[-1]), 3),
-            "tail_ms": round(tail_ms, 3),
-            "tail_percentile": percentile,
-            "scaling_exponent": round(run.slope(sizes, medians[-1]), 4),
-        }
-    for metric in ("p50_ms", "tail_ms"):
-        out[f"{metric[:-3]}_ratio"] = round(out["change"][metric] / out["base"][metric], 3)
-    a, b = medians
-    out["change_faster_in"] = f"{sum(y < x for x, y in zip(a, b))}/{len(a)}"
+                        failed[side.alias].add(inst.ident)
+                    for key, value in ms.items():
+                        times[side.alias][key][i].append(value)
+    return times, failed
+
+
+def summarise(sides, instances, times, failed, corpus: bool) -> dict:
+    out = {}
+    for side, name in zip(sides, ("base", "change")):
+        medians = {key: [statistics.median(ts) for ts in times[side.alias][key]] for key in KEYS}
+        middle = {key: statistics.median(ms) for key, ms in medians.items()}
+        out[name] = {f"{key}_ms": round(ms, 3) for key, ms in middle.items()}
+        out[name]["target_met"] = middle["before_first_step"] <= middle["steps"]
+        if corpus:
+            tail_ms, percentile = run.tail(medians["solve"])
+            out[name].update(
+                failed=len(failed[side.alias]),
+                p50_ms=round(middle["solve"], 3),
+                tail_ms=round(tail_ms, 3),
+                tail_percentile=percentile,
+                scaling_exponent=round(run.slope([i.size for i in instances], medians["solve"]), 4),
+            )
+    base, change = (times[side.alias] for side in sides)
+    for key in KEYS:
+        pairs = [(x, y) for xs, ys in zip(base[key], change[key]) for x, y in zip(xs, ys)]
+        out[f"{key}_ratio"] = round(statistics.median(y / x for x, y in pairs), 3)
+        out[f"{key}_change_faster_in"] = f"{sum(y < x for x, y in pairs)}/{len(pairs)}"
     return out
+
+
+def inputs(args, base_cli, work: Path):
+    """(the head of a JSON line, its instances, its rounds) per line."""
+    from workloads import WORKLOADS, Instance
+
+    if args.workload:
+        if args.workload not in WORKLOADS:
+            choices = sorted(WORKLOADS)
+            raise SystemExit(f"unknown workload {args.workload!r}; choose from {choices}")
+        instances = WORKLOADS[args.workload].build(args.seed, work)
+        yield {"workload": args.workload, "seed": args.seed}, instances, WORKLOAD_ROUNDS
+        return
+    for n in args.sizes or SIZES:
+        stem = str(work / f"qparity-{n}")
+        if base_cli.main(["gen", "qparity", str(n), stem]) != 0:
+            raise SystemExit(f"could not write qparity({n})")
+        argv = ("solve", f"{stem}.qdimacs", "--td", f"{stem}.btd", "--trivial-poset")
+        yield {"n": n}, [Instance(n, argv, False, n)], ROUNDS
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path, help="root of the base checkout")
     parser.add_argument("change", type=Path, help="root of the changed checkout")
+    parser.add_argument("sizes", nargs="*", type=int, metavar="N", help="qparity sizes")
     parser.add_argument("--clear-caches", action="store_true")
     parser.add_argument("--workload", help="A/B over this benchmark corpus instead of qparity")
     parser.add_argument("--seed", type=int, default=0, help="corpus seed (with --workload)")
-    args = parser.parse_args(argv)
-    sides = (
-        ("ab_base", load(args.base, "ab_base", "cli")),
-        ("ab_change", load(args.change, "ab_change", "cli")),
-    )
-    if args.workload:
-        summary = compare_workload(sides, args.base, args.workload, args.seed, args.clear_caches)
-        print(json.dumps(summary), flush=True)
-        return 0
-    for n in SIZES:
-        print(json.dumps(compare(sides, n, ROUNDS, args.clear_caches)), flush=True)
+    args = parser.parse_intermixed_args(argv)
+    if args.workload and args.sizes:
+        parser.error("give sizes or --workload, not both")
+    # ``bench/workloads.py`` writes the inputs with BASE's package.
+    sys.path.insert(0, str(args.base / "src"))
+    sides = (load(args.base, "ab_base"), load(args.change, "ab_change"))
+    with tempfile.TemporaryDirectory() as work:
+        for head, instances, rounds in inputs(args, sides[0].cli, Path(work)):
+            times, failed = compare(sides, instances, rounds, args.clear_caches)
+            head.update(rounds=rounds, instances=len(instances), clear_caches=args.clear_caches)
+            summary = summarise(sides, instances, times, failed, bool(args.workload))
+            print(json.dumps({**head, **summary}), flush=True)
     return 0
 
 

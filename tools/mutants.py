@@ -182,6 +182,20 @@ MUTANTS = (
         ("tests/test_formulas.py::test_limits_and_budgets_accept_only_integers",),
     ),
     Mutant(
+        "budget-without-the-integer-check",
+        "oracle.py",
+        "if type(max_variables) is not int:",
+        "if False:",
+        ("tests/test_formulas.py::test_limits_and_budgets_accept_only_integers",),
+    ),
+    Mutant(
+        "budget-off-by-one",
+        "oracle.py",
+        "if n > max_variables:",
+        "if n >= max_variables:",
+        ("tests/test_cli.py::TestOracle::test_budget_flag",),
+    ),
+    Mutant(
         "tables-built-for-an-empty-set",
         "derivation.py",
         "tables = shape.tables() if most else ((), ())",

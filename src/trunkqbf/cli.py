@@ -32,6 +32,7 @@ from typing import List, Optional
 from .decomposition import width
 from .derivation import (
     MAX_FAMILY_SIZE,
+    MAX_MATRIX_SIZE,
     MAX_SET_SIZE,
     MAX_STRATEGIES,
     DerivationError,
@@ -92,6 +93,7 @@ def cmd_solve(args) -> int:
         max_family_size=args.max_family_size,
         max_set_size=args.max_set_size,
         max_strategies=args.max_strategies,
+        max_matrix_size=args.max_matrix_size,
     )
     try:
         result = run_derivation(instance, td, poset, limits, checks=args.checks)
@@ -180,6 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--max-family-size", type=int, default=MAX_FAMILY_SIZE)
     solve.add_argument("--max-set-size", type=int, default=MAX_SET_SIZE)
     solve.add_argument("--max-strategies", type=int, default=MAX_STRATEGIES)
+    solve.add_argument("--max-matrix-size", type=int, default=MAX_MATRIX_SIZE)
     solve.set_defaults(func=cmd_solve)
 
     validate = sub.add_parser("validate", help="validate a decomposition for an instance")

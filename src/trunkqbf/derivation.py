@@ -54,6 +54,16 @@ step, and a small table once per shape; R2 tests resolvents for
 tautologies with one clash set per negative clause, built once per step
 for the clauses of its bucket.
 
+A step makes one kernel call per distinct matrix of its family, however
+many sets hold the matrix, and every set that holds it shares the
+result.  R4 calls ``strategy_extension`` once per set, but every call
+of a step reads and fills one map from a matrix to the sets its
+strategies produce, so a matrix is restricted once per full assignment
+per step.  R2 and R3 map each distinct matrix once, through a per-step
+map, to its resolved or reduced touched part, and so does R4's drop for
+each distinct matrix of its output.  Each new family is built in plain
+loops, without generator frames.
+
 A matrix is stored in two parts.  Its *untouched* part is every input
 clause whose variables are all still quantified: no rule has acted on
 such a clause yet, so it is the same in every matrix of the family and
@@ -65,14 +75,15 @@ acts on touched parts only, with its step's bucket pulled in, since no
 other clause mentions a variable it assigns or removes; any clause of a
 later bucket is dropped again, and a matrix without a stored clause is
 kept as it is.  R3 pulls, reduces the union and drops in one pass per
-matrix.  R2 handles its bucket once per step: it splits it by the
-pivot's sign, builds its clash sets and resolves its own pairs; then
-one ``resolve`` call per matrix tests only the pairs with a parent in
-the matrix, and the drop follows.  R4 checks the branch limit once, for
-its largest set, builds its shape's table and assignments once, pulls a
-non-empty bucket into one set at a time and drops afterwards.  After
-the rule, ``step`` checks the family and set size limits itself, so
-every limit of a run is checked in that one function.  The untouched
+distinct matrix.  R2 handles its bucket once per step: it splits it by
+the pivot's sign, builds its clash sets and resolves its own pairs;
+then one ``resolve`` call per distinct matrix tests only the pairs with
+a parent in the matrix, the matrix limit is checked on its result, and
+the drop follows.  R4 checks the branch limit once, for its largest
+set, builds its shape's table and assignments once, pulls a non-empty
+bucket into one set at a time and drops afterwards.  After the rule,
+``step`` checks the family and set size limits itself, so every limit
+of a run is checked in that one function.  The untouched
 part is shared and disjoint from the touched one, so deduplicating
 touched parts gives the same families, sizes and strategy counts as
 deduplicating whole matrices, while the work per step is set by the
@@ -92,7 +103,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import time
+from itertools import repeat
+from time import perf_counter
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .decomposition import (
@@ -119,6 +131,10 @@ MatrixSet = FrozenSet[Matrix]
 Family = FrozenSet[MatrixSet]
 # A clause inside the engine: the frozenset of its literals.
 Lits = FrozenSet[int]
+# Builds a NamedTuple from its fields in order, without the keyword
+# handling of its generated ``__new__``; ``step`` and ``StrategyShape.of``
+# run once per step.
+_tuple_new = tuple.__new__
 # A step of a run's plan: its variable, its rule, the variables it removes
 # and, for R4 only, its strategy shape.
 PlanEntry = Tuple[int, str, FrozenSet[int], Optional["StrategyShape"]]
@@ -153,24 +169,28 @@ class InvariantError(DerivationError):
 MAX_FAMILY_SIZE = 2**16
 MAX_SET_SIZE = 2**14
 MAX_STRATEGIES = 2**20
+MAX_MATRIX_SIZE = 2**16
 
 
 class EngineLimits(Frozen):
-    """Bounds on a run: sets per family, matrices per set and branches
-    per strategy extension, each a positive ``int``."""
+    """Bounds on a run: sets per family, matrices per set, branches per
+    strategy extension and clauses per matrix that R2 builds, each a
+    positive ``int``."""
 
-    __slots__ = ("max_family_size", "max_set_size", "max_strategies")
+    __slots__ = ("max_family_size", "max_set_size", "max_strategies", "max_matrix_size")
     max_family_size: int
     max_set_size: int
     max_strategies: int
+    max_matrix_size: int
 
     def __init__(
         self,
         max_family_size: int = MAX_FAMILY_SIZE,
         max_set_size: int = MAX_SET_SIZE,
         max_strategies: int = MAX_STRATEGIES,
+        max_matrix_size: int = MAX_MATRIX_SIZE,
     ) -> None:
-        values = (max_family_size, max_set_size, max_strategies)
+        values = (max_family_size, max_set_size, max_strategies, max_matrix_size)
         if any(type(n) is not int for n in values):
             raise ValueError("limits must be integers")
         if min(values) < 1:
@@ -178,9 +198,15 @@ class EngineLimits(Frozen):
         object.__setattr__(self, "max_family_size", max_family_size)
         object.__setattr__(self, "max_set_size", max_set_size)
         object.__setattr__(self, "max_strategies", max_strategies)
+        object.__setattr__(self, "max_matrix_size", max_matrix_size)
 
     def _key(self) -> Tuple[object, ...]:
-        return (self.max_family_size, self.max_set_size, self.max_strategies)
+        return (
+            self.max_family_size,
+            self.max_set_size,
+            self.max_strategies,
+            self.max_matrix_size,
+        )
 
 
 class UntouchedStore(Frozen):
@@ -361,8 +387,10 @@ class StrategyShape(NamedTuple):
     @classmethod
     def of(cls, deps: FrozenSet[int], poset: DependencyPoset) -> StrategyShape:
         universal, universal_dep, existential_dep = poset.prefix.universal, [], []
-        for w in sorted(deps):
+        for w in deps:
             (universal_dep if w in universal else existential_dep).append(w)
+        universal_dep.sort()
+        existential_dep.sort()
         owns, own_bits = [], 0
         for x in existential_dep:
             own = ()  # with no universal dependency, x owns none
@@ -372,7 +400,7 @@ class StrategyShape(NamedTuple):
             owns.append(own)
             own_bits += 2 ** len(own)
         order = (*universal_dep, *existential_dep)
-        return cls(len(universal_dep), order, tuple(owns), own_bits)
+        return _tuple_new(cls, (len(universal_dep), order, tuple(owns), own_bits))
 
     def tables(self) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[Lits, Lits], ...]]:
         """The shape's ``_strategy_table`` and, for every n, full assignment
@@ -383,18 +411,22 @@ class StrategyShape(NamedTuple):
         table_bits = self.n_universal + self.own_bits
         build = _cached_strategy_table if table_bits <= _CACHED_TABLE_BITS else _strategy_table
         # The last factor varies fastest, so with ``order`` reversed the
-        # n-th product sets order[i] to bit i of n.
-        assignments = [
-            (frozenset(true), frozenset(map(_neg, true)))
-            for true in itertools.product(*[(-x, x) for x in reversed(self.order)])
-        ]
-        return build(self.n_universal, self.owns), tuple(assignments)
+        # n-th product sets order[i] to bit i of n.  Assignment 2^k - 1 - n
+        # flips every bit of n, so its true literals are n's false ones,
+        # and each literal set is built once.
+        true = list(map(frozenset, itertools.product(*[(-x, x) for x in reversed(self.order)])))
+        return build(self.n_universal, self.owns), tuple(zip(true, true[::-1]))
+
+
+# The family of the one empty set: what an empty set branches into.
+_NO_MATRIX: Family = frozenset({frozenset()})
 
 
 def strategy_extension(
     pi: MatrixSet,
     answers: Tuple[Tuple[int, ...], ...],
     assignments: Tuple[Tuple[Lits, Lits], ...],
+    outcomes: Optional[Dict[Matrix, Family]] = None,
 ) -> Family:
     """Branch over all partial existential strategies up to v.
 
@@ -408,6 +440,12 @@ def strategy_extension(
     unspecified; every output matrix is then free of tautologies and of
     all variables in deps.
 
+    ``outcomes`` maps a matrix to the sets its strategies produce under
+    these tables; a matrix found there is not restricted again, and one
+    that is not is added.  ``step`` passes one map to every call of a
+    step, so a matrix that recurs across the family's sets is restricted
+    once per step; without a map the call uses a fresh one.
+
     Plays and strategies are bit tables.  Play b sets the i-th universal
     dependency (ascending ids) to bit i of b.  A strategy holds one table
     per existential dependency x: bit k of x's table answers every play
@@ -419,15 +457,22 @@ def strategy_extension(
     and the 32 most recent ones are kept.  ``step`` checks the branch
     limit and builds the tables once per step, before any call.
     """
-    out = {frozenset()}
+    if outcomes is None:
+        outcomes = {}
+    out = None
     # Per matrix, the distinct sets its strategies produce, each full
     # assignment restricted once; an output set is the union of one per
-    # matrix, folded in matrix by matrix so equal partial unions merge early.
+    # matrix, folded in matrix by matrix from the first matrix's sets, so
+    # equal partial unions merge early.
     for m in pi:
-        outcome = [restrict(m, true, false) for true, false in assignments]
-        sets = {frozenset(map(outcome.__getitem__, row)) for row in answers}
-        out = {partial | choice for partial in out for choice in sets}
-    return frozenset(out)
+        sets = outcomes.get(m)
+        if sets is None:
+            outcome = [restrict(m, true, false) for true, false in assignments]
+            sets = frozenset(map(frozenset, map(map, repeat(outcome.__getitem__), answers)))
+            outcomes[m] = sets
+        out = sets if out is None else {partial | choice for partial in out for choice in sets}
+    # A set of one matrix returns its outcome sets as they are stored.
+    return _NO_MATRIX if out is None else frozenset(out)
 
 
 def _strategy_table(
@@ -472,14 +517,15 @@ def step(
 ) -> Tuple[DerivationState, TraceEvent]:
     """Apply the next step of the run's plan, with its bucket of untouched
     clauses pulled in (see the module docstring)."""
-    started = time.perf_counter()
-    family, store, index = state.family, state.untouched, state.step_index
+    started = perf_counter()
+    family, index, store = state
     v, rule, _, shape = store.plan[index]
     done = index + 1
     if rule == "R1":
         new_family = family
     else:
         pulled, touched = store.pulls[index], store.touched_part
+        sets = family
         if rule == "R4":
             # The branch count is 2^exponent: the plays times, per matrix,
             # the 2^(2^|own|) tables of every existential dependency.  It
@@ -493,7 +539,8 @@ def step(
                     f"limit is {limits.max_strategies}"
                 )
             tables = shape.tables() if most else ((), ())
-            merged = set()
+            outcomes: Dict[Matrix, Family] = {}
+            sets = set()
             for pi in family:
                 # Nearly every R4 bucket of a ladder is empty; rebuilding
                 # the set for nothing slows the ladder measurably.  Unlike
@@ -501,22 +548,37 @@ def step(
                 # benchmark's traced ``restrict`` reads its ``clauses``.
                 if pulled:
                     pi = frozenset([Matrix._of(m | pulled) for m in pi])
-                merged |= strategy_extension(pi, *tables)
-            new_family = frozenset(frozenset([touched(m, done) for m in pi]) for pi in merged)
+                sets |= strategy_extension(pi, *tables, outcomes)
         elif rule == "R2":
             # The bucket is the same in every matrix: split it and resolve
-            # its own pairs once, then resolve and drop matrix by matrix.
+            # its own pairs once, then resolve matrix by matrix.
             bucket = _resolution(pulled, v)
-            # ``resolve`` is looked up per call, not bound once, so a
-            # wrapper of the module's function sees every call.
-            new_family = frozenset(
-                frozenset([touched(resolve(m, v, bucket), done) for m in pi]) for pi in family
-            )
-        else:
-            # Pull, reduce and drop in one pass per matrix.
-            new_family = frozenset(
-                frozenset([touched(reduce(m | pulled, v), done) for m in pi]) for pi in family
-            )
+        # Every distinct matrix of the sets is mapped once, R2 resolving
+        # and R3 pulling and reducing it before the drop, and the result
+        # is shared by every set that holds it.  ``resolve`` and
+        # ``reduce`` are looked up per call, not bound once, so a wrapper
+        # of the module's function sees every call.
+        image: Dict[Matrix, Matrix] = {}
+        new_sets = []
+        for pi in sets:
+            out = []
+            for m in pi:
+                mapped = image.get(m)
+                if mapped is None:
+                    mapped = m
+                    if rule == "R2":
+                        mapped = resolve(m, v, bucket)
+                        if len(mapped) > limits.max_matrix_size:
+                            raise ResourceLimitError(
+                                f"a matrix has {len(mapped)} clauses, "
+                                f"limit is {limits.max_matrix_size}"
+                            )
+                    elif rule == "R3":
+                        mapped = reduce(m | pulled, v)
+                    mapped = image[m] = touched(mapped, done)
+                out.append(mapped)
+            new_sets.append(frozenset(out))
+        new_family = frozenset(new_sets)
     if len(new_family) > limits.max_family_size:
         raise ResourceLimitError(
             f"family has {len(new_family)} sets, limit is {limits.max_family_size}"
@@ -526,9 +588,10 @@ def step(
         raise ResourceLimitError(
             f"a matrix set has {largest} matrices, limit is {limits.max_set_size}"
         )
-    micros = int((time.perf_counter() - started) * 1_000_000)
-    event = TraceEvent(done, v, rule, len(family), len(new_family), largest, micros)
-    return DerivationState(new_family, done, store), event
+    micros = int((perf_counter() - started) * 1_000_000)
+    # Both tuples are built without their generated ``__new__`` frames.
+    event = _tuple_new(TraceEvent, (done, v, rule, len(family), len(new_family), largest, micros))
+    return _tuple_new(DerivationState, (new_family, done, store)), event
 
 
 def initial_state(

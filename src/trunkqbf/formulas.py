@@ -146,10 +146,10 @@ class Matrix(frozenset):
             if not isinstance(clause, Clause):
                 raise TypeError(f"a matrix holds Clause objects, got {clause!r}")
 
-    @classmethod
-    def _of(cls, clauses: Iterable[FrozenSet[int]]) -> "Matrix":
-        """Trusted constructor: the clauses hold non-zero int literals."""
-        return frozenset.__new__(cls, clauses)
+    # Trusted constructor, ``Matrix._of(clauses)``: the clauses hold
+    # non-zero int literals.  It is frozenset's own constructor bound to
+    # the class, so a kernel builds its result without a Python frame.
+    _of = classmethod(frozenset.__new__)
 
     @cached_property
     def clauses(self) -> Tuple[Clause, ...]:

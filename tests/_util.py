@@ -26,6 +26,7 @@ from trunkqbf import (
     random_instance,
     reduce,
     resolve,
+    restrict,
     step,
     trivial_poset,
     validate_trunk_aligned,
@@ -40,6 +41,7 @@ LIMIT_KINDS = (
     ("branches, limit is", "branches"),
     ("sets, limit is", "family"),
     ("matrices, limit is", "set"),
+    ("clauses, limit is", "matrix"),
 )
 
 
@@ -445,6 +447,39 @@ def reference_r3(state: DerivationState, m: Matrix) -> Matrix:
     store, index = state.untouched, state.step_index
     u, pulled = store.plan[index][0], store.pulls[index]
     return store.touched_part(reduce(Matrix._of(m | pulled), u), index + 1)
+
+
+def reference_strategy_extension(pi, answers, assignments) -> FrozenSet[FrozenSet[Matrix]]:
+    """``strategy_extension`` one matrix at a time: the fold starts from
+    the one empty set, and every matrix of pi is restricted under every
+    full assignment, with no outcome shared between calls."""
+    out = {frozenset()}
+    for m in pi:
+        outcome = [restrict(m, true, false) for true, false in assignments]
+        sets = {frozenset(outcome[n] for n in row) for row in answers}
+        out = {partial | choice for partial in out for choice in sets}
+    return frozenset(out)
+
+
+def reference_family(state: DerivationState) -> FrozenSet[FrozenSet[Matrix]]:
+    """The family ``step`` makes of the state's, one kernel call per
+    (set, matrix) occurrence: R2 and R3 by ``reference_r2`` and
+    ``reference_r3``, R4 by ``reference_strategy_extension`` of each set
+    with the step's bucket pulled in, then the drop of the clauses still
+    untouched after the step."""
+    store, index = state.untouched, state.step_index
+    _, rule, _, shape = store.plan[index]
+    if rule == "R1":
+        return state.family
+    if rule in ("R2", "R3"):
+        rule_of = reference_r2 if rule == "R2" else reference_r3
+        return frozenset(frozenset(rule_of(state, m) for m in pi) for pi in state.family)
+    pulled = store.pulls[index]
+    tables = shape.tables() if any(state.family) else ((), ())
+    merged = set()
+    for pi in state.family:
+        merged |= reference_strategy_extension([Matrix._of(m | pulled) for m in pi], *tables)
+    return frozenset(frozenset(store.touched_part(m, index + 1) for m in pi) for pi in merged)
 
 
 def reference_plan(instance, td, poset, ordering):

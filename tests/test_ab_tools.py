@@ -75,6 +75,10 @@ def test_a_limit_abort_is_a_failed_instance_that_keeps_its_time(
         assert record[side]["failed"] == 1
         assert record[side]["p50_ms"] > 0 and record[side]["tail_ms"] > 0
         assert isinstance(record[side]["scaling_exponent"], float)
+        # Two instances: the sum of their medians is at least the p50.
+        assert record[side]["sum_ms"] >= record[side]["p50_ms"]
+    sums = record["change"]["sum_ms"], record["base"]["sum_ms"]
+    assert record["sum_ratio"] == round(sums[0] / sums[1], 3)
 
     times, failed = ab_solve.compare([ab_solve.load(ROOT, "ab_base")], instances, 2, True)
     assert failed == {"ab_base": {1}}
@@ -87,3 +91,15 @@ def test_a_wrong_verdict_exits_1(ab_solve, monkeypatch, capsys, tmp_path):
     hand_made(monkeypatch, tmp_path, (2, False, ()), (3, True, ()))
     with pytest.raises(SystemExit, match="wrong verdict on instance 1"):
         run_tool(ab_solve, capsys, "--workload", "hand-made")
+
+
+def test_the_layered_solve_reads_every_limit_option(ab_solve):
+    side = ab_solve.load(ROOT, "ab_base")
+    qdimacs, btd = write_qdimacs(qparity(2)), write_btd(qparity_td(2))
+    parser = side.cli.build_parser()
+    for option in ("--max-family-size", "--max-strategies", "--max-matrix-size"):
+        args = parser.parse_args(["solve", "q", "--td", "t", "--trivial-poset", option, "1"])
+        _, verdict = ab_solve.layered_solve(side, qdimacs, btd, args)
+        assert verdict == "limit", option
+    args = parser.parse_args(["solve", "q", "--td", "t", "--trivial-poset"])
+    assert ab_solve.layered_solve(side, qdimacs, btd, args)[1] is False

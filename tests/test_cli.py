@@ -149,6 +149,22 @@ class TestSolve:
         records = [json.loads(l) for l in trace.read_text().splitlines()]
         assert [(r["step"], r["variable"], r["rule"]) for r in records] == [(1, 1, "R4")]
 
+    def test_matrix_limit_abort_keeps_the_partial_trace(self, qparity2_files, tmp_path, capsys):
+        # qparity(2) forgets x1 by strategy extension, then resolves z1
+        # into matrices of two clauses.
+        qd, td = qparity2_files
+        trace = tmp_path / "partial.jsonl"
+        code = main([
+            "solve", qd, "--td", td, "--trivial-poset",
+            "--max-matrix-size", "1", "--trace", str(trace),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: step 2, variable 4: a matrix has 2 clauses, limit is 1\n"
+        )
+        records = [json.loads(l) for l in trace.read_text().splitlines()]
+        assert [(r["step"], r["variable"], r["rule"]) for r in records] == [(1, 1, "R4")]
+
 
 def _exhaust_memory(monkeypatch):
     def exhausted(n):
@@ -180,6 +196,11 @@ ERRORS = {
         "sets, limit is 1",
         None,
     ),
+    "solve matrix limit abort": (
+        "solve {qd} --td {td} --trivial-poset --max-matrix-size 1",
+        "error: step 2, variable 4: a matrix has 2 clauses, limit is 1\n",
+        None,
+    ),
     "solve limit abort, unwritable trace": (
         "solve {qd} --td {td} --trivial-poset --max-strategies 1 --trace {dir}",
         "error: step 1, variable 1: strategy extension up to 1 needs 2^1 branches, "
@@ -203,6 +224,11 @@ ERRORS = {
     ),
     "solve non-positive branch limit": (
         "solve {qd} --td {td} --trivial-poset --max-strategies 0",
+        "limits must be positive",
+        None,
+    ),
+    "solve non-positive matrix limit": (
+        "solve {qd} --td {td} --trivial-poset --max-matrix-size 0",
         "limits must be positive",
         None,
     ),

@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -41,6 +42,7 @@ from _util import (
     R4_LIMITS,
     join_node_cases,
     path_td,
+    reference_family,
     reference_plan,
     shuffled_path_cases,
     sub_poset_cases,
@@ -173,6 +175,32 @@ class TestStrategyExtension:
         q, _, d = qp2_setup
         out = extend({Matrix(())}, d.dep(1), d)
         assert out == family({Matrix(())})
+
+    def test_an_empty_set_gives_the_one_empty_set(self, qp2_setup):
+        _, _, d = qp2_setup
+        for tables in (StrategyShape.of(d.dep(1), d).tables(), ((), ())):
+            assert strategy_extension(frozenset(), *tables) == family(set())
+            outcomes = {}
+            assert strategy_extension(frozenset(), *tables, outcomes) == family(set())
+            assert outcomes == {}
+
+    def test_a_passed_map_is_read_and_filled(self, qp2_setup, monkeypatch):
+        # The first call restricts each matrix once per assignment and
+        # keeps its outcome sets; a second call with the same map reads
+        # them and restricts nothing.
+        _, _, d = qp2_setup
+        tables = StrategyShape.of(d.dep(2) - {1, 4}, d).tables()
+        pi = frozenset({RES_X1_0, RES_X1_1})
+        outcomes = {}
+        first = strategy_extension(pi, *tables, outcomes)
+        assert set(outcomes) == set(pi)
+        assert first == strategy_extension(pi, *tables)
+
+        def unreachable(*args):
+            raise AssertionError("a matrix in the map was restricted again")
+
+        monkeypatch.setattr(derivation, "restrict", unreachable)
+        assert strategy_extension(pi, *tables, outcomes) == first
 
     def test_universal_plays_enter_the_sets(self):
         # exists x forall u: dep(u) = {x, u}; each constant x-strategy must
@@ -555,6 +583,39 @@ class TestRunDerivation:
         with pytest.raises(ResourceLimitError, match=f"sets, limit is {largest - 1}$"):
             run_derivation(q, td, d, EngineLimits(max_family_size=largest - 1))
 
+    def test_a_matrix_as_large_as_the_limit_completes(self, monkeypatch):
+        # The limit bounds the clauses of every matrix R2 builds
+        # inclusively; one clause more aborts the run at the first step
+        # that built such a matrix, with the steps before it in the trace.
+        q = random_instance(2, 6, 14, 3, 1)
+        td, d = single_bag_td(q), trivial_poset(q.prefix)
+        built = []  # per step, the clause counts of the matrices R2 built
+        real_step, real_resolve = derivation.step, derivation.resolve
+
+        def recorded_step(*args):
+            built.append([0])
+            return real_step(*args)
+
+        def recorded_resolve(*args):
+            matrix = real_resolve(*args)
+            built[-1].append(len(matrix))
+            return matrix
+
+        with monkeypatch.context() as patch:
+            patch.setattr(derivation, "step", recorded_step)
+            patch.setattr(derivation, "resolve", recorded_resolve)
+            trace = run_derivation(q, td, d).trace
+        largest = max(map(max, built))
+        assert largest >= 8 and [e.rule for e in trace] == ["R2"] * 6
+        result = run_derivation(q, td, d, EngineLimits(max_matrix_size=largest))
+        assert [e[:6] for e in result.trace] == [e[:6] for e in trace]
+        first = next(i for i, sizes in enumerate(built) if max(sizes) == largest)
+        v = trace[first].variable
+        message = f"^step {first + 1}, variable {v}: a matrix has {largest} clauses, "
+        with pytest.raises(ResourceLimitError, match=message + f"limit is {largest - 1}$") as info:
+            run_derivation(q, td, d, EngineLimits(max_matrix_size=largest - 1))
+        assert [e[:6] for e in info.value.trace] == [e[:6] for e in trace[:first]]
+
     def test_set_limit_aborts(self):
         # Strategy extension at u answers two universal plays, so the
         # produced sets hold two matrices each.
@@ -765,6 +826,81 @@ class TestOneStrategyExtensionPerSet:
             (seed, sets) for seed, _, sets in runs
         ]
         assert len(runs) >= 200 and sum(calls for _, calls, _ in runs) >= 500
+
+
+CORPORA = ("shuffled paths", "join nodes", "sub-posets")
+
+
+def aligned_cases(corpus):
+    """(seed, instance, td, poset) of a corpus, with the trivial poset
+    where the corpus gives none."""
+    if corpus == "sub-posets":
+        return sub_poset_cases()
+    cases = shuffled_path_cases() if corpus == "shuffled paths" else join_node_cases()
+    return [(seed, q, td, trivial_poset(q.prefix)) for seed, q, td in cases]
+
+
+def steps_of(cases):
+    """(seed, state before, its rule) for every step that completes under
+    ``R4_LIMITS`` on a valid case, and the state after it."""
+    for seed, q, td, d in cases:
+        try:
+            state = initial_state(*validate_input(q, td, d), d)
+        except ValidationError:
+            continue
+        for _ in state.untouched.plan:
+            try:
+                after, event = step(state, R4_LIMITS)
+            except ResourceLimitError:
+                break
+            yield seed, state, event.rule, after
+            state = after
+
+
+class TestOneKernelCallPerDistinctMatrix:
+    """``step`` calls each kernel once per distinct matrix of its family,
+    and shares the result among the sets that hold the matrix."""
+
+    @pytest.mark.parametrize("corpus", CORPORA)
+    def test_steps_match_the_per_occurrence_reference(self, corpus):
+        steps, shared = Counter(), 0
+        for seed, state, rule, after in steps_of(aligned_cases(corpus)):
+            assert after.family == reference_family(state), (seed, state.step_index)
+            matrices = [m for pi in state.family for m in pi]
+            shared += rule != "R1" and len(matrices) > len(set(matrices))
+            steps[rule] += 1
+        assert min(steps["R2"], steps["R3"], steps["R4"], shared) >= 50, (steps, shared)
+
+    def test_an_r4_step_restricts_each_distinct_matrix_once_per_assignment(self, monkeypatch):
+        calls = 0
+        real = derivation.restrict
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(derivation, "restrict", counted)
+        r4 = shared = 0
+        cases = [case for corpus in CORPORA for case in aligned_cases(corpus)]
+        for seed, q, td, d in cases:
+            try:
+                state = initial_state(*validate_input(q, td, d), d)
+            except ValidationError:
+                continue
+            for _, rule, _, shape in state.untouched.plan:
+                calls = 0
+                try:
+                    after, _ = step(state, R4_LIMITS)
+                except ResourceLimitError:
+                    break
+                if rule == "R4":
+                    distinct = {m for pi in state.family for m in pi}
+                    assert calls == len(distinct) * 2 ** len(shape.order), (seed, state.step_index)
+                    r4 += 1
+                    shared += sum(map(len, state.family)) > len(distinct)
+                state = after
+        assert r4 >= 1000 and shared >= 40, (r4, shared)
 
 
 class TestRuleDecidedInValidation:

@@ -107,10 +107,18 @@ def test_frozen_fields_cannot_be_assigned_or_deleted(value, field):
         lambda: EngineLimits(max_strategies=1e6),
         lambda: EngineLimits(max_set_size="9"),
         lambda: EngineLimits(max_family_size=True),
+        lambda: EngineLimits(max_matrix_size=2.0**16),
         lambda: evaluate(qparity(2), 30.5),
         lambda: evaluate(qparity(2), True),
     ],
-    ids=["float-limit", "str-limit", "bool-limit", "float-budget", "bool-budget"],
+    ids=[
+        "float-limit",
+        "str-limit",
+        "bool-limit",
+        "float-matrix-limit",
+        "float-budget",
+        "bool-budget",
+    ],
 )
 def test_limits_and_budgets_accept_only_integers(build):
     # A float limit would pass until R4's branch-limit check reads its

@@ -157,11 +157,13 @@ def recorded_calls(monkeypatch, name):
 
 
 def test_r2_matches_the_reference_matrix_by_matrix(monkeypatch):
-    # ``step`` splits the bucket and resolves its own pairs once per step;
-    # every matrix must still become what resolving it with the whole
-    # bucket pulled in and dropping the untouched clauses makes of it.
+    # ``step`` splits the bucket and resolves its own pairs once per step,
+    # and resolves every distinct matrix of the family once, however many
+    # sets hold it; every matrix must still become what resolving it with
+    # the whole bucket pulled in and dropping the untouched clauses makes
+    # of it.
     results = recorded_calls(monkeypatch, "resolve")
-    cases = lacking = own = cross = 0
+    cases = lacking = own = cross = shared = 0
     for seed, state in bucket_states("R2"):
         store, v = state.untouched, state.untouched.plan[0][0]
         pulled, pivot = store.pulls[0], (v, -v)
@@ -169,12 +171,13 @@ def test_r2_matches_the_reference_matrix_by_matrix(monkeypatch):
         after, event = step(state)
         assert event.rule == "R2"
         matrices = [m for pi in state.family for m in pi]
-        assert Counter(m for m, _ in results) == Counter(matrices), seed
+        assert Counter(m for m, _ in results) == Counter(set(matrices)), seed
         for m, result in results:
             assert store.touched_part(result, 1) == reference_r2(state, m), seed
         want = frozenset(frozenset([reference_r2(state, m) for m in pi]) for pi in state.family)
         assert after.family == want, seed
         cases += 1
+        shared += len(matrices) > len(set(matrices))
         lacking += any(c.isdisjoint(pivot) for c in pulled)
         own += bool(resolve(Matrix._of(pulled), v) - pulled)
         negative = [c for m in matrices for c in m if -v in c]
@@ -183,31 +186,34 @@ def test_r2_matches_the_reference_matrix_by_matrix(monkeypatch):
             for c1 in pulled if v in c1
             for c2 in negative
         )
-    assert cases >= 200 and min(lacking, own, cross) >= 50, (cases, lacking, own, cross)
+    assert cases >= 200 and min(lacking, own, cross, shared) >= 50, (
+        cases, lacking, own, cross, shared
+    )
 
 
 def test_r3_matches_the_reference_matrix_by_matrix(monkeypatch):
-    # ``step`` reduces each matrix with its bucket pulled in, in one
-    # ``reduce`` call per matrix; every matrix must become what reducing
-    # it with the whole bucket pulled in and dropping the untouched
-    # clauses makes of it.
+    # ``step`` reduces each distinct matrix of the family with its bucket
+    # pulled in, in one ``reduce`` call however many sets hold it; every
+    # matrix must become what reducing it with the whole bucket pulled in
+    # and dropping the untouched clauses makes of it.
     results = recorded_calls(monkeypatch, "reduce")
-    cases = lacking = 0
+    cases = lacking = shared = 0
     for seed, state in bucket_states("R3"):
         store, u = state.untouched, state.untouched.plan[0][0]
         results.clear()
         after, event = step(state)
         assert event.rule == "R3"
         matrices = [m for pi in state.family for m in pi]
-        assert Counter(m - store.pulls[0] for m, _ in results) == Counter(matrices), seed
+        assert Counter(m - store.pulls[0] for m, _ in results) == Counter(set(matrices)), seed
         for m, result in results:
             assert m >= store.pulls[0], seed
             assert store.touched_part(result, 1) == reference_r3(state, m - store.pulls[0]), seed
         want = frozenset(frozenset([reference_r3(state, m) for m in pi]) for pi in state.family)
         assert after.family == want, seed
         cases += 1
+        shared += len(matrices) > len(set(matrices))
         lacking += any(c.isdisjoint((u, -u)) for c in store.pulls[0])
-    assert cases >= 200 and lacking >= 50, (cases, lacking)
+    assert cases >= 200 and min(lacking, shared) >= 50, (cases, lacking, shared)
 
 
 def test_shuffled_paths_fire_r4_and_agree_with_the_oracle():

@@ -36,8 +36,10 @@ before the first step is at most the steps' (``target_met``); per key
 the median ratio CHANGE / BASE of the two sides' times paired by input
 and round, and in how many pairs the change was faster.  For a corpus
 each side also gets the number of failed instances and, over the
-per-instance median solve times, the p50, the tail by ``bench/run.py``'s
-``tail`` rule and ``scaling_exponent`` by its ``slope``.  Times are raw
+per-instance median solve times, their sum (``sum_ms``, the in-process
+analogue of the benchmark's ``wall_s``), the p50, the tail by
+``bench/run.py``'s ``tail`` rule and ``scaling_exponent`` by its
+``slope``; ``sum_ratio`` is CHANGE's sum over BASE's.  Times are raw
 wall times.
 """
 
@@ -92,10 +94,10 @@ def clear_caches(alias: str) -> None:
 def layered_solve(side, qdimacs: str, btd: str, args):
     """(layer times in ms, the verdict or "limit") of one solve from the texts."""
     formats, derivation = side.formats, side.derivation
+    # Every ``--max-*`` option the side's parser has, so either side may
+    # have a limit the other lacks.
     limits = derivation.EngineLimits(
-        max_family_size=args.max_family_size,
-        max_set_size=args.max_set_size,
-        max_strategies=args.max_strategies,
+        **{name: value for name, value in vars(args).items() if name.startswith("max_")}
     )
     verdict = None
     enabled = gc.isenabled()
@@ -179,11 +181,14 @@ def summarise(sides, instances, times, failed, corpus: bool) -> dict:
             tail_ms, percentile = run.tail(medians["solve"])
             out[name].update(
                 failed=len(failed[side.alias]),
+                sum_ms=round(sum(medians["solve"]), 3),
                 p50_ms=round(middle["solve"], 3),
                 tail_ms=round(tail_ms, 3),
                 tail_percentile=percentile,
                 scaling_exponent=round(run.slope([i.size for i in instances], medians["solve"]), 4),
             )
+    if corpus:
+        out["sum_ratio"] = round(out["change"]["sum_ms"] / out["base"]["sum_ms"], 3)
     base, change = (times[side.alias] for side in sides)
     for key in KEYS:
         pairs = [(x, y) for xs, ys in zip(base[key], change[key]) for x, y in zip(xs, ys)]

@@ -45,6 +45,7 @@ STORE = "tests/test_untouched_store.py::"
 ALIGNMENT = "tests/test_decomposition.py::"
 ORACLE = STORE + "test_shuffled_paths_fire_r4_and_agree_with_the_oracle"
 SNAPSHOT = "tests/test_trace_snapshot.py::test_traces_match_the_snapshot"
+DISTINCT = DERIVATION + "TestOneKernelCallPerDistinctMatrix::"
 R2_REFERENCE = STORE + "test_r2_matches_the_reference_matrix_by_matrix"
 R3_REFERENCE = STORE + "test_r3_matches_the_reference_matrix_by_matrix"
 MUTANTS = (
@@ -166,7 +167,35 @@ MUTANTS = (
             "test_branch_limit_names_the_r4_variable_not_its_largest_dependency",
         ),
     ),
+    # One kernel call per distinct matrix per step.
+    Mutant(
+        "outcome-map-kept-across-steps",
+        "derivation.py",
+        "outcomes: Dict[Matrix, Family] = {}",
+        "outcomes: Dict[Matrix, Family] = step.__dict__.setdefault('outcomes', {})",
+        (
+            DISTINCT + "test_an_r4_step_restricts_each_distinct_matrix_once_per_assignment",
+            DISTINCT + "test_steps_match_the_per_occurrence_reference[shuffled paths]",
+        ),
+    ),
+    Mutant(
+        "empty-set-branches-into-nothing",
+        "derivation.py",
+        "return _NO_MATRIX if out is None else frozenset(out)",
+        "return frozenset() if out is None else frozenset(out)",
+        (
+            DERIVATION + "TestStrategyExtension::test_an_empty_set_gives_the_one_empty_set",
+            DERIVATION + "TestStrategyExtension::test_an_empty_set_builds_no_tables",
+        ),
+    ),
     # The limits.
+    Mutant(
+        "matrix-limit-off-by-one",
+        "derivation.py",
+        "if len(mapped) > limits.max_matrix_size:",
+        "if len(mapped) >= limits.max_matrix_size:",
+        (DERIVATION + "TestRunDerivation::test_a_matrix_as_large_as_the_limit_completes",),
+    ),
     Mutant(
         "family-limit-off-by-one",
         "derivation.py",
@@ -226,8 +255,8 @@ MUTANTS = (
     Mutant(
         "no-family-deduplication",
         "derivation.py",
-        "new_family = frozenset(\n                frozenset([touched(resolve",
-        "new_family = tuple(\n                frozenset([touched(resolve",
+        "new_family = frozenset(new_sets)",
+        "new_family = tuple(new_sets)",
         (DERIVATION + "TestStepDispatch::test_r2_resolves_in_every_set", SNAPSHOT),
     ),
     Mutant(
